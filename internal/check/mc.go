@@ -168,6 +168,10 @@ type mcDriver struct {
 	cfg     config.Config
 	visited map[mcFP]bool
 	res     *MCResult
+
+	// Scratch reused by every fingerprintMachine call.
+	fpBuf []byte
+	fpObs []string
 }
 
 // ModelCheck exhaustively explores prog under the options' protocol and
@@ -326,7 +330,7 @@ func (d *mcDriver) runOne(delays []uint32, prefix []uint8) (*mcRunOutcome, error
 	m.AttachTracer(trace.NewBus(inv))
 	m.SetNoCDelayChooser(func() uint64 {
 		i := len(out.taken)
-		fp := fingerprintMachine(m, d.p, rec)
+		fp := d.fingerprintMachine(m, rec)
 		out.fps = append(out.fps, fp)
 		if i >= len(prefix) && out.prunedAt < 0 {
 			if d.visited[fp] {
@@ -384,7 +388,7 @@ func (d *mcDriver) runOne(delays []uint32, prefix []uint8) (*mcRunOutcome, error
 	}
 	// Terminal fingerprint for the graph (not a decision point, so it is
 	// not part of the pruning set).
-	out.fps = append(out.fps, fingerprintMachine(m, d.p, rec))
+	out.fps = append(out.fps, d.fingerprintMachine(m, rec))
 	return out, nil
 }
 

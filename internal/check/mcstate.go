@@ -47,42 +47,39 @@ func (f mcFP) String() string { return fmt.Sprintf("%x", f[:8]) }
 // histories colliding in every counter, the clock, memory, observations
 // and the in-flight schedule simultaneously is the residual risk, and it
 // is negligible at model-checking scales.
-func fingerprintMachine(m *sim.Machine, p *Prog, rec *recorder) mcFP {
-	h := sha256.New()
-	var buf [8]byte
-	w64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+//
+// It runs at every NoC send of every explored run, so the digest input is
+// rendered into the driver's reused buffers and hashed in one call.
+func (d *mcDriver) fingerprintMachine(m *sim.Machine, rec *recorder) mcFP {
+	le := binary.LittleEndian
+	b := le.AppendUint64(d.fpBuf[:0], uint64(m.Now()))
+	b = m.Stats().AppendWire(b)
+	for l := 0; l < d.p.Lines; l++ {
+		b = le.AppendUint64(b, m.ReadLine(Base+uint64(l)))
 	}
-	w64(uint64(m.Now()))
-	h.Write(m.Stats().WireBytes())
-	for l := 0; l < p.Lines; l++ {
-		w64(m.ReadLine(Base + uint64(l)))
+	d.fpObs = append(d.fpObs[:0], rec.entries...)
+	sort.Strings(d.fpObs)
+	for i, o := range d.fpObs {
+		if i > 0 {
+			b = append(b, ';')
+		}
+		b = append(b, o...)
 	}
-	obs := append([]string(nil), rec.entries...)
-	sort.Strings(obs)
-	h.Write([]byte(strings.Join(obs, ";")))
 	m.FoldInflight(func(at timing.Cycle, msg *coherence.Msg) {
-		w64(uint64(at))
-		w64(uint64(msg.Type))
-		w64(msg.Line)
-		w64(uint64(msg.Src))
-		w64(uint64(msg.Dst))
-		w64(msg.ReqID)
-		w64(uint64(msg.Warp))
-		w64(msg.Now)
-		w64(msg.Exp)
-		w64(msg.Ver)
-		w64(msg.Val)
+		atomic := uint64(0)
 		if msg.Atomic {
-			w64(1)
-		} else {
-			w64(0)
+			atomic = 1
+		}
+		for _, v := range [...]uint64{uint64(at), uint64(msg.Type), msg.Line,
+			uint64(msg.Src), uint64(msg.Dst), msg.ReqID, uint64(msg.Warp),
+			msg.Now, msg.Exp, msg.Ver, msg.Val, atomic} {
+			b = le.AppendUint64(b, v)
 		}
 	})
+	d.fpBuf = b
+	sum := sha256.Sum256(b)
 	var fp mcFP
-	sum := h.Sum(nil)
-	copy(fp[:], sum)
+	copy(fp[:], sum[:])
 	return fp
 }
 

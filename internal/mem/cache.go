@@ -166,12 +166,16 @@ type mshrSlot[E any] struct {
 // a capacity bound. E is the protocol-specific entry payload.
 //
 // The table is open-addressed (linear probing over a power-of-two slot
-// array sized well above the capacity bound, with backward-shift deletion
-// so probe chains never accumulate tombstones) and recycles entry payloads
+// array kept at most a quarter full, with backward-shift deletion so
+// probe chains never accumulate tombstones) and recycles entry payloads
 // through a free list, so the steady-state hot path performs no map
 // hashing and no allocation. Consequently an entry pointer is only valid
 // until the Free that releases it; the next Alloc may hand the same
 // payload back out, reset by the constructor's reset function.
+//
+// The slot array starts small and doubles (rehashing) as the live count
+// rises, so memory follows the peak number of outstanding misses rather
+// than the capacity bound; most tables never see more than a few.
 type MSHRs[E any] struct {
 	cap   int
 	n     int
@@ -181,6 +185,9 @@ type MSHRs[E any] struct {
 	reset func(*E)
 }
 
+// mshrMinSlots is the initial slot-array size (shift 64-4).
+const mshrMinSlots = 16
+
 // NewMSHRs returns a table with the given capacity. reset restores a
 // recycled entry to its zero state; it should truncate slices with [:0]
 // rather than nil them so their capacity survives recycling. A nil reset
@@ -189,15 +196,10 @@ func NewMSHRs[E any](capacity int, reset func(*E)) *MSHRs[E] {
 	if capacity <= 0 {
 		panic("mem: non-positive MSHR capacity")
 	}
-	size, shift := 16, uint(60)
-	for size < 4*capacity {
-		size *= 2
-		shift--
-	}
 	return &MSHRs[E]{
 		cap:   capacity,
-		shift: shift,
-		slots: make([]mshrSlot[E], size),
+		shift: 60,
+		slots: make([]mshrSlot[E], mshrMinSlots),
 		reset: reset,
 	}
 }
@@ -207,20 +209,35 @@ func (t *MSHRs[E]) home(line uint64) int {
 	return int((line * 0x9E3779B97F4A7C15) >> t.shift)
 }
 
-// Get returns the entry for line, or nil.
-func (t *MSHRs[E]) Get(line uint64) *E {
+// find returns the index of line's slot, or of the empty slot that ends
+// its probe chain when line has no entry.
+func (t *MSHRs[E]) find(line uint64) int {
 	i := t.home(line)
 	mask := len(t.slots) - 1
 	for {
 		s := &t.slots[i]
-		if s.e == nil {
-			return nil
-		}
-		if s.line == line {
-			return s.e
+		if s.e == nil || s.line == line {
+			return i
 		}
 		i = (i + 1) & mask
 	}
+}
+
+// grow doubles the slot array and re-inserts every live entry.
+func (t *MSHRs[E]) grow() {
+	old := t.slots
+	t.slots = make([]mshrSlot[E], 2*len(old))
+	t.shift--
+	for _, s := range old {
+		if s.e != nil {
+			t.slots[t.find(s.line)] = s
+		}
+	}
+}
+
+// Get returns the entry for line, or nil.
+func (t *MSHRs[E]) Get(line uint64) *E {
+	return t.slots[t.find(line)].e
 }
 
 // Alloc creates an entry for line. It returns nil if the table is full or
@@ -231,17 +248,13 @@ func (t *MSHRs[E]) Alloc(line uint64) *E {
 	if t.n >= t.cap {
 		return nil
 	}
-	i := t.home(line)
-	mask := len(t.slots) - 1
-	for {
-		s := &t.slots[i]
-		if s.e == nil {
-			break
-		}
-		if s.line == line {
-			return nil
-		}
-		i = (i + 1) & mask
+	i := t.find(line)
+	if t.slots[i].e != nil {
+		return nil
+	}
+	if 4*(t.n+1) > len(t.slots) {
+		t.grow()
+		i = t.find(line)
 	}
 	var e *E
 	if k := len(t.free); k > 0 {
@@ -259,19 +272,12 @@ func (t *MSHRs[E]) Alloc(line uint64) *E {
 // Free releases the entry for line and recycles its payload. The caller
 // must drop every pointer to the payload before the next Alloc.
 func (t *MSHRs[E]) Free(line uint64) {
-	mask := len(t.slots) - 1
-	i := t.home(line)
-	for {
-		s := &t.slots[i]
-		if s.e == nil {
-			return
-		}
-		if s.line == line {
-			break
-		}
-		i = (i + 1) & mask
-	}
+	i := t.find(line)
 	e := t.slots[i].e
+	if e == nil {
+		return
+	}
+	mask := len(t.slots) - 1
 	if t.reset != nil {
 		t.reset(e)
 	} else {

@@ -277,3 +277,115 @@ func TestDRAMWriteCounted(t *testing.T) {
 		t.Fatal("write not counted")
 	}
 }
+
+// TestMSHRsMatchMap checks the table against a map model under random
+// Alloc/Get/Free traffic that fills it to capacity (growing the slot
+// array from 16 to 4 × capacity), drains it with backward-shift deletes
+// over the rehashed layout, and fills it again. After every operation
+// each live entry must be reachable from its home slot, and Lines must
+// list exactly the model's keys in ascending order.
+func TestMSHRsMatchMap(t *testing.T) {
+	type entry struct{ line uint64 }
+	const capacity = 64
+	tbl := NewMSHRs[entry](capacity, nil)
+	model := map[uint64]*entry{}
+	sizes := map[int]bool{len(tbl.slots): true}
+	fullRejects := 0
+	r := timing.NewRNG(5)
+	check := func(op string, line uint64) {
+		t.Helper()
+		if tbl.Len() != len(model) || tbl.Full() != (len(model) == capacity) {
+			t.Fatalf("%s %d: Len %d Full %v, model has %d", op, line, tbl.Len(), tbl.Full(), len(model))
+		}
+		if 4*tbl.Len() > len(tbl.slots) {
+			t.Fatalf("%s %d: %d entries in %d slots", op, line, tbl.Len(), len(tbl.slots))
+		}
+		mask := len(tbl.slots) - 1
+		for i, s := range tbl.slots {
+			if s.e == nil {
+				continue
+			}
+			for j := tbl.home(s.line); j != i; j = (j + 1) & mask {
+				if tbl.slots[j].e == nil {
+					t.Fatalf("%s %d: line %d in slot %d unreachable from home %d", op, line, s.line, i, tbl.home(s.line))
+				}
+			}
+		}
+		lines := tbl.Lines()
+		if len(lines) != len(model) {
+			t.Fatalf("%s %d: Lines has %d keys, model %d", op, line, len(lines), len(model))
+		}
+		for i, l := range lines {
+			if model[l] == nil || (i > 0 && lines[i-1] >= l) {
+				t.Fatalf("%s %d: Lines = %v", op, line, lines)
+			}
+		}
+	}
+	// Lines cluster in a small range (plenty of duplicates and probe
+	// collisions), with an occasional far-away one.
+	pick := func() uint64 {
+		if r.Intn(20) == 0 {
+			return r.Uint64()
+		}
+		return uint64(r.Intn(3 * capacity))
+	}
+	for _, allocBias := range []int{85, 10, 85, 50} {
+		for step := 0; step < 3000; step++ {
+			line := pick()
+			switch k := r.Intn(100); {
+			case k < allocBias:
+				e := tbl.Alloc(line)
+				switch {
+				case model[line] != nil || len(model) == capacity:
+					if e != nil {
+						t.Fatalf("Alloc %d succeeded (duplicate %v, %d live)", line, model[line] != nil, len(model))
+					}
+					if model[line] == nil {
+						fullRejects++
+					}
+				case e == nil:
+					t.Fatalf("Alloc %d failed with %d live", line, len(model))
+				default:
+					if *e != (entry{}) {
+						t.Fatalf("Alloc %d returned unreset payload %+v", line, *e)
+					}
+					e.line = line
+					model[line] = e
+				}
+				check("Alloc", line)
+			case k < allocBias+(100-allocBias)/2:
+				if got := tbl.Get(line); got != model[line] || (got != nil && got.line != line) {
+					t.Fatalf("Get %d = %v, model %v", line, got, model[line])
+				}
+			default:
+				tbl.Free(line)
+				delete(model, line)
+				check("Free", line)
+			}
+			sizes[len(tbl.slots)] = true
+		}
+		for line, e := range model {
+			if tbl.Get(line) != e {
+				t.Fatalf("Get %d lost its entry", line)
+			}
+		}
+		seen := 0
+		tbl.ForEach(func(line uint64, e *entry) {
+			if model[line] != e {
+				t.Fatalf("ForEach visited %d → %v, model %v", line, e, model[line])
+			}
+			seen++
+		})
+		if seen != len(model) {
+			t.Fatalf("ForEach visited %d of %d entries", seen, len(model))
+		}
+	}
+	if fullRejects == 0 {
+		t.Fatal("the table never filled to capacity")
+	}
+	for size := mshrMinSlots; size <= 4*capacity; size *= 2 {
+		if !sizes[size] {
+			t.Fatalf("slot array never had %d slots (saw %v)", size, sizes)
+		}
+	}
+}

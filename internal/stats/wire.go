@@ -14,8 +14,10 @@
 // encoding self-extending — a new counter field changes the wire size,
 // which the version-checked header turns into a clean decode error for
 // stale bytes rather than a misaligned read — and TestWireCoversEveryField
-// pins the exhaustiveness. Encoding cost is irrelevant next to a
-// simulation (microseconds vs seconds per point).
+// pins the exhaustiveness. Encoding takes about a microsecond, which is
+// negligible next to a sweep point, but the model checker encodes the
+// live counters at every decision of every run; AppendWire lets such hot
+// callers reuse one buffer instead of allocating per encoding.
 package stats
 
 import (
@@ -42,11 +44,16 @@ var wireLeaves = countLeaves(reflect.TypeOf(Run{}))
 // uint32 version, a uint32 leaf count, then every uint64 leaf of the
 // struct in declaration order, little-endian.
 func (r *Run) WireBytes() []byte {
-	buf := make([]byte, 0, len(wireMagic)+8+8*wireLeaves)
-	buf = append(buf, wireMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, wireVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(wireLeaves))
-	return appendLeaves(buf, reflect.ValueOf(r).Elem())
+	return r.AppendWire(make([]byte, 0, len(wireMagic)+8+8*wireLeaves))
+}
+
+// AppendWire appends the WireBytes encoding of r to dst and returns the
+// extended slice.
+func (r *Run) AppendWire(dst []byte) []byte {
+	dst = append(dst, wireMagic...)
+	dst = binary.LittleEndian.AppendUint32(dst, wireVersion)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(wireLeaves))
+	return appendLeaves(dst, reflect.ValueOf(r).Elem())
 }
 
 // DecodeWire parses bytes produced by WireBytes. It rejects wrong magic,

@@ -164,14 +164,20 @@ func (q *Queue[T]) PopReady(now Cycle) (T, bool) {
 	return v, true
 }
 
-// calBucket holds the items of one cycle. head indexes the next item to
-// pop; items[:head] have been consumed and are cleared.
-type calBucket[T any] struct {
-	items []T
-	head  int
+// calSlot is one ring slot: the FIFO chain of one cycle's items, as
+// indices into the node slab (0 = none).
+type calSlot struct {
+	head, tail int32
 }
 
-// Calendar is a bucket ("calendar") queue: one FIFO bucket per cycle,
+// calNode is one queued item in the slab. next links the item's cycle
+// chain while queued and the free list once popped.
+type calNode[T any] struct {
+	val  T
+	next int32
+}
+
+// Calendar is a bucket ("calendar") queue: one FIFO chain per cycle,
 // indexed by cycle modulo a power-of-two ring size. It pops items in
 // exactly the (ReadyAt, insertion-order) sequence a Queue would, but with
 // O(1) Push and amortized-O(1) PopReady, provided pending ready times span
@@ -179,13 +185,19 @@ type calBucket[T any] struct {
 // Use it for high-traffic pipes whose events sit a bounded distance in the
 // future — e.g. interconnect deliveries; keep Queue for tiny or unbounded-
 // horizon queues.
+//
+// Memory follows occupancy, not the horizon: a ring slot is two int32
+// chain ends, and items live in one slab of linked nodes recycled through
+// a free list, so the slab holds at most the peak number of pending items.
 type Calendar[T any] struct {
-	buckets []calBucket[T]
-	occ     []uint64 // occupancy bitmap, one bit per bucket
-	mask    int
-	next    Cycle // earliest nonempty bucket's cycle (undefined when empty)
-	maxAt   Cycle // latest pending cycle (undefined when empty)
-	count   int
+	slots []calSlot
+	nodes []calNode[T] // slab; nodes[0] is the nil sentinel
+	free  int32        // head of the free-node list (0 = empty)
+	occ   []uint64     // occupancy bitmap, one bit per slot
+	mask  int
+	next  Cycle // earliest nonempty slot's cycle (undefined when empty)
+	maxAt Cycle // latest pending cycle (undefined when empty)
+	count int
 }
 
 // Len reports the number of queued items (ready or not).
@@ -201,7 +213,7 @@ func (c *Calendar[T]) NextReady() Cycle {
 
 // Push inserts v so that it becomes visible at cycle at.
 func (c *Calendar[T]) Push(at Cycle, v T) {
-	if c.buckets == nil {
+	if c.slots == nil {
 		c.init(1024)
 	}
 	lo, hi := at, at
@@ -213,15 +225,26 @@ func (c *Calendar[T]) Push(at Cycle, v T) {
 			hi = c.maxAt
 		}
 	}
-	if hi-lo >= Cycle(len(c.buckets)) {
+	if hi-lo >= Cycle(len(c.slots)) {
 		c.grow(lo, hi)
 	}
-	pos := int(at) & c.mask
-	b := &c.buckets[pos]
-	if len(b.items) == 0 {
-		c.occ[pos>>6] |= 1 << uint(pos&63)
+	n := c.free
+	if n != 0 {
+		c.free = c.nodes[n].next
+		c.nodes[n] = calNode[T]{val: v}
+	} else {
+		n = int32(len(c.nodes))
+		c.nodes = append(c.nodes, calNode[T]{val: v})
 	}
-	b.items = append(b.items, v)
+	pos := int(at) & c.mask
+	s := &c.slots[pos]
+	if s.head == 0 {
+		s.head = n
+		c.occ[pos>>6] |= 1 << uint(pos&63)
+	} else {
+		c.nodes[s.tail].next = n
+	}
+	s.tail = n
 	c.count++
 	c.next, c.maxAt = lo, hi
 }
@@ -231,7 +254,7 @@ func (c *Calendar[T]) Push(at Cycle, v T) {
 // short horizon. The ring still grows on demand if the span estimate is
 // exceeded. No-op once the calendar holds or has held items.
 func (c *Calendar[T]) Reserve(span int) {
-	if c.buckets != nil || span <= 0 {
+	if c.slots != nil || span <= 0 {
 		return
 	}
 	size := 64
@@ -241,36 +264,32 @@ func (c *Calendar[T]) Reserve(span int) {
 	c.init(size)
 }
 
-// init sizes the ring and seeds every bucket with a small slice carved
-// from one shared backing array, so the common ≤4-items-per-cycle case
-// never allocates per bucket.
+// init sizes an empty ring. The node slab starts with only its sentinel
+// and grows with the number of simultaneously pending items.
 func (c *Calendar[T]) init(size int) {
-	const seedCap = 4
-	c.buckets = make([]calBucket[T], size)
+	c.slots = make([]calSlot, size)
 	c.occ = make([]uint64, size/64)
 	c.mask = size - 1
-	storage := make([]T, size*seedCap)
-	for i := range c.buckets {
-		c.buckets[i].items = storage[i*seedCap : i*seedCap : (i+1)*seedCap]
+	if c.nodes == nil {
+		c.nodes = make([]calNode[T], 1, 16)
 	}
 }
 
-// grow reallocates the ring so that [lo, hi] fits, re-placing pending
-// items (their relative order within each cycle is preserved).
+// grow reallocates the ring so that [lo, hi] fits, relinking each pending
+// cycle's chain into its new slot (the items themselves stay put, so their
+// order within each cycle is preserved).
 func (c *Calendar[T]) grow(lo, hi Cycle) {
 	size := 1024
 	for Cycle(size) <= hi-lo {
 		size *= 2
 	}
-	old, oldMask := c.buckets, c.mask
+	old, oldMask := c.slots, c.mask
 	c.init(size)
 	if c.count > 0 {
 		for cyc := c.next; cyc <= c.maxAt; cyc++ {
-			ob := &old[int(cyc)&oldMask]
-			if ob.head < len(ob.items) {
+			if s := old[int(cyc)&oldMask]; s.head != 0 {
 				pos := int(cyc) & c.mask
-				nb := &c.buckets[pos]
-				nb.items = append(nb.items, ob.items[ob.head:]...)
+				c.slots[pos] = s
 				c.occ[pos>>6] |= 1 << uint(pos&63)
 			}
 		}
@@ -285,17 +304,20 @@ func (c *Calendar[T]) PopReady(now Cycle) (T, bool) {
 		return zero, false
 	}
 	pos := int(c.next) & c.mask
-	b := &c.buckets[pos]
-	v := b.items[b.head]
-	b.items[b.head] = zero
-	b.head++
+	s := &c.slots[pos]
+	n := s.head
+	node := &c.nodes[n]
+	v := node.val
+	s.head = node.next
+	// Zero the payload so a recycled node never keeps a pointer alive.
+	*node = calNode[T]{next: c.free}
+	c.free = n
 	c.count--
-	if b.head == len(b.items) {
-		b.items = b.items[:0]
-		b.head = 0
+	if s.head == 0 {
+		s.tail = 0
 		c.occ[pos>>6] &^= 1 << uint(pos&63)
 		if c.count > 0 {
-			// Jump to the next occupied bucket via the bitmap. Pending
+			// Jump to the next occupied slot via the bitmap. Pending
 			// cycles span less than the ring size, so the first set bit
 			// circularly after pos is the earliest pending cycle.
 			i := (pos + 1) & c.mask

@@ -155,3 +155,79 @@ func TestQueueInterleavedPushPop(t *testing.T) {
 		t.Fatalf("popped %d, pushed %d", popped, next)
 	}
 }
+
+// TestCalendarMatchesQueue drives a Calendar and a Queue with the same
+// interleaved Push/PopReady stream and requires identical (ReadyAt, value)
+// pop sequences. The push horizon widens in three phases so the ring grows
+// from its reserved 64 slots to 1024 and then 4096 with items pending, and
+// pending counts stay far below the push total so slab nodes are reused
+// from the free list.
+func TestCalendarMatchesQueue(t *testing.T) {
+	var cal Calendar[*int]
+	var q Queue[*int]
+	cal.Reserve(40)
+	r := NewRNG(11)
+	rings := map[int]bool{len(cal.slots): true}
+	now := Cycle(0)
+	pushed, peak := 0, 0
+	drain := func(upTo Cycle) {
+		for {
+			at := q.NextReady()
+			if got := cal.NextReady(); got != at {
+				t.Fatalf("cycle %d: NextReady = %d, queue says %d", now, got, at)
+			}
+			qv, qok := q.PopReady(upTo)
+			cv, cok := cal.PopReady(upTo)
+			if qok != cok {
+				t.Fatalf("cycle %d: PopReady ok = %v, queue says %v", now, cok, qok)
+			}
+			if !qok {
+				return
+			}
+			if cv != qv {
+				t.Fatalf("cycle %d: popped (%d, #%d), queue popped (%d, #%d)", now, at, *cv, at, *qv)
+			}
+		}
+	}
+	for _, span := range []int{50, 900, 3000} {
+		for step := 0; step < 4000; step++ {
+			for k := r.Intn(4); k > 0; k-- {
+				v := pushed
+				at := now + Cycle(r.Intn(span))
+				cal.Push(at, &v)
+				q.Push(at, &v)
+				pushed++
+			}
+			if cal.Len() > peak {
+				peak = cal.Len()
+			}
+			rings[len(cal.slots)] = true
+			if r.Bool(0.7) {
+				drain(now)
+			}
+			now += Cycle(r.Intn(span/25 + 2))
+		}
+	}
+	drain(Never - 1)
+	if cal.Len() != 0 || cal.NextReady() != Never {
+		t.Fatalf("drained calendar: Len %d, NextReady %d", cal.Len(), cal.NextReady())
+	}
+	for _, size := range []int{64, 1024, 4096} {
+		if !rings[size] {
+			t.Fatalf("ring never had %d slots (saw %v)", size, rings)
+		}
+	}
+	if nodes := len(cal.nodes) - 1; nodes != peak || nodes*4 > pushed {
+		t.Fatalf("slab holds %d nodes for %d pushes at peak occupancy %d: free list not reused", nodes, pushed, peak)
+	}
+	free := 0
+	for n := cal.free; n != 0; n = cal.nodes[n].next {
+		if cal.nodes[n].val != nil {
+			t.Fatalf("free node %d still holds payload #%d", n, *cal.nodes[n].val)
+		}
+		free++
+	}
+	if free != len(cal.nodes)-1 {
+		t.Fatalf("free list has %d of %d nodes after draining", free, len(cal.nodes)-1)
+	}
+}
