@@ -245,6 +245,12 @@ type L2 interface {
 // has freed resources the SM may be waiting on (an MSHR slot, a thaw after
 // a rollover freeze) calls Wake so the SM re-scans on the next visited
 // cycle instead of polling every cycle.
+//
+// Wake is load-bearing, not a hint: the SM parks a warp whose submit the
+// L1 refused and retries it only after Wake or a machine-level ForceWake
+// (the rollover thaw). An L1 must therefore call Wake after every Tick
+// that did work, and nothing between two such Ticks — in particular none
+// of the SM's own accepted accesses — may clear a refusal.
 type Waker interface {
 	Wake()
 }

@@ -181,14 +181,24 @@ type SM struct {
 	rollover bool
 
 	// Scan masks, maintained by reclassify after every warp-state change:
-	// cand bit i set ⟺ warps[i] might issue (not done-and-drained, not at
-	// a barrier, not SC-blocked), so scans touch only plausible warps;
-	// scMask bit i set ⟺ warps[i] is blocked purely by SC ordering (the
-	// set the stall accounting draws its blame from). Masks are stable
-	// while a scan runs: the only mutations happen inside issue paths,
-	// which end the scan.
+	// cand bit i set ⟺ warps[i] is not provably blocked (not
+	// done-and-drained, not at a barrier, not SC-blocked, not parked), so
+	// scans touch only plausible warps; scMask bit i set ⟺ warps[i] is
+	// blocked purely by SC ordering (the set the stall accounting draws
+	// its blame from). A scan mutates the masks only at the warp it is
+	// trying: an issue ends the scan, and a failed try that parks the
+	// warp clears only that warp's own cand bit, behind the scan cursor.
 	cand   []uint64
 	scMask []uint64
+	// subWait bit i set ⟺ warps[i]'s partially-submitted instruction was
+	// refused by the L1 and no Wake or ForceWake has come since. A
+	// refusal means the MSHR table is full (and the line neither has an
+	// MSHR nor is readable) or the L1 is frozen for a rollover; between
+	// two L1 ticks only this SM's own accepted accesses change the L1, and
+	// none of them frees a slot, makes a line readable or thaws it. So a
+	// retry before Wake or ForceWake is known to fail, and the warp stays
+	// out of cand until one of them returns it.
+	subWait []uint64
 }
 
 func bitSet(mask []uint64, i int) bool { return mask[i>>6]&(1<<uint(i&63)) != 0 }
@@ -224,11 +234,16 @@ func nextBit(mask []uint64, from, n int) int {
 	}
 }
 
-// reclassify recomputes w's scan-mask bits from its current state.
+// reclassify recomputes w's scan-mask bits from its current state. Besides
+// the SC and barrier blocks, two parked states keep a warp out of cand: a
+// refused submit (subWait, returned by Wake/ForceWake) and a WO fence with
+// accesses still in flight (only MemDone lowers outstanding, and it
+// reclassifies).
 func (s *SM) reclassify(w *warp) {
 	sc := s.scBlocked(w)
 	setBit(s.scMask, w.id, sc)
-	setBit(s.cand, w.id, !sc && !w.atBarrier && !(w.done && w.subSlot < 0))
+	setBit(s.cand, w.id, !sc && !w.atBarrier && !(w.done && w.subSlot < 0) &&
+		!bitSet(s.subWait, w.id) && !(w.fenceStalled && w.outstanding > 0))
 }
 
 // NewSM builds an SM running the given warp traces through l1.
@@ -269,6 +284,7 @@ func NewSM(cfg config.Config, id int, l1 coherence.L1, st *stats.Run, traces []w
 	}
 	s.cand = make([]uint64, words)
 	s.scMask = make([]uint64, words)
+	s.subWait = make([]uint64, words)
 	for _, w := range s.warps {
 		s.reclassify(w)
 	}
@@ -487,10 +503,23 @@ func (s *SM) SetRollover(on bool) { s.rollover = on }
 
 // ForceWake marks the SM dirty unconditionally so its next Tick rescans
 // and re-evaluates the accounting category (rollover start/end must split
-// sleep intervals). A forced tick on a sleeping SM cannot issue — sleep
-// means the scan already proved nothing is issuable and only completions
-// (which set dirty themselves) change that — so this is behavior-neutral.
-func (s *SM) ForceWake() { s.dirty = true }
+// sleep intervals). It also unparks refused submits: a rollover thaw lifts
+// the RCC L1's freeze without a working L1 tick, so no Wake follows it.
+// Otherwise a forced tick on a sleeping SM cannot issue — sleep means the
+// scan already proved nothing is issuable and only completions (which set
+// dirty themselves) change that.
+func (s *SM) ForceWake() {
+	s.dirty = true
+	s.unparkSubmits()
+}
+
+// unparkSubmits returns every refused-submit warp to the scan.
+func (s *SM) unparkSubmits() {
+	for i, word := range s.subWait {
+		s.cand[i] |= word
+		s.subWait[i] = 0
+	}
+}
 
 // firstBlocked returns the SC-blocked, not-busy warp the scheduler would
 // have tried first this cycle: under GTO the greedy warp, then the lowest
@@ -701,20 +730,23 @@ func (s *SM) drainSubmit(w *warp, now timing.Cycle) bool {
 			Issue: tr.issue,
 			Slot:  w.subSlot,
 		}
-		if s.sp != nil && s.sp.Start(r.ID, s.id, w.id, r.Line, spanKind(tr.class), tr.issue) {
+		tracked := s.sp != nil && s.sp.Start(r.ID, s.id, w.id, r.Line, spanKind(tr.class), tr.issue)
+		if tracked {
 			// The span opens at warp-instruction issue; the gap to the
 			// submit cycle (MSHR-full retries) telescopes into SegIssue.
 			s.sp.Mark(r.ID, span.SegIssue, now)
-			if s.barrierDep != 0 {
-				s.sp.Edge(r.ID, s.barrierDep, "barrier")
-				s.barrierDep = 0
-			}
+			s.sp.Edge(r.ID, s.barrierDep, "barrier")
 		}
 		if !s.l1.Access(r, now) {
+			// The abort drops the edge with the op; barrierDep stays set
+			// so the retry (same ID) records it again.
 			s.sp.Abort(r.ID)
 			s.freeReqs = append(s.freeReqs, r)
 			s.idSeq--
 			break
+		}
+		if tracked {
+			s.barrierDep = 0
 		}
 		w.subLines = w.subLines[1:]
 		progress = true
@@ -723,6 +755,10 @@ func (s *SM) drainSubmit(w *warp, now timing.Cycle) bool {
 		w.subSlot = -1
 		w.subLines = nil
 		s.pendingSubs--
+	} else {
+		// Refused: park until the L1 ticks (see subWait).
+		setBit(s.subWait, w.id, true)
+		s.reclassify(w)
 	}
 	return progress
 }
@@ -738,7 +774,10 @@ func (s *SM) issueFence(w *warp, now timing.Cycle) bool {
 		return true
 	}
 	if w.outstanding > 0 {
+		// The first failed attempt opens the stall interval; the warp
+		// then parks until its last MemDone (see reclassify).
 		s.markFenceStall(w, now)
+		s.reclassify(w)
 		return false
 	}
 	if ready := s.l1.FenceReadyAt(w.id, now); ready > now {
@@ -864,12 +903,14 @@ func (s *SM) MemDone(r *coherence.Request, now timing.Cycle) {
 }
 
 // Wake implements coherence.Waker: the L1 ticked and may have freed the
-// MSHR slot a partially-submitted instruction is waiting on. Re-scan on
-// the next visited cycle. Gated on pendingSubs so an idle SM stays asleep:
-// completions arrive via MemDone, which marks dirty itself.
+// MSHR slot a partially-submitted instruction is waiting on. Refused
+// submits rejoin the scan, which reruns on the next visited cycle. Gated
+// on pendingSubs so an idle SM stays asleep: completions arrive via
+// MemDone, which marks dirty itself.
 func (s *SM) Wake() {
 	if s.pendingSubs > 0 {
 		s.dirty = true
+		s.unparkSubmits()
 	}
 }
 
@@ -882,8 +923,9 @@ func (s *SM) NextEvent(now timing.Cycle) timing.Cycle {
 	next := s.wakeAt
 	if s.pendingSubs > 0 {
 		// A partially-submitted instruction keeps the machine visiting
-		// every cycle (as the retry loop always did); the scan itself only
-		// reruns once the L1 wakes us, so the visit is O(1).
+		// every cycle (as the retry loop always did). The visit is O(1):
+		// Tick rescans only when dirty or at wakeAt, and even then a
+		// refused warp stays parked out of the scan until the L1 wakes us.
 		next = timing.Min(next, now+1)
 	}
 	return next
@@ -953,7 +995,7 @@ func (s *SM) rebuildBusy(now timing.Cycle) timing.Cycle {
 				break
 			}
 			w := s.warps[i]
-			if w.subSlot >= 0 || w.busyUntil <= now {
+			if w.busyUntil <= now {
 				continue
 			}
 			s.noteBusy(now, w.busyUntil)
@@ -967,9 +1009,12 @@ func (s *SM) scanNextEvent(now timing.Cycle) timing.Cycle {
 	next := timing.Never
 	n := len(s.warps)
 	// cand ∪ scMask covers every warp the full scan could take an event
-	// from: done and barrier-parked warps are in neither mask, and a
-	// busy-but-SC-blocked warp (in scMask only) still contributes its
-	// busyUntil, because the stall accounting must re-run when it wakes.
+	// from: done, barrier-parked and parked warps are in neither mask (a
+	// parked warp returns on an external event: Wake, ForceWake or
+	// MemDone), and a busy-but-SC-blocked warp (in scMask only) still
+	// contributes its busyUntil, because the stall accounting must re-run
+	// when it wakes. A no-issue scan leaves no pending submit in cand: it
+	// either made progress, which is an issue, or was refused and parked.
 	for wi := range s.cand {
 		word := s.cand[wi] | s.scMask[wi]
 		for word != 0 {
@@ -979,11 +1024,6 @@ func (s *SM) scanNextEvent(now timing.Cycle) timing.Cycle {
 				break
 			}
 			w := s.warps[i]
-			if w.subSlot >= 0 {
-				// MSHR retry: the L1 wakes us when its Tick frees a
-				// slot; until then retries are known to fail.
-				continue
-			}
 			if w.busyUntil > now {
 				next = timing.Min(next, w.busyUntil)
 				continue

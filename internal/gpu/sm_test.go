@@ -5,6 +5,7 @@ import (
 
 	"rccsim/internal/coherence"
 	"rccsim/internal/config"
+	"rccsim/internal/obs/span"
 	"rccsim/internal/stats"
 	"rccsim/internal/timing"
 	"rccsim/internal/workload"
@@ -16,12 +17,14 @@ type fakeL1 struct {
 	delay    timing.Cycle
 	pending  timing.Queue[*coherence.Request]
 	rejectN  int // reject the first N accesses (MSHR-full emulation)
+	calls    int // Access calls, refused ones included
 	accesses []uint64
 	fenceAt  timing.Cycle // FenceReadyAt result
 	fences   int
 }
 
 func (f *fakeL1) Access(r *coherence.Request, now timing.Cycle) bool {
+	f.calls++
 	if f.rejectN > 0 {
 		f.rejectN--
 		return false
@@ -69,7 +72,12 @@ func smConfig(p config.Protocol) config.Config {
 // run pumps the SM+fakeL1 pair until done.
 func run(t *testing.T, sm *SM, l1 *fakeL1, limit int) timing.Cycle {
 	t.Helper()
-	now := timing.Cycle(0)
+	return runFrom(t, sm, l1, 0, limit)
+}
+
+// runFrom is run for a pair already driven up to cycle now.
+func runFrom(t *testing.T, sm *SM, l1 *fakeL1, now timing.Cycle, limit int) timing.Cycle {
+	t.Helper()
 	for i := 0; i < limit; i++ {
 		if sm.Done() {
 			return now
@@ -370,4 +378,144 @@ func TestGTOCompletesEverything(t *testing.T) {
 	if sm.st.MemOps != 8 {
 		t.Fatalf("MemOps = %d, want 8", sm.st.MemOps)
 	}
+}
+
+// computeTrace is n one-cycle compute ops: a sibling that keeps the SM
+// scanning every cycle.
+func computeTrace(n int) workload.Trace {
+	tr := make(workload.Trace, n)
+	for i := range tr {
+		tr[i] = workload.Instr{Op: workload.OpCompute, Lat: 1}
+	}
+	return tr
+}
+
+// TestRefusedSubmitParksUntilWake: a refused submit cannot succeed before
+// the L1 ticks, so the scan skips it until Wake (the L1 ticked with work)
+// or ForceWake (a rollover thaw, which comes with no L1 tick) instead of
+// rebuilding and rolling back a request every cycle. Warp 1's computes
+// keep the SM scanning throughout, with no L1 tick in between.
+func TestRefusedSubmitParksUntilWake(t *testing.T) {
+	for name, wake := range map[string]func(*SM){"Wake": (*SM).Wake, "ForceWake": (*SM).ForceWake} {
+		t.Run(name, func(t *testing.T) {
+			load := workload.Trace{{Op: workload.OpLoad, Lines: []uint64{1}}}
+			sm, l1 := build(t, smConfig(config.TCW), []workload.Trace{load, computeTrace(200)}, nil)
+			l1.rejectN = 1 << 30
+			now := timing.Cycle(0)
+			for ; now < 100; now++ {
+				sm.Tick(now)
+			}
+			if l1.calls != 1 {
+				t.Fatalf("refused submit retried %d times before any L1 tick, want 0", l1.calls-1)
+			}
+			if bitSet(sm.cand, 0) {
+				t.Fatal("refused warp still in the issue scan")
+			}
+			if sm.st.Instructions != 100 {
+				t.Fatalf("instructions = %d, want the load plus a compute every later cycle", sm.st.Instructions)
+			}
+			l1.rejectN = 0
+			wake(sm)
+			sm.Tick(now)
+			if l1.calls != 2 || len(l1.accesses) != 1 {
+				t.Fatalf("after %s: %d calls, %d accepted; want the retry accepted", name, l1.calls, len(l1.accesses))
+			}
+			l1.Tick(now)
+			runFrom(t, sm, l1, now+1, 1000)
+		})
+	}
+}
+
+// TestFenceStallParksUntilMemDone: a WO warp at a fence with its store in
+// flight leaves the scan after its first failed attempt and rejoins when
+// the store completes, while a sibling issues computes throughout. Parking
+// must not move the stall interval: it opens at the first failed attempt
+// (cycle 2, after the store at 0 and a sibling compute at 1) and closes
+// when the fence issues at 51, the cycle after the store completes, so
+// FenceStallCycles stays 49 as before parking existed.
+func TestFenceStallParksUntilMemDone(t *testing.T) {
+	fenced := workload.Trace{
+		{Op: workload.OpStore, Lines: []uint64{1}},
+		{Op: workload.OpFence},
+		{Op: workload.OpLoad, Lines: []uint64{2}},
+	}
+	sm, l1 := build(t, smConfig(config.TCW), []workload.Trace{fenced, computeTrace(100)}, nil)
+	w := sm.warps[0]
+	now := timing.Cycle(0)
+	for ; now < 10; now++ {
+		sm.Tick(now)
+		l1.Tick(now)
+	}
+	if !w.fenceStalled || w.outstanding != 1 {
+		t.Fatalf("warp 0: fenceStalled=%v outstanding=%d, want stalled behind the store", w.fenceStalled, w.outstanding)
+	}
+	if bitSet(sm.cand, 0) {
+		t.Fatal("fence-stalled warp with accesses in flight still in the issue scan")
+	}
+	for ; w.outstanding > 0; now++ {
+		sm.Tick(now)
+		l1.Tick(now)
+		if now > 500 {
+			t.Fatal("store never completed")
+		}
+	}
+	if !bitSet(sm.cand, 0) {
+		t.Fatal("warp 0 not back in the issue scan after its last MemDone")
+	}
+	runFrom(t, sm, l1, now, 1000)
+	if l1.fences != 1 {
+		t.Fatalf("fences completed = %d, want 1", l1.fences)
+	}
+	if got := sm.st.FenceStallCycles; got != 49 {
+		t.Fatalf("FenceStallCycles = %d, want 49", got)
+	}
+}
+
+// TestBarrierEdgeSurvivesRefusedSubmit: the first tracked op after a
+// barrier release carries a "barrier" dependency even when the L1 refuses
+// its first submit attempt and the retry reuses the request ID.
+func TestBarrierEdgeSurvivesRefusedSubmit(t *testing.T) {
+	tr := workload.Trace{
+		{Op: workload.OpLoad, Lines: []uint64{1}},
+		{Op: workload.OpBarrier},
+		{Op: workload.OpLoad, Lines: []uint64{2}},
+	}
+	sm, l1 := build(t, smConfig(config.RCC), []workload.Trace{tr, nil}, nil)
+	sp := span.NewRecorder(1)
+	sm.SetSpans(sp)
+	now := timing.Cycle(0)
+	for ; len(l1.accesses) == 0; now++ {
+		sm.Tick(now)
+		l1.Tick(now)
+	}
+	l1.rejectN = 1 // the post-barrier load's first attempt
+	for ; !sm.Done(); now++ {
+		if now > 1000 {
+			t.Fatal("SM did not finish")
+		}
+		sm.Wake()
+		sm.Tick(now)
+		l1.Tick(now)
+	}
+	if l1.calls != 3 {
+		t.Fatalf("Access calls = %d, want 3 (load, refused load, retry)", l1.calls)
+	}
+	var first, second *span.Op
+	for _, op := range sp.Done() {
+		switch op.Line {
+		case 1:
+			first = op
+		case 2:
+			second = op
+		}
+	}
+	if first == nil || second == nil {
+		t.Fatalf("spans missing: %v %v", first, second)
+	}
+	for _, d := range second.Deps {
+		if d.Why == "barrier" && d.On == first.ID {
+			return
+		}
+	}
+	t.Fatalf("post-barrier load deps = %+v, want a barrier edge on op %d", second.Deps, first.ID)
 }
