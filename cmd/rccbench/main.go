@@ -100,7 +100,7 @@ func realMain() int {
 			fmt.Fprintf(os.Stderr, "rccbench: %v\n", err)
 			return 1
 		}
-		r.Exec = experiments.CachedExecutor{Cache: cache}
+		r.Cache = cache
 		defer func() {
 			fmt.Fprintf(os.Stderr, "rccbench: cache %s: %d hits, %d misses, %d stored (hit ratio %.0f%%)\n",
 				*cacheDir, cache.Hits(), cache.Misses(), cache.Puts(), 100*cache.HitRatio())
@@ -121,7 +121,9 @@ func realMain() int {
 	var tracker *obs.Tracker
 	if *serveAddr != "" {
 		tracker = obs.NewTracker(obs.NewRegistry())
-		addr, err := obs.StartServerLedger(*serveAddr, tracker.Registry(), tracker, spans, nil, ledger.Handler(led))
+		addr, err := obs.Serve(*serveAddr, obs.Mounts{
+			Registry: tracker.Registry(), Tracker: tracker, Spans: spans, Ledger: ledger.Handler(led),
+		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rccbench: %v\n", err)
 			return 1

@@ -60,7 +60,7 @@ func main() {
 	if *serve != "" {
 		reg := obs.NewRegistry()
 		mm = newMCMetrics(reg)
-		addr, err := obs.StartServer(*serve, reg, nil)
+		addr, err := obs.Serve(*serve, obs.Mounts{Registry: reg})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rcccheck: %v\n", err)
 			os.Exit(2)

@@ -31,8 +31,8 @@ import (
 
 func main() {
 	var (
-		seeds     = flag.Int("seeds", 200, "number of fuzzing seeds to run")
-		start     = flag.Uint64("start", 0, "first seed")
+		seeds = flag.Int("seeds", 200, "number of fuzzing seeds to run")
+		start = flag.Uint64("start", 0, "first seed")
 		// GOMAXPROCS(0) respects the runtime's actual parallelism budget
 		// (container CPU quotas, explicit GOMAXPROCS), where NumCPU would
 		// oversubscribe a quota-limited box with idle workers.
@@ -54,7 +54,7 @@ func main() {
 	if *serve != "" {
 		reg := obs.NewRegistry()
 		fm = newFuzzMetrics(reg)
-		addr, err := obs.StartServer(*serve, reg, nil)
+		addr, err := obs.Serve(*serve, obs.Mounts{Registry: reg})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rccfuzz: %v\n", err)
 			os.Exit(2)

@@ -7,8 +7,6 @@
 //	rccsweep [-bench BH] [-scale f] [-j N] [-progress] [-cache-dir dir]
 //	         [-trace file [-trace-format jsonl|perfetto] [-metrics-interval N]]
 //	         [-cpuprofile file] [-memprofile file] <sweep>
-//	rccsweep -coordinator :9100 [-cache-dir dir] [sweep flags] <sweep>
-//	rccsweep -worker http://host:9100 [-j N] [-shards N] [-cache-dir dir]
 //
 // Sweeps: lease, warps, tclease, tsbits, sched. Sweep points are
 // independent simulations; -j runs up to N of them concurrently
@@ -20,32 +18,21 @@
 // -cache-dir memoizes finished points in a content-addressed on-disk
 // cache keyed by (binary behaviour digest, benchmark, config); re-running
 // an interrupted or repeated sweep replays hits without simulating, with
-// output byte-identical to a cold run. -coordinator/-worker shard one
-// sweep's points across processes over HTTP (see internal/farm): the
-// coordinator serves the lease protocol plus the /metrics, /runs fleet
-// introspection on its address, and workers — local or remote — pull
-// points and post results. SIGINT/SIGTERM drains gracefully: in-flight
-// points finish and flush to the cache, queued points are abandoned, and
-// a resume hint is printed.
+// output byte-identical to a cold run. Each point is written atomically
+// as it finishes, so an interrupted sweep resumes from every finished
+// point.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"sync"
-	"sync/atomic"
-	"syscall"
-	"time"
 
 	"rccsim/internal/config"
 	"rccsim/internal/experiments"
-	"rccsim/internal/farm"
 	"rccsim/internal/ledger"
 	"rccsim/internal/obs"
 	"rccsim/internal/resultcache"
@@ -66,12 +53,7 @@ var (
 	ledgerDir = flag.String("ledger", "", "append every sweep point (full wire stats, keyed label@point) to the run ledger in this directory")
 	hotspots  = flag.Int("hotspots", 0, "print the top-N contended cache lines, merged across all sweep points (0 = off)")
 
-	cacheDir     = flag.String("cache-dir", "", "content-addressed result cache directory: hits replay stored stats instead of simulating, making sweeps resumable")
-	coordAddr    = flag.String("coordinator", "", "run the sweep as a farm coordinator: serve the lease protocol and introspection on this address, sharding points to -worker processes")
-	workerURL    = flag.String("worker", "", "run as a farm worker against this coordinator URL (no sweep argument)")
-	workerName   = flag.String("worker-name", "", "worker name reported to the coordinator (default host-pid)")
-	leaseTimeout = flag.Duration("lease-timeout", 10*time.Second, "coordinator: requeue a point after its worker goes this long without a heartbeat")
-	maxRetries   = flag.Int("max-retries", 3, "coordinator: fail a point after this many lost leases")
+	cacheDir = flag.String("cache-dir", "", "content-addressed result cache directory: hits replay stored stats instead of simulating, making sweeps resumable")
 
 	traceOut    = flag.String("trace", "", "write every point's event trace to this file")
 	traceFormat = flag.String("trace-format", "jsonl", "event trace format: jsonl or perfetto")
@@ -87,12 +69,8 @@ func main() {
 }
 
 func realMain() int {
-	if *workerURL != "" {
-		return workerMain()
-	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: rccsweep [-bench BH] [-scale f] [-j N] [-cache-dir dir] [-coordinator :addr] <sweep>")
-		fmt.Fprintln(os.Stderr, "       rccsweep -worker http://host:port [-j N] [-cache-dir dir]")
+		fmt.Fprintln(os.Stderr, "usage: rccsweep [-bench BH] [-scale f] [-j N] [-cache-dir dir] <sweep>")
 		fmt.Fprintln(os.Stderr, "sweeps: lease warps tclease tsbits sched")
 		return 2
 	}
@@ -101,14 +79,10 @@ func realMain() int {
 		fmt.Fprintf(os.Stderr, "unknown benchmark %q\n", *bench)
 		return 1
 	}
-	// Executor-routed points (cache hits, farmed points) never run a local
-	// machine, so there is nothing for a trace bus or heat sketch to hook.
-	if (*cacheDir != "" || *coordAddr != "") && (*traceOut != "" || *hotspots > 0) {
-		fmt.Fprintln(os.Stderr, "rccsweep: -trace and -hotspots are incompatible with -cache-dir/-coordinator (those points do not run in this process)")
-		return 2
-	}
-	if *coordAddr != "" && *serveAddr != "" {
-		fmt.Fprintln(os.Stderr, "rccsweep: -coordinator already serves introspection on its address; drop -serve")
+	// Cache hits never run a local machine, so there is nothing for a
+	// trace bus or heat sketch to hook.
+	if *cacheDir != "" && (*traceOut != "" || *hotspots > 0) {
+		fmt.Fprintln(os.Stderr, "rccsweep: -trace and -hotspots are incompatible with -cache-dir (cache hits do not run a machine)")
 		return 2
 	}
 	stopProfiles, err := startProfiles()
@@ -122,6 +96,7 @@ func realMain() int {
 	base.Scale = *scale
 	base.Shards = *shards
 
+	var opts []experiments.RunOpt
 	var cache *resultcache.Cache
 	if *cacheDir != "" {
 		cache, err = resultcache.Open(*cacheDir, sim.GoldenDigest())
@@ -129,6 +104,7 @@ func realMain() int {
 			fmt.Fprintf(os.Stderr, "rccsweep: %v\n", err)
 			return 1
 		}
+		opts = append(opts, experiments.WithCache(cache))
 	}
 
 	var led *ledger.Ledger
@@ -139,31 +115,12 @@ func realMain() int {
 			return 1
 		}
 	}
-	var opts []experiments.RunOpt
 	var tracker *obs.Tracker
-	var coord *farm.Coordinator
-	sweepJobs := *jobs
-	if *coordAddr != "" {
+	if *serveAddr != "" {
 		tracker = obs.NewTracker(obs.NewRegistry())
-		coord = farm.NewCoordinator(farm.Options{
-			LeaseTimeout: *leaseTimeout,
-			MaxRetries:   *maxRetries,
-			Registry:     tracker.Registry(),
-			Assign:       tracker.Assign,
-			Logf:         func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) },
+		addr, err := obs.Serve(*serveAddr, obs.Mounts{
+			Registry: tracker.Registry(), Tracker: tracker, Ledger: ledger.Handler(led),
 		})
-		addr, err := obs.StartServerLedger(*coordAddr, tracker.Registry(), tracker, nil, coord.Handler(), ledger.Handler(led))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rccsweep: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "rccsweep: coordinating on http://%s (workers: rccsweep -worker http://%s)\n", addr, addr)
-		// Every point must be enqueued concurrently so workers can pull
-		// them all; the farm, not -j, bounds actual parallelism.
-		sweepJobs = 1 << 16
-	} else if *serveAddr != "" {
-		tracker = obs.NewTracker(obs.NewRegistry())
-		addr, err := obs.StartServerLedger(*serveAddr, tracker.Registry(), tracker, nil, nil, ledger.Handler(led))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rccsweep: %v\n", err)
 			return 1
@@ -182,8 +139,7 @@ func realMain() int {
 		// WithPointDone is a single slot: fan out to the tracker and the
 		// ledger collector from one callback. The collector keys by
 		// label@point (input-order index), so the recorded entry is
-		// identical for any -j and for farmed points (workers post
-		// bit-deterministic stats back to this process).
+		// identical for any -j and for cache hits.
 		opts = append(opts, experiments.WithPointDone(func(point int, label string, st *stats.Run) {
 			if tracker != nil {
 				tracker.Done(label, st)
@@ -192,23 +148,6 @@ func realMain() int {
 				coll.ObservePoint(point, label, st)
 			}
 		}))
-	}
-
-	// Executor chain: farm coordinator at the bottom (when distributed),
-	// disk cache above it (hits stay local, misses farm out), drain gate on
-	// top so an interrupt stops handing out new points.
-	var gate *drainGate
-	if coord != nil || cache != nil {
-		var exec experiments.Executor
-		if coord != nil {
-			exec = coord
-		}
-		if cache != nil {
-			exec = experiments.CachedExecutor{Cache: cache, Inner: exec}
-		}
-		gate = &drainGate{inner: exec}
-		opts = append(opts, experiments.WithExecutor(gate))
-		installDrainHandler(coord, gate)
 	}
 	// Progress consumers share the single WithProgress slot: the stderr
 	// line and the tracker's total both hang off the same callback.
@@ -271,21 +210,18 @@ func realMain() int {
 
 	switch flag.Arg(0) {
 	case "lease":
-		err = sweepLease(base, b, sweepJobs, opts)
+		err = sweepLease(base, b, *jobs, opts)
 	case "warps":
-		err = sweepWarps(base, b, sweepJobs, opts)
+		err = sweepWarps(base, b, *jobs, opts)
 	case "tclease":
-		err = sweepTCLease(base, b, sweepJobs, opts)
+		err = sweepTCLease(base, b, *jobs, opts)
 	case "tsbits":
-		err = sweepTSBits(base, b, sweepJobs, opts)
+		err = sweepTSBits(base, b, *jobs, opts)
 	case "sched":
-		err = sweepSched(base, b, sweepJobs, opts)
+		err = sweepSched(base, b, *jobs, opts)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown sweep %q\n", flag.Arg(0))
 		return 1
-	}
-	if coord != nil {
-		coord.Close() // workers see 410 Gone and exit
 	}
 	if cache != nil {
 		fmt.Fprintf(os.Stderr, "rccsweep: cache %s: %d hits, %d misses, %d stored (hit ratio %.0f%%)\n",
@@ -327,101 +263,9 @@ func realMain() int {
 			}
 		}
 	}
-	if errors.Is(err, farm.ErrDraining) {
-		fmt.Fprintln(os.Stderr, "rccsweep: sweep interrupted; in-flight points were flushed, queued points abandoned")
-		if *cacheDir != "" {
-			fmt.Fprintf(os.Stderr, "rccsweep: resume by re-running the same command with -cache-dir %s (finished points replay as cache hits)\n", *cacheDir)
-		} else {
-			fmt.Fprintln(os.Stderr, "rccsweep: re-run with -cache-dir to make interrupted sweeps resumable")
-		}
-		return 130
-	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
-	}
-	return 0
-}
-
-// drainGate sits atop the executor chain; once drained, new points
-// resolve immediately with farm.ErrDraining while points already past the
-// gate run to completion (and flush to the cache / farm as usual).
-type drainGate struct {
-	inner    experiments.Executor
-	draining atomic.Bool
-}
-
-func (g *drainGate) Execute(cfg config.Config, b workload.Benchmark) (sim.Result, error) {
-	if g.draining.Load() {
-		return sim.Result{}, farm.ErrDraining
-	}
-	return g.inner.Execute(cfg, b)
-}
-
-// installDrainHandler makes the first SIGINT/SIGTERM drain the sweep
-// gracefully — the gate stops admitting points, the coordinator (if any)
-// 503s new leases and abandons its queue — and a second signal aborts
-// hard. Without a cache or farm there is nothing to flush, so plain runs
-// keep the default die-on-interrupt behaviour (no Notify installed).
-func installDrainHandler(coord *farm.Coordinator, gate *drainGate) {
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		fmt.Fprintln(os.Stderr, "\nrccsweep: interrupt: draining (in-flight points will finish and flush; interrupt again to abort)")
-		if gate != nil {
-			gate.draining.Store(true)
-		}
-		if coord != nil {
-			coord.Drain()
-		}
-		<-sig
-		fmt.Fprintln(os.Stderr, "rccsweep: aborted")
-		os.Exit(130)
-	}()
-}
-
-// workerMain is the -worker mode: pull points from the coordinator,
-// simulate them locally (optionally through the same disk cache), and
-// post results until the sweep finishes or an interrupt drains us.
-func workerMain() int {
-	if flag.NArg() != 0 || *coordAddr != "" {
-		fmt.Fprintln(os.Stderr, "usage: rccsweep -worker http://host:port [-j N] [-shards N] [-cache-dir dir]")
-		return 2
-	}
-	var exec farm.Executor
-	var cache *resultcache.Cache
-	if *cacheDir != "" {
-		var err error
-		cache, err = resultcache.Open(*cacheDir, sim.GoldenDigest())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rccsweep: %v\n", err)
-			return 1
-		}
-		exec = experiments.CachedExecutor{Cache: cache}
-	}
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-	w := &farm.Worker{
-		Coordinator: *workerURL,
-		Name:        *workerName,
-		Jobs:        *jobs,
-		Shards:      *shards,
-		Exec:        exec,
-		Logf:        func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) },
-	}
-	err := w.Run(ctx)
-	if cache != nil {
-		fmt.Fprintf(os.Stderr, "rccsweep: cache %s: %d hits, %d misses, %d stored\n",
-			*cacheDir, cache.Hits(), cache.Misses(), cache.Puts())
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rccsweep: %v\n", err)
-		return 1
-	}
-	if ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "rccsweep: worker interrupted; in-flight points were finished and posted")
-		return 130
 	}
 	return 0
 }

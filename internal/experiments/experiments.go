@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 
 	"rccsim/internal/config"
+	"rccsim/internal/resultcache"
 	"rccsim/internal/sim"
 	"rccsim/internal/stats"
 	"rccsim/internal/workload"
@@ -31,12 +32,11 @@ type Runner struct {
 	Base config.Config
 	Jobs int // max concurrent simulations (set at construction)
 
-	// Exec, when non-nil, runs each point instead of the in-process
-	// simulation: a CachedExecutor for disk-backed memoization, a farm
-	// coordinator for distributed sweeps, or any chain of the two. All
-	// executors are deterministic per point, so results are independent
-	// of which one is wired in.
-	Exec Executor
+	// Cache, when non-nil, memoizes points on disk across runs: a hit
+	// replays the stored stats instead of simulating, a miss simulates
+	// and stores the result. Replayed results are bit-identical, so
+	// output does not depend on whether a cache is attached.
+	Cache *resultcache.Cache
 
 	// Progress, when non-nil, is invoked after each simulation a Preload
 	// batch completes (done so far, batch total, completed point's
@@ -46,12 +46,12 @@ type Runner struct {
 	Progress func(done, total int, label string)
 
 	// Started and Observe, when non-nil, bracket each point the Runner
-	// hands to its executor: Started fires as the point begins, Observe
-	// when it completes with the finished stats (nil on failure). Memo
-	// hits in the in-memory cache invoke neither (the point never reaches
-	// the executor), but disk-cache hits inside a CachedExecutor DO fire
-	// both — a warm-cache sweep still ticks every progress and tracker
-	// counter, so /runs ETAs stay finite (see executor_test.go). Both run
+	// runs: Started fires as the point begins, Observe when it completes
+	// with the finished stats (nil on failure). Memo hits in the
+	// in-memory cache invoke neither (the point is not run again), but
+	// hits in the disk Cache DO fire both — a warm-cache sweep still
+	// ticks every progress and tracker counter, so /runs ETAs stay finite
+	// (see cache_test.go). Both run
 	// on worker goroutines — side channels only (e.g.
 	// obs.Tracker.Begin/Done).
 	Started func(label string)

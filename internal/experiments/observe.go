@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"rccsim/internal/obs"
+	"rccsim/internal/resultcache"
 	"rccsim/internal/stats"
 	"rccsim/internal/trace"
 )
@@ -29,7 +30,7 @@ type runOpts struct {
 	done     func(point int, label string, st *stats.Run)
 	tracer   func(point int) *trace.Bus
 	heat     func(point int) *obs.Heat
-	exec     Executor
+	cache    *resultcache.Cache
 }
 
 func applyOpts(opts []RunOpt) runOpts {

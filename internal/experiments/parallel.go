@@ -106,7 +106,7 @@ func (r *Runner) resultOpt(p config.Protocol, b workload.Benchmark, renew, pred 
 	if r.Started != nil {
 		r.Started(label)
 	}
-	f.res, f.err = r.executor().Execute(cfg, b)
+	f.res, f.err = runCached(r.Cache, cfg, b)
 	if r.Observe != nil {
 		r.Observe(label, f.res.Stats) // Stats is nil on error
 	}
@@ -195,10 +195,10 @@ func runAll(cfgs []config.Config, b workload.Benchmark, jobs int, opts ...RunOpt
 		}
 		var res sim.Result
 		var err error
-		if o.exec != nil {
-			// Executor-routed points (cache, farm) cannot host a local
-			// trace bus or heat sketch; the CLIs reject the combination.
-			res, err = o.exec.Execute(cfgs[i], b)
+		if o.cache != nil {
+			// A cache hit runs no local machine to host a trace bus or
+			// heat sketch; the CLIs reject the combination.
+			res, err = runCached(o.cache, cfgs[i], b)
 		} else {
 			var bus *trace.Bus
 			if o.tracer != nil {

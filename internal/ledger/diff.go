@@ -478,6 +478,16 @@ func heatDeltas(base, cur []HeatLine) []HeatDelta {
 	return out
 }
 
+// topValue renders a top-line median or MAD: whole numbers at
+// simCycles/s scale, three significant digits below 100 so runs/s-scale
+// series do not round to a bare integer.
+func topValue(v float64) string {
+	if math.Abs(v) >= 100 {
+		return fmt.Sprintf("%.0f", v)
+	}
+	return fmt.Sprintf("%.3g", v)
+}
+
 func absDiff(a, b uint64) uint64 {
 	if a > b {
 		return a - b
@@ -505,8 +515,8 @@ func (d *Diff) Format() string {
 			dir = "higher is better"
 		}
 		fmt.Fprintf(&b, "\ntop-line: %s %s (%s)\n", t.Bench, t.Metric, dir)
-		fmt.Fprintf(&b, "  base  median %.0f  ±MAD %.0f  (n=%d)\n", t.Base.Median, t.Base.MAD, t.Base.N)
-		fmt.Fprintf(&b, "  cur   median %.0f  ±MAD %.0f  (n=%d)\n", t.Cur.Median, t.Cur.MAD, t.Cur.N)
+		fmt.Fprintf(&b, "  base  median %s  ±MAD %s  (n=%d)\n", topValue(t.Base.Median), topValue(t.Base.MAD), t.Base.N)
+		fmt.Fprintf(&b, "  cur   median %s  ±MAD %s  (n=%d)\n", topValue(t.Cur.Median), topValue(t.Cur.MAD), t.Cur.N)
 		sig := "not significant vs noise"
 		if t.Significant {
 			sig = "significant"

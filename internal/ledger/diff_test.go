@@ -174,19 +174,21 @@ func TestSharesAlwaysSumTo100(t *testing.T) {
 	}
 }
 
+// benchEntry is a bench-kind entry holding three samples of one metric.
+func benchEntry(bench, metric string, vs [3]float64) *Entry {
+	e := &Entry{Kind: KindBench, Label: "n", Host: Host{OS: "linux", Arch: "amd64"},
+		Benchmarks: []BenchRec{{Name: bench}}}
+	for _, v := range vs {
+		e.Benchmarks[0].Samples = append(e.Benchmarks[0].Samples,
+			Sample{NsPerOp: 1, Metrics: map[string]float64{metric: v}})
+	}
+	return e
+}
+
 // TestNoiseGate: a delta inside the MAD-scaled noise band is reported but
 // never failed, even when it exceeds the tolerance.
 func TestNoiseGate(t *testing.T) {
-	host := Host{OS: "linux", Arch: "amd64"}
-	mk := func(scs [3]float64) *Entry {
-		e := &Entry{Kind: KindBench, Label: "n", Host: host,
-			Benchmarks: []BenchRec{{Name: "BenchmarkSimulatorThroughput"}}}
-		for _, v := range scs {
-			e.Benchmarks[0].Samples = append(e.Benchmarks[0].Samples,
-				Sample{NsPerOp: 1, Metrics: map[string]float64{"simCycles/s": v}})
-		}
-		return e
-	}
+	mk := func(scs [3]float64) *Entry { return benchEntry("BenchmarkSimulatorThroughput", "simCycles/s", scs) }
 	base, cur := mk([3]float64{950, 850, 900}), mk([3]float64{880, 780, 830})
 	d := Compute("b", base, "c", cur, Options{TolerancePct: 5})
 	if d.Topline == nil {
@@ -201,6 +203,24 @@ func TestNoiseGate(t *testing.T) {
 	}
 	if !d.Ok() {
 		t.Fatalf("noise-band delta failed the gate: %v", d.Failures)
+	}
+}
+
+// TestToplineRunsPerSecondScale: a top line measured in runs/s (single
+// digits, as the rccperf suites record) must render its median and MAD
+// legibly instead of rounding them to whole numbers.
+func TestToplineRunsPerSecondScale(t *testing.T) {
+	const bench = "BenchmarkRccperf/suite-weak"
+	base := benchEntry(bench, "runs/s", [3]float64{4.21, 4.28, 4.35})
+	cur := benchEntry(bench, "runs/s", [3]float64{5.61, 5.66, 5.70})
+	out := Compute("b", base, "c", cur, Options{TopBench: bench, TopMetric: "runs/s"}).Format()
+	for _, want := range []string{
+		"base  median 4.28  ±MAD 0.07  (n=3)",
+		"cur   median 5.66  ±MAD 0.04  (n=3)",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("top line missing %q:\n%s", want, out)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Bridges to the live observability layer: heat sketches render to
-// ledger rows, the archive serves over HTTP (mounted as /ledger by
-// obs.StartServerLedger), and a computed regression diff publishes
+// ledger rows, the archive serves over HTTP (mounted as /ledger through
+// obs.Mounts.Ledger), and a computed regression diff publishes
 // rccsim_regression_* gauges so a scrape sees the latest verdict next to
 // the live counters. These live here, not in package obs, because obs is
 // imported by the simulator core (sim → obs) and must stay below the
@@ -46,7 +46,7 @@ func TopHeatLines(h *obs.Heat, n int) []HeatLine {
 // Handler serves the archive over HTTP: GET with no query lists the
 // INDEX as JSON; GET ?ref=@-1 (or any rccdiff-style ref) serves the
 // resolved entry's canonical bytes. A nil ledger yields a nil handler,
-// which obs.StartServerLedger treats as "mount nothing".
+// which obs.Serve treats as "mount nothing".
 func Handler(l *Ledger) http.Handler {
 	if l == nil {
 		return nil

@@ -21,7 +21,7 @@ func TestOpenMetricsConformance(t *testing.T) {
 	reg.RegisterLabelled("rccsim_cycle_account", "SM-cycles by category", Counter,
 		map[string]string{"category": "issued"}).Add(7)
 	reg.Register("rccsim_points_per_second", "throughput", Gauge).SetFloat(1.5)
-	base := startTestServer(t, reg, nil)
+	base := startTestServer(t, Mounts{Registry: reg})
 
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
@@ -56,11 +56,7 @@ func TestSpansEndpoint(t *testing.T) {
 		rec.Mark(i, span.SegL1, 3)
 		rec.Finish(i, span.SegDRAM, timing.Cycle(10*i))
 	}
-	addr, err := StartServerSpans("127.0.0.1:0", NewRegistry(), nil, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := "http://" + addr
+	base := startTestServer(t, Mounts{Registry: NewRegistry(), Spans: rec})
 
 	code, body := get(t, base+"/spans?top=2")
 	if code != http.StatusOK {
@@ -75,7 +71,7 @@ func TestSpansEndpoint(t *testing.T) {
 	}
 
 	// Without a recorder the endpoint must not exist.
-	plain := startTestServer(t, NewRegistry(), nil)
+	plain := startTestServer(t, Mounts{Registry: NewRegistry()})
 	if code, _ := get(t, plain+"/spans"); code != http.StatusNotFound {
 		t.Fatalf("/spans without recorder = %d, want 404", code)
 	}

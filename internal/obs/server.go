@@ -15,59 +15,48 @@ import (
 // requires for the text exposition format served on /metrics.
 const OpenMetricsContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
-// StartServer binds addr and serves the live introspection endpoints in a
-// background goroutine: /metrics (OpenMetrics text from reg), /runs (the
-// tracker's JSON point registry), /healthz, and the stdlib pprof handlers
-// under /debug/pprof/. It returns the bound address (so ":0" works in
-// tests) or an error if the listen fails. The server lives for the rest
-// of the process; CLI invocations exit when their run does.
-func StartServer(addr string, reg *Registry, tr *Tracker) (string, error) {
-	return StartServerSpans(addr, reg, tr, nil)
+// Mounts selects the optional surfaces Serve exposes. A nil field mounts
+// nothing, so its endpoint serves 404.
+type Mounts struct {
+	// Registry serves /metrics as OpenMetrics text.
+	Registry *Registry
+	// Tracker serves /runs, the JSON point registry.
+	Tracker *Tracker
+	// Spans serves /spans: the causal-span recorder's summary as JSON —
+	// percentile waterfalls per segment, aggregate blame, the critical
+	// path, and the top-N slowest sampled ops (?top=N, default 10). The
+	// recorder is internally locked, so scraping mid-run observes a
+	// consistent snapshot of finished spans.
+	Spans *span.Recorder
+	// Ledger serves /ledger, the run archive (pass ledger.Handler(l)). It
+	// is an opaque http.Handler rather than a *ledger.Ledger because the
+	// dependency runs the other way: sim imports obs, and ledger sits
+	// above both.
+	Ledger http.Handler
 }
 
-// StartServerSpans is StartServer plus a /spans endpoint serving the
-// causal-span recorder's summary as JSON: percentile waterfalls per
-// segment, aggregate blame, the critical path, and the top-N slowest
-// sampled ops (?top=N, default 10). The recorder is internally locked, so
-// scraping mid-run observes a consistent snapshot of finished spans. A nil
-// recorder serves 404 on /spans (span recording off).
-func StartServerSpans(addr string, reg *Registry, tr *Tracker, sp *span.Recorder) (string, error) {
-	return StartServerFarm(addr, reg, tr, sp, nil)
-}
-
-// StartServerFarm is StartServerSpans plus a farm coordinator handler
-// mounted under /farm/ — so one listener serves both the sweep's
-// introspection endpoints (/metrics with the fleet series, /runs with
-// worker assignments) and the worker-facing lease protocol. A nil farm
-// handler mounts nothing.
-func StartServerFarm(addr string, reg *Registry, tr *Tracker, sp *span.Recorder, farm http.Handler) (string, error) {
-	return startServer(addr, reg, tr, sp, farm, nil)
-}
-
-// StartServerLedger is StartServerFarm plus the /ledger archive endpoint
-// (pass ledger.Handler(l); nil mounts nothing). The handler is an opaque
-// http.Handler rather than a *ledger.Ledger because the dependency runs
-// the other way: sim imports obs, and ledger sits above both.
-func StartServerLedger(addr string, reg *Registry, tr *Tracker, sp *span.Recorder, farm, ledger http.Handler) (string, error) {
-	return startServer(addr, reg, tr, sp, farm, ledger)
-}
-
-// startServer is the shared implementation behind the StartServer*
-// helpers.
-func startServer(addr string, reg *Registry, tr *Tracker, sp *span.Recorder, farm, ledger http.Handler) (string, error) {
+// Serve binds addr and serves the live introspection endpoints in a
+// background goroutine: the surfaces m mounts, plus /healthz and the
+// stdlib pprof handlers under /debug/pprof/. It returns the bound address
+// (so ":0" works in tests) or an error if the listen fails. The server
+// lives for the rest of the process; CLI invocations exit when their run
+// does.
+func Serve(addr string, m Mounts) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", OpenMetricsContentType)
-		_ = reg.WriteOpenMetrics(w)
-	})
-	if tr != nil {
-		mux.Handle("/runs", tr)
+	if reg := m.Registry; reg != nil {
+		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", OpenMetricsContentType)
+			_ = reg.WriteOpenMetrics(w)
+		})
 	}
-	if sp != nil {
+	if m.Tracker != nil {
+		mux.Handle("/runs", m.Tracker)
+	}
+	if sp := m.Spans; sp != nil {
 		mux.HandleFunc("/spans", func(w http.ResponseWriter, r *http.Request) {
 			top := 10
 			if q := r.URL.Query().Get("top"); q != "" {
@@ -79,11 +68,8 @@ func startServer(addr string, reg *Registry, tr *Tracker, sp *span.Recorder, far
 			_ = sp.WriteJSON(w, top)
 		})
 	}
-	if farm != nil {
-		mux.Handle("/farm/", farm)
-	}
-	if ledger != nil {
-		mux.Handle("/ledger", ledger)
+	if m.Ledger != nil {
+		mux.Handle("/ledger", m.Ledger)
 	}
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -12,9 +12,9 @@ import (
 )
 
 // startTestServer binds a throwaway port and returns its base URL.
-func startTestServer(t *testing.T, reg *Registry, tr *Tracker) string {
+func startTestServer(t *testing.T, m Mounts) string {
 	t.Helper()
-	addr, err := StartServer("127.0.0.1:0", reg, tr)
+	addr, err := Serve("127.0.0.1:0", m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func get(t *testing.T, url string) (int, string) {
 // during a sweep.
 func TestServerEndpoints(t *testing.T) {
 	tr := NewTracker(NewRegistry())
-	base := startTestServer(t, tr.Registry(), tr)
+	base := startTestServer(t, Mounts{Registry: tr.Registry(), Tracker: tr})
 
 	tr.SetTotal(3)
 	tr.Begin("DLB/RCC")
@@ -94,11 +94,21 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatalf("/runs snapshot wrong: %+v", snap)
 	}
 
-	if code, body := get(t, base+"/healthz"); code != http.StatusOK || !strings.Contains(body, "ok") {
-		t.Fatalf("/healthz = %d %q", code, body)
-	}
-	if code, _ := get(t, base+"/debug/pprof/cmdline"); code != http.StatusOK {
-		t.Fatalf("/debug/pprof/cmdline status %d", code)
+	for _, ep := range []struct {
+		path string
+		code int
+		body string
+	}{
+		{"/healthz", http.StatusOK, "ok"},
+		{"/debug/pprof/cmdline", http.StatusOK, ""},
+		// Unmounted surfaces must not exist.
+		{"/spans", http.StatusNotFound, ""},
+		{"/ledger", http.StatusNotFound, ""},
+		{"/farm/", http.StatusNotFound, ""},
+	} {
+		if code, body := get(t, base+ep.path); code != ep.code || !strings.Contains(body, ep.body) {
+			t.Errorf("%s = %d %q, want %d containing %q", ep.path, code, body, ep.code, ep.body)
+		}
 	}
 }
 

@@ -22,7 +22,6 @@ type Tracker struct {
 	total    int
 	done     int
 	active   map[string]time.Time // label → begin time
-	assigned map[string]string    // label → farm worker (distributed sweeps)
 	simCyc   uint64               // total simulated cycles completed
 	lastDone string
 
@@ -38,10 +37,9 @@ type Tracker struct {
 // NewTracker wires a Tracker into reg, registering the shared families.
 func NewTracker(reg *Registry) *Tracker {
 	t := &Tracker{
-		reg:      reg,
-		start:    time.Now(),
-		active:   map[string]time.Time{},
-		assigned: map[string]string{},
+		reg:    reg,
+		start:  time.Now(),
+		active: map[string]time.Time{},
 	}
 	t.sTotal = reg.Register("rccsim_points", "Total experiment points in this invocation", Gauge)
 	t.sDone = reg.Register("rccsim_points_done", "Experiment points completed", Gauge)
@@ -83,19 +81,6 @@ func (t *Tracker) Begin(label string) {
 	t.mu.Unlock()
 }
 
-// Assign records which farm worker holds the lease on a labelled point.
-// The assignment shows under "assignments" in /runs until the point
-// completes; re-assigning (a requeued point landing on another worker)
-// overwrites. Wire it to farm.Options.Assign.
-func (t *Tracker) Assign(label, worker string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.assigned[label] = worker
-	t.mu.Unlock()
-}
-
 // Done marks one labelled point complete and folds its counters into the
 // registry. st may be nil (a failed point still advances progress).
 func (t *Tracker) Done(label string, st *stats.Run) {
@@ -112,7 +97,6 @@ func (t *Tracker) Done(label string, st *stats.Run) {
 	}
 	t.mu.Lock()
 	delete(t.active, label)
-	delete(t.assigned, label)
 	t.done++
 	t.simCyc += cyc
 	t.lastDone = label
@@ -138,9 +122,6 @@ type runsSnapshot struct {
 	SimCyclesPerS  float64  `json:"sim_cycles_per_sec"`
 	LastDone       string   `json:"last_done,omitempty"`
 	Active         []string `json:"active"`
-	// Assignments maps in-flight point labels to the farm worker holding
-	// their lease (present only during distributed sweeps).
-	Assignments map[string]string `json:"assignments,omitempty"`
 }
 
 // snapshot captures the current progress (ETA from the observed rate).
@@ -159,12 +140,6 @@ func (t *Tracker) snapshot() runsSnapshot {
 		s.Active = append(s.Active, l)
 	}
 	sort.Strings(s.Active)
-	if len(t.assigned) > 0 {
-		s.Assignments = make(map[string]string, len(t.assigned))
-		for l, w := range t.assigned {
-			s.Assignments[l] = w
-		}
-	}
 	if s.ElapsedSeconds > 0 {
 		s.PointsPerSec = float64(s.Done) / s.ElapsedSeconds
 		s.SimCyclesPerS = float64(s.SimCycles) / s.ElapsedSeconds

@@ -58,39 +58,3 @@ func TestRunsBeforeFirstPoint(t *testing.T) {
 		t.Errorf("after first point: done=%d eta=%v, want done=1 and a finite positive ETA", snap.Done, snap.ETASeconds)
 	}
 }
-
-// TestRunsWorkerAssignments pins the distributed-sweep view: Assign binds
-// an in-flight label to its farm worker in /runs, reassignment (a requeue
-// landing elsewhere) overwrites, and completion clears the entry so a
-// finished sweep shows no stale assignments.
-func TestRunsWorkerAssignments(t *testing.T) {
-	tr := NewTracker(NewRegistry())
-	tr.SetTotal(2)
-	tr.Begin("DLB/RCC")
-	tr.Assign("DLB/RCC", "w1")
-	tr.Begin("DLB/MESI")
-	tr.Assign("DLB/MESI", "w2")
-	tr.Assign("DLB/MESI", "w1") // requeued onto w1
-
-	snap := func() map[string]string {
-		rec := httptest.NewRecorder()
-		tr.ServeHTTP(rec, httptest.NewRequest("GET", "/runs", nil))
-		var s struct {
-			Assignments map[string]string `json:"assignments"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &s); err != nil {
-			t.Fatalf("/runs JSON: %v", err)
-		}
-		return s.Assignments
-	}
-	got := snap()
-	if got["DLB/RCC"] != "w1" || got["DLB/MESI"] != "w1" || len(got) != 2 {
-		t.Errorf("assignments = %v, want both points on w1", got)
-	}
-
-	tr.Done("DLB/RCC", nil)
-	tr.Done("DLB/MESI", nil)
-	if got := snap(); len(got) != 0 {
-		t.Errorf("assignments after completion = %v, want none", got)
-	}
-}

@@ -1,5 +1,6 @@
 // Package resultcache is a content-addressed on-disk cache of finished
-// simulation results, the durability layer of the distributed sweep farm.
+// simulation results: what makes rccsweep/rccbench -cache-dir runs
+// resumable.
 //
 // A cache entry maps one simulation point — a (config, benchmark) pair —
 // to its finished stats.Run. The key is

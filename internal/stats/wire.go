@@ -1,10 +1,9 @@
-// Stable wire encoding of Run for the distributed sweep farm and the
-// content-addressed result cache. Workers ship finished counter sets back
-// to the coordinator as bytes, and the cache stores them on disk across
+// Stable wire encoding of Run for the content-addressed result cache and
+// the run ledger. The cache stores finished counter sets on disk across
 // process lifetimes, so the encoding must be deterministic (same Run ⇒
 // same bytes, always), self-describing enough to reject foreign data, and
 // automatically exhaustive: forgetting a field here would silently drop a
-// counter from every farmed or cached sweep.
+// counter from every cached sweep.
 //
 // Run is, by construction, a tree of uint64 leaves (plain counters, fixed
 // arrays of counters, and small structs of counters — see the package

@@ -16,7 +16,7 @@ import (
 // through RunSpanned with a nil recorder, so the span layer's hot-path
 // branches are inside the measured baseline; that baseline itself is
 // budgeted at ≤2% vs the pre-observability one, enforced cross-PR by
-// scripts/bench_compare.sh against the checked-in BENCH_<n>.json.
+// scripts/bench_compare.sh against the checked-in ledger's baselines.
 //
 // Timing assertions on shared CI hosts flake, so the in-test threshold is
 // deliberately generous (1.5×) and the runs are interleaved best-of-N so

@@ -210,7 +210,7 @@ func NewRunTracker(reg *MetricsRegistry) *RunTracker { return obs.NewTracker(reg
 // addr in a background goroutine, returning the bound address. tr may be
 // nil (no /runs endpoint).
 func ServeIntrospection(addr string, reg *MetricsRegistry, tr *RunTracker) (string, error) {
-	return obs.StartServer(addr, reg, tr)
+	return obs.Serve(addr, obs.Mounts{Registry: reg, Tracker: tr})
 }
 
 // RunObserved is RunTraced with a contention sketch also attached; either
@@ -260,7 +260,7 @@ func FormatSpans(cfg Config, sp *SpanRecorder, topN int) string {
 // serving sp's summary as JSON (?top=N selects the slowest-op count). A
 // nil sp serves 404 on /spans.
 func ServeIntrospectionSpans(addr string, reg *MetricsRegistry, tr *RunTracker, sp *SpanRecorder) (string, error) {
-	return obs.StartServerSpans(addr, reg, tr, sp)
+	return obs.Serve(addr, obs.Mounts{Registry: reg, Tracker: tr, Spans: sp})
 }
 
 // WriteCycleStacks renders st's cycle account as folded stacks

@@ -12,9 +12,9 @@
 # The default label is "bench <short-sha>". Compare entries with
 # cmd/rccdiff:  go run ./cmd/rccdiff -ci   (latest vs previous).
 #
-# The historical BENCH_<n>.json workflow is preserved read-only: old
-# snapshots were imported into the checked-in ledger/ directory with
-# `rccdiff -import` and remain diffable by ref or file path.
+# The historical BENCH_<n>.json snapshots live read-only in the
+# checked-in ledger/ directory as refs @0-@5 (imported with
+# `rccdiff -import`, which still accepts external files).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

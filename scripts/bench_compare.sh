@@ -8,7 +8,7 @@
 #
 # Usage: scripts/bench_compare.sh [BASE CUR]
 #        BENCH_TOLERANCE=5 scripts/bench_compare.sh @-2 @-1
-#        scripts/bench_compare.sh BENCH_4.json BENCH_5.json
+#        scripts/bench_compare.sh @4 @5
 #
 # With no arguments it compares the two most recent entries of the
 # checked-in ledger/ (refs @-2 and @-1) — the same pair a fresh
