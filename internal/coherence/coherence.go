@@ -256,7 +256,7 @@ type Waker interface {
 }
 
 // Flits returns the flit size of message m under cfg.
-func Flits(cfg config.Config, m *Msg) int {
+func Flits(cfg *config.Config, m *Msg) int {
 	if m.Type.CarriesData() {
 		return cfg.DataFlits()
 	}

@@ -59,10 +59,10 @@ func TestCarriesData(t *testing.T) {
 
 func TestFlits(t *testing.T) {
 	cfg := config.Default()
-	if got := Flits(cfg, &Msg{Type: Data}); got != cfg.DataFlits() {
+	if got := Flits(&cfg, &Msg{Type: Data}); got != cfg.DataFlits() {
 		t.Fatalf("data flits = %d", got)
 	}
-	if got := Flits(cfg, &Msg{Type: Renew}); got != cfg.ControlFlits() {
+	if got := Flits(&cfg, &Msg{Type: Renew}); got != cfg.ControlFlits() {
 		t.Fatalf("renew flits = %d", got)
 	}
 	if cfg.DataFlits() <= cfg.ControlFlits() {

@@ -27,7 +27,7 @@ type harness struct {
 const wireDelay = 50
 
 func (h *harness) Send(m *coherence.Msg, now timing.Cycle) {
-	h.st.Traffic(m.Type.Class(), coherence.Flits(h.cfg, m))
+	h.st.Traffic(m.Type.Class(), coherence.Flits(&h.cfg, m))
 	h.wire.Push(now+wireDelay, m)
 }
 

@@ -24,7 +24,7 @@ type harness struct {
 }
 
 func (h *harness) Send(m *coherence.Msg, now timing.Cycle) {
-	h.st.Traffic(m.Type.Class(), coherence.Flits(h.cfg, m))
+	h.st.Traffic(m.Type.Class(), coherence.Flits(&h.cfg, m))
 	if m.Dst < h.cfg.NumSMs {
 		h.l1s[m.Dst].Deliver(m, now)
 	} else {

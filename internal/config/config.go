@@ -287,12 +287,14 @@ func Small() Config {
 func (c Config) Consistency() Consistency { return c.Protocol.Consistency() }
 
 // ControlFlits returns the flit size of an address-only coherence message
-// (8 bytes of header/address).
-func (c Config) ControlFlits() int { return (8 + c.FlitBytes - 1) / c.FlitBytes }
+// (8 bytes of header/address). It and DataFlits take a pointer receiver
+// because the interconnect sizes every message with them, and a value
+// receiver copies the whole Config per call even when inlined.
+func (c *Config) ControlFlits() int { return (8 + c.FlitBytes - 1) / c.FlitBytes }
 
 // DataFlits returns the flit size of a message carrying a full cache line
 // (line plus 8 bytes of header/address).
-func (c Config) DataFlits() int { return (c.LineBytes + 8 + c.FlitBytes - 1) / c.FlitBytes }
+func (c *Config) DataFlits() int { return (c.LineBytes + 8 + c.FlitBytes - 1) / c.FlitBytes }
 
 // Validate checks structural parameters and returns a descriptive error for
 // the first problem found.

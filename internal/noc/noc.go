@@ -154,7 +154,7 @@ func (n *Network) mcLogRemove(m *coherence.Msg) {
 // has traversed injection serialization, the router pipeline, and ejection
 // serialization.
 func (n *Network) Send(m *coherence.Msg, now timing.Cycle) {
-	flits := coherence.Flits(n.cfg, m)
+	flits := coherence.Flits(&n.cfg, m)
 	n.st.Traffic(m.Type.Class(), flits)
 	n.tr.MsgSend(now, m, flits)
 

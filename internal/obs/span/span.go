@@ -156,6 +156,10 @@ func (o *Op) Total() uint64 { return uint64(o.Finish - o.Issue) }
 // Recorder collects spans for one run. Methods are nil-safe and
 // internally locked: the simulator marks from its (sequential) run
 // loop while the -serve introspection server snapshots concurrently.
+// Per-ID calls (Abort, Tracked, Mark, Finish, Edge, AddChild, EdgeLease)
+// for an ID that sampling skips return before taking the lock, since
+// such an ID is never live; the mutex is taken only for sampled IDs and
+// for NoteLease and the snapshots (Done, LiveCount, Summarize).
 type Recorder struct {
 	mu    sync.Mutex
 	every uint64
@@ -221,7 +225,7 @@ func (r *Recorder) Start(id uint64, sm, warp int, line uint64, kind Kind, at tim
 
 // Abort discards a live span (the SM rolled back the issue).
 func (r *Recorder) Abort(id uint64) {
-	if r == nil {
+	if r == nil || !r.sampled(id) {
 		return
 	}
 	r.mu.Lock()
@@ -232,7 +236,7 @@ func (r *Recorder) Abort(id uint64) {
 // Tracked reports whether id has a live span. L1 controllers use it to
 // decide whether to stamp Msg.Span for requests that carry a ReqID.
 func (r *Recorder) Tracked(id uint64) bool {
-	if r == nil {
+	if r == nil || !r.sampled(id) {
 		return false
 	}
 	r.mu.Lock()
@@ -245,7 +249,7 @@ func (r *Recorder) Tracked(id uint64) bool {
 // previous mark (clamped at zero so an out-of-order mark can never
 // drive the telescoping sum away from the end-to-end latency).
 func (r *Recorder) Mark(id uint64, seg Seg, at timing.Cycle) {
-	if r == nil {
+	if r == nil || !r.sampled(id) {
 		return
 	}
 	r.mu.Lock()
@@ -269,7 +273,7 @@ func (r *Recorder) mark(id uint64, seg Seg, at timing.Cycle) {
 // the id was tracked, so the SM can maintain its barrier-join anchor
 // without a second map probe.
 func (r *Recorder) Finish(id uint64, seg Seg, at timing.Cycle) bool {
-	if r == nil {
+	if r == nil || !r.sampled(id) {
 		return false
 	}
 	r.mu.Lock()
@@ -290,7 +294,7 @@ func (r *Recorder) Finish(id uint64, seg Seg, at timing.Cycle) bool {
 // Edge records that op id was blocked on op dep. Self-edges and
 // edges to 0 are ignored.
 func (r *Recorder) Edge(id, dep uint64, why string) {
-	if r == nil || dep == 0 || dep == id {
+	if r == nil || dep == 0 || dep == id || !r.sampled(id) {
 		return
 	}
 	r.mu.Lock()
@@ -302,7 +306,7 @@ func (r *Recorder) Edge(id, dep uint64, why string) {
 
 // AddChild attaches a protocol sub-span to a live op.
 func (r *Recorder) AddChild(id uint64, why string, start, end timing.Cycle) {
-	if r == nil {
+	if r == nil || !r.sampled(id) {
 		return
 	}
 	r.mu.Lock()
@@ -326,7 +330,7 @@ func (r *Recorder) NoteLease(line, id uint64) {
 // EdgeLease adds a "lease-wait" dependency from id to the last tracked
 // lease holder of line, if any.
 func (r *Recorder) EdgeLease(id, line uint64) {
-	if r == nil {
+	if r == nil || !r.sampled(id) {
 		return
 	}
 	r.mu.Lock()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 
 	"rccsim/internal/timing"
 )
@@ -124,6 +125,79 @@ func TestAbortAndUntracked(t *testing.T) {
 	r.Mark(99, SegL1, 20) // never started
 	if len(r.Done()) != 0 || r.LiveCount() != 0 {
 		t.Fatal("aborted/unknown spans leaked")
+	}
+}
+
+// TestUnsampledIDsAreLockFreeNoOps pins the sampling gate of the per-ID
+// methods: on a strided recorder, calls for IDs that sampling skips leave
+// every snapshot unchanged, and they return without taking the
+// recorder's mutex (the test holds it while they run).
+func TestUnsampledIDsAreLockFreeNoOps(t *testing.T) {
+	r := NewRecorder(16)
+	var in, out []uint64
+	for id := uint64(1); len(in) < 3 || len(out) < 8; id++ {
+		if r.sampled(id) {
+			in = append(in, id)
+		} else {
+			out = append(out, id)
+		}
+	}
+	for i, id := range in {
+		r.Start(id, i, 0, 0x40, Load, timing.Cycle(10*i))
+		r.NoteLease(0x40, id)
+		r.Mark(id, SegL1, timing.Cycle(10*i+3))
+	}
+	r.Edge(in[1], in[0], "coalesce")
+	r.Finish(in[0], SegReply, 50)
+	snapshot := func() string {
+		b, err := json.Marshal(r.Summarize(10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	wantSum, wantDone, wantLive := snapshot(), len(r.Done()), r.LiveCount()
+
+	if r.Start(out[0], 0, 0, 0x40, Load, 60) {
+		t.Fatalf("Start tracked unsampled id %d", out[0])
+	}
+	r.mu.Lock()
+	finished := make(chan string)
+	go func() {
+		var got []string
+		for _, id := range out {
+			r.Mark(id, SegL1, 70)
+			r.Edge(id, in[1], "coalesce")
+			r.AddChild(id, "lease-grant", 70, 80)
+			r.EdgeLease(id, 0x40)
+			if r.Tracked(id) {
+				got = append(got, "Tracked")
+			}
+			if r.Finish(id, SegReply, 90) {
+				got = append(got, "Finish")
+			}
+			r.Abort(id)
+		}
+		finished <- strings.Join(got, ",")
+	}()
+	select {
+	case got := <-finished:
+		if got != "" {
+			t.Errorf("unsampled ids reported true from: %s", got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("a per-ID call on an unsampled id waited for the recorder's mutex")
+		r.mu.Unlock()
+		<-finished
+		r.mu.Lock()
+	}
+	r.mu.Unlock()
+
+	if got := snapshot(); got != wantSum {
+		t.Errorf("Summarize changed:\n got  %s\n want %s", got, wantSum)
+	}
+	if len(r.Done()) != wantDone || r.LiveCount() != wantLive {
+		t.Errorf("done/live = %d/%d, want %d/%d", len(r.Done()), r.LiveCount(), wantDone, wantLive)
 	}
 }
 

@@ -35,7 +35,7 @@ type busPort struct {
 
 func (p *busPort) Send(m *coherence.Msg, now timing.Cycle) {
 	p.msgs++
-	p.tr.MsgSend(now, m, coherence.Flits(p.cfg, m))
+	p.tr.MsgSend(now, m, coherence.Flits(&p.cfg, m))
 	p.tr.MsgRecv(now, m)
 	if m.Dst < p.cfg.NumSMs {
 		p.l1s[m.Dst].Deliver(m, now)

@@ -25,6 +25,7 @@ type IntervalSink struct {
 	prev     stats.Run
 	next     uint64 // next boundary cycle to snapshot at
 	last     uint64 // last boundary actually emitted
+	ev       Event  // reused for every row, as the Bus reuses its event
 }
 
 // NewIntervalSink snapshots every interval cycles into dst. The stats
@@ -88,6 +89,7 @@ func (s *IntervalSink) row(cyc uint64, label string, delta uint64) {
 	if delta == 0 {
 		return
 	}
-	s.dst.Event(&Event{Cycle: timing.Cycle(cyc), Kind: KindMetrics,
-		Dst: -1, Warp: -1, Label: label, Val: delta})
+	s.ev = Event{Cycle: timing.Cycle(cyc), Kind: KindMetrics,
+		Dst: -1, Warp: -1, Label: label, Val: delta}
+	s.dst.Event(&s.ev)
 }

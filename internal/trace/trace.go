@@ -138,8 +138,9 @@ func (e *Event) String() string {
 }
 
 // Sink consumes events. Sinks are invoked synchronously, in registration
-// order, from the simulation thread: they must not retain *Event (copy the
-// struct if needed) and need no locking.
+// order, from the simulation thread, and need no locking. e points at the
+// bus's one reused event, which the next emit overwrites: a sink must not
+// retain e, and copies the struct (*e) to keep an event.
 type Sink interface {
 	Event(e *Event)
 	// Close flushes buffered output. The Bus closes sinks in
@@ -166,9 +167,16 @@ type errSink interface {
 
 // Bus fans events out to its sinks. A nil *Bus is the disabled fast path:
 // every method is safe (and free) to call on it.
+//
+// An enabled bus emits without allocating: every helper fills the bus's
+// one reused event and passes its address to each sink (see Sink). This
+// relies on a bus being written by one goroutine at a time, which holds
+// for a sequential machine, for each per-shard bus and for the main bus of
+// Machine.AttachShardTracers, which only serial phases write.
 type Bus struct {
 	sinks      []Sink
 	cycleSinks []CycleSink
+	ev         Event // the reused event every emit helper fills
 }
 
 // NewBus builds a bus over the given sinks. A bus with no sinks behaves
@@ -241,9 +249,12 @@ func (b *Bus) Err() error {
 	return nil
 }
 
-func (b *Bus) emit(e Event) {
+// emit hands the reused event to every sink. Each helper below assigns
+// b.ev a whole Event literal first, so no field leaks from the previous
+// event.
+func (b *Bus) emit() {
 	for _, s := range b.sinks {
-		s.Event(&e)
+		s.Event(&b.ev)
 	}
 }
 
@@ -253,9 +264,10 @@ func (b *Bus) MsgSend(now timing.Cycle, m *coherence.Msg, flits int) {
 	if b == nil {
 		return
 	}
-	b.emit(Event{Cycle: now, Kind: KindSend, Src: m.Src, Dst: m.Dst, Warp: m.Warp,
+	b.ev = Event{Cycle: now, Kind: KindSend, Src: m.Src, Dst: m.Dst, Warp: m.Warp,
 		Line: m.Line, Label: m.Type.String(), Now: m.Now, Ver: m.Ver, Exp: m.Exp,
-		Val: m.Val, Flits: flits})
+		Val: m.Val, Flits: flits}
+	b.emit()
 }
 
 // MsgRecv records a coherence message delivered to its destination.
@@ -263,9 +275,10 @@ func (b *Bus) MsgRecv(now timing.Cycle, m *coherence.Msg) {
 	if b == nil {
 		return
 	}
-	b.emit(Event{Cycle: now, Kind: KindRecv, Src: m.Src, Dst: m.Dst, Warp: m.Warp,
+	b.ev = Event{Cycle: now, Kind: KindRecv, Src: m.Src, Dst: m.Dst, Warp: m.Warp,
 		Line: m.Line, Label: m.Type.String(), Now: m.Now, Ver: m.Ver, Exp: m.Exp,
-		Val: m.Val})
+		Val: m.Val}
+	b.emit()
 }
 
 // L1State records a private-cache state transition for core's copy of line.
@@ -273,8 +286,9 @@ func (b *Bus) L1State(now timing.Cycle, core int, line uint64, transition string
 	if b == nil {
 		return
 	}
-	b.emit(Event{Cycle: now, Kind: KindL1State, Src: core, Dst: -1, Warp: -1,
-		Line: line, Label: transition})
+	b.ev = Event{Cycle: now, Kind: KindL1State, Src: core, Dst: -1, Warp: -1,
+		Line: line, Label: transition}
+	b.emit()
 }
 
 // L2State records a shared-cache block update on partition part with the
@@ -283,8 +297,9 @@ func (b *Bus) L2State(now timing.Cycle, part int, line uint64, label string, ver
 	if b == nil {
 		return
 	}
-	b.emit(Event{Cycle: now, Kind: KindL2State, Src: part, Dst: -1, Warp: -1,
-		Line: line, Label: label, Ver: ver, Exp: exp})
+	b.ev = Event{Cycle: now, Kind: KindL2State, Src: part, Dst: -1, Warp: -1,
+		Line: line, Label: label, Ver: ver, Exp: exp}
+	b.emit()
 }
 
 // Lease records a lease grant or renewal by partition part to core dst.
@@ -292,8 +307,9 @@ func (b *Bus) Lease(now timing.Cycle, label string, part int, line uint64, ver, 
 	if b == nil {
 		return
 	}
-	b.emit(Event{Cycle: now, Kind: KindLease, Src: part, Dst: dst, Warp: -1,
-		Line: line, Label: label, Ver: ver, Exp: exp})
+	b.ev = Event{Cycle: now, Kind: KindLease, Src: part, Dst: dst, Warp: -1,
+		Line: line, Label: label, Ver: ver, Exp: exp}
+	b.emit()
 }
 
 // LeaseExpiredAt records an L1 load that found core's copy of line valid
@@ -302,8 +318,9 @@ func (b *Bus) LeaseExpiredAt(now timing.Cycle, core int, line uint64, exp, clock
 	if b == nil {
 		return
 	}
-	b.emit(Event{Cycle: now, Kind: KindLease, Src: core, Dst: -1, Warp: -1,
-		Line: line, Label: LeaseExpired, Now: clock, Exp: exp})
+	b.ev = Event{Cycle: now, Kind: KindLease, Src: core, Dst: -1, Warp: -1,
+		Line: line, Label: LeaseExpired, Now: clock, Exp: exp}
+	b.emit()
 }
 
 // Clock records a core's logical clock after an advance: read view in Now,
@@ -312,8 +329,9 @@ func (b *Bus) Clock(now timing.Cycle, core int, read, write uint64) {
 	if b == nil {
 		return
 	}
-	b.emit(Event{Cycle: now, Kind: KindClock, Src: core, Dst: -1, Warp: -1,
-		Now: read, Ver: write})
+	b.ev = Event{Cycle: now, Kind: KindClock, Src: core, Dst: -1, Warp: -1,
+		Now: read, Ver: write}
+	b.emit()
 }
 
 // Rollover records a rollover phase transition; node is the L1 for
@@ -323,8 +341,9 @@ func (b *Bus) Rollover(now timing.Cycle, label string, node int, val uint64) {
 	if b == nil {
 		return
 	}
-	b.emit(Event{Cycle: now, Kind: KindRollover, Src: node, Dst: -1, Warp: -1,
-		Label: label, Val: val})
+	b.ev = Event{Cycle: now, Kind: KindRollover, Src: node, Dst: -1, Warp: -1,
+		Label: label, Val: val}
+	b.emit()
 }
 
 // StallBegin opens an SC stall interval on sm: the scheduler lost its
@@ -333,8 +352,9 @@ func (b *Bus) StallBegin(now timing.Cycle, sm, warp int, blame stats.OpClass) {
 	if b == nil {
 		return
 	}
-	b.emit(Event{Cycle: now, Kind: KindStallBegin, Src: sm, Dst: -1, Warp: warp,
-		Label: blame.String()})
+	b.ev = Event{Cycle: now, Kind: KindStallBegin, Src: sm, Dst: -1, Warp: warp,
+		Label: blame.String()}
+	b.emit()
 }
 
 // StallEnd closes the open SC stall interval on sm; cycles is its length.
@@ -342,8 +362,9 @@ func (b *Bus) StallEnd(now timing.Cycle, sm int, blame stats.OpClass, cycles uin
 	if b == nil {
 		return
 	}
-	b.emit(Event{Cycle: now, Kind: KindStallEnd, Src: sm, Dst: -1, Warp: -1,
-		Label: blame.String(), Val: cycles})
+	b.ev = Event{Cycle: now, Kind: KindStallEnd, Src: sm, Dst: -1, Warp: -1,
+		Label: blame.String(), Val: cycles}
+	b.emit()
 }
 
 // DRAMOp records a DRAM command issue on partition part's channel.
@@ -351,6 +372,7 @@ func (b *Bus) DRAMOp(now timing.Cycle, part int, line uint64, label string) {
 	if b == nil {
 		return
 	}
-	b.emit(Event{Cycle: now, Kind: KindDRAM, Src: part, Dst: -1, Warp: -1,
-		Line: line, Label: label})
+	b.ev = Event{Cycle: now, Kind: KindDRAM, Src: part, Dst: -1, Warp: -1,
+		Line: line, Label: label}
+	b.emit()
 }

@@ -59,6 +59,77 @@ func TestNilBus(t *testing.T) {
 	}
 }
 
+// countSink counts events and keeps nothing.
+type countSink struct{ n int }
+
+func (c *countSink) Event(*Event) { c.n++ }
+func (c *countSink) Close() error { return nil }
+
+// TestBusEmitAllocs pins the enabled hot path: every emit helper hands
+// the sinks the bus's reused event, so a traced run allocates nothing
+// per event (an escaping by-value event cost one heap object per call).
+func TestBusEmitAllocs(t *testing.T) {
+	cs := &countSink{}
+	b := NewBus(NewInvariantSink(nil), cs)
+	m := &coherence.Msg{Type: coherence.Data, Src: 1, Dst: 2, Warp: 3, Line: 4, Now: 5, Ver: 6, Exp: 7}
+	helpers := []struct {
+		name string
+		emit func()
+	}{
+		{"MsgSend", func() { b.MsgSend(1, m, 2) }},
+		{"MsgRecv", func() { b.MsgRecv(2, m) }},
+		{"L1State", func() { b.L1State(3, 0, 4, "I->IV") }},
+		{"L2State", func() { b.L2State(4, 0, 4, "fill", 1, 2) }},
+		{"Lease", func() { b.Lease(5, LeaseGrant, 0, 4, 1, 2, 1) }},
+		{"LeaseExpiredAt", func() { b.LeaseExpiredAt(6, 0, 4, 1, 2) }},
+		{"Clock", func() { b.Clock(7, 0, 1, 1) }},
+		{"Rollover", func() { b.Rollover(8, RolloverStall, -1, 0) }},
+		{"StallBegin", func() { b.StallBegin(9, 0, 0, stats.OpStore) }},
+		{"StallEnd", func() { b.StallEnd(10, 0, stats.OpStore, 1) }},
+		{"DRAMOp", func() { b.DRAMOp(11, 0, 4, "read-hit") }},
+	}
+	for _, h := range helpers {
+		before := cs.n
+		if got := testing.AllocsPerRun(100, h.emit); got != 0 {
+			t.Errorf("%s: %v allocations per event, want 0", h.name, got)
+		}
+		if cs.n == before {
+			t.Errorf("%s: no event reached the sinks", h.name)
+		}
+	}
+	if err := b.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBusReusedEventNotAliased checks that reusing one event per bus is
+// invisible to a sink that keeps events: each retained copy holds its own
+// field values, and no field of an earlier event leaks into a later one.
+func TestBusReusedEventNotAliased(t *testing.T) {
+	buf := &BufferSink{}
+	b := NewBus(buf)
+	m := &coherence.Msg{Type: coherence.Data, Src: 1, Dst: 2, Warp: 3, Line: 4, Now: 5, Ver: 6, Exp: 7, Val: 8}
+	b.MsgSend(1, m, 9)
+	b.L1State(2, 3, 10, "I->IV")
+	b.Lease(3, LeaseRenew, 1, 11, 12, 13, 2)
+	b.StallEnd(4, 2, stats.OpLoad, 14)
+	want := []Event{
+		{Cycle: 1, Kind: KindSend, Src: 1, Dst: 2, Warp: 3, Line: 4, Label: coherence.Data.String(),
+			Now: 5, Ver: 6, Exp: 7, Val: 8, Flits: 9},
+		{Cycle: 2, Kind: KindL1State, Src: 3, Dst: -1, Warp: -1, Line: 10, Label: "I->IV"},
+		{Cycle: 3, Kind: KindLease, Src: 1, Dst: 2, Warp: -1, Line: 11, Label: LeaseRenew, Ver: 12, Exp: 13},
+		{Cycle: 4, Kind: KindStallEnd, Src: 2, Dst: -1, Warp: -1, Label: stats.OpLoad.String(), Val: 14},
+	}
+	if len(buf.Events) != len(want) {
+		t.Fatalf("buffered %d events, want %d", len(buf.Events), len(want))
+	}
+	for i := range want {
+		if buf.Events[i] != want[i] {
+			t.Errorf("event %d:\n got  %+v\n want %+v", i, buf.Events[i], want[i])
+		}
+	}
+}
+
 // TestJSONLShape checks each emitted line is valid JSON with the full
 // fixed key set, in the documented order.
 func TestJSONLShape(t *testing.T) {

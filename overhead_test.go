@@ -27,9 +27,10 @@ func TestObsOverheadBudget(t *testing.T) {
 		t.Skip("timing test")
 	}
 	if raceEnabled {
-		// The race detector instruments the span recorder's per-sample
-		// mutex into a ~3x multiplier; the ratio measured here says
-		// nothing about production cost under -race.
+		// The race detector instruments every memory access and the
+		// span recorder's mutex, which each sampled op's marks still
+		// take; the ratio measured here says nothing about production
+		// cost under -race.
 		t.Skip("timing test meaningless under -race")
 	}
 	cfg := rccsim.DefaultConfig()
