@@ -445,12 +445,12 @@ type L2 struct {
 	dram    *mem.DRAM
 	backing *mem.Backing
 
-	pipe      timing.Queue[*coherence.Msg] // demand requests
-	mpipe     timing.Queue[*coherence.Msg] // directory maintenance (PutS, InvAck)
+	pipe      timing.Pipe[*coherence.Msg] // demand requests
+	mpipe     timing.Pipe[*coherence.Msg] // directory maintenance (PutS, InvAck)
 	deferred  []*coherence.Msg
 	invs      map[uint64]*invWait
 	zap       func(core int, line uint64) // SC-IDEAL instant invalidation
-	fillRetry timing.Queue[uint64]
+	fillRetry timing.Pipe[uint64]         // pushed at now+8, so in ready-time order
 	pool      *coherence.MsgPool
 
 	heat *obs.Heat // per-line contention sampling (nil disables)

@@ -410,13 +410,14 @@ type L2 struct {
 	dram    *mem.DRAM
 	backing *mem.Backing
 
-	pipe     timing.Queue[*coherence.Msg]
+	pipe     timing.Pipe[*coherence.Msg]
 	deferred []*coherence.Msg
 
 	// TCS: stores waiting for lease expiry, plus per-line FIFO of
 	// requests queued behind a stalled store (prevents starvation and
-	// preserves the ordering point).
-	stallQ  timing.Queue[*coherence.Msg]
+	// preserves the ordering point). Wake times follow lease expiries,
+	// not push order, so stallQ is a Calendar rather than a Pipe.
+	stallQ  timing.Calendar[*coherence.Msg]
 	blocked map[uint64][]*coherence.Msg
 
 	pool *coherence.MsgPool

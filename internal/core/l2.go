@@ -70,8 +70,8 @@ type L2 struct {
 	dram    *mem.DRAM
 	backing *mem.Backing
 
-	pipe     timing.Calendar[*coherence.Msg] // models the access pipeline
-	deferred []*coherence.Msg                // requeued (MSHR-full or rollover)
+	pipe     timing.Pipe[*coherence.Msg] // models the access pipeline
+	deferred []*coherence.Msg            // requeued (MSHR-full or rollover)
 	pool     *coherence.MsgPool
 	mnow     uint64
 
@@ -103,9 +103,6 @@ func NewL2(cfg config.Config, part int, port coherence.Port, st *stats.Run, dram
 		rolloverReq: rollover,
 		tsGuard:     guard,
 	}
-	// Pipe entries sit L2Latency ahead of delivery; size the ring for that
-	// horizon instead of the first-Push default.
-	c.pipe.Reserve(int(cfg.L2Latency) + 64)
 	return c
 }
 
@@ -608,8 +605,7 @@ func (c *L2) ResetTimestamps(now timing.Cycle) {
 		m.Now, m.Exp, m.Ver = 0, 0, 0
 	}
 	zeroed := c.pipe
-	c.pipe = timing.Calendar[*coherence.Msg]{}
-	c.pipe.Reserve(int(c.cfg.L2Latency) + 64)
+	c.pipe = timing.Pipe[*coherence.Msg]{}
 	for {
 		m, ok := zeroed.PopReady(timing.Never - 1)
 		if !ok {

@@ -261,6 +261,9 @@ func (n *Network) PopDue(limit timing.Cycle) (*coherence.Msg, timing.Cycle, bool
 // Drained reports whether no messages are in flight.
 func (n *Network) Drained() bool { return n.inflight.Len() == 0 }
 
+// InFlight reports the number of messages sent but not yet delivered.
+func (n *Network) InFlight() int { return n.inflight.Len() }
+
 // serialization returns the cycles a message of the given flit count
 // occupies one port.
 func (n *Network) serialization(flits int) timing.Cycle {

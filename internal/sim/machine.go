@@ -9,6 +9,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"rccsim/internal/coherence"
 	"rccsim/internal/coherence/mesi"
@@ -668,7 +669,7 @@ func (m *Machine) Run() (*stats.Run, error) {
 		if m.cfg.MaxCycles > 0 && uint64(m.now) > m.cfg.MaxCycles {
 			m.finishAccounting()
 			m.st.Cycles = uint64(m.now)
-			return m.st, fmt.Errorf("sim: exceeded MaxCycles=%d (livelock or deadlock?)", m.cfg.MaxCycles)
+			return m.st, m.stuckError(fmt.Sprintf("sim: exceeded MaxCycles=%d (livelock or deadlock?)", m.cfg.MaxCycles))
 		}
 		if m.Step() {
 			idleJumps = 0
@@ -682,12 +683,54 @@ func (m *Machine) Run() (*stats.Run, error) {
 		if idleJumps > 4096+64*len(m.sms) {
 			m.finishAccounting()
 			m.st.Cycles = uint64(m.now)
-			return m.st, errors.New("sim: machine idle but not done (protocol deadlock)")
+			return m.st, m.stuckError(deadlockMsg)
 		}
 	}
 	m.finishAccounting()
 	m.st.Cycles = uint64(m.now)
 	return m.st, nil
+}
+
+// deadlockMsg is the error prefix of a run that stopped making progress.
+const deadlockMsg = "sim: machine idle but not done (protocol deadlock)"
+
+// stuckError returns an abort error: msg, then a report of what still holds
+// the machine at m.now — messages in the NoC, each L2 partition's DRAM
+// backlog and drain state, and the SMs that have not finished. Partitions
+// past the 16th and SM IDs past the 8th are elided, so the report stays
+// well under 1 KB on any machine.
+func (m *Machine) stuckError(msg string) error {
+	const maxParts, maxIDs = 16, 8
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s: cycle %d, noc in-flight %d, l2 [", msg, m.now, m.network.InFlight())
+	for p, l2 := range m.l2s {
+		if p > 0 {
+			b.WriteByte(' ')
+		}
+		if p == maxParts {
+			b.WriteString("...")
+			break
+		}
+		state := "busy"
+		if l2.Drained() {
+			state = "drained"
+		}
+		fmt.Fprintf(&b, "p%d dram %d %s", p, m.drams[p].Pending(), state)
+	}
+	var stuck []int
+	n := 0
+	for i, sm := range m.sms {
+		if !sm.Done() {
+			if n++; n <= maxIDs {
+				stuck = append(stuck, i)
+			}
+		}
+	}
+	fmt.Fprintf(&b, "], %d SMs not done %v", n, stuck)
+	if n > maxIDs {
+		b.WriteString(" ...")
+	}
+	return errors.New(b.String())
 }
 
 // finishAccounting closes every SM's open cycle-accounting interval at the

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"rccsim/internal/config"
@@ -191,13 +193,33 @@ func TestStallBlameClasses(t *testing.T) {
 	}
 }
 
-// TestMaxCyclesGuard ensures a runaway machine aborts cleanly.
+// TestMaxCyclesGuard ensures a runaway machine aborts cleanly, in both run
+// loops, with an error that says where it was stuck in under 1 KB.
 func TestMaxCyclesGuard(t *testing.T) {
-	cfg := config.Small()
-	cfg.MaxCycles = 100 // far too few to finish
-	b, _ := workload.ByName("BH")
-	if _, err := RunBenchmark(cfg, b); err == nil {
-		t.Fatal("MaxCycles did not trigger")
+	for _, shards := range []int{1, 2} {
+		cfg := config.Small()
+		cfg.MaxCycles = 100 // far too few to finish
+		cfg.Shards = shards
+		b, _ := workload.ByName("BH")
+		_, err := RunBenchmark(cfg, b)
+		if err == nil {
+			t.Fatalf("shards=%d: MaxCycles did not trigger", shards)
+		}
+		msg := err.Error()
+		for _, want := range []string{
+			"sim: exceeded MaxCycles=100 (livelock or deadlock?): cycle ",
+			", noc in-flight ",
+			", l2 [p0 dram ",
+			fmt.Sprintf(" p%d dram ", cfg.L2Partitions-1),
+			fmt.Sprintf("], %d SMs not done [0 1 ", cfg.NumSMs),
+		} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("shards=%d: error lacks %q:\n%s", shards, want, msg)
+			}
+		}
+		if len(msg) >= 1024 {
+			t.Errorf("shards=%d: error is %d bytes, want < 1 KB:\n%s", shards, len(msg), msg)
+		}
 	}
 }
 

@@ -33,7 +33,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -161,8 +160,9 @@ func (m *Machine) runSharded() (*stats.Run, error) {
 		idleEpochs int
 	)
 	idleLimit := 4096 + 64*len(m.sms)
-	fail := func(at timing.Cycle, err error) (*stats.Run, error) {
+	fail := func(at timing.Cycle, msg string) (*stats.Run, error) {
 		m.now = at
+		err := m.stuckError(msg)
 		m.finishAccounting()
 		for _, s := range shardSts {
 			m.st.Merge(s)
@@ -185,7 +185,7 @@ func (m *Machine) runSharded() (*stats.Run, error) {
 			break
 		}
 		if m.cfg.MaxCycles > 0 && uint64(T) > m.cfg.MaxCycles {
-			return fail(T, fmt.Errorf("sim: exceeded MaxCycles=%d (livelock or deadlock?)", m.cfg.MaxCycles))
+			return fail(T, fmt.Sprintf("sim: exceeded MaxCycles=%d (livelock or deadlock?)", m.cfg.MaxCycles))
 		}
 		if T >= m.memGridAt {
 			m.sampleMemWait(T)
@@ -221,7 +221,7 @@ func (m *Machine) runSharded() (*stats.Run, error) {
 		if idle {
 			next := m.nextEvent(T)
 			if next == timing.Never {
-				return fail(T, errors.New("sim: machine idle but not done (protocol deadlock)"))
+				return fail(T, deadlockMsg)
 			}
 			T = next / E * E
 			continue
@@ -262,7 +262,7 @@ func (m *Machine) runSharded() (*stats.Run, error) {
 			// run means the machine is wedged.
 			idleEpochs++
 			if idleEpochs > idleLimit {
-				return fail(T, errors.New("sim: machine idle but not done (protocol deadlock)"))
+				return fail(T, deadlockMsg)
 			}
 		}
 

@@ -1,8 +1,9 @@
 // Package timing provides the basic clocking primitives shared by every
 // component of the simulator: the Cycle type, a "never" sentinel used by
 // components to report that they have no pending events, a deterministic
-// pseudo-random number generator, and a small ready-time priority queue
-// used to model fixed-latency pipes.
+// pseudo-random number generator, and the ready-time queues used to model
+// latency pipes: Pipe for producers that push in ready-time order,
+// Calendar for the rest.
 package timing
 
 import (
@@ -123,6 +124,8 @@ type Item[T any] struct {
 // Queue is a min-heap of items ordered by ready time, with FIFO tiebreak
 // for items that become ready on the same cycle. It models a latency pipe:
 // producers Push with a computed ready time; consumers PopReady each cycle.
+// No simulator component uses it any more: it is the reference
+// implementation that the Calendar and Pipe tests compare against.
 type Queue[T any] struct {
 	items []Item[T]
 	seq   uint64
@@ -182,9 +185,9 @@ type calNode[T any] struct {
 // exactly the (ReadyAt, insertion-order) sequence a Queue would, but with
 // O(1) Push and amortized-O(1) PopReady, provided pending ready times span
 // less than the ring size (the ring grows on demand when they don't).
-// Use it for high-traffic pipes whose events sit a bounded distance in the
-// future — e.g. interconnect deliveries; keep Queue for tiny or unbounded-
-// horizon queues.
+// Use it for high-traffic queues whose pushes are not in ready-time order
+// — e.g. interconnect deliveries with jitter; a producer that pushes in
+// nondecreasing ready-time order uses Pipe instead.
 //
 // Memory follows occupancy, not the horizon: a ring slot is two int32
 // chain ends, and items live in one slab of linked nodes recycled through
@@ -334,6 +337,78 @@ func (c *Calendar[T]) PopReady(now Cycle) (T, bool) {
 			c.next += 1 + Cycle((bit-i)&c.mask)
 		}
 	}
+	return v, true
+}
+
+// pipeItem is one Pipe slot.
+type pipeItem[T any] struct {
+	at  Cycle
+	val T
+}
+
+// Pipe is a FIFO ring for producers that push in nondecreasing ready-time
+// order, such as a fixed-latency access pipeline fed by in-order deliveries.
+// For such a stream FIFO order is exactly the (ReadyAt, insertion-order)
+// sequence a Queue would pop, so PopReady only looks at the head. Push
+// panics on an out-of-order ready time rather than silently reordering.
+//
+// Memory follows occupancy: the ring starts at 16 items on first Push and
+// doubles when full; popped slots are zeroed so they keep no payload alive.
+type Pipe[T any] struct {
+	ring  []pipeItem[T] // power-of-two length
+	head  int           // index of the oldest item
+	count int
+}
+
+// Len reports the number of queued items (ready or not).
+func (p *Pipe[T]) Len() int { return p.count }
+
+// NextReady returns the head's ready time, or Never if empty.
+func (p *Pipe[T]) NextReady() Cycle {
+	if p.count == 0 {
+		return Never
+	}
+	return p.ring[p.head].at
+}
+
+// Push appends v, visible at cycle at. It panics if at is earlier than the
+// ready time of the item pushed before it that is still queued.
+func (p *Pipe[T]) Push(at Cycle, v T) {
+	if p.count > 0 && at < p.ring[(p.head+p.count-1)&(len(p.ring)-1)].at {
+		panic("timing: Pipe.Push out of ready-time order")
+	}
+	if p.count == len(p.ring) {
+		p.grow()
+	}
+	p.ring[(p.head+p.count)&(len(p.ring)-1)] = pipeItem[T]{at: at, val: v}
+	p.count++
+}
+
+// grow doubles the full ring (16 items at first), unwrapping pending
+// items to the front.
+func (p *Pipe[T]) grow() {
+	size := 16
+	if len(p.ring) > 0 {
+		size = 2 * len(p.ring)
+	}
+	ring := make([]pipeItem[T], size)
+	n := copy(ring, p.ring[p.head:])
+	copy(ring[n:], p.ring[:p.head])
+	p.ring, p.head = ring, 0
+}
+
+// PopReady removes and returns the head item if it is ready at cycle now.
+// The second result reports whether an item was returned.
+func (p *Pipe[T]) PopReady(now Cycle) (T, bool) {
+	if p.count == 0 || p.ring[p.head].at > now {
+		var zero T
+		return zero, false
+	}
+	it := &p.ring[p.head]
+	v := it.val
+	*it = pipeItem[T]{}
+	p.head = (p.head + 1) & (len(p.ring) - 1)
+	p.count--
 	return v, true
 }
 

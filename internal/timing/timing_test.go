@@ -231,3 +231,84 @@ func TestCalendarMatchesQueue(t *testing.T) {
 		t.Fatalf("free list has %d of %d nodes after draining", free, len(cal.nodes)-1)
 	}
 }
+
+// TestPipeMatchesQueue drives a Pipe and a Queue with the same interleaved
+// stream of nondecreasing pushes (many on the same cycle) and PopReady
+// calls at a moving now, and requires identical pops, NextReady and Len
+// at every step. The push rate alternates above and below the pop rate, so
+// occupancy climbs through several ring sizes and drains again; the test
+// requires at least one growth while the ring is wrapped with items
+// pending, and that draining zeroes every slot.
+func TestPipeMatchesQueue(t *testing.T) {
+	var p Pipe[*int]
+	var q Queue[*int]
+	r := NewRNG(5)
+	now, tail := Cycle(0), Cycle(0)
+	pushed, wrappedGrows, peakRing := 0, 0, 0
+	same := func(step int) {
+		if p.Len() != q.Len() || p.NextReady() != q.NextReady() {
+			t.Fatalf("step %d: Len %d NextReady %d, queue says %d, %d", step, p.Len(), p.NextReady(), q.Len(), q.NextReady())
+		}
+	}
+	pop := func(step int, upTo Cycle) bool {
+		qv, qok := q.PopReady(upTo)
+		pv, pok := p.PopReady(upTo)
+		if qok != pok || pv != qv {
+			t.Fatalf("step %d: PopReady(%d) = %v, %v; queue says %v, %v", step, upTo, pv, pok, qv, qok)
+		}
+		same(step)
+		return pok
+	}
+	for step := 0; step < 40000; step++ {
+		maxPush := 2
+		if step/4000%2 == 0 {
+			maxPush = 4
+		}
+		for k := r.Intn(maxPush); k > 0; k-- {
+			if r.Bool(0.3) {
+				tail += Cycle(r.Intn(3))
+			}
+			if p.Len() == len(p.ring) && p.head != 0 {
+				wrappedGrows++
+			}
+			v := pushed
+			p.Push(tail, &v)
+			q.Push(tail, &v)
+			pushed++
+			same(step)
+		}
+		if len(p.ring) > peakRing {
+			peakRing = len(p.ring)
+		}
+		for k := r.Intn(3); k > 0 && pop(step, now); k-- {
+		}
+		now += Cycle(r.Intn(2))
+	}
+	for pop(-1, Never-1) {
+	}
+	if p.Len() != 0 || p.NextReady() != Never {
+		t.Fatalf("drained pipe: Len %d, NextReady %d", p.Len(), p.NextReady())
+	}
+	if wrappedGrows == 0 || peakRing < 256 {
+		t.Fatalf("ring grew to %d with %d wrapped grows: stream too tame", peakRing, wrappedGrows)
+	}
+	for i, it := range p.ring {
+		if it.val != nil {
+			t.Fatalf("popped slot %d still holds payload #%d", i, *it.val)
+		}
+	}
+}
+
+// TestPipeRejectsOutOfOrderPush checks the ordering contract is enforced:
+// a push earlier than the queued tail panics, while ties are accepted.
+func TestPipeRejectsOutOfOrderPush(t *testing.T) {
+	var p Pipe[int]
+	p.Push(10, 1)
+	p.Push(10, 2)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Push(9) behind a tail at 10 did not panic")
+		}
+	}()
+	p.Push(9, 3)
+}
