@@ -10,7 +10,6 @@
 package rccsim_test
 
 import (
-	"fmt"
 	"testing"
 
 	"rccsim"
@@ -158,36 +157,6 @@ func BenchmarkProtocols(b *testing.B) {
 				b.ReportMetric(res.Stats.IPC(), "ipc")
 			}
 		})
-	}
-}
-
-// BenchmarkShardedThroughput measures how the sharded run loop scales
-// with machine size: simulated cycles per host second at 16/64/256 SMs
-// under 1/2/4 shards. The shards dimension changes only the host-side
-// schedule — simulated results are bit-identical (pinned by
-// internal/sim's TestShardedGoldenDigest) — so any simCycles/s delta is
-// pure harness speedup or overhead. On a single-CPU host the shard
-// goroutines serialize and the deltas measure only barrier/replay cost.
-func BenchmarkShardedThroughput(b *testing.B) {
-	for _, sms := range []int{16, 64, 256} {
-		for _, shards := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("sms=%d/shards=%d", sms, shards), func(b *testing.B) {
-				cfg := benchBase()
-				cfg.Protocol = rccsim.RCC
-				cfg.Scale = 0.1
-				cfg.NumSMs = sms
-				cfg.Shards = shards
-				var cycles uint64
-				for i := 0; i < b.N; i++ {
-					res, err := rccsim.Run(cfg, "KMN")
-					if err != nil {
-						b.Fatal(err)
-					}
-					cycles += res.Stats.Cycles
-				}
-				b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "simCycles/s")
-			})
-		}
 	}
 }
 

@@ -42,7 +42,6 @@ var (
 	seed     = flag.Uint64("seed", 1, "workload generation seed")
 	small    = flag.Bool("small", false, "use the reduced test machine instead of Table III")
 	jobs     = flag.Int("j", 0, "concurrent simulations (0 = one per CPU, 1 = sequential)")
-	shards   = flag.Int("shards", 1, "shards per simulated machine (parallel goroutines; results are bit-identical to -shards 1)")
 	progress = flag.Bool("progress", false, "report simulation progress (done/total, ETA) on stderr")
 
 	traceOut    = flag.String("trace", "", "write the event trace of a 'stats' run to this file")
@@ -88,7 +87,6 @@ func realMain() int {
 	}
 	base.Scale = *scale
 	base.Seed = *seed
-	base.Shards = *shards
 	r := experiments.NewRunnerJobs(base, *jobs)
 	if *progress {
 		r.Progress = experiments.StderrProgress(os.Stderr, "rccbench")

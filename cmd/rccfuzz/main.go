@@ -38,7 +38,6 @@ func main() {
 		// oversubscribe a quota-limited box with idle workers.
 		workers   = flag.Int("j", runtime.GOMAXPROCS(0), "parallel workers")
 		runs      = flag.Int("runs", 3, "timing-perturbed runs per protocol per seed")
-		shards    = flag.Int("shards", 1, "simulation shards per machine (must reproduce sequential results bit-exactly)")
 		protocols = flag.String("protocols", "MESI,TCS,RCC,SC-IDEAL", "comma-separated protocols to cross-check")
 		jitter    = flag.Uint64("jitter", 32, "max NoC latency jitter in cycles (0 disables)")
 		maxCycles = flag.Uint64("max-cycles", 5_000_000, "per-run cycle cap")
@@ -72,7 +71,6 @@ func main() {
 	opts.RunSeeds = *runs
 	opts.Jitter = *jitter
 	opts.MaxCycles = *maxCycles
-	opts.Shards = *shards
 	opts.Protocols = nil
 	for _, name := range strings.Split(*protocols, ",") {
 		p, err := config.ParseProtocol(strings.TrimSpace(name))

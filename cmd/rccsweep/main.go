@@ -46,7 +46,6 @@ var (
 	bench    = flag.String("bench", "BH", "benchmark to sweep")
 	scale    = flag.Float64("scale", 0.5, "workload scale")
 	jobs     = flag.Int("j", 0, "concurrent simulations (0 = one per CPU, 1 = sequential)")
-	shards   = flag.Int("shards", 1, "shards per simulated machine (parallel goroutines; results are bit-identical to -shards 1)")
 	progress = flag.Bool("progress", false, "report sweep progress (points done/total, ETA) on stderr")
 
 	serveAddr = flag.String("serve", "", "serve live introspection (/metrics, /runs, /ledger, /healthz, /debug/pprof) on this address, e.g. :8080")
@@ -94,7 +93,6 @@ func realMain() int {
 
 	base := config.Default()
 	base.Scale = *scale
-	base.Shards = *shards
 
 	var opts []experiments.RunOpt
 	var cache *resultcache.Cache

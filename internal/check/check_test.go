@@ -512,6 +512,9 @@ func TestWellFormedRejections(t *testing.T) {
 			p.Threads[0].Ops[0] = Op{Kind: workload.OpAtomic, Lines: []uint64{0, 1}, Val: 9}
 		}},
 		{"dup line in op", func(p *Prog) { p.Threads[0].Ops[0].Lines = []uint64{0, 0} }},
+		{"SM past cap", func(p *Prog) { p.Threads[1].SM = 2_000_000 }},
+		{"warp past cap", func(p *Prog) { p.Threads[1].Warp = placeCap }},
+		{"lines past cap", func(p *Prog) { p.Lines = 4_000_000_000 }},
 	}
 	for _, tc := range cases {
 		p := base()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"rccsim/internal/config"
 	"rccsim/internal/sim"
@@ -53,7 +52,6 @@ type Options struct {
 	RunSeeds  int               // timing-perturbed runs per protocol
 	Jitter    uint64            // config.NoCJitter for every run
 	MaxCycles uint64            // per-run cycle cap (0 = config default)
-	Shards    int               // config.Shards for every run (0/1 = sequential)
 	Gen       GenConfig         // program generator shape (FuzzSeed)
 	Limits    EnumLimits        // SC enumeration bounds
 }
@@ -80,11 +78,9 @@ func runSeed(r int) uint64 { return (uint64(r) + 1) * 0x9e3779b97f4a7c15 }
 // program coordinates: warp (sm, w) to the thread placed there, trace pc
 // to operation index (every trace carries one leading compute, so op i
 // completes at pc i+1), machine line to program line (minus Base).
-// Sharded runs call LoadObserved from several shard goroutines, hence the
-// mutex; the outcome oracle canonicalizes (sorts) the entries, so the
-// cross-shard arrival order is irrelevant.
+// Each run builds its own recorder, and the machine calls it from the one
+// goroutine that steps it.
 type recorder struct {
-	mu       sync.Mutex
 	threadOf map[int]int
 	maxWarps int
 	entries  []string       // full ObsKey entries, completion order
@@ -110,8 +106,6 @@ func posKey(ti, opIdx int, line uint64) string {
 
 // LoadObserved implements gpu.Observer.
 func (r *recorder) LoadObserved(sm, warp, pc int, line, val uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	ti, ok := r.threadOf[sm*r.maxWarps+warp]
 	if !ok || pc < 1 || line < Base {
 		r.bad = append(r.bad, fmt.Sprintf("sm=%d warp=%d pc=%d line=%d val=%d", sm, warp, pc, line, val))
@@ -166,7 +160,6 @@ func runOne(p *Prog, set *SCSet, exp map[string]int, proto config.Protocol, r in
 	cfg.NumSMs, cfg.WarpsPerSM = p.MachineShape()
 	cfg.Seed = runSeed(r)
 	cfg.NoCJitter = opts.Jitter
-	cfg.Shards = opts.Shards
 	if opts.MaxCycles > 0 {
 		cfg.MaxCycles = opts.MaxCycles
 	}
@@ -183,35 +176,16 @@ func runOne(p *Prog, set *SCSet, exp map[string]int, proto config.Protocol, r in
 	if err != nil {
 		return nil, fmt.Errorf("check: building machine: %w", err)
 	}
-	// Invariant sinks. A sequential machine gets the classic single sink on
-	// a whole-machine bus; a sharded machine gets one sink per shard (fed by
-	// that shard's L1s and SMs, so each sink sees a race-free event stream
-	// whose per-core invariants are self-contained) plus a main sink for the
-	// serially executed components. Attaching a whole-machine bus instead
-	// would silently force the sequential fallback loop and the sharded
-	// paths would never be exercised.
-	invs := []*trace.InvariantSink{trace.NewInvariantSink(nil)}
-	if m.Shards() > 1 {
-		buses := make([]*trace.Bus, m.Shards())
-		for k := range buses {
-			s := trace.NewInvariantSink(nil)
-			invs = append(invs, s)
-			buses[k] = trace.NewBus(s)
-		}
-		if err := m.AttachShardTracers(trace.NewBus(invs[0]), buses); err != nil {
-			return nil, fmt.Errorf("check: attaching shard tracers: %w", err)
-		}
-	} else {
-		m.AttachTracer(trace.NewBus(invs[0]))
-	}
+	// The invariant sink checks leases, L2 versions and core clocks over
+	// the live event stream.
+	inv := trace.NewInvariantSink(nil)
+	m.AttachTracer(trace.NewBus(inv))
 
 	if _, err := m.Run(); err != nil {
 		return fail(FailRunError, "machine error: %v", err), nil
 	}
-	for _, inv := range invs {
-		if err := inv.Err(); err != nil {
-			return fail(FailRunError, "invariant: %v", err), nil
-		}
+	if err := inv.Err(); err != nil {
+		return fail(FailRunError, "invariant: %v", err), nil
 	}
 
 	if len(rec.bad) > 0 {

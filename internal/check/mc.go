@@ -191,7 +191,6 @@ func ModelCheck(p *Prog, opts MCOptions) (*MCResult, error) {
 	cfg.NumSMs, cfg.WarpsPerSM = p.MachineShape()
 	cfg.Seed = 1 // no seeded randomness left on the explored paths
 	cfg.NoCJitter = 0
-	cfg.Shards = 0
 	if opts.MaxCycles > 0 {
 		cfg.MaxCycles = opts.MaxCycles
 	}

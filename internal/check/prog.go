@@ -34,6 +34,16 @@ import (
 // space, clear of anything a benchmark generator would touch.
 const Base = 1 << 20
 
+// placeCap bounds SM and warp indices and lineCap the line count of a
+// well-formed program. Both sit far above the generator's 3x3 grid and
+// 3 lines, the litmus shapes and the model checker's families; they keep
+// a hand-edited repro from sizing a machine or a memory image the host
+// cannot allocate.
+const (
+	placeCap = 64
+	lineCap  = 64
+)
+
 // Op is one operation of a fuzzed thread. Kind is restricted to OpLoad,
 // OpStore, OpAtomic, OpFence, OpBarrier and OpCompute; loads and stores
 // may carry several distinct lines (memory divergence), atomics exactly
@@ -106,7 +116,8 @@ func parseOpKind(s string) (workload.OpKind, error) {
 // machine rely on and returns a descriptive error for the first violation:
 //
 //   - at least one thread, each with at least one op;
-//   - (SM, warp) placement unique and non-negative;
+//   - 1..lineCap lines;
+//   - (SM, warp) placement unique, each index in [0, placeCap);
 //   - every line index in [0, Lines), distinct within one instruction;
 //   - loads/stores carry 1..4 lines, atomics exactly 1;
 //   - store/atomic values unique and non-zero (memory starts at zero, so
@@ -120,15 +131,15 @@ func (p *Prog) WellFormed() error {
 	if len(p.Threads) == 0 {
 		return fmt.Errorf("check: program has no threads")
 	}
-	if p.Lines <= 0 {
-		return fmt.Errorf("check: program declares %d lines", p.Lines)
+	if p.Lines <= 0 || p.Lines > lineCap {
+		return fmt.Errorf("check: program declares %d lines, want 1..%d", p.Lines, lineCap)
 	}
 	placed := make(map[[2]int]bool)
 	vals := make(map[uint64]bool)
 	barriers := make(map[int]int) // SM -> barrier count (-1 sentinel unused)
 	for ti, th := range p.Threads {
-		if th.SM < 0 || th.Warp < 0 {
-			return fmt.Errorf("check: thread %d has negative placement (%d,%d)", ti, th.SM, th.Warp)
+		if th.SM < 0 || th.Warp < 0 || th.SM >= placeCap || th.Warp >= placeCap {
+			return fmt.Errorf("check: thread %d placement (%d,%d) outside [0,%d)", ti, th.SM, th.Warp, placeCap)
 		}
 		key := [2]int{th.SM, th.Warp}
 		if placed[key] {

@@ -209,13 +209,10 @@ type Config struct {
 	// against protocol deadlocks; 0 means no limit).
 	MaxCycles uint64
 
-	// Shards splits the SMs and their L1s across this many goroutines,
-	// synchronized at epoch barriers one NoC delivery horizon apart. The
-	// simulated results — stats digest included — are bit-identical to a
-	// single-shard run; see internal/sim. 0 and 1 both mean sequential.
-	// The effective count is clamped to NumSMs, and to 1 for SC-IDEAL
-	// (its idealized invalidations bypass the interconnect's latency
-	// floor, so its L2→L1 calls cannot be deferred to a barrier).
+	// Shards is kept for compatibility only: every machine runs on one
+	// goroutine, and Validate rejects any value but 0 and 1.
+	//
+	// Deprecated: sharded execution was removed. Leave the field zero.
 	Shards int
 }
 
@@ -321,8 +318,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: RCCTSMax %d too small for max lease %d", c.RCCTSMax, c.RCCMaxLease)
 	case c.Scale <= 0:
 		return fmt.Errorf("config: Scale must be positive, got %v", c.Scale)
-	case c.Shards < 0:
-		return fmt.Errorf("config: Shards must be non-negative, got %d", c.Shards)
+	case c.Shards != 0 && c.Shards != 1:
+		return fmt.Errorf("config: Shards=%d: sharded execution was removed; use 0 or 1 (sequential)", c.Shards)
 	}
 	return nil
 }

@@ -101,6 +101,7 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		func(c *Config) { c.RCCMaxLease = 4 },
 		func(c *Config) { c.RCCTSMax = 100 },
 		func(c *Config) { c.Scale = 0 },
+		func(c *Config) { c.Shards = 2 },
 	}
 	for i, m := range mutate {
 		c := Default()

@@ -120,10 +120,6 @@ func (c *L1) SetTracer(tr *trace.Bus) { c.tr = tr }
 // allocation).
 func (c *L1) SetMsgPool(p *coherence.MsgPool) { c.pool = p }
 
-// SetStats rebinds the controller's counter set (the sharded run loop
-// points each shard's L1s at a private stats.Run and merges at the end).
-func (c *L1) SetStats(st *stats.Run) { c.st = st }
-
 // SetHeat attaches the contention sketch (nil disables sampling).
 func (c *L1) SetHeat(h *obs.Heat) { c.heat = h }
 

@@ -115,9 +115,10 @@ type SM struct {
 	liveN  int
 
 	// Request ids are allocated per SM, strided by the SM count, so id
-	// streams from different SMs never collide yet need no shared counter
-	// (the sharded run loop issues from several SMs concurrently). The
-	// n-th request of SM s gets id n*NumSMs + s + 1; ids stay nonzero.
+	// streams from different SMs never collide yet need no shared counter.
+	// The n-th request of SM s gets id n*NumSMs + s + 1; ids stay nonzero.
+	// Span IDs derive from these ids, so observed_stream.digest pins the
+	// scheme.
 	idSeq    uint64
 	idStride uint64
 
@@ -862,10 +863,6 @@ func spanKind(c stats.OpClass) span.Kind {
 	}
 	return span.Load
 }
-
-// SetStats rebinds the SM's counter set (the sharded run loop points each
-// shard's SMs at a private stats.Run and merges at the end).
-func (s *SM) SetStats(st *stats.Run) { s.st = st }
 
 // MemDone implements coherence.Sink.
 func (s *SM) MemDone(r *coherence.Request, now timing.Cycle) {

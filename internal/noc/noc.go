@@ -20,8 +20,9 @@ import (
 // Node receives delivered messages. at is the delivery cycle itself: the
 // cycle the message's tail flit cleared the ejection port. Receivers that
 // stamp pipeline entry (the L2s) therefore see the same timestamp
-// regardless of which cycles the run loop happened to visit — a property
-// the deterministic sharded scheduler relies on.
+// regardless of which cycles the run loop happened to visit. The run loop's
+// idle jumps rely on this: they may land early, and an extra visited cycle
+// must not change what any receiver records.
 type Node interface {
 	Deliver(m *coherence.Msg, at timing.Cycle)
 }
@@ -236,27 +237,6 @@ func (n *Network) Tick(now timing.Cycle) bool {
 
 // NextEvent returns the earliest pending delivery time.
 func (n *Network) NextEvent() timing.Cycle { return n.inflight.NextReady() }
-
-// PopDue removes and returns the next in-flight message whose delivery
-// cycle is at most limit, together with that delivery cycle. Messages come
-// out in exact delivery order — (cycle, send order) — the same order Tick
-// would deliver them. The sharded run loop uses this at an epoch barrier
-// to collect every delivery landing inside the epoch; the caller becomes
-// responsible for invoking Deliver at the right cycle.
-func (n *Network) PopDue(limit timing.Cycle) (*coherence.Msg, timing.Cycle, bool) {
-	at := n.inflight.NextReady()
-	if at > limit {
-		return nil, 0, false
-	}
-	m, ok := n.inflight.PopReady(at)
-	if !ok {
-		return nil, 0, false
-	}
-	if n.chooser != nil {
-		n.mcLogRemove(m)
-	}
-	return m, at, true
-}
 
 // Drained reports whether no messages are in flight.
 func (n *Network) Drained() bool { return n.inflight.Len() == 0 }

@@ -193,9 +193,9 @@ func (r *Recorder) Every() uint64 {
 }
 
 // sampled decides trackedness from the request ID alone, so the choice
-// is identical across runs, shard counts and replays. IDs are strided
-// by NumSMs (SM s issues s+1, s+1+NumSMs, ...), so a plain modulus
-// would track a correlated subset of SMs; mix first.
+// is identical across runs and replays. IDs are strided by NumSMs (SM s
+// issues s+1, s+1+NumSMs, ...), so a plain modulus would track a
+// correlated subset of SMs; mix first.
 func (r *Recorder) sampled(id uint64) bool {
 	if r.every == 1 {
 		return true

@@ -21,10 +21,9 @@
 //     bit-deterministic per (config, benchmark), so replaying a cached
 //     stats.Run is byte-identical to re-running the point.
 //
-// The config digest spans every Config field except Shards, which is
-// normalized out: sharded runs are pinned bit-identical to sequential ones
-// (TestShardedGoldenDigest), so a point computed at -shards 4 is the same
-// point at -shards 1 and the cache is shared across shard settings.
+// The config digest spans every Config field except the deprecated Shards,
+// which is normalized out: every machine runs on the one sequential loop,
+// and zeroing the field keeps keys equal to those of existing entries.
 //
 // Entries are written atomically (temp file + rename into place) and
 // carry their own payload digest; a corrupted, truncated, or stale entry

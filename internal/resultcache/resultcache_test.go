@@ -136,13 +136,13 @@ func TestKeyDerivation(t *testing.T) {
 		t.Error("seed not part of the key")
 	}
 
-	// Shards is normalized out: sharded runs are bit-identical, so the
-	// cache must be shared across shard settings.
+	// The deprecated Shards field is normalized out, so its value never
+	// changes a key.
 	for _, shards := range []int{0, 1, 2, 8} {
 		cfg = base
 		cfg.Shards = shards
 		if c.Key(cfg, "DLB") != k {
-			t.Errorf("Shards=%d changed the key; sharding is result-invariant", shards)
+			t.Errorf("Shards=%d changed the key; the field is normalized out", shards)
 		}
 	}
 

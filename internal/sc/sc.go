@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"rccsim/internal/timing"
 	"rccsim/internal/workload"
@@ -276,17 +275,14 @@ func Trace(ops []LitmusOp, base uint64) workload.Trace {
 }
 
 // Recorder collects load observations keyed by (sm, warp) and yields the
-// outcome in (thread, program-position) order.
+// outcome in (thread, program-position) order. Build one per machine: the
+// machine calls LoadObserved from the one goroutine that steps it.
 type Recorder struct {
 	// keyed by sm*maxWarps+warp, each a slice of observed values in
 	// completion order. Under SC issue rules completion order equals
 	// program order within a warp; under WO litmus traces are fenced.
 	perThread map[int][]uint64
 	maxWarps  int
-	// Sharded machines call LoadObserved from several shard goroutines.
-	// Each warp stays pinned to one shard, so per-key append order is
-	// still completion order; only the map itself needs the lock.
-	mu sync.Mutex
 }
 
 // NewRecorder builds a recorder; maxWarps is WarpsPerSM.
@@ -296,8 +292,6 @@ func NewRecorder(maxWarps int) *Recorder {
 
 // LoadObserved implements gpu.Observer.
 func (r *Recorder) LoadObserved(sm, warp, pc int, line, val uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	key := sm*r.maxWarps + warp
 	r.perThread[key] = append(r.perThread[key], val)
 }

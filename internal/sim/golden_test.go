@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
@@ -12,7 +11,6 @@ import (
 	"testing"
 
 	"rccsim/internal/config"
-	"rccsim/internal/trace"
 	"rccsim/internal/workload"
 )
 
@@ -77,80 +75,5 @@ func TestCrossProtocolGoldenDigest(t *testing.T) {
 	if got, w := digest, strings.TrimSpace(string(want)); got != w {
 		t.Errorf("cross-protocol stats digest changed:\n got  %s\n want %s\n"+
 			"simulated results are pinned; if this change is intentional, regenerate with -update", got, w)
-	}
-}
-
-// TestShardedTraceBytes pins the walkthrough-grade event stream across
-// shard counts: a machine with a whole-machine tracer attached falls back
-// to the sequential loop regardless of cfg.Shards, and its full JSONL
-// trace must be byte-identical to a -shards 1 run. This proves the sharded
-// construction wiring (deferred ports, shard plan, clamps) is behaviourally
-// invisible — the fallback isn't a separate machine, just a different
-// schedule over identical components.
-func TestShardedTraceBytes(t *testing.T) {
-	b, ok := workload.ByName("DLB")
-	if !ok {
-		t.Fatal("benchmark DLB not found")
-	}
-	run := func(shards int) []byte {
-		var buf bytes.Buffer
-		cfg := config.Small()
-		cfg.Protocol = config.RCC
-		cfg.Scale = 0.06
-		cfg.Shards = shards
-		tr := trace.NewBus(trace.NewJSONLSink(&buf))
-		if _, err := RunBenchmarkTraced(cfg, b, tr); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if err := tr.Close(); err != nil {
-			t.Fatalf("shards=%d: closing trace: %v", shards, err)
-		}
-		return buf.Bytes()
-	}
-	want := run(1)
-	for _, shards := range []int{2, 4} {
-		if got := run(shards); !bytes.Equal(got, want) {
-			t.Errorf("traced run at shards=%d produced a different event stream than shards=1 (%d vs %d bytes)",
-				shards, len(got), len(want))
-		}
-	}
-}
-
-// TestShardedGoldenDigest proves the tentpole determinism claim: for every
-// protocol, running the DLB benchmark at -shards 2 and -shards 4 produces a
-// stats snapshot byte-identical to the sequential (-shards 1) run. Shards
-// only change the host-side execution schedule; the simulated machine —
-// message order, jitter draws, rollover timing, cycle accounting — must be
-// unobservably the same.
-func TestShardedGoldenDigest(t *testing.T) {
-	b, ok := workload.ByName("DLB")
-	if !ok {
-		t.Fatal("benchmark DLB not found")
-	}
-	for _, p := range goldenProtocols {
-		for _, shards := range []int{2, 4} {
-			p, shards := p, shards
-			t.Run(fmt.Sprintf("%v/shards=%d", p, shards), func(t *testing.T) {
-				t.Parallel()
-				seq := config.Small()
-				seq.Protocol = p
-				ref, err := RunBenchmark(seq, b)
-				if err != nil {
-					t.Fatalf("sequential run: %v", err)
-				}
-
-				cfg := seq
-				cfg.Shards = shards
-				res, err := RunBenchmark(cfg, b)
-				if err != nil {
-					t.Fatalf("sharded run: %v", err)
-				}
-				got := fmt.Sprintf("%+v", *res.Stats)
-				want := fmt.Sprintf("%+v", *ref.Stats)
-				if got != want {
-					t.Errorf("stats diverge from sequential run:\n sharded:    %s\n sequential: %s", got, want)
-				}
-			})
-		}
 	}
 }

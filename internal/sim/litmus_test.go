@@ -26,10 +26,6 @@ func litmusConfig(p config.Protocol) config.Config {
 // (warp 0) to maximize cross-core interleaving; fenced=true inserts a
 // FENCE after every operation (for the WO protocols).
 func runLitmus(t *testing.T, cfg config.Config, l sc.Litmus, seed uint64, fenced bool) sc.Outcome {
-	return runLitmusWith(t, cfg, l, seed, fenced)
-}
-
-func runLitmusWith(t *testing.T, cfg config.Config, l sc.Litmus, seed uint64, fenced bool) sc.Outcome {
 	t.Helper()
 	if len(l.Threads) > cfg.NumSMs {
 		t.Fatalf("litmus %s needs %d SMs", l.Name, len(l.Threads))
@@ -60,31 +56,14 @@ func runLitmusWith(t *testing.T, cfg config.Config, l sc.Litmus, seed uint64, fe
 	}
 	// Every litmus run doubles as a timestamp-invariant check: lease
 	// sanity, L2 version monotonicity, and core clock monotonicity are
-	// verified over the live event stream. Sequential machines get the
-	// classic whole-machine sink; sharded machines get one sink per shard
-	// plus a main sink for the serial components (a whole-machine bus
-	// would silently force the sequential fallback loop).
-	invs := []*trace.InvariantSink{trace.NewInvariantSink(nil)}
-	if m.Shards() > 1 {
-		buses := make([]*trace.Bus, m.Shards())
-		for k := range buses {
-			s := trace.NewInvariantSink(nil)
-			invs = append(invs, s)
-			buses[k] = trace.NewBus(s)
-		}
-		if err := m.AttachShardTracers(trace.NewBus(invs[0]), buses); err != nil {
-			t.Fatalf("%s seed %d: attaching shard tracers: %v", l.Name, seed, err)
-		}
-	} else {
-		m.AttachTracer(trace.NewBus(invs[0]))
-	}
+	// verified over the live event stream.
+	inv := trace.NewInvariantSink(nil)
+	m.AttachTracer(trace.NewBus(inv))
 	if _, err := m.Run(); err != nil {
 		t.Fatalf("%s seed %d: %v", l.Name, seed, err)
 	}
-	for _, inv := range invs {
-		if err := inv.Err(); err != nil {
-			t.Fatalf("%s seed %d: %v", l.Name, seed, err)
-		}
+	if err := inv.Err(); err != nil {
+		t.Fatalf("%s seed %d: %v", l.Name, seed, err)
 	}
 	return rec.OutcomeFor(placement)
 }
@@ -124,31 +103,6 @@ func TestLitmusWOFenced(t *testing.T) {
 					out := runLitmus(t, litmusConfig(p), l, seed, true)
 					if !allowed[out] {
 						t.Fatalf("seed %d produced non-SC outcome %q under fenced %v", seed, out, p)
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestLitmusShardedSC runs every litmus at -shards 4 (one SM per shard —
-// every cross-thread interaction crosses a shard boundary) and requires
-// the outcome to match the sequential run with the same seed exactly,
-// with the per-shard invariant sinks armed. Outcome *equality* is
-// deliberately stronger than SC membership: shards must not even change
-// which SC interleaving the machine picks.
-func TestLitmusShardedSC(t *testing.T) {
-	protocols := []config.Protocol{config.MESI, config.TCS, config.RCC, config.SCIdeal}
-	for _, l := range sc.AllLitmus() {
-		for _, p := range protocols {
-			t.Run(fmt.Sprintf("%s/%v", l.Name, p), func(t *testing.T) {
-				for seed := uint64(1); seed <= 10; seed++ {
-					seq := runLitmus(t, litmusConfig(p), l, seed, false)
-					cfg := litmusConfig(p)
-					cfg.Shards = 4
-					got := runLitmus(t, cfg, l, seed, false)
-					if got != seq {
-						t.Fatalf("seed %d: sharded outcome %q != sequential %q", seed, got, seq)
 					}
 				}
 			})

@@ -50,26 +50,9 @@ type Machine struct {
 	now     timing.Cycle
 	done    bool // latched: a finished machine never becomes un-done
 
-	// Sharded execution (cfg.Shards > 1). The SMs and their L1s are
-	// partitioned into contiguous ranges, one per shard; each epoch of
-	// `epoch` cycles runs the shard ranges on parallel goroutines between
-	// barriers, with every cross-component interaction (NoC sends, L2
-	// work, rollover phases) deferred to the serial part of the barrier.
-	// The epoch length is the NoC's minimum delivery latency, so every
-	// message delivered inside an epoch was already in flight when the
-	// epoch began. fullTrace and hasHeat force the sequential loop (their
-	// sinks are not shard-aware); construction wiring is identical either
-	// way, so a fallen-back machine still produces bit-identical results.
-	effShards int
-	epoch     timing.Cycle
-	shardLo   []int // SM/L1 index range of shard k: [shardLo[k], shardHi[k])
-	shardHi   []int
-	shardOf   []int           // inverse map: SM index -> shard index
-	ports     []*deferredPort // one per shard; nil entries when sequential
-	shardTr   []*trace.Bus    // per-shard buses (AttachShardTracers)
-	fullTrace bool
-	hasHeat   bool
-	hasSpans  bool
+	// epoch is the grid spacing for machine-level decisions (rollover
+	// phases, memory-wait sampling): the NoC's minimum delivery latency.
+	epoch timing.Cycle
 
 	// Active-set scheduling: per-component wake times. Step only ticks a
 	// component once the current cycle reaches its wake time; wake times
@@ -93,11 +76,9 @@ type Machine struct {
 
 	// memWaitCat is the drained-SM memory-wait category, resampled at
 	// epoch-grid points (multiples of `epoch`): the first visited cycle at
-	// or past memGridAt re-reads the DRAM channels. Grid granularity makes
-	// the sampled value identical between the sequential and sharded run
-	// loops — DRAM state only changes on L2 ticks, which the sharded loop
-	// runs serially per epoch, so both loops observe the same state at
-	// each grid point.
+	// or past memGridAt re-reads the DRAM channels. Sampling on the grid,
+	// not on every visited cycle, is part of the pinned behaviour: the
+	// golden digest's cycle accounts depend on it.
 	memGridAt  timing.Cycle
 	memWaitCat stats.CycleCat
 
@@ -105,8 +86,7 @@ type Machine struct {
 	// epoch grid: a partition's rollover request latches roPending, and
 	// the freeze — like the later stall→flush→done transitions — is
 	// applied at the next grid cycle (roGridAt, Never when idle). The
-	// sharded loop performs the same transitions at its barriers, which
-	// sit exactly on the grid, so rollover timing is shard-invariant.
+	// golden digest pins these grid-snapped transition cycles.
 	rccL1s    []*core.L1
 	rccL2s    []*core.L2
 	roState   int
@@ -140,40 +120,12 @@ func New(cfg config.Config, prog *workload.Program, obs gpu.Observer) (*Machine,
 	}
 	m.network = noc.New(cfg, m.st)
 
-	// Epoch grid: the conservative NoC lookahead. Every message spends at
-	// least one serialization cycle plus the router pipeline in flight, so
-	// anything delivered within `epoch` cycles of a grid point was already
-	// in the delivery calendar at that point. Grid geometry is derived
-	// from the config alone — never from the shard count — so grid-snapped
-	// decisions (rollover phases, memory-wait sampling) land on the same
-	// cycles whether the machine runs sequentially or sharded.
+	// Epoch grid: one serialization cycle plus the router pipeline, the
+	// least time any message spends in flight. Grid geometry is derived
+	// from the config alone, so grid-snapped decisions (rollover phases,
+	// memory-wait sampling) land on the same cycles in every run.
 	m.epoch = timing.Cycle(cfg.NoCPipeLatency) + 1
 	m.roGridAt = timing.Never
-
-	// Shard plan. SC-IDEAL's idealized invalidations call into remote L1s
-	// synchronously (zapL1 bypasses the interconnect), so it cannot defer
-	// cross-core effects to a barrier and always runs sequentially.
-	m.effShards = cfg.Shards
-	if m.effShards > cfg.NumSMs {
-		m.effShards = cfg.NumSMs
-	}
-	if m.effShards < 1 || cfg.Protocol == config.SCIdeal {
-		m.effShards = 1
-	}
-	if m.effShards > 1 {
-		m.shardLo = make([]int, m.effShards)
-		m.shardHi = make([]int, m.effShards)
-		m.ports = make([]*deferredPort, m.effShards)
-		m.shardOf = make([]int, cfg.NumSMs)
-		for k := 0; k < m.effShards; k++ {
-			m.shardLo[k] = k * cfg.NumSMs / m.effShards
-			m.shardHi[k] = (k + 1) * cfg.NumSMs / m.effShards
-			m.ports[k] = &deferredPort{net: m.network}
-			for s := m.shardLo[k]; s < m.shardHi[k]; s++ {
-				m.shardOf[s] = k
-			}
-		}
-	}
 
 	drams := make([]*mem.DRAM, cfg.L2Partitions)
 	for p := range drams {
@@ -204,27 +156,21 @@ func New(cfg config.Config, prog *workload.Program, obs gpu.Observer) (*Machine,
 		m.network.Register(coherence.L2NodeID(p, cfg.NumSMs), l2)
 	}
 
-	// SMs and their L1s. When sharded, an L1 injects through its shard's
-	// deferredPort: a passthrough to the network in sequential phases, a
-	// send log replayed in global order at the epoch barrier otherwise.
+	// SMs and their L1s.
 	for s := 0; s < cfg.NumSMs; s++ {
-		var port coherence.Port = m.network
-		if m.effShards > 1 {
-			port = m.ports[m.shardOf[s]]
-		}
 		var l1 coherence.L1
 		switch cfg.Protocol {
 		case config.RCC, config.RCCWO:
 			clk := core.NewClock(cfg.Protocol == config.RCCWO)
-			r := core.NewL1(cfg, s, port, nil, m.st, clk)
+			r := core.NewL1(cfg, s, m.network, nil, m.st, clk)
 			m.rccL1s = append(m.rccL1s, r)
 			l1 = r
 		case config.TCS:
-			l1 = tc.NewL1(cfg, s, false, port, nil, m.st)
+			l1 = tc.NewL1(cfg, s, false, m.network, nil, m.st)
 		case config.TCW:
-			l1 = tc.NewL1(cfg, s, true, port, nil, m.st)
+			l1 = tc.NewL1(cfg, s, true, m.network, nil, m.st)
 		case config.MESI, config.SCIdeal:
-			l1 = mesi.NewL1(cfg, s, port, nil, m.st)
+			l1 = mesi.NewL1(cfg, s, m.network, nil, m.st)
 		}
 		m.l1s = append(m.l1s, l1)
 		m.network.Register(s, l1)
@@ -356,8 +302,6 @@ type tracerTarget interface {
 // Call it before Run; a nil bus detaches tracing everywhere.
 func (m *Machine) AttachTracer(tr *trace.Bus) {
 	m.tr = tr
-	m.fullTrace = tr != nil
-	m.shardTr = nil
 	m.network.SetTracer(tr)
 	for _, l1 := range m.l1s {
 		if t, ok := l1.(tracerTarget); ok {
@@ -378,47 +322,6 @@ func (m *Machine) AttachTracer(tr *trace.Bus) {
 	tr.BindStats(m.st)
 }
 
-// Shards returns the machine's effective shard count after clamping (at
-// least 1, at most NumSMs, and 1 for SC-IDEAL).
-func (m *Machine) Shards() int { return m.effShards }
-
-// AttachShardTracers wires shard-aware tracing: main receives the events
-// of the serially executed parts (network, L2 partitions, DRAM, rollover
-// phases) and buses[k] receives the events of shard k's L1s and SMs.
-// Unlike AttachTracer this does not force the sequential run loop — each
-// bus is written from at most one goroutine at any moment. len(buses)
-// must equal Shards(). Call before Run; used by the differential checker
-// to keep its invariant sinks race-free under sharded execution.
-func (m *Machine) AttachShardTracers(main *trace.Bus, buses []*trace.Bus) error {
-	if len(buses) != m.effShards {
-		return fmt.Errorf("sim: got %d shard buses, machine has %d shards", len(buses), m.effShards)
-	}
-	m.tr = main
-	m.fullTrace = false
-	m.shardTr = buses
-	m.network.SetTracer(main)
-	for _, l2 := range m.l2s {
-		if t, ok := l2.(tracerTarget); ok {
-			t.SetTracer(main)
-		}
-	}
-	for p, d := range m.drams {
-		d.SetTracer(main, p)
-	}
-	for s, l1 := range m.l1s {
-		k := 0
-		if m.shardOf != nil {
-			k = m.shardOf[s]
-		}
-		if t, ok := l1.(tracerTarget); ok {
-			t.SetTracer(buses[k])
-		}
-		m.sms[s].SetTracer(buses[k])
-	}
-	main.BindStats(m.st)
-	return nil
-}
-
 // heatTarget is implemented by every controller that can sample per-line
 // contention; AttachHeat fans out through it.
 type heatTarget interface {
@@ -430,7 +333,6 @@ type heatTarget interface {
 // stats.Run, the sketch becomes owned by this (single-threaded) machine —
 // never share one between concurrently running machines.
 func (m *Machine) AttachHeat(h *obs.Heat) {
-	m.hasHeat = h != nil
 	for _, l1 := range m.l1s {
 		if t, ok := l1.(heatTarget); ok {
 			t.SetHeat(h)
@@ -452,10 +354,7 @@ type spanTarget interface {
 // AttachSpans threads the causal-span recorder through the full request
 // path: SMs (issue/finish), L1s, L2 partitions, the interconnect, and the
 // DRAM channels. Call it before Run; a nil recorder detaches everywhere.
-// Like the tracer and the heat sketch, the recorder forces the sequential
-// run loop — span marks are ordered writes into one recorder.
 func (m *Machine) AttachSpans(sp *span.Recorder) {
-	m.hasSpans = sp != nil
 	m.network.SetSpans(sp)
 	for _, l1 := range m.l1s {
 		if t, ok := l1.(spanTarget); ok {
@@ -478,9 +377,8 @@ func (m *Machine) AttachSpans(sp *span.Recorder) {
 // SetNoCDelayChooser replaces the seeded NoC jitter stream with a
 // controlled-nondeterminism hook: fn is consulted once per message send,
 // in send order, for the extra pipeline delay. The model checker uses it
-// to turn every delivery into an enumerable decision point; choosers force
-// single-threaded semantics, so attach only to sequential (Shards <= 1)
-// machines. A nil fn restores the configured jitter behaviour.
+// to turn every delivery into an enumerable decision point. A nil fn
+// restores the configured jitter behaviour.
 func (m *Machine) SetNoCDelayChooser(fn noc.DelayChooser) { m.network.SetChooser(fn) }
 
 // FoldInflight visits every in-flight NoC message in exact delivery order
@@ -561,7 +459,7 @@ func (m *Machine) Step() bool {
 	did := false
 	// Grid-snapped machine-level work first: a rollover phase change at a
 	// grid cycle freezes or thaws the components before any of them tick
-	// this cycle — exactly when the sharded loop's barrier would apply it.
+	// this cycle.
 	if now == m.roGridAt && m.rolloverGrid(now) {
 		did = true
 		m.wakeAll(now + 1)
@@ -651,15 +549,8 @@ func (m *Machine) nextEvent(now timing.Cycle) timing.Cycle {
 	return timing.Min(next, m.roGridAt)
 }
 
-// Run executes until completion and returns the final counters. With
-// cfg.Shards > 1 the machine runs its shard partition on parallel
-// goroutines (see shard.go) unless a whole-machine tracer or contention
-// sketch is attached — those sinks are not shard-aware, so such runs fall
-// back to the sequential loop; either way the results are bit-identical.
+// Run executes until completion and returns the final counters.
 func (m *Machine) Run() (*stats.Run, error) {
-	if m.effShards > 1 && !m.fullTrace && !m.hasHeat && !m.hasSpans {
-		return m.runSharded()
-	}
 	idleJumps := 0
 	// Done is only re-evaluated after a Step that did work: an idle step
 	// changes nothing but the clock, so its doneness verdict cannot differ
@@ -747,13 +638,13 @@ func (m *Machine) RolloverActive() bool { return m.roState != roIdle }
 // MemWaitCat implements gpu.EnvProbe: a drained SM's memory wait counts as
 // DRAM time whenever any channel had commands pending at the last epoch-grid
 // sample, else NoC time. The value is held for a whole grid epoch so every
-// SM — on whichever shard — charges the same category; see sampleMemWait.
+// SM charges the same category within it; see sampleMemWait.
 func (m *Machine) MemWaitCat() stats.CycleCat { return m.memWaitCat }
 
-// sampleMemWait re-reads the DRAM channels at an epoch-grid boundary. Both
-// run loops call it with the first cycle they visit at or past memGridAt;
-// the cycles may differ between loops, but the observed value cannot: no
-// L2 (and therefore no DRAM channel) does work on an unvisited cycle.
+// sampleMemWait re-reads the DRAM channels at an epoch-grid boundary. Step
+// calls it with the first cycle it visits at or past memGridAt; the value
+// cannot depend on which cycle that is, because no L2 (and therefore no
+// DRAM channel) does work on an unvisited cycle.
 func (m *Machine) sampleMemWait(now timing.Cycle) {
 	m.memWaitCat = stats.CatNoC
 	for _, d := range m.drams {
@@ -767,8 +658,8 @@ func (m *Machine) sampleMemWait(now timing.Cycle) {
 
 // requestRollover is invoked by an RCC L2 partition whose timestamps are
 // about to overflow (Sec. III-D). The request only latches a flag: the
-// machine-wide freeze is applied at the next epoch-grid cycle, which is a
-// barrier in the sharded loop. The deferral is bounded by one epoch, and
+// machine-wide freeze is applied at the next epoch-grid cycle. The
+// deferral is bounded by one epoch, and
 // the partitions' overflow thresholds carry far more headroom than that,
 // so timestamps cannot overflow while the request is pending.
 func (m *Machine) requestRollover() {

@@ -111,7 +111,7 @@ func TestRolloverPreservesSC(t *testing.T) {
 	for seed := uint64(1); seed <= 15; seed++ {
 		cfg := litmusConfig(config.RCC)
 		cfg.RCCTSMax = 9000 // rollover likely mid-test
-		out := runLitmusCfg(t, cfg, l, seed, false)
+		out := runLitmus(t, cfg, l, seed, false)
 		if !allowed[out] {
 			t.Fatalf("seed %d: rollover broke SC: outcome %q", seed, out)
 		}
@@ -193,40 +193,29 @@ func TestStallBlameClasses(t *testing.T) {
 	}
 }
 
-// TestMaxCyclesGuard ensures a runaway machine aborts cleanly, in both run
-// loops, with an error that says where it was stuck in under 1 KB.
+// TestMaxCyclesGuard ensures a runaway machine aborts cleanly, with an
+// error that says where it was stuck in under 1 KB.
 func TestMaxCyclesGuard(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		cfg := config.Small()
-		cfg.MaxCycles = 100 // far too few to finish
-		cfg.Shards = shards
-		b, _ := workload.ByName("BH")
-		_, err := RunBenchmark(cfg, b)
-		if err == nil {
-			t.Fatalf("shards=%d: MaxCycles did not trigger", shards)
-		}
-		msg := err.Error()
-		for _, want := range []string{
-			"sim: exceeded MaxCycles=100 (livelock or deadlock?): cycle ",
-			", noc in-flight ",
-			", l2 [p0 dram ",
-			fmt.Sprintf(" p%d dram ", cfg.L2Partitions-1),
-			fmt.Sprintf("], %d SMs not done [0 1 ", cfg.NumSMs),
-		} {
-			if !strings.Contains(msg, want) {
-				t.Errorf("shards=%d: error lacks %q:\n%s", shards, want, msg)
-			}
-		}
-		if len(msg) >= 1024 {
-			t.Errorf("shards=%d: error is %d bytes, want < 1 KB:\n%s", shards, len(msg), msg)
+	cfg := config.Small()
+	cfg.MaxCycles = 100 // far too few to finish
+	b, _ := workload.ByName("BH")
+	_, err := RunBenchmark(cfg, b)
+	if err == nil {
+		t.Fatal("MaxCycles did not trigger")
+	}
+	msg := err.Error()
+	for _, want := range []string{
+		"sim: exceeded MaxCycles=100 (livelock or deadlock?): cycle ",
+		", noc in-flight ",
+		", l2 [p0 dram ",
+		fmt.Sprintf(" p%d dram ", cfg.L2Partitions-1),
+		fmt.Sprintf("], %d SMs not done [0 1 ", cfg.NumSMs),
+	} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("error lacks %q:\n%s", want, msg)
 		}
 	}
-}
-
-// runLitmusCfg is runLitmus with an explicit config (rollover tests).
-func runLitmusCfg(t *testing.T, cfg config.Config, l sc.Litmus, seed uint64, fenced bool) sc.Outcome {
-	t.Helper()
-	saved := cfg
-	_ = saved
-	return runLitmusWith(t, cfg, l, seed, fenced)
+	if len(msg) >= 1024 {
+		t.Errorf("error is %d bytes, want < 1 KB:\n%s", len(msg), msg)
+	}
 }

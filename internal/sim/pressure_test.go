@@ -16,7 +16,7 @@ import (
 
 // TestMSHRPressureDigest pins simulated behaviour where the SM's
 // MSHR-refusal path is hot: every benchmark under every protocol with
-// 1, 2 and 4 L1 MSHRs, sequential and at two shards, with the narrowest
+// 1, 2 and 4 L1 MSHRs, with the narrowest
 // RCC timestamp space so the RCC runs also freeze and thaw their L1s for
 // rollovers. TestCrossProtocolGoldenDigest runs at 128 MSHRs, where
 // refusals are rare; this digest is what proves that changes to how the
@@ -32,22 +32,19 @@ func TestMSHRPressureDigest(t *testing.T) {
 	for _, b := range workload.All() {
 		for _, p := range goldenProtocols {
 			for _, mshrs := range []int{1, 2, 4} {
-				for _, shards := range []int{1, 2} {
-					cfg := config.Small()
-					cfg.Protocol = p
-					cfg.Scale = 0.03
-					cfg.L1MSHRs = mshrs
-					cfg.Shards = shards
-					cfg.RCCTSMax = 4 * cfg.RCCMaxLease // narrowest width Validate allows
-					res, err := RunBenchmark(cfg, b)
-					if err != nil {
-						t.Fatalf("%s/%v/mshrs=%d/shards=%d: %v", b.Name, p, mshrs, shards, err)
-					}
-					st := res.Stats
-					rollovers += st.Rollovers
-					mshrFull += st.CycleAccount[stats.CatMSHRFull]
-					fmt.Fprintf(h, "%s %v %d %d\n%+v\n", b.Name, p, mshrs, shards, *st)
+				cfg := config.Small()
+				cfg.Protocol = p
+				cfg.Scale = 0.03
+				cfg.L1MSHRs = mshrs
+				cfg.RCCTSMax = 4 * cfg.RCCMaxLease // narrowest width Validate allows
+				res, err := RunBenchmark(cfg, b)
+				if err != nil {
+					t.Fatalf("%s/%v/mshrs=%d: %v", b.Name, p, mshrs, err)
 				}
+				st := res.Stats
+				rollovers += st.Rollovers
+				mshrFull += st.CycleAccount[stats.CatMSHRFull]
+				fmt.Fprintf(h, "%s %v %d\n%+v\n", b.Name, p, mshrs, *st)
 			}
 		}
 	}

@@ -22,7 +22,7 @@ func TestRandomProgramsSC(t *testing.T) {
 				l := sc.RandomLitmus(rng, 3, 4, 2)
 				allowed := sc.SCOutcomes(l)
 				for runSeed := uint64(1); runSeed <= 5; runSeed++ {
-					out := runLitmusWith(t, litmusConfig(p), l, runSeed*31+progSeed, false)
+					out := runLitmus(t, litmusConfig(p), l, runSeed*31+progSeed, false)
 					if !allowed[out] {
 						t.Fatalf("program %d run %d: non-SC outcome %q\nprogram: %+v\nallowed: %v",
 							progSeed, runSeed, out, l.Threads, allowed)
@@ -43,7 +43,7 @@ func TestRandomProgramsFencedWO(t *testing.T) {
 				l := sc.RandomLitmus(rng, 3, 3, 2)
 				allowed := sc.SCOutcomes(l)
 				for runSeed := uint64(1); runSeed <= 4; runSeed++ {
-					out := runLitmusWith(t, litmusConfig(p), l, runSeed*17+progSeed, true)
+					out := runLitmus(t, litmusConfig(p), l, runSeed*17+progSeed, true)
 					if !allowed[out] {
 						t.Fatalf("program %d run %d: fenced %v produced non-SC outcome %q",
 							progSeed, runSeed, p, out)
@@ -151,7 +151,7 @@ func TestTCWExhibitsWeakBehaviour(t *testing.T) {
 func TestRCCSCNeverWeak(t *testing.T) {
 	l := sc.StoreBuffering()
 	for seed := uint64(1); seed <= 60; seed++ {
-		out := runLitmusWith(t, litmusConfig(config.RCC), l, seed, false)
+		out := runLitmus(t, litmusConfig(config.RCC), l, seed, false)
 		if out == "0,0" {
 			t.Fatalf("RCC produced the forbidden SB outcome (seed %d)", seed)
 		}

@@ -69,8 +69,7 @@ func TestSpanInvariantsAllProtocols(t *testing.T) {
 }
 
 // TestSpansAreBehaviourNeutral pins the observer property: attaching a
-// recorder (including under a sharded config, which falls back to the
-// sequential loop) must not change a single simulated counter.
+// recorder must not change a single simulated counter.
 func TestSpansAreBehaviourNeutral(t *testing.T) {
 	b, ok := workload.ByName("DLB")
 	if !ok {
@@ -82,17 +81,13 @@ func TestSpansAreBehaviourNeutral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 4} {
-		c := cfg
-		c.Shards = shards
-		res, err := RunBenchmarkSpanned(c, b, nil, nil, span.NewRecorder(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *res.Stats != *ref.Stats {
-			t.Fatalf("shards=%d: spans changed simulated results:\n with:    %+v\n without: %+v",
-				shards, *res.Stats, *ref.Stats)
-		}
+	res, err := RunBenchmarkSpanned(cfg, b, nil, nil, span.NewRecorder(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *res.Stats != *ref.Stats {
+		t.Fatalf("spans changed simulated results:\n with:    %+v\n without: %+v",
+			*res.Stats, *ref.Stats)
 	}
 }
 

@@ -23,14 +23,14 @@ func fillDistinct(v reflect.Value, c *uint64) {
 	}
 }
 
-// TestMergeCoversEveryField is the tripwire behind the sharded run loop's
-// stats handling: every counter in Run must transfer through Merge. It
+// TestMergeCoversEveryField is the tripwire behind every aggregate built
+// with Merge: every counter in Run must transfer through Merge. It
 // fills the source with distinct non-zero values via reflection and merges
 // into a fresh Run; any field Merge forgot stays zero and fails the
 // comparison. Cycles is the single deliberate exception — it is machine
 // time, set once by the run loop, not an accumulator. Adding a field to
 // Run without extending Merge (or this exception list) fails this test
-// instead of silently dropping a shard's counts.
+// instead of silently dropping a run's counts.
 func TestMergeCoversEveryField(t *testing.T) {
 	src := New()
 	var c uint64

@@ -288,11 +288,10 @@ type Run struct {
 func New() *Run { return &Run{} }
 
 // Merge folds src's counters into r. Every field of Run is either a sum
-// (counters, histogram buckets) or a running maximum, so merging per-shard
-// counter sets in any order yields exactly the totals a single shared set
-// would have accumulated — the property the sharded run loop relies on for
-// digest-identical results. Cycles is excluded: it is machine time, set
-// once by the run loop, not a per-component tally.
+// (counters, histogram buckets) or a running maximum, so merging several
+// runs' counter sets in any order yields the same totals. The ledger diff
+// and rccperf aggregate runs this way. Cycles is excluded: it is machine
+// time, set once by the run loop, not a per-component tally.
 func (r *Run) Merge(src *Run) {
 	r.Instructions += src.Instructions
 	r.MemOps += src.MemOps

@@ -170,9 +170,9 @@ type errSink interface {
 //
 // An enabled bus emits without allocating: every helper fills the bus's
 // one reused event and passes its address to each sink (see Sink). This
-// relies on a bus being written by one goroutine at a time, which holds
-// for a sequential machine, for each per-shard bus and for the main bus of
-// Machine.AttachShardTracers, which only serial phases write.
+// relies on a bus being written by one goroutine at a time: a machine is
+// stepped by one goroutine, and each concurrently running machine gets its
+// own bus.
 type Bus struct {
 	sinks      []Sink
 	cycleSinks []CycleSink

@@ -240,8 +240,7 @@ func NewSpanRecorder(every int) *SpanRecorder { return span.NewRecorder(every) }
 
 // RunSpanned is RunObserved with a causal-span recorder also attached; any
 // of tr, heat, sp may be nil. Attaching a recorder never changes simulated
-// results; it does force the machine onto the sequential scheduler even
-// when cfg.Shards > 1.
+// results.
 func RunSpanned(cfg Config, name string, tr *TraceBus, heat *Heat, sp *SpanRecorder) (Result, error) {
 	b, ok := workload.ByName(name)
 	if !ok {
