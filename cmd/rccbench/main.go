@@ -4,65 +4,53 @@
 // Usage:
 //
 //	rccbench [-scale f] [-seed n] [-small] [-j N] [-progress] [-cache-dir dir]
+//	         [-ledger dir] [-serve addr]
 //	         [-trace file [-trace-format jsonl|perfetto] [-metrics-interval N]]
+//	         [-hotspots N] [-stacks file]
 //	         [-spans N [-spans-out file] [-spans-folded file]]
 //	         [-cpuprofile file] [-memprofile file] <experiment>...
 //
 // Experiments: fig1 fig6 fig7 fig8 fig9 fig10 table1 table3 table4 table5
 // all, plus "stats <bench> <protocol>" for a full single-run report.
-// Without arguments it prints the experiment list. -trace applies to the
-// single-run "stats" experiment and captures its full event stream.
+// Without arguments it prints the experiment list. The flags shared with
+// rccsweep (internal/cli) drive one experiments.Runner; -trace,
+// -hotspots, -stacks and -spans apply to the single-run "stats"
+// experiment only.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"sort"
 	"strings"
 	"text/tabwriter"
 
+	"rccsim/internal/cli"
 	"rccsim/internal/config"
 	"rccsim/internal/experiments"
 	"rccsim/internal/ledger"
-	"rccsim/internal/obs"
 	"rccsim/internal/obs/span"
 	"rccsim/internal/report"
-	"rccsim/internal/resultcache"
 	"rccsim/internal/sim"
-	"rccsim/internal/stats"
 	"rccsim/internal/trace"
 	"rccsim/internal/workload"
 )
 
 var (
-	scale    = flag.Float64("scale", 1.0, "workload scale factor (trace length multiplier)")
-	seed     = flag.Uint64("seed", 1, "workload generation seed")
-	small    = flag.Bool("small", false, "use the reduced test machine instead of Table III")
-	jobs     = flag.Int("j", 0, "concurrent simulations (0 = one per CPU, 1 = sequential)")
-	progress = flag.Bool("progress", false, "report simulation progress (done/total, ETA) on stderr")
-
-	traceOut    = flag.String("trace", "", "write the event trace of a 'stats' run to this file")
-	traceFormat = flag.String("trace-format", "jsonl", "event trace format: jsonl or perfetto")
-	metricsIvl  = flag.Uint64("metrics-interval", 0, "emit stats deltas into the trace every N cycles (0 = off)")
-
-	cacheDir  = flag.String("cache-dir", "", "content-addressed result cache directory: hits replay stored stats instead of simulating, making runs resumable and incremental")
-	ledgerDir = flag.String("ledger", "", "append every finished simulation point (full wire stats; spans/heat for 'stats' runs) to the run ledger in this directory")
-	serveAddr = flag.String("serve", "", "serve live introspection (/metrics, /runs, /ledger, /healthz, /debug/pprof) on this address, e.g. :8080")
-	hotspots  = flag.Int("hotspots", 0, "print the top-N contended cache lines after a 'stats' run (0 = off)")
+	scale     = flag.Float64("scale", 1.0, "workload scale factor (trace length multiplier)")
+	seed      = flag.Uint64("seed", 1, "workload generation seed")
+	small     = flag.Bool("small", false, "use the reduced test machine instead of Table III")
 	stacksOut = flag.String("stacks", "", "write folded cycle stacks of a 'stats' run to this file (flamegraph.pl input)")
 
 	spansN      = flag.Int("spans", 0, "record a causal span for every Nth memory op of a 'stats' run (0 = off)")
 	spansOut    = flag.String("spans-out", "", "write the span summary (waterfalls, critical path, slowest ops) as JSON to this file")
 	spansFolded = flag.String("spans-folded", "", "write sampled spans as folded segment stacks to this file (flamegraph.pl input)")
 
-	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+	flags cli.Flags
 )
 
 func main() {
+	flags.Register(flag.CommandLine)
 	flag.Parse()
 	os.Exit(realMain())
 }
@@ -74,84 +62,22 @@ func realMain() int {
 		fmt.Println("             stats <bench> <protocol>   (full single-run report)")
 		return 0
 	}
-	stopProfiles, err := startProfiles()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rccbench: %v\n", err)
-		return 1
-	}
-	defer stopProfiles()
-
 	base := config.Default()
 	if *small {
 		base = config.Small()
 	}
 	base.Scale = *scale
 	base.Seed = *seed
-	r := experiments.NewRunnerJobs(base, *jobs)
-	if *progress {
-		r.Progress = experiments.StderrProgress(os.Stderr, "rccbench")
+	spans := span.NewRecorder(*spansN)
+	s, err := flags.Start("rccbench", "rccbench", base, spans)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rccbench: %v\n", err)
+		return 1
 	}
-	var cache *resultcache.Cache
-	if *cacheDir != "" {
-		cache, err = resultcache.Open(*cacheDir, sim.GoldenDigest())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rccbench: %v\n", err)
-			return 1
-		}
-		r.Cache = cache
-		defer func() {
-			fmt.Fprintf(os.Stderr, "rccbench: cache %s: %d hits, %d misses, %d stored (hit ratio %.0f%%)\n",
-				*cacheDir, cache.Hits(), cache.Misses(), cache.Puts(), 100*cache.HitRatio())
-		}()
-	}
-	var spans *span.Recorder
-	if *spansN > 0 {
-		spans = span.NewRecorder(*spansN)
-	}
-	var led *ledger.Ledger
-	if *ledgerDir != "" {
-		led, err = ledger.Open(*ledgerDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rccbench: %v\n", err)
-			return 1
-		}
-	}
-	var tracker *obs.Tracker
-	if *serveAddr != "" {
-		tracker = obs.NewTracker(obs.NewRegistry())
-		addr, err := obs.Serve(*serveAddr, obs.Mounts{
-			Registry: tracker.Registry(), Tracker: tracker, Spans: spans, Ledger: ledger.Handler(led),
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rccbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "rccbench: serving introspection on http://%s\n", addr)
-		r.Started = tracker.Begin
-		r.Observe = tracker.Done
-		stderr := r.Progress
-		r.Progress = func(done, total int, label string) {
-			tracker.SetTotal(total)
-			if stderr != nil {
-				stderr(done, total, label)
-			}
-		}
-	}
-
-	var coll *ledger.Collector
-	if led != nil {
-		coll = ledger.NewCollector()
-		prev := r.Observe
-		r.Observe = func(label string, st *stats.Run) {
-			if prev != nil {
-				prev(label, st)
-			}
-			coll.Observe(label, st)
-		}
-	}
+	defer s.Close()
 
 	if args[0] == "stats" {
-		if err := statsReport(r.Base, tracker, spans, led, args[1:]); err != nil {
+		if err := statsReport(s, spans, args[1:]); err != nil {
 			fmt.Fprintf(os.Stderr, "rccbench: %v\n", err)
 			return 1
 		}
@@ -164,127 +90,16 @@ func realMain() int {
 		}
 	}
 	for _, a := range args {
-		if err := run(r, a); err != nil {
+		if err := run(s.Runner, a); err != nil {
 			fmt.Fprintf(os.Stderr, "rccbench: %s: %v\n", a, err)
 			return 1
 		}
 	}
-	if coll != nil && coll.Len() > 0 {
-		if err := appendLedger(led, tracker, "rccbench "+strings.Join(args, " "), coll.RunRecs()); err != nil {
-			fmt.Fprintf(os.Stderr, "rccbench: %v\n", err)
-			return 1
-		}
+	if err := s.Record(ledger.KindRun, "rccbench "+strings.Join(args, " ")); err != nil {
+		fmt.Fprintf(os.Stderr, "rccbench: %v\n", err)
+		return 1
 	}
 	return 0
-}
-
-// appendLedger records one run entry, diffs it against the previous
-// latest entry (when one exists), publishes the rccsim_regression_*
-// gauges when a server is up, and prints a one-line verdict on stderr.
-func appendLedger(led *ledger.Ledger, tracker *obs.Tracker, label string, runs []ledger.RunRec) error {
-	e := &ledger.Entry{
-		Kind:  ledger.KindRun,
-		Label: label,
-		Time:  ledger.Now(),
-		Host:  ledger.Fingerprint("."),
-		Runs:  runs,
-	}
-	prevID, prev, perr := led.Resolve("@-1")
-	id, err := led.Append(e)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "rccbench: ledger: recorded %d run(s) as %s\n", len(runs), ledger.ShortID(id))
-	if perr == nil {
-		d := ledger.Compute(prevID, prev, id, e, ledger.Options{})
-		if tracker != nil {
-			ledger.PublishRegression(tracker.Registry(), d)
-		}
-		verdict := "OK"
-		if !d.Ok() {
-			verdict = "REGRESSED (run rccdiff " + ledger.ShortID(prevID)[:8] + " " + ledger.ShortID(id)[:8] + " for attribution)"
-		}
-		fmt.Fprintf(os.Stderr, "rccbench: ledger: vs %s: %s\n", ledger.ShortID(prevID), verdict)
-	}
-	return nil
-}
-
-// startProfiles starts the pprof captures requested by -cpuprofile and
-// -memprofile and returns the function that finalizes them.
-func startProfiles() (stop func(), err error) {
-	var cpuf *os.File
-	if *cpuprofile != "" {
-		cpuf, err = os.Create(*cpuprofile)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpuf); err != nil {
-			cpuf.Close()
-			return nil, err
-		}
-	}
-	return func() {
-		if cpuf != nil {
-			pprof.StopCPUProfile()
-			cpuf.Close()
-		}
-		if *memprofile != "" {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rccbench: %v\n", err)
-				return
-			}
-			runtime.GC() // report live heap, not transient garbage
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "rccbench: %v\n", err)
-			}
-			f.Close()
-		}
-	}, nil
-}
-
-// newTraceBus builds the event bus requested by -trace/-trace-format/
-// -metrics-interval, or (nil, nil, noop, nil) when tracing is off. The
-// perfetto result is the concrete sink when that format was chosen, so the
-// stats path can append span flow events to it before close. The returned
-// close function flushes the sinks and the file.
-func newTraceBus() (*trace.Bus, *trace.PerfettoSink, func() error, error) {
-	noop := func() error { return nil }
-	if *traceOut == "" {
-		if *metricsIvl > 0 {
-			return nil, nil, noop, fmt.Errorf("-metrics-interval requires -trace")
-		}
-		return nil, nil, noop, nil
-	}
-	f, err := os.Create(*traceOut)
-	if err != nil {
-		return nil, nil, noop, err
-	}
-	var dst trace.Sink
-	var perf *trace.PerfettoSink
-	switch *traceFormat {
-	case "jsonl":
-		dst = trace.NewJSONLSink(f)
-	case "perfetto":
-		perf = trace.NewPerfettoSink(f)
-		dst = perf
-	default:
-		f.Close()
-		return nil, nil, noop, fmt.Errorf("unknown -trace-format %q (want jsonl or perfetto)", *traceFormat)
-	}
-	var sinks []trace.Sink
-	if *metricsIvl > 0 {
-		sinks = append(sinks, trace.NewIntervalSink(dst, *metricsIvl))
-	}
-	sinks = append(sinks, dst)
-	bus := trace.NewBus(sinks...)
-	return bus, perf, func() error {
-		err := bus.Close()
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		return err
-	}, nil
 }
 
 func run(r *experiments.Runner, name string) error {
@@ -543,8 +358,9 @@ func yesno(b bool) string {
 // statsReport runs one benchmark under one protocol and prints the full
 // per-run report, plus the optional -hotspots table, -stacks folded
 // cycle-account output, and the -spans causal-span section with its
-// -spans-out / -spans-folded exports.
-func statsReport(base config.Config, tracker *obs.Tracker, spans *span.Recorder, led *ledger.Ledger, args []string) error {
+// -spans-out / -spans-folded exports. -trace captures the run's event
+// stream.
+func statsReport(s *cli.Session, spans *span.Recorder, args []string) error {
 	if len(args) != 2 {
 		return fmt.Errorf("usage: rccbench stats <bench> <protocol>")
 	}
@@ -562,30 +378,32 @@ func statsReport(base config.Config, tracker *obs.Tracker, spans *span.Recorder,
 	if !found {
 		return fmt.Errorf("unknown protocol %q", args[1])
 	}
-	cfg := base
+	cfg := s.Runner.Base
 	cfg.Protocol = proto
-	bus, perf, closeBus, err := newTraceBus()
+	dst, traceFile, err := flags.OpenTrace()
 	if err != nil {
 		return err
 	}
-	var heat *obs.Heat
-	if *hotspots > 0 {
-		k := 4 * *hotspots // track more than shown so the tail is trustworthy
-		if k < 64 {
-			k = 64
-		}
-		heat = obs.NewHeat(k)
+	var bus *trace.Bus
+	if dst != nil {
+		bus = flags.NewBus(dst)
 	}
+	heat := flags.NewHeat()
 	label := fmt.Sprintf("%s/%v", b.Name, proto)
-	tracker.SetTotal(1)
-	tracker.Begin(label)
+	s.Tracker.SetTotal(1)
+	s.Tracker.Begin(label)
 	res, err := sim.RunBenchmarkSpanned(cfg, b, bus, heat, spans)
-	tracker.Done(label, res.Stats)
-	if perf != nil && spans != nil {
+	s.Tracker.Done(label, res.Stats)
+	if perf, ok := dst.(*trace.PerfettoSink); ok && spans != nil {
 		perf.WriteSpanFlows(spans.Flows())
 	}
-	if cerr := closeBus(); err == nil {
+	if cerr := bus.Close(); err == nil {
 		err = cerr
+	}
+	if traceFile != nil {
+		if cerr := traceFile.Close(); err == nil {
+			err = cerr
+		}
 	}
 	if err != nil {
 		return err
@@ -597,8 +415,8 @@ func statsReport(base config.Config, tracker *obs.Tracker, spans *span.Recorder,
 		return err
 	}
 	if heat != nil {
-		header(fmt.Sprintf("top %d contended lines", *hotspots))
-		heat.WriteTable(os.Stdout, *hotspots)
+		header(fmt.Sprintf("top %d contended lines", flags.Hotspots))
+		heat.WriteTable(os.Stdout, flags.Hotspots)
 	}
 	if *stacksOut != "" {
 		f, err := os.Create(*stacksOut)
@@ -614,22 +432,20 @@ func statsReport(base config.Config, tracker *obs.Tracker, spans *span.Recorder,
 		}
 		fmt.Fprintf(os.Stderr, "rccbench: wrote folded cycle stacks to %s\n", *stacksOut)
 	}
-	if led != nil {
-		rec := ledger.RunRec{Label: label}
-		rec.SetStats(res.Stats)
-		if spans != nil {
-			rec.Spans = ledger.SpanPercentiles(spans.Summarize(0))
-		}
-		heatTop := *hotspots
-		if heatTop == 0 {
-			heatTop = 16
-		}
-		rec.Heat = ledger.TopHeatLines(heat, heatTop)
-		if err := appendLedger(led, tracker, "rccbench stats "+label, []ledger.RunRec{rec}); err != nil {
-			return err
-		}
+	if s.Ledger == nil {
+		return nil
 	}
-	return nil
+	rec := ledger.RunRec{Label: label}
+	rec.SetStats(res.Stats)
+	if spans != nil {
+		rec.Spans = ledger.SpanPercentiles(spans.Summarize(0))
+	}
+	heatTop := flags.Hotspots
+	if heatTop == 0 {
+		heatTop = 16
+	}
+	rec.Heat = ledger.TopHeatLines(heat, heatTop)
+	return s.Append(ledger.KindRun, "rccbench stats "+label, []ledger.RunRec{rec})
 }
 
 // writeSpanFiles dumps the -spans-out JSON summary and -spans-folded
@@ -673,5 +489,3 @@ func writeSpanFiles(cfg config.Config, spans *span.Recorder) error {
 	}
 	return nil
 }
-
-var _ = sort.Strings

@@ -32,21 +32,18 @@ func main() {
 	flag.Parse()
 	sinks := []trace.Sink{trace.NewTextSink(os.Stdout, 2)}
 	if *traceOut != "" {
+		newSink, err := trace.SinkFor(*traceFormat)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "rcctrace: -trace-format:", err)
+			os.Exit(1)
+		}
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "rcctrace:", err)
 			os.Exit(1)
 		}
 		defer f.Close()
-		switch *traceFormat {
-		case "jsonl":
-			sinks = append(sinks, trace.NewJSONLSink(f))
-		case "perfetto":
-			sinks = append(sinks, trace.NewPerfettoSink(f))
-		default:
-			fmt.Fprintf(os.Stderr, "rcctrace: unknown -trace-format %q (want jsonl or perfetto)\n", *traceFormat)
-			os.Exit(1)
-		}
+		sinks = append(sinks, newSink(f))
 	}
 	bus := trace.NewBus(sinks...)
 	msgs, err := scenario.Walkthrough(os.Stdout, *lease, bus)

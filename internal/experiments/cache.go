@@ -1,9 +1,9 @@
 // Disk-backed memoization for the experiment harness.
 //
 // Every figure and sweep point runs in this process; a content-addressed
-// result cache (Runner.Cache, WithCache) may sit in front of the
-// simulation so repeated or interrupted runs replay finished points
-// instead of simulating them. The cache is deterministic — it replays the
+// result cache (Runner.Cache) may sit in front of the simulation so
+// repeated or interrupted runs replay finished points instead of
+// simulating them. The cache is deterministic — it replays the
 // bit-identical stats the point produced — so output does not depend on
 // whether it is attached.
 package experiments
@@ -11,27 +11,28 @@ package experiments
 import (
 	"rccsim/internal/config"
 	"rccsim/internal/energy"
-	"rccsim/internal/resultcache"
+	"rccsim/internal/obs"
 	"rccsim/internal/sim"
+	"rccsim/internal/trace"
 	"rccsim/internal/workload"
 )
 
-// WithCache serves every point of a sweep from c when c holds it and
-// stores every freshly simulated point. A hit never runs a local machine,
-// so WithPointTracer and WithPointHeat are ignored when a cache is set
-// (the CLIs reject the flag combinations up front).
-func WithCache(c *resultcache.Cache) RunOpt {
-	return func(o *runOpts) { o.cache = c }
-}
-
-// runCached simulates b under cfg, or replays it from c on a hit; a nil c
-// always simulates. Hits rebuild the full sim.Result from the stored
-// stats: Energy is a pure function of (config, stats), so nothing else
-// needs storing. Errors are never cached — a failed point is retried on
-// the next run.
-func runCached(c *resultcache.Cache, cfg config.Config, b workload.Benchmark) (sim.Result, error) {
+// simulate runs b under cfg, or replays it from r.Cache on a hit. Hits
+// rebuild the full sim.Result from the stored stats: Energy is a pure
+// function of (config, stats), so nothing else needs storing. Errors are
+// never cached — a failed point is retried on the next run. Without a
+// Cache, sweep point i (i >= 0) runs with the observers r.Attach(i)
+// returns; with one, Attach is never called, because a hit runs no
+// machine to host them (rccsweep rejects the flag combination).
+func (r *Runner) simulate(point int, cfg config.Config, b workload.Benchmark) (sim.Result, error) {
+	c := r.Cache
 	if c == nil {
-		return sim.RunBenchmark(cfg, b)
+		var bus *trace.Bus
+		var heat *obs.Heat
+		if r.Attach != nil && point >= 0 {
+			bus, heat = r.Attach(point)
+		}
+		return sim.RunBenchmarkSpanned(cfg, b, bus, heat, nil)
 	}
 	key := c.Key(cfg, b.Name)
 	if st, ok := c.Get(key); ok {

@@ -147,7 +147,7 @@ func TestCachedExecutorBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSweepWithExecutorMatchesDirect runs a sweep through WithCache
+// TestSweepWithExecutorMatchesDirect runs a sweep through Runner.Cache
 // (cold cache, then warm cache) and requires rows identical to the direct
 // in-process path — the "byte-identical to -j sequential output" rule,
 // checked at the row level the CLI formats from.
@@ -160,15 +160,20 @@ func TestSweepWithExecutorMatchesDirect(t *testing.T) {
 	b := tinyBench(t)
 	leases := []uint64{8, 64}
 
-	direct, err := LeaseSweep(base, b, leases, 4)
+	cached := func() *Runner {
+		r := NewRunnerJobs(base, 4)
+		r.Cache = cache
+		return r
+	}
+	direct, err := NewRunnerJobs(base, 4).LeaseSweep(b, leases)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := LeaseSweep(base, b, leases, 4, WithCache(cache))
+	cold, err := cached().LeaseSweep(b, leases)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := LeaseSweep(base, b, leases, 4, WithCache(cache))
+	warm, err := cached().LeaseSweep(b, leases)
 	if err != nil {
 		t.Fatal(err)
 	}

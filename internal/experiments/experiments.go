@@ -6,8 +6,9 @@
 // complexity table (Table V).
 //
 // A Runner memoizes (protocol, benchmark) simulations so figures that
-// share runs (e.g. Fig 8 and Fig 9) pay for them once, and fans
-// independent simulations out across a worker pool (see parallel.go).
+// share runs (e.g. Fig 8 and Fig 9) pay for them once, runs the parameter
+// sweeps (sweeps.go), and fans independent simulations out across a
+// worker pool (see parallel.go).
 package experiments
 
 import (
@@ -17,14 +18,18 @@ import (
 	"sync/atomic"
 
 	"rccsim/internal/config"
+	"rccsim/internal/obs"
 	"rccsim/internal/resultcache"
 	"rccsim/internal/sim"
 	"rccsim/internal/stats"
+	"rccsim/internal/trace"
 	"rccsim/internal/workload"
 )
 
-// Runner executes and caches benchmark simulations for one base machine
-// configuration, running up to Jobs simulations concurrently. It is safe
+// Runner is the one run context for figures and sweeps: it executes
+// benchmark simulations for one base machine configuration, up to Jobs
+// at a time, under one set of hooks. Figure points are memoized in
+// memory; sweep points (LeaseSweep, WarpSweep, ...) are not. It is safe
 // for concurrent use: the memo cache dedupes in-flight runs, so figures
 // requested from several goroutines still pay for each shared simulation
 // once.
@@ -38,24 +43,34 @@ type Runner struct {
 	// output does not depend on whether a cache is attached.
 	Cache *resultcache.Cache
 
-	// Progress, when non-nil, is invoked after each simulation a Preload
-	// batch completes (done so far, batch total, completed point's
-	// "benchmark/protocol" label). It runs on worker goroutines in
-	// completion order and must only drive side channels like stderr (see
-	// StderrProgress); it never affects results.
+	// Progress, when non-nil, is invoked after each point a Preload batch
+	// or a sweep completes (done so far, batch total, completed point's
+	// label). It runs on worker goroutines in completion order and must
+	// only drive side channels like stderr (see StderrProgress); it never
+	// affects results.
 	Progress func(done, total int, label string)
 
 	// Started and Observe, when non-nil, bracket each point the Runner
 	// runs: Started fires as the point begins, Observe when it completes
-	// with the finished stats (nil on failure). Memo hits in the
+	// with the finished stats (nil on failure). Figure points are
+	// labelled "bench/protocol" plus any ablation suffix, sweep points
+	// "bench/protocol@i" with i the point's input index. Memo hits in the
 	// in-memory cache invoke neither (the point is not run again), but
 	// hits in the disk Cache DO fire both — a warm-cache sweep still
 	// ticks every progress and tracker counter, so /runs ETAs stay finite
-	// (see cache_test.go). Both run
-	// on worker goroutines — side channels only (e.g.
-	// obs.Tracker.Begin/Done).
+	// (see cache_test.go). Both run on worker goroutines — side channels
+	// only (e.g. obs.Tracker.Begin/Done, ledger.Collector.Observe).
 	Started func(label string)
 	Observe func(label string, st *stats.Run)
+
+	// Attach, when non-nil, supplies the event bus and contention sketch
+	// (either may be nil) attached to sweep point i's machine. It is
+	// called from worker goroutines, and each returned observer must be
+	// used by that point alone: sharing one between two points is a data
+	// race. Hand out one buffering bus and one sketch per point and
+	// replay/merge them in point order after the sweep, so the output is
+	// independent of Jobs. Figure points and Cache runs never call it.
+	Attach func(point int) (*trace.Bus, *obs.Heat)
 
 	mu    sync.Mutex
 	cache map[cacheKey]*flight

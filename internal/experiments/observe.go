@@ -1,12 +1,12 @@
-// Observability hooks for the experiment harness: sweep/preload progress
-// reporting, per-point event tracing, and per-point contention sampling.
+// Progress reporting for the experiment harness.
 //
-// Determinism note: progress callbacks fire from worker goroutines in
-// completion order (non-deterministic under jobs > 1) and must only drive
-// side channels like stderr. Trace buses and heat sketches, by contrast,
-// are handed out one per point and each is driven only by that point's
-// single-threaded machine, so replaying/merging them in input order after
-// the sweep yields output independent of the jobs setting.
+// Determinism note: the Runner's Progress, Started and Observe hooks fire
+// from worker goroutines in completion order (non-deterministic under
+// Jobs > 1) and must only drive side channels like stderr. The trace
+// buses and heat sketches Runner.Attach hands out, by contrast, are one
+// per sweep point and each is driven only by that point's single-threaded
+// machine, so replaying/merging them in point order after the sweep
+// yields output independent of Jobs.
 package experiments
 
 import (
@@ -14,69 +14,7 @@ import (
 	"io"
 	"sync"
 	"time"
-
-	"rccsim/internal/obs"
-	"rccsim/internal/resultcache"
-	"rccsim/internal/stats"
-	"rccsim/internal/trace"
 )
-
-// RunOpt configures one sweep/runAll invocation.
-type RunOpt func(*runOpts)
-
-type runOpts struct {
-	progress func(done, total int, label string)
-	begin    func(point int, label string)
-	done     func(point int, label string, st *stats.Run)
-	tracer   func(point int) *trace.Bus
-	heat     func(point int) *obs.Heat
-	cache    *resultcache.Cache
-}
-
-func applyOpts(opts []RunOpt) runOpts {
-	var o runOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return o
-}
-
-// WithProgress invokes fn after each completed point with the number of
-// points finished so far, the total, and the completed point's
-// "benchmark/protocol" label. fn must be safe to call from multiple
-// goroutines (StderrProgress is).
-func WithProgress(fn func(done, total int, label string)) RunOpt {
-	return func(o *runOpts) { o.progress = fn }
-}
-
-// WithPointBegin invokes fn when point i starts executing (e.g. to mark it
-// in-flight in an obs.Tracker). fn runs on worker goroutines.
-func WithPointBegin(fn func(point int, label string)) RunOpt {
-	return func(o *runOpts) { o.begin = fn }
-}
-
-// WithPointDone invokes fn when point i completes, with its finished stats
-// (nil if the run failed). fn runs on worker goroutines.
-func WithPointDone(fn func(point int, label string, st *stats.Run)) RunOpt {
-	return func(o *runOpts) { o.done = fn }
-}
-
-// WithPointTracer attaches the event bus returned by fn(i) to point i's
-// machine for the duration of its run. fn is called from worker
-// goroutines but each returned bus is used by exactly one machine;
-// returning a shared bus for two points is a data race. Hand out one
-// buffering bus per point (trace.BufferSink) and replay them in point
-// order after the sweep to keep trace output independent of jobs.
-func WithPointTracer(fn func(point int) *trace.Bus) RunOpt {
-	return func(o *runOpts) { o.tracer = fn }
-}
-
-// WithPointHeat attaches the contention sketch returned by fn(i) to point
-// i's machine. The same ownership rule as WithPointTracer applies: one
-// sketch per point, merged (obs.Heat.Merge) in point order afterwards.
-func WithPointHeat(fn func(point int) *obs.Heat) RunOpt {
-	return func(o *runOpts) { o.heat = fn }
-}
 
 // StderrProgress returns a progress callback that rewrites one status
 // line on w (normally os.Stderr) with points done/total, throughput, a

@@ -2,18 +2,21 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"rccsim/internal/config"
+	"rccsim/internal/obs"
 	"rccsim/internal/trace"
 	"rccsim/internal/workload"
 )
 
-// traceLeaseSweep runs a small LeaseSweep with a per-point buffering
-// tracer and returns the buffers replayed in point order as JSONL — the
-// same recipe cmd/rccsweep -trace uses.
+// traceLeaseSweep runs a small LeaseSweep with a per-point buffering bus
+// from Runner.Attach and returns the buffers replayed in point order as
+// JSONL — the same recipe cmd/rccsweep -trace uses.
 func traceLeaseSweep(t *testing.T, jobs int) []byte {
 	t.Helper()
 	base := config.Small()
@@ -24,15 +27,15 @@ func traceLeaseSweep(t *testing.T, jobs int) []byte {
 	}
 	var mu sync.Mutex
 	bufs := map[int]*trace.BufferSink{}
-	_, err := LeaseSweep(base, b, []uint64{8, 64, 512}, jobs,
-		WithPointTracer(func(point int) *trace.Bus {
-			buf := &trace.BufferSink{}
-			mu.Lock()
-			bufs[point] = buf
-			mu.Unlock()
-			return trace.NewBus(buf)
-		}))
-	if err != nil {
+	r := NewRunnerJobs(base, jobs)
+	r.Attach = func(point int) (*trace.Bus, *obs.Heat) {
+		buf := &trace.BufferSink{}
+		mu.Lock()
+		bufs[point] = buf
+		mu.Unlock()
+		return trace.NewBus(buf), nil
+	}
+	if _, err := r.LeaseSweep(b, []uint64{8, 64, 512}); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
@@ -68,34 +71,32 @@ func TestSweepTraceDeterminism(t *testing.T) {
 	}
 }
 
-// TestProgressCallback checks progress fires once per point and ends at
-// done == total, for both sweeps (WithProgress) and Runner preloads.
+// TestProgressCallback checks sweep progress fires once per point, under
+// the point's "bench/protocol@i" label, and ends at done == total.
 func TestProgressCallback(t *testing.T) {
 	base := config.Small()
 	base.Scale = 0.05
 	b, _ := workload.ByName("BH")
 	var mu sync.Mutex
 	var calls []int
-	var labels []string
+	labels := map[string]bool{}
 	total := -1
-	_, err := LeaseSweep(base, b, []uint64{8, 64}, 2,
-		WithProgress(func(done, tot int, label string) {
-			mu.Lock()
-			calls = append(calls, done)
-			labels = append(labels, label)
-			total = tot
-			mu.Unlock()
-		}))
-	if err != nil {
+	r := NewRunnerJobs(base, 2)
+	r.Progress = func(done, tot int, label string) {
+		mu.Lock()
+		calls = append(calls, done)
+		labels[label] = true
+		total = tot
+		mu.Unlock()
+	}
+	if _, err := r.LeaseSweep(b, []uint64{8, 64}); err != nil {
 		t.Fatal(err)
 	}
 	if len(calls) != 2 || total != 2 {
 		t.Fatalf("progress calls %v (total %d), want 2 calls with total 2", calls, total)
 	}
-	for _, l := range labels {
-		if l != "BH/RCC" {
-			t.Fatalf("progress label %q, want BH/RCC", l)
-		}
+	if !labels["BH/RCC@0"] || !labels["BH/RCC@1"] {
+		t.Fatalf("progress labels %v, want BH/RCC@0 and BH/RCC@1", labels)
 	}
 	seen := map[int]bool{}
 	for _, d := range calls {
@@ -122,5 +123,28 @@ func TestStderrProgress(t *testing.T) {
 	}
 	if !strings.HasSuffix(out, "\n") {
 		t.Fatalf("no final newline after completion: %q", out)
+	}
+}
+
+// TestSweepPointLabels: concurrent sweep points begin under distinct
+// labels, so an obs.Tracker (keyed by label) holds all of them in flight.
+func TestSweepPointLabels(t *testing.T) {
+	base := config.Small()
+	base.Scale = 0.05
+	b, _ := workload.ByName("BH")
+	var mu sync.Mutex
+	var started []string
+	r := NewRunnerJobs(base, 3)
+	r.Started = func(label string) {
+		mu.Lock()
+		started = append(started, label)
+		mu.Unlock()
+	}
+	if _, err := r.LeaseSweep(b, []uint64{8, 64, 512}); err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(started)
+	if want := []string{"BH/RCC@0", "BH/RCC@1", "BH/RCC@2"}; !reflect.DeepEqual(started, want) {
+		t.Fatalf("Started labels %v, want %v", started, want)
 	}
 }

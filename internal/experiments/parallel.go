@@ -18,9 +18,7 @@ import (
 	"sync/atomic"
 
 	"rccsim/internal/config"
-	"rccsim/internal/obs"
 	"rccsim/internal/sim"
-	"rccsim/internal/trace"
 	"rccsim/internal/workload"
 )
 
@@ -70,14 +68,10 @@ func crossReqs(ps []config.Protocol, bs []workload.Benchmark) []Request {
 // while row assembly stays a cheap, deterministic sequential loop over the
 // now-warm cache.
 func (r *Runner) Preload(reqs []Request) error {
-	var done atomic.Int64
-	return parallelDo(len(reqs), len(reqs), func(i int) error {
+	return r.each(len(reqs), len(reqs), func(i int) (string, error) {
 		q := reqs[i]
 		_, err := r.resultOpt(q.Protocol, q.Bench, q.Renew, q.Predictor)
-		if r.Progress != nil {
-			r.Progress(int(done.Add(1)), len(reqs), ablationLabel(q.Bench.Name, q.Protocol, q.Renew, q.Predictor))
-		}
-		return err
+		return ablationLabel(q.Bench.Name, q.Protocol, q.Renew, q.Predictor), err
 	})
 }
 
@@ -97,23 +91,45 @@ func (r *Runner) resultOpt(p config.Protocol, b workload.Benchmark, renew, pred 
 	r.cache[key] = f
 	r.mu.Unlock()
 
-	r.sem <- struct{}{} // bound concurrent simulations to Jobs
 	cfg := r.Base
 	cfg.Protocol = p
 	cfg.RCCRenew = renew
 	cfg.RCCPredictor = pred
-	label := ablationLabel(b.Name, p, renew, pred)
+	f.res, f.err = r.runPoint(ablationLabel(b.Name, p, renew, pred), -1, cfg, b)
+	close(f.done)
+	return f.res, f.err
+}
+
+// runPoint runs one labelled point, bounded with every other point of the
+// Runner to Jobs at a time: Started fires as it begins and Observe as it
+// ends, with the finished stats (nil on failure). point is the sweep
+// point's index, or -1 for a memoized figure point.
+func (r *Runner) runPoint(label string, point int, cfg config.Config, b workload.Benchmark) (sim.Result, error) {
+	r.sem <- struct{}{}
 	if r.Started != nil {
 		r.Started(label)
 	}
-	f.res, f.err = runCached(r.Cache, cfg, b)
+	res, err := r.simulate(point, cfg, b)
 	if r.Observe != nil {
-		r.Observe(label, f.res.Stats) // Stats is nil on error
+		r.Observe(label, res.Stats) // Stats is nil on error
 	}
 	r.runs.Add(1)
 	<-r.sem
-	close(f.done)
-	return f.res, f.err
+	return res, err
+}
+
+// each invokes f(0..n-1) on at most workers goroutines, reporting every
+// finished call to Progress under the label f returns, and returns the
+// lowest-index error.
+func (r *Runner) each(workers, n int, f func(i int) (label string, err error)) error {
+	var done atomic.Int64
+	return parallelDo(workers, n, func(i int) error {
+		label, err := f(i)
+		if r.Progress != nil {
+			r.Progress(int(done.Add(1)), n, label)
+		}
+		return err
+	})
 }
 
 // pointLabel names one simulation point for progress and /runs reporting.
@@ -180,44 +196,18 @@ func parallelDo(jobs, n int, f func(i int) error) error {
 	return nil
 }
 
-// runAll simulates b under each config with at most jobs concurrent
-// workers, returning results in input order. Used by the parameter sweeps,
-// whose points differ in fields outside the Runner's cache key. Options
-// attach progress reporting and per-point tracing (observe.go).
-func runAll(cfgs []config.Config, b workload.Benchmark, jobs int, opts ...RunOpt) ([]sim.Result, error) {
-	o := applyOpts(opts)
+// sweep simulates b under each config, bypassing the in-memory memo
+// (sweep points differ in fields outside its key), and returns the
+// results in input order. Point i is labelled "bench/protocol@i", so
+// concurrent points stay distinct in /runs and in ledger entries. With
+// Jobs == 1 the points run strictly in order.
+func (r *Runner) sweep(b workload.Benchmark, cfgs []config.Config) ([]sim.Result, error) {
 	out := make([]sim.Result, len(cfgs))
-	var done atomic.Int64
-	err := parallelDo(jobs, len(cfgs), func(i int) error {
-		label := pointLabel(b.Name, cfgs[i].Protocol)
-		if o.begin != nil {
-			o.begin(i, label)
-		}
-		var res sim.Result
+	err := r.each(r.Jobs, len(cfgs), func(i int) (string, error) {
+		label := fmt.Sprintf("%s@%d", pointLabel(b.Name, cfgs[i].Protocol), i)
 		var err error
-		if o.cache != nil {
-			// A cache hit runs no local machine to host a trace bus or
-			// heat sketch; the CLIs reject the combination.
-			res, err = runCached(o.cache, cfgs[i], b)
-		} else {
-			var bus *trace.Bus
-			if o.tracer != nil {
-				bus = o.tracer(i)
-			}
-			var heat *obs.Heat
-			if o.heat != nil {
-				heat = o.heat(i)
-			}
-			res, err = sim.RunBenchmarkObserved(cfgs[i], b, bus, heat)
-		}
-		out[i] = res
-		if o.done != nil {
-			o.done(i, label, res.Stats) // Stats is nil on error
-		}
-		if o.progress != nil {
-			o.progress(int(done.Add(1)), len(cfgs), label)
-		}
-		return err
+		out[i], err = r.runPoint(label, i, cfgs[i], b)
+		return label, err
 	})
 	if err != nil {
 		return nil, err

@@ -88,11 +88,11 @@ func TestConcurrentFiguresShareRuns(t *testing.T) {
 func TestSweepParallelDeterminism(t *testing.T) {
 	cfg, b := sweepBench(t)
 	leases := []uint64{8, 64, 512}
-	seqRows, err := LeaseSweep(cfg, b, leases, 1)
+	seqRows, err := NewRunnerJobs(cfg, 1).LeaseSweep(b, leases)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parRows, err := LeaseSweep(cfg, b, leases, 4)
+	parRows, err := NewRunnerJobs(cfg, 4).LeaseSweep(b, leases)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,12 +5,12 @@ import (
 	"rccsim/internal/workload"
 )
 
-// The sweeps vary config fields outside the Runner's cache key (lease,
+// The sweeps vary config fields outside the Runner's memo key (lease,
 // warps, timestamp width, scheduler), so they do not memoize; instead each
-// builds its point configs up front and fans the independent simulations
-// out through runAll, which preserves input order so rows are identical to
-// a sequential run. jobs <= 0 means one worker per CPU; jobs == 1 is
-// strictly sequential.
+// builds its point configs from r.Base up front and fans the independent
+// simulations out through r.sweep, which runs them under the Runner's
+// Jobs, Cache and hooks and preserves input order, so rows are identical
+// to a sequential run.
 
 // LeaseSweepRow is one point of the fixed-lease sweep (Sec. III-E: the
 // paper found the spread among fixed leases negligible because logical
@@ -23,17 +23,17 @@ type LeaseSweepRow struct {
 }
 
 // LeaseSweep runs benchmark b under RCC with the predictor disabled for
-// each fixed lease value, jobs points at a time.
-func LeaseSweep(base config.Config, b workload.Benchmark, leases []uint64, jobs int, opts ...RunOpt) ([]LeaseSweepRow, error) {
+// each fixed lease value.
+func (r *Runner) LeaseSweep(b workload.Benchmark, leases []uint64) ([]LeaseSweepRow, error) {
 	cfgs := make([]config.Config, len(leases))
 	for i, lease := range leases {
-		cfg := base
+		cfg := r.Base
 		cfg.Protocol = config.RCC
 		cfg.RCCPredictor = false
 		cfg.RCCFixedLease = lease
 		cfgs[i] = cfg
 	}
-	results, err := runAll(cfgs, b, jobs, opts...)
+	results, err := r.sweep(b, cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -58,17 +58,16 @@ type WarpSweepRow struct {
 	StallCycles uint64
 }
 
-// WarpSweep runs benchmark b under RCC-SC for each warps-per-SM count,
-// jobs points at a time.
-func WarpSweep(base config.Config, b workload.Benchmark, warps []int, jobs int, opts ...RunOpt) ([]WarpSweepRow, error) {
+// WarpSweep runs benchmark b under RCC-SC for each warps-per-SM count.
+func (r *Runner) WarpSweep(b workload.Benchmark, warps []int) ([]WarpSweepRow, error) {
 	cfgs := make([]config.Config, len(warps))
 	for i, w := range warps {
-		cfg := base
+		cfg := r.Base
 		cfg.Protocol = config.RCC
 		cfg.WarpsPerSM = w
 		cfgs[i] = cfg
 	}
-	results, err := runAll(cfgs, b, jobs, opts...)
+	results, err := r.sweep(b, cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -94,17 +93,16 @@ type TCLeaseSweepRow struct {
 	L1HitRate   float64
 }
 
-// TCLeaseSweep runs benchmark b under TC-Strong for each lease duration,
-// jobs points at a time.
-func TCLeaseSweep(base config.Config, b workload.Benchmark, leases []uint64, jobs int, opts ...RunOpt) ([]TCLeaseSweepRow, error) {
+// TCLeaseSweep runs benchmark b under TC-Strong for each lease duration.
+func (r *Runner) TCLeaseSweep(b workload.Benchmark, leases []uint64) ([]TCLeaseSweepRow, error) {
 	cfgs := make([]config.Config, len(leases))
 	for i, lease := range leases {
-		cfg := base
+		cfg := r.Base
 		cfg.Protocol = config.TCS
 		cfg.TCLease = lease
 		cfgs[i] = cfg
 	}
-	results, err := runAll(cfgs, b, jobs, opts...)
+	results, err := r.sweep(b, cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -134,14 +132,13 @@ type TSBitsSweepRow struct {
 	Stall     uint64
 }
 
-// TSBitsSweep runs benchmark b under RCC for each timestamp width, jobs
-// points at a time. Widths too narrow for the configured maximum lease are
-// skipped.
-func TSBitsSweep(base config.Config, b workload.Benchmark, bits []uint, jobs int, opts ...RunOpt) ([]TSBitsSweepRow, error) {
+// TSBitsSweep runs benchmark b under RCC for each timestamp width. Widths
+// too narrow for the configured maximum lease are skipped.
+func (r *Runner) TSBitsSweep(b workload.Benchmark, bits []uint) ([]TSBitsSweepRow, error) {
 	var kept []uint
 	var cfgs []config.Config
 	for _, n := range bits {
-		cfg := base
+		cfg := r.Base
 		cfg.Protocol = config.RCC
 		cfg.RCCTSMax = (uint64(1) << n) - 1
 		if cfg.RCCTSMax < 4*cfg.RCCMaxLease {
@@ -150,7 +147,7 @@ func TSBitsSweep(base config.Config, b workload.Benchmark, bits []uint, jobs int
 		kept = append(kept, n)
 		cfgs = append(cfgs, cfg)
 	}
-	results, err := runAll(cfgs, b, jobs, opts...)
+	results, err := r.sweep(b, cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -175,10 +172,9 @@ type SchedSweepRow struct {
 	StallCycles uint64
 }
 
-// SchedulerSweep runs benchmark b under each (scheduler, protocol) pair,
-// jobs points at a time — a sensitivity study for the Table III "loose
-// round-robin" choice.
-func SchedulerSweep(base config.Config, b workload.Benchmark, protocols []config.Protocol, jobs int, opts ...RunOpt) ([]SchedSweepRow, error) {
+// SchedulerSweep runs benchmark b under each (scheduler, protocol) pair —
+// a sensitivity study for the Table III "loose round-robin" choice.
+func (r *Runner) SchedulerSweep(b workload.Benchmark, protocols []config.Protocol) ([]SchedSweepRow, error) {
 	type point struct {
 		sched config.Scheduler
 		proto config.Protocol
@@ -187,14 +183,14 @@ func SchedulerSweep(base config.Config, b workload.Benchmark, protocols []config
 	var cfgs []config.Config
 	for _, sched := range []config.Scheduler{config.LRR, config.GTO} {
 		for _, p := range protocols {
-			cfg := base
+			cfg := r.Base
 			cfg.Scheduler = sched
 			cfg.Protocol = p
 			points = append(points, point{sched, p})
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, err := runAll(cfgs, b, jobs, opts...)
+	results, err := r.sweep(b, cfgs)
 	if err != nil {
 		return nil, err
 	}

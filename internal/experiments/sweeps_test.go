@@ -18,7 +18,7 @@ func sweepBench(t *testing.T) (config.Config, workload.Benchmark) {
 
 func TestLeaseSweep(t *testing.T) {
 	cfg, b := sweepBench(t)
-	rows, err := LeaseSweep(cfg, b, []uint64{8, 64, 512}, 2)
+	rows, err := NewRunnerJobs(cfg, 2).LeaseSweep(b, []uint64{8, 64, 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestLeaseSweep(t *testing.T) {
 
 func TestWarpSweep(t *testing.T) {
 	cfg, b := sweepBench(t)
-	rows, err := WarpSweep(cfg, b, []int{2, 8}, 2)
+	rows, err := NewRunnerJobs(cfg, 2).WarpSweep(b, []int{2, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestWarpSweep(t *testing.T) {
 
 func TestTCLeaseSweep(t *testing.T) {
 	cfg, b := sweepBench(t)
-	rows, err := TCLeaseSweep(cfg, b, []uint64{100, 1600}, 2)
+	rows, err := NewRunnerJobs(cfg, 2).TCLeaseSweep(b, []uint64{100, 1600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestTSBitsSweep(t *testing.T) {
 	cfg, b := sweepBench(t)
 	cfg.Scale = 0.5
 	cfg.RCCMaxLease = 2047 // so a 13-bit width is (just) legal
-	rows, err := TSBitsSweep(cfg, b, []uint{12, 13, 32}, 2)
+	rows, err := NewRunnerJobs(cfg, 2).TSBitsSweep(b, []uint{12, 13, 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestTSBitsSweep(t *testing.T) {
 
 func TestSchedulerSweep(t *testing.T) {
 	cfg, b := sweepBench(t)
-	rows, err := SchedulerSweep(cfg, b, []config.Protocol{config.RCC, config.MESI}, 2)
+	rows, err := NewRunnerJobs(cfg, 2).SchedulerSweep(b, []config.Protocol{config.RCC, config.MESI})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,7 +144,7 @@ type HeatLine struct {
 // stable stats wire encoding (hex), plus the optional span-percentile and
 // heat-line sketches when the producing run recorded them.
 type RunRec struct {
-	Label string           `json:"label"` // "bench/protocol[/-renew][/-pred]" or "label@point"
+	Label string           `json:"label"` // "bench/protocol[/-renew][/-pred]", or "bench/protocol@i" for sweep point i
 	Stats string           `json:"stats"` // hex of stats.Run.WireBytes()
 	Spans map[string]SpanQ `json:"spans,omitempty"`
 	Heat  []HeatLine       `json:"heat,omitempty"`
@@ -489,9 +489,9 @@ func SpanPercentiles(s span.Summary) map[string]SpanQ {
 
 // Collector accumulates finished simulation points for one ledger entry.
 // Observe hooks fire from worker goroutines in completion order; the
-// collector keys by label (Runner points — unique by the memoized cache
-// key) or by explicit point index (sweeps) and sorts on output, so the
-// recorded entry is independent of -j scheduling.
+// collector keys by label and sorts on output, so the recorded entry is
+// independent of -j scheduling. Runner labels are unique per point: figure
+// points by their memo key, sweep points by their "@i" input index.
 type Collector struct {
 	mu   sync.Mutex
 	runs map[string]*stats.Run
@@ -515,13 +515,6 @@ func (c *Collector) Observe(label string, st *stats.Run) {
 		c.runs[label] = st
 	}
 	c.mu.Unlock()
-}
-
-// ObservePoint records a sweep point under "label@point": sweep points
-// may share a (bench, protocol) label while differing in swept config, so
-// the input-order index disambiguates deterministically.
-func (c *Collector) ObservePoint(point int, label string, st *stats.Run) {
-	c.Observe(fmt.Sprintf("%s@%d", label, point), st)
 }
 
 // Len returns how many points have been collected.

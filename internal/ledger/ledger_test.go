@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -271,7 +272,7 @@ func TestCollectorDeterminism(t *testing.T) {
 			st := stats.New()
 			st.Cycles = uint64(100 + i)
 			st.CycleAccount[stats.CatIssued] = uint64(100+i) * 2
-			c.ObservePoint(i, "BH/RCC", st)
+			c.Observe(fmt.Sprintf("BH/RCC@%d", i), st)
 		}
 		return c.RunRecs()
 	}

@@ -767,26 +767,13 @@ type Result struct {
 
 // RunBenchmark generates and executes benchmark b under cfg.
 func RunBenchmark(cfg config.Config, b workload.Benchmark) (Result, error) {
-	return RunBenchmarkTraced(cfg, b, nil)
+	return RunBenchmarkSpanned(cfg, b, nil, nil, nil)
 }
 
-// RunBenchmarkTraced is RunBenchmark with an event bus attached for the
-// duration of the run (nil tr is equivalent to RunBenchmark). The caller
-// keeps ownership of the bus and closes it after inspecting the result.
-func RunBenchmarkTraced(cfg config.Config, b workload.Benchmark, tr *trace.Bus) (Result, error) {
-	return RunBenchmarkObserved(cfg, b, tr, nil)
-}
-
-// RunBenchmarkObserved is RunBenchmarkTraced with a contention sketch
-// attached as well (nil heat disables sampling). The caller keeps
-// ownership of both and inspects them after the run.
-func RunBenchmarkObserved(cfg config.Config, b workload.Benchmark, tr *trace.Bus, heat *obs.Heat) (Result, error) {
-	return RunBenchmarkSpanned(cfg, b, tr, heat, nil)
-}
-
-// RunBenchmarkSpanned is RunBenchmarkObserved with a causal-span recorder
-// attached as well (nil disables span recording). The caller keeps
-// ownership and summarizes the recorder after the run.
+// RunBenchmarkSpanned is RunBenchmark with observers attached for the
+// duration of the run: an event bus, a contention sketch and a
+// causal-span recorder, any of which may be nil. The caller keeps
+// ownership of all three and closes/summarizes them after the run.
 func RunBenchmarkSpanned(cfg config.Config, b workload.Benchmark, tr *trace.Bus, heat *obs.Heat, sp *span.Recorder) (Result, error) {
 	prog := b.Generate(cfg)
 	m, err := New(cfg, prog, nil)

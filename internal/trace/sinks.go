@@ -10,6 +10,19 @@ import (
 	"rccsim/internal/timing"
 )
 
+// SinkFor returns the constructor of the file sink named by format,
+// "jsonl" or "perfetto". Resolve the format before creating the output
+// file, so an unknown format leaves an existing file untouched.
+func SinkFor(format string) (func(w io.Writer) Sink, error) {
+	switch format {
+	case "jsonl":
+		return func(w io.Writer) Sink { return NewJSONLSink(w) }, nil
+	case "perfetto":
+		return func(w io.Writer) Sink { return NewPerfettoSink(w) }, nil
+	}
+	return nil, fmt.Errorf("unknown trace format %q (want jsonl or perfetto)", format)
+}
+
 // JSONLSink writes one JSON object per event, one per line, with a fixed
 // field order so output is grep-friendly and byte-stable for golden-file
 // tests. The encoder is hand-rolled (strconv into a reused buffer): the

@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -198,6 +200,34 @@ func TestPerfettoValidJSON(t *testing.T) {
 	// 7 process_name metadata records, then B/E/i.
 	if want := "MMMMMMMBEi"; got != want {
 		t.Fatalf("phase sequence %q, want %q", got, want)
+	}
+}
+
+// TestSinkFor maps each -trace-format name to its sink type and rejects
+// any other name before a writer is ever needed.
+func TestSinkFor(t *testing.T) {
+	for _, tc := range []struct {
+		format string
+		want   string // %T of the built sink; "" = error
+	}{
+		{"jsonl", "*trace.JSONLSink"},
+		{"perfetto", "*trace.PerfettoSink"},
+		{"bogus", ""},
+		{"JSONL", ""},
+	} {
+		mk, err := SinkFor(tc.format)
+		if tc.want == "" {
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(tc.format)) {
+				t.Errorf("SinkFor(%q) err = %v, want an error naming the format", tc.format, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("SinkFor(%q): %v", tc.format, err)
+		}
+		if got := fmt.Sprintf("%T", mk(&bytes.Buffer{})); got != tc.want {
+			t.Errorf("SinkFor(%q) built %s, want %s", tc.format, got, tc.want)
+		}
 	}
 }
 

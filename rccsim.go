@@ -145,20 +145,10 @@ func NewIntervalTraceSink(dst TraceSink, interval uint64) TraceSink {
 }
 
 // Run generates benchmark name under cfg, simulates it to completion, and
-// returns the statistics and interconnect energy.
+// returns the statistics and interconnect energy. RunSpanned is the same
+// with observers attached.
 func Run(cfg Config, name string) (Result, error) {
-	return RunTraced(cfg, name, nil)
-}
-
-// RunTraced is Run with an event bus attached for the duration of the
-// simulation (nil tr is equivalent to Run). The caller keeps ownership
-// of the bus and closes it after the run.
-func RunTraced(cfg Config, name string, tr *TraceBus) (Result, error) {
-	b, ok := workload.ByName(name)
-	if !ok {
-		return Result{}, fmt.Errorf("rccsim: unknown benchmark %q", name)
-	}
-	return sim.RunBenchmarkTraced(cfg, b, tr)
+	return RunSpanned(cfg, name, nil, nil, nil)
 }
 
 // RunProgram simulates an arbitrary user-supplied program. ob may be nil.
@@ -203,20 +193,16 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 type RunTracker = obs.Tracker
 
 // NewRunTracker wires a tracker into reg. Hook it to a Runner via the
-// Started/Observe fields, or to sweeps via the WithPoint* options.
+// Started/Observe fields, which fire for figure and sweep points alike.
 func NewRunTracker(reg *MetricsRegistry) *RunTracker { return obs.NewTracker(reg) }
 
-// ServeIntrospection serves /metrics, /runs, /healthz and /debug/pprof on
-// addr in a background goroutine, returning the bound address. tr may be
-// nil (no /runs endpoint).
-func ServeIntrospection(addr string, reg *MetricsRegistry, tr *RunTracker) (string, error) {
-	return obs.Serve(addr, obs.Mounts{Registry: reg, Tracker: tr})
-}
-
-// RunObserved is RunTraced with a contention sketch also attached; either
-// tr or heat may be nil.
-func RunObserved(cfg Config, name string, tr *TraceBus, heat *Heat) (Result, error) {
-	return RunSpanned(cfg, name, tr, heat, nil)
+// ServeIntrospection serves /metrics, /runs, /spans, /healthz and
+// /debug/pprof on addr in a background goroutine, returning the bound
+// address. tr and sp may be nil: a nil tr serves no /runs and a nil sp no
+// /spans (404). /spans serves sp's summary as JSON (?top=N selects the
+// slowest-op count).
+func ServeIntrospection(addr string, reg *MetricsRegistry, tr *RunTracker, sp *SpanRecorder) (string, error) {
+	return obs.Serve(addr, obs.Mounts{Registry: reg, Tracker: tr, Spans: sp})
 }
 
 // SpanRecorder samples causal spans: per-op latency waterfalls whose
@@ -238,9 +224,11 @@ type SpanSummary = span.Summary
 // ops). every <= 0 returns nil (recording off).
 func NewSpanRecorder(every int) *SpanRecorder { return span.NewRecorder(every) }
 
-// RunSpanned is RunObserved with a causal-span recorder also attached; any
-// of tr, heat, sp may be nil. Attaching a recorder never changes simulated
-// results.
+// RunSpanned is Run with an event bus, a contention sketch and a
+// causal-span recorder attached for the duration of the simulation; any
+// of tr, heat, sp may be nil. The caller keeps ownership of all three
+// (closing the bus, summarizing the recorder) after the run. Attaching
+// observers never changes simulated results.
 func RunSpanned(cfg Config, name string, tr *TraceBus, heat *Heat, sp *SpanRecorder) (Result, error) {
 	b, ok := workload.ByName(name)
 	if !ok {
@@ -253,13 +241,6 @@ func RunSpanned(cfg Config, name string, tr *TraceBus, heat *Heat, sp *SpanRecor
 // section (waterfall, critical path, slowest ops); "" when empty.
 func FormatSpans(cfg Config, sp *SpanRecorder, topN int) string {
 	return report.FormatSpans(cfg, sp, topN)
-}
-
-// ServeIntrospectionSpans is ServeIntrospection plus a /spans endpoint
-// serving sp's summary as JSON (?top=N selects the slowest-op count). A
-// nil sp serves 404 on /spans.
-func ServeIntrospectionSpans(addr string, reg *MetricsRegistry, tr *RunTracker, sp *SpanRecorder) (string, error) {
-	return obs.Serve(addr, obs.Mounts{Registry: reg, Tracker: tr, Spans: sp})
 }
 
 // WriteCycleStacks renders st's cycle account as folded stacks

@@ -1,6 +1,7 @@
 package rccsim_test
 
 import (
+	"net/http"
 	"testing"
 
 	"rccsim"
@@ -86,5 +87,33 @@ func TestConfigValidationSurface(t *testing.T) {
 	cfg.NumSMs = 0
 	if _, err := rccsim.Run(cfg, "BFS"); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+}
+
+// TestPublicServeIntrospection: the one facade server mounts /spans only
+// for a non-nil recorder.
+func TestPublicServeIntrospection(t *testing.T) {
+	reg := rccsim.NewMetricsRegistry()
+	for _, tc := range []struct {
+		sp   *rccsim.SpanRecorder
+		want int
+	}{
+		{nil, http.StatusNotFound},
+		{rccsim.NewSpanRecorder(1), http.StatusOK},
+	} {
+		addr, err := rccsim.ServeIntrospection("127.0.0.1:0", reg, rccsim.NewRunTracker(reg), tc.sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for path, want := range map[string]int{"/runs": http.StatusOK, "/spans": tc.want} {
+			resp, err := http.Get("http://" + addr + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != want {
+				t.Errorf("sp=%v: GET %s = %d, want %d", tc.sp != nil, path, resp.StatusCode, want)
+			}
+		}
 	}
 }

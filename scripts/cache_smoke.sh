@@ -3,7 +3,9 @@
 # -cache-dir must reproduce the plain -j sweep byte-for-byte, and a warm
 # re-run over the same directory must be served entirely from the
 # content-addressed result cache (100% hit ratio) with identical output
-# again.
+# again. It then checks the sweep observers are independent of -j: the
+# -trace file and the runs (labels and stats) of a -ledger entry must be
+# byte-identical between -j 1 and -j 4.
 #
 # Usage: scripts/cache_smoke.sh
 #
@@ -44,6 +46,26 @@ case "$summary" in
 	exit 1
 	;;
 esac
+
+for j in 1 4; do
+	echo "cache_smoke: -trace and -ledger at -j $j"
+	"$tmp/rccsweep" "${sweep[@]}" -j "$j" -trace "$tmp/trace-j$j.jsonl" -metrics-interval 1000 lease >/dev/null
+	"$tmp/rccsweep" "${sweep[@]}" -j "$j" -ledger "$tmp/ledger-j$j" lease >/dev/null 2>&1
+	# runs is the last field of an entry's canonical JSON.
+	sed 's/.*"runs":/"runs":/' "$tmp/ledger-j$j"/entries/*.json >"$tmp/runs-j$j.json"
+done
+cmp "$tmp/trace-j1.jsonl" "$tmp/trace-j4.jsonl" || {
+	echo "cache_smoke: FAIL: sweep -trace differs between -j 1 and -j 4" >&2
+	exit 1
+}
+grep -q '"label":"DLB/RCC@5"' "$tmp/runs-j1.json" || {
+	echo "cache_smoke: FAIL: ledger entry lacks the DLB/RCC@5 sweep point" >&2
+	exit 1
+}
+cmp "$tmp/runs-j1.json" "$tmp/runs-j4.json" || {
+	echo "cache_smoke: FAIL: sweep -ledger runs differ between -j 1 and -j 4" >&2
+	exit 1
+}
 
 {
 	echo "cache_smoke_cold: $(grep 'rccsweep: cache' "$tmp/cold.err" | tail -1)"
