@@ -87,7 +87,9 @@ func main() {
 	dram := mem.NewDRAM(cfg, r.st)
 	r.l2 = core.NewL2(cfg, 0, r, r.st, dram, r.backing, nil)
 	for i := 0; i < 2; i++ {
-		r.l1s = append(r.l1s, core.NewL1(cfg, i, r, r, r.st, core.NewClock(false)))
+		l1 := core.NewL1(cfg, i, r, r.st, core.NewClock(false))
+		l1.SetSink(r)
+		r.l1s = append(r.l1s, l1)
 	}
 
 	// Fig. 3 initial state: C0.now=20 (expired copies of A and B),

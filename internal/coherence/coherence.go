@@ -4,8 +4,9 @@
 // controller, and the controller interfaces the machine assembles.
 //
 // Concrete protocols live in internal/core (RCC — the paper's
-// contribution), internal/coherence/mesi, internal/coherence/tc (TC-Strong
-// and TC-Weak), and internal/coherence/ideal.
+// contribution), internal/coherence/mesi (MESI, and SC-IDEAL as MESI with
+// ideal=true) and internal/coherence/tc (TC-Strong and TC-Weak). They share
+// one controller skeleton, internal/coherence/ctl.
 package coherence
 
 import (
@@ -208,7 +209,9 @@ type Port interface {
 // L1 is the per-SM cache controller.
 type L1 interface {
 	// Access submits a request. It returns false if the controller
-	// cannot accept it this cycle (MSHR full); the SM retries.
+	// cannot accept it this cycle: its MSHR table is full, or (RCC) it is
+	// frozen for a timestamp rollover. The SM parks the warp and retries
+	// after a Wake (see Waker).
 	Access(r *Request, now timing.Cycle) bool
 	// Deliver hands the controller a message from the interconnect. at is
 	// the cycle the interconnect last ticked (== the current cycle when the
@@ -228,9 +231,13 @@ type L1 interface {
 	// FenceComplete notifies the controller that warp w's fence
 	// committed (RCC-WO merges its read and write views here).
 	FenceComplete(warp int, now timing.Cycle)
-	// Drain reports whether the controller has no buffered work at all
+	// Drained reports whether the controller has no buffered work at all
 	// (used by the run loop's termination check).
 	Drained() bool
+	// SetSink wires the completion path to the SM (set once at machine
+	// build; the SM and L1 reference each other). A sink that implements
+	// Waker is also woken.
+	SetSink(s Sink)
 }
 
 // L2 is one shared-cache partition controller.
@@ -239,6 +246,11 @@ type L2 interface {
 	Tick(now timing.Cycle) bool
 	NextEvent(now timing.Cycle) timing.Cycle
 	Drained() bool
+	// Peek returns the current value of line if the block is resident —
+	// the authoritative copy, since every L1 is write-through. A drained
+	// machine has no merged writes pending in MSHRs, so residency fully
+	// determines the value (the differential checker's memory oracle).
+	Peek(line uint64) (uint64, bool)
 }
 
 // Waker is an optional interface for Sinks: an L1 controller that finds it
@@ -250,7 +262,8 @@ type L2 interface {
 // L1 refused and retries it only after Wake or a machine-level ForceWake
 // (the rollover thaw). An L1 must therefore call Wake after every Tick
 // that did work, and nothing between two such Ticks — in particular none
-// of the SM's own accepted accesses — may clear a refusal.
+// of the SM's own accepted accesses — may clear a refusal. Every protocol
+// keeps this contract in one place, ctl.L1.Drain, which ends each L1 Tick.
 type Waker interface {
 	Wake()
 }

@@ -13,13 +13,13 @@ package mesi
 
 import (
 	"rccsim/internal/coherence"
+	"rccsim/internal/coherence/ctl"
 	"rccsim/internal/config"
 	"rccsim/internal/mem"
 	"rccsim/internal/obs"
 	"rccsim/internal/obs/span"
 	"rccsim/internal/stats"
 	"rccsim/internal/timing"
-	"rccsim/internal/trace"
 )
 
 // l1Line is the per-line L1 metadata (S state + value).
@@ -56,59 +56,19 @@ func resetL1MSHR(m *l1MSHR) {
 // L1 is the MESI private-cache controller. Valid lines are in S state;
 // stores self-invalidate the local copy and write through.
 type L1 struct {
-	cfg  config.Config
-	id   int
-	port coherence.Port
-	sink coherence.Sink
-	st   *stats.Run
-	tr   *trace.Bus
+	ctl.L1
 
-	tags   *mem.Array[l1Line]
-	mshrs  *mem.MSHRs[l1MSHR]
-	inbox  []*coherence.Msg
-	inHead int // next inbox element to drain (the slice is reused, not re-sliced)
-	pool   *coherence.MsgPool
-
-	// wake, when non-nil, notifies the SM that this Tick may have freed
-	// resources it is polling for (an MSHR slot); set from SetSink when the
-	// sink implements coherence.Waker.
-	wake func()
-
-	heat *obs.Heat // per-line contention sampling (nil disables)
-
-	sp *span.Recorder // causal spans for sampled requests (nil disables)
+	tags  *mem.Array[l1Line]
+	mshrs *mem.MSHRs[l1MSHR]
 }
 
 // NewL1 builds the controller.
-func NewL1(cfg config.Config, id int, port coherence.Port, sink coherence.Sink, st *stats.Run) *L1 {
+func NewL1(cfg config.Config, id int, port coherence.Port, st *stats.Run) *L1 {
 	return &L1{
-		cfg:  cfg,
-		id:   id,
-		port: port,
-		sink: sink,
-		st:   st,
-		tags: mem.NewArray[l1Line](cfg.L1Sets, cfg.L1Ways, func(l uint64) int {
-			return coherence.L1SetIndex(l, cfg.L1Sets)
-		}),
+		L1:    ctl.NewL1(cfg, id, port, st),
+		tags:  ctl.L1Tags[l1Line](cfg),
 		mshrs: mem.NewMSHRs(cfg.L1MSHRs, resetL1MSHR),
 	}
-}
-
-// SetTracer attaches the event bus (nil disables tracing).
-func (c *L1) SetTracer(tr *trace.Bus) { c.tr = tr }
-
-// SetMsgPool attaches the machine's message free list (nil keeps plain
-// allocation).
-func (c *L1) SetMsgPool(p *coherence.MsgPool) { c.pool = p }
-
-// SetHeat attaches the contention sketch (nil disables sampling).
-func (c *L1) SetHeat(h *obs.Heat) { c.heat = h }
-
-// SetSpans attaches the causal-span recorder (nil disables).
-func (c *L1) SetSpans(sp *span.Recorder) { c.sp = sp }
-
-func (c *L1) l2node(line uint64) int {
-	return coherence.L2NodeID(coherence.PartitionOf(line, c.cfg.L2Partitions), c.cfg.NumSMs)
 }
 
 // Zap invalidates a line with no message exchange (SC-IDEAL only). A fill
@@ -132,46 +92,45 @@ func (c *L1) Access(r *coherence.Request, now timing.Cycle) bool {
 }
 
 func (c *L1) load(r *coherence.Request, now timing.Cycle) bool {
-	c.st.L1Loads++
+	c.St.L1Loads++
 	e := c.tags.Lookup(r.Line)
 	if e != nil {
-		c.st.L1LoadHits++
+		c.St.L1LoadHits++
 		c.tags.Touch(e)
-		if c.sp != nil {
-			c.sp.Mark(r.ID, span.SegL1, now)
+		if c.Sp != nil {
+			c.Sp.Mark(r.ID, span.SegL1, now)
 		}
-		r.Data = e.Meta.Val
-		c.sink.MemDone(r, now)
+		c.Complete(r, e.Meta.Val, now)
 		return true
 	}
-	c.st.L1LoadMisses++
+	c.St.L1LoadMisses++
 	m := c.mshrs.Get(r.Line)
 	if m == nil {
 		m = c.mshrs.Alloc(r.Line)
 		if m == nil {
-			c.st.L1Loads--
-			c.st.L1LoadMisses--
+			c.St.L1Loads--
+			c.St.L1LoadMisses--
 			return false
 		}
 	}
 	m.loads = append(m.loads, r)
 	if !m.getsOut {
 		m.getsOut = true
-		if c.sp.Tracked(r.ID) {
+		if c.Sp.Tracked(r.ID) {
 			m.span = r.ID
-			c.sp.Mark(r.ID, span.SegL1, now)
+			c.Sp.Mark(r.ID, span.SegL1, now)
 		}
-		msg := c.pool.Get()
+		msg := c.Pool.Get()
 		*msg = coherence.Msg{
 			Type: coherence.GetS,
 			Line: r.Line,
-			Src:  c.id,
-			Dst:  c.l2node(r.Line),
+			Src:  c.ID,
+			Dst:  c.L2Node(r.Line),
 			Span: m.span,
 		}
-		c.port.Send(msg, now)
-	} else if c.sp.Tracked(r.ID) {
-		c.sp.Edge(r.ID, m.span, "coalesce")
+		c.Port.Send(msg, now)
+	} else if c.Sp.Tracked(r.ID) {
+		c.Sp.Edge(r.ID, m.span, "coalesce")
 	}
 	return true
 }
@@ -185,7 +144,7 @@ func (c *L1) write(r *coherence.Request, now timing.Cycle) bool {
 		}
 	}
 	if r.Class == stats.OpStore {
-		c.st.L1Stores++
+		c.St.L1Stores++
 	}
 	// Write-through, no-allocate: the local copy is stale the moment the
 	// store issues — including a copy still in flight, which must not
@@ -204,48 +163,28 @@ func (c *L1) write(r *coherence.Request, now timing.Cycle) bool {
 		atomic = true
 	}
 	var sp uint64
-	if c.sp.Tracked(r.ID) {
+	if c.Sp.Tracked(r.ID) {
 		sp = r.ID
-		c.sp.Mark(r.ID, span.SegL1, now)
+		c.Sp.Mark(r.ID, span.SegL1, now)
 	}
-	msg := c.pool.Get()
+	msg := c.Pool.Get()
 	*msg = coherence.Msg{
 		Type:   typ,
 		Line:   r.Line,
-		Src:    c.id,
-		Dst:    c.l2node(r.Line),
+		Src:    c.ID,
+		Dst:    c.L2Node(r.Line),
 		ReqID:  r.ID,
 		Warp:   r.Warp,
 		Val:    r.Val,
 		Atomic: atomic,
 		Span:   sp,
 	}
-	c.port.Send(msg, now)
+	c.Port.Send(msg, now)
 	return true
 }
 
-// Deliver implements coherence.L1. The delivery timestamp is unused: the
-// inbox is drained in full on the next Tick.
-func (c *L1) Deliver(m *coherence.Msg, at timing.Cycle) { c.inbox = append(c.inbox, m) }
-
 // Tick implements coherence.L1.
-func (c *L1) Tick(now timing.Cycle) bool {
-	did := false
-	for c.inHead < len(c.inbox) {
-		m := c.inbox[c.inHead]
-		c.inbox[c.inHead] = nil
-		c.inHead++
-		c.handle(m, now)
-		c.pool.Put(m)
-		did = true
-	}
-	c.inbox = c.inbox[:0]
-	c.inHead = 0
-	if did && c.wake != nil {
-		c.wake()
-	}
-	return did
-}
+func (c *L1) Tick(now timing.Cycle) bool { return c.Drain(now, false, c.handle) }
 
 func (c *L1) handle(m *coherence.Msg, now timing.Cycle) {
 	switch m.Type {
@@ -260,20 +199,20 @@ func (c *L1) handle(m *coherence.Msg, now timing.Cycle) {
 	case coherence.WBAck:
 		// Directory acknowledged a PutS; nothing to do.
 	case coherence.Inv:
-		c.st.Invalidations++
-		c.heat.Add(m.Line, obs.HeatPingPong, -1)
+		c.St.Invalidations++
+		c.Heat.Add(m.Line, obs.HeatPingPong, -1)
 		if e := c.tags.Lookup(m.Line); e != nil {
 			c.tags.Invalidate(e)
-			c.tr.L1State(now, c.id, m.Line, "S->I_inv")
+			c.Tr.L1State(now, c.ID, m.Line, "S->I_inv")
 		}
-		ack := c.pool.Get()
+		ack := c.Pool.Get()
 		*ack = coherence.Msg{
 			Type: coherence.InvAck,
 			Line: m.Line,
-			Src:  c.id,
+			Src:  c.ID,
 			Dst:  m.Src,
 		}
-		c.port.Send(ack, now)
+		c.Port.Send(ack, now)
 	default:
 		panic("mesi l1: unexpected message " + m.Type.String())
 	}
@@ -285,18 +224,18 @@ func (c *L1) handleData(m *coherence.Msg, now timing.Cycle) {
 		// retried GetS is ordered behind the store's write at the L2.
 		mshr.squash = false
 		mshr.getsOut = false
-		c.tr.L1State(now, c.id, m.Line, "fill-squashed")
+		c.Tr.L1State(now, c.ID, m.Line, "fill-squashed")
 		if len(mshr.loads) > 0 {
 			mshr.getsOut = true
-			gets := c.pool.Get()
+			gets := c.Pool.Get()
 			*gets = coherence.Msg{
 				Type: coherence.GetS,
 				Line: m.Line,
-				Src:  c.id,
-				Dst:  c.l2node(m.Line),
+				Src:  c.ID,
+				Dst:  c.L2Node(m.Line),
 				Span: mshr.span,
 			}
-			c.port.Send(gets, now)
+			c.Port.Send(gets, now)
 		} else if mshr.empty() {
 			c.mshrs.Free(m.Line)
 		}
@@ -309,15 +248,14 @@ func (c *L1) handleData(m *coherence.Msg, now timing.Cycle) {
 		// mshr.loads (they are unordered with the writer), but not safe to
 		// install: the directory strips the writer's own sharer bit, so the
 		// copy would be stale and untracked the moment the write performs.
-		c.tr.L1State(now, c.id, m.Line, "fill-bypassed")
+		c.Tr.L1State(now, c.ID, m.Line, "fill-bypassed")
 		mshr.getsOut = false
 		mshr.span = 0
 		for _, r := range mshr.loads {
-			if c.sp != nil && r.ID != m.Span {
-				c.sp.Mark(r.ID, span.SegCoalesce, now)
+			if c.Sp != nil && r.ID != m.Span {
+				c.Sp.Mark(r.ID, span.SegCoalesce, now)
 			}
-			r.Data = m.Val
-			c.sink.MemDone(r, now)
+			c.Complete(r, m.Val, now)
 		}
 		mshr.loads = mshr.loads[:0]
 		return
@@ -327,18 +265,18 @@ func (c *L1) handleData(m *coherence.Msg, now timing.Cycle) {
 	})
 	if ok {
 		if victim.WasValid {
-			c.st.L1Evictions++
+			c.St.L1Evictions++
 			// MESI directories must learn about evictions (PutS); the
 			// resulting control traffic is a significant cost of
 			// directory coherence on thrash-prone GPU L1s.
-			puts := c.pool.Get()
+			puts := c.Pool.Get()
 			*puts = coherence.Msg{
 				Type: coherence.PutS,
 				Line: victim.Tag,
-				Src:  c.id,
-				Dst:  c.l2node(victim.Tag),
+				Src:  c.ID,
+				Dst:  c.L2Node(victim.Tag),
 			}
-			c.port.Send(puts, now)
+			c.Port.Send(puts, now)
 		}
 		e.Meta.Val = m.Val
 	}
@@ -349,11 +287,10 @@ func (c *L1) handleData(m *coherence.Msg, now timing.Cycle) {
 	mshr.getsOut = false
 	mshr.span = 0
 	for _, r := range mshr.loads {
-		if c.sp != nil && r.ID != m.Span {
-			c.sp.Mark(r.ID, span.SegCoalesce, now)
+		if c.Sp != nil && r.ID != m.Span {
+			c.Sp.Mark(r.ID, span.SegCoalesce, now)
 		}
-		r.Data = m.Val
-		c.sink.MemDone(r, now)
+		c.Complete(r, m.Val, now)
 	}
 	mshr.loads = mshr.loads[:0]
 	if mshr.empty() {
@@ -369,22 +306,13 @@ func (c *L1) finishStore(m *coherence.Msg, data uint64, now timing.Cycle) {
 	for i, r := range mshr.stores {
 		if r.ID == m.ReqID {
 			mshr.stores = append(mshr.stores[:i], mshr.stores[i+1:]...)
-			r.Data = data
-			c.sink.MemDone(r, now)
+			c.Complete(r, data, now)
 			break
 		}
 	}
 	if mshr.empty() {
 		c.mshrs.Free(m.Line)
 	}
-}
-
-// NextEvent implements coherence.L1.
-func (c *L1) NextEvent(now timing.Cycle) timing.Cycle {
-	if c.inHead < len(c.inbox) {
-		return now
-	}
-	return timing.Never
 }
 
 // FenceReadyAt implements coherence.L1 (MESI runs under SC; no-op).
@@ -394,7 +322,7 @@ func (c *L1) FenceReadyAt(warp int, now timing.Cycle) timing.Cycle { return now 
 func (c *L1) FenceComplete(warp int, now timing.Cycle) {}
 
 // Drained implements coherence.L1.
-func (c *L1) Drained() bool { return c.inHead >= len(c.inbox) && c.mshrs.Len() == 0 }
+func (c *L1) Drained() bool { return c.Idle() && c.mshrs.Len() == 0 }
 
 // l2Line is the per-block directory state: value, dirty bit, and the
 // sharer bitmap (full map; up to 64 SMs).
@@ -428,98 +356,51 @@ type invWait struct {
 
 // L2 is one directory partition.
 type L2 struct {
-	cfg    config.Config
-	part   int
-	nodeID int
-	ideal  bool // SC-IDEAL: permissions acquired instantly
-	port   coherence.Port
-	st     *stats.Run
-	tr     *trace.Bus
+	ctl.L2
+	ideal bool // SC-IDEAL: permissions acquired instantly
 
-	tags    *mem.Array[l2Line]
-	mshrs   *mem.MSHRs[l2MSHR]
-	dram    *mem.DRAM
-	backing *mem.Backing
+	tags  *mem.Array[l2Line]
+	mshrs *mem.MSHRs[l2MSHR]
 
-	pipe      timing.Pipe[*coherence.Msg] // demand requests
 	mpipe     timing.Pipe[*coherence.Msg] // directory maintenance (PutS, InvAck)
-	deferred  []*coherence.Msg
 	invs      map[uint64]*invWait
 	zap       func(core int, line uint64) // SC-IDEAL instant invalidation
 	fillRetry timing.Pipe[uint64]         // pushed at now+8, so in ready-time order
-	pool      *coherence.MsgPool
-
-	heat *obs.Heat // per-line contention sampling (nil disables)
-
-	sp *span.Recorder // causal spans for sampled requests (nil disables)
 }
 
 // NewL2 builds partition part. For SC-IDEAL (ideal=true), zap must
 // invalidate the given core's copy instantly.
 func NewL2(cfg config.Config, part int, ideal bool, port coherence.Port, st *stats.Run, dram *mem.DRAM, backing *mem.Backing, zap func(core int, line uint64)) *L2 {
 	return &L2{
-		cfg:    cfg,
-		part:   part,
-		nodeID: coherence.L2NodeID(part, cfg.NumSMs),
-		ideal:  ideal,
-		port:   port,
-		st:     st,
-		tags: mem.NewArray[l2Line](cfg.L2SetsPerPart, cfg.L2Ways, func(l uint64) int {
-			return coherence.L2SetIndex(l, cfg.L2Partitions, cfg.L2SetsPerPart)
-		}),
-		mshrs:   mem.NewMSHRs(cfg.L2MSHRs, resetL2MSHR),
-		dram:    dram,
-		backing: backing,
-		invs:    make(map[uint64]*invWait),
-		zap:     zap,
+		L2:    ctl.NewL2(cfg, part, port, st, dram, backing),
+		ideal: ideal,
+		tags:  ctl.L2Tags[l2Line](cfg),
+		mshrs: mem.NewMSHRs(cfg.L2MSHRs, resetL2MSHR),
+		invs:  make(map[uint64]*invWait),
+		zap:   zap,
 	}
 }
-
-// SetTracer attaches the event bus (nil disables tracing).
-func (c *L2) SetTracer(tr *trace.Bus) { c.tr = tr }
-
-// SetMsgPool attaches the machine's message free list (nil keeps plain
-// allocation).
-func (c *L2) SetMsgPool(p *coherence.MsgPool) { c.pool = p }
-
-// SetHeat attaches the contention sketch (nil disables sampling).
-func (c *L2) SetHeat(h *obs.Heat) { c.heat = h }
-
-// SetSpans attaches the causal-span recorder (nil disables).
-func (c *L2) SetSpans(sp *span.Recorder) { c.sp = sp }
 
 // Deliver implements coherence.L2. Directory-maintenance messages (PutS,
 // InvAck) travel on their own virtual network and are serviced by the
 // directory's state-update port, separate from the demand pipeline.
 func (c *L2) Deliver(m *coherence.Msg, at timing.Cycle) {
-	ready := at + timing.Cycle(c.cfg.L2Latency)
 	if m.Type == coherence.PutS || m.Type == coherence.InvAck {
-		c.mpipe.Push(ready, m)
+		c.mpipe.Push(at+timing.Cycle(c.Cfg.L2Latency), m)
 		return
 	}
-	c.pipe.Push(ready, m)
+	c.L2.Deliver(m, at)
 }
 
 // Tick implements coherence.L2.
 func (c *L2) Tick(now timing.Cycle) bool {
-	did := false
-	if c.dram.Tick(now) {
-		did = true
-	}
-	for {
-		req, ok := c.dram.PopDone(now)
-		if !ok {
-			break
-		}
-		c.fill(req, now)
-		did = true
-	}
+	did := c.DrainDRAM(now, c.fill)
 	for {
 		line, ok := c.fillRetry.PopReady(now)
 		if !ok {
 			break
 		}
-		c.fill(mem.DRAMReq{Line: line}, now)
+		c.fill(line, now)
 		did = true
 	}
 	// Maintenance port: up to two directory state updates per cycle.
@@ -531,27 +412,13 @@ func (c *L2) Tick(now timing.Cycle) bool {
 		c.handle(m, now)
 		did = true
 	}
-	if len(c.deferred) > 0 {
-		m := c.deferred[0]
-		if c.handle(m, now) {
-			c.deferred = c.deferred[1:]
-			did = true
-		}
-		return did
-	}
-	if m, ok := c.pipe.PopReady(now); ok {
-		if !c.handle(m, now) {
-			c.deferred = append(c.deferred, m)
-		}
-		did = true
-	}
-	return did
+	return c.Serve(now, c.handle) || did
 }
 
 func (c *L2) handle(m *coherence.Msg, now timing.Cycle) bool {
 	if m.Type == coherence.InvAck {
 		c.ack(m, now)
-		c.pool.Put(m)
+		c.Pool.Put(m)
 		return true
 	}
 	if m.Type == coherence.PutS {
@@ -559,19 +426,19 @@ func (c *L2) handle(m *coherence.Msg, now timing.Cycle) bool {
 		if e := c.tags.Lookup(m.Line); e != nil {
 			e.Meta.Sharers &^= 1 << uint(m.Src)
 		}
-		wback := c.pool.Get()
+		wback := c.Pool.Get()
 		*wback = coherence.Msg{
 			Type: coherence.WBAck,
 			Line: m.Line,
-			Src:  c.nodeID,
+			Src:  c.ID,
 			Dst:  m.Src,
 		}
-		c.port.Send(wback, now)
-		c.pool.Put(m)
+		c.Port.Send(wback, now)
+		c.Pool.Put(m)
 		return true
 	}
 	if m.Span != 0 {
-		c.sp.Mark(m.Span, span.SegL2Pipe, now)
+		c.Sp.Mark(m.Span, span.SegL2Pipe, now)
 	}
 	if w, ok := c.invs[m.Line]; ok {
 		// An invalidation round owns the line; queue behind it.
@@ -580,7 +447,7 @@ func (c *L2) handle(m *coherence.Msg, now timing.Cycle) bool {
 	}
 	e := c.tags.Lookup(m.Line)
 	if e != nil {
-		c.st.L2Accesses++
+		c.St.L2Accesses++
 		switch m.Type {
 		case coherence.GetS:
 			c.getsHit(m, e, now)
@@ -595,18 +462,18 @@ func (c *L2) handle(m *coherence.Msg, now timing.Cycle) bool {
 func (c *L2) getsHit(m *coherence.Msg, e *mem.Entry[l2Line], now timing.Cycle) {
 	e.Meta.Sharers |= 1 << uint(m.Src)
 	c.tags.Touch(e)
-	c.heat.Add(m.Line, obs.HeatReads, -1)
-	resp := c.pool.Get()
+	c.Heat.Add(m.Line, obs.HeatReads, -1)
+	resp := c.Pool.Get()
 	*resp = coherence.Msg{
 		Type: coherence.Data,
 		Line: m.Line,
-		Src:  c.nodeID,
+		Src:  c.ID,
 		Dst:  m.Src,
 		Val:  e.Meta.Val,
 		Span: m.Span,
 	}
-	c.port.Send(resp, now)
-	c.pool.Put(m)
+	c.Port.Send(resp, now)
+	c.Pool.Put(m)
 }
 
 func (c *L2) writeHit(m *coherence.Msg, e *mem.Entry[l2Line], now timing.Cycle) {
@@ -614,7 +481,7 @@ func (c *L2) writeHit(m *coherence.Msg, e *mem.Entry[l2Line], now timing.Cycle) 
 	if sharers == 0 || c.ideal {
 		if c.ideal && sharers != 0 {
 			// Instant, free invalidation of every sharer.
-			for core := 0; core < c.cfg.NumSMs; core++ {
+			for core := 0; core < c.Cfg.NumSMs; core++ {
 				if sharers&(1<<uint(core)) != 0 {
 					c.zap(core, m.Line)
 				}
@@ -622,46 +489,46 @@ func (c *L2) writeHit(m *coherence.Msg, e *mem.Entry[l2Line], now timing.Cycle) 
 		}
 		e.Meta.Sharers = 0
 		c.performWrite(m, &e.Meta, now)
-		c.pool.Put(m)
+		c.Pool.Put(m)
 		c.tags.Touch(e)
 		return
 	}
 	// Invalidate every sharer; the write completes when all ack.
-	c.tr.L2State(now, c.part, m.Line, "inv-round", 0, 0)
+	c.Tr.L2State(now, c.Part, m.Line, "inv-round", 0, 0)
 	w := &invWait{write: m, started: now}
 	c.invs[m.Line] = w
-	for core := 0; core < c.cfg.NumSMs; core++ {
+	for core := 0; core < c.Cfg.NumSMs; core++ {
 		if sharers&(1<<uint(core)) != 0 {
 			w.pending++
-			inv := c.pool.Get()
+			inv := c.Pool.Get()
 			*inv = coherence.Msg{
 				Type: coherence.Inv,
 				Line: m.Line,
-				Src:  c.nodeID,
+				Src:  c.ID,
 				Dst:  core,
 			}
-			c.port.Send(inv, now)
+			c.Port.Send(inv, now)
 		}
 	}
 	e.Meta.Sharers = 0
 }
 
 func (c *L2) performWrite(m *coherence.Msg, l *l2Line, now timing.Cycle) {
-	c.heat.Add(m.Line, obs.HeatWrites, m.Src)
+	c.Heat.Add(m.Line, obs.HeatWrites, m.Src)
 	old := l.Val
 	if m.Type == coherence.AtomicReq {
 		l.Val = old + m.Val
-		c.tr.L2State(now, c.part, m.Line, "atomic", 0, 0)
+		c.Tr.L2State(now, c.Part, m.Line, "atomic", 0, 0)
 	} else {
 		l.Val = m.Val
-		c.tr.L2State(now, c.part, m.Line, "write", 0, 0)
+		c.Tr.L2State(now, c.Part, m.Line, "write", 0, 0)
 	}
 	l.Dirty = true
-	resp := c.pool.Get()
+	resp := c.Pool.Get()
 	*resp = coherence.Msg{
 		Type:  coherence.Ack,
 		Line:  m.Line,
-		Src:   c.nodeID,
+		Src:   c.ID,
 		Dst:   m.Src,
 		ReqID: m.ReqID,
 		Warp:  m.Warp,
@@ -672,7 +539,7 @@ func (c *L2) performWrite(m *coherence.Msg, l *l2Line, now timing.Cycle) {
 		resp.Atomic = true
 		resp.Val = old
 	}
-	c.port.Send(resp, now)
+	c.Port.Send(resp, now)
 }
 
 // ack processes one INVACK.
@@ -689,16 +556,16 @@ func (c *L2) ack(m *coherence.Msg, now timing.Cycle) {
 	if w.write != nil {
 		if w.write.Span != 0 {
 			// The invalidation round the store just waited out.
-			c.sp.Mark(w.write.Span, span.SegProto, now)
-			c.sp.AddChild(w.write.Span, "inv-wait", w.started, now)
+			c.Sp.Mark(w.write.Span, span.SegProto, now)
+			c.Sp.AddChild(w.write.Span, "inv-wait", w.started, now)
 		}
 		if e := c.tags.Lookup(m.Line); e != nil {
-			c.st.L2Accesses++
+			c.St.L2Accesses++
 			c.performWrite(w.write, &e.Meta, now)
-			c.pool.Put(w.write)
+			c.Pool.Put(w.write)
 			c.tags.Touch(e)
 		} else if !c.handle(w.write, now) {
-			c.deferred = append(c.deferred, w.write)
+			c.Defer(w.write)
 		}
 	}
 	// Recall rounds (write == nil) leave the line clean of sharers; the
@@ -706,26 +573,26 @@ func (c *L2) ack(m *coherence.Msg, now timing.Cycle) {
 	for _, q := range w.queued {
 		if q.Span != 0 {
 			// Queued behind the round: protocol blame, not pipe time.
-			c.sp.Mark(q.Span, span.SegProto, now)
+			c.Sp.Mark(q.Span, span.SegProto, now)
 		}
 		if !c.handle(q, now) {
-			c.deferred = append(c.deferred, q)
+			c.Defer(q)
 		}
 	}
 }
 
 func (c *L2) miss(m *coherence.Msg, now timing.Cycle) bool {
-	c.st.L2Accesses++
+	c.St.L2Accesses++
 	mshr := c.mshrs.Get(m.Line)
 	if mshr == nil {
-		c.st.L2Misses++
+		c.St.L2Misses++
 		mshr = c.mshrs.Alloc(m.Line)
 		if mshr == nil {
-			c.st.L2Accesses--
-			c.st.L2Misses--
+			c.St.L2Accesses--
+			c.St.L2Misses--
 			return false
 		}
-		c.dram.Submit(mem.DRAMReq{Line: m.Line, ID: m.Line, Span: m.Span}, now)
+		c.DRAM.Submit(mem.DRAMReq{Line: m.Line, ID: m.Line, Span: m.Span}, now)
 	}
 	switch m.Type {
 	case coherence.GetS:
@@ -736,18 +603,18 @@ func (c *L2) miss(m *coherence.Msg, now timing.Cycle) bool {
 		// moment it is ordered here: merge it and ack immediately.
 		mshr.writeVal = m.Val
 		mshr.hasWrite = true
-		ack := c.pool.Get()
+		ack := c.Pool.Get()
 		*ack = coherence.Msg{
 			Type:  coherence.Ack,
 			Line:  m.Line,
-			Src:   c.nodeID,
+			Src:   c.ID,
 			Dst:   m.Src,
 			ReqID: m.ReqID,
 			Warp:  m.Warp,
 			Span:  m.Span,
 		}
-		c.port.Send(ack, now)
-		c.pool.Put(m)
+		c.Port.Send(ack, now)
+		c.Pool.Put(m)
 	default:
 		mshr.stalled = append(mshr.stalled, m) // atomics need the old value
 	}
@@ -758,11 +625,7 @@ func (c *L2) miss(m *coherence.Msg, now timing.Cycle) bool {
 // recalled: its copies are invalidated and, until every ack returns, the
 // victim's address is owned by the invalidation round (any request for it
 // queues). These recall rounds are a significant MESI cost on GPUs.
-func (c *L2) fill(req mem.DRAMReq, now timing.Cycle) {
-	if req.Write {
-		return
-	}
-	line := req.Line
+func (c *L2) fill(line uint64, now timing.Cycle) {
 	mshr := c.mshrs.Get(line)
 	if mshr == nil {
 		return
@@ -780,18 +643,18 @@ func (c *L2) fill(req mem.DRAMReq, now timing.Cycle) {
 		return
 	}
 	if victim.WasValid {
-		c.st.L2Evictions++
+		c.St.L2Evictions++
 		if victim.Meta.Sharers != 0 {
 			c.recall(victim.Tag, victim.Meta.Sharers, now)
 		}
 		if victim.Meta.Dirty {
-			c.backing.Write(victim.Tag, victim.Meta.Val)
-			c.dram.Submit(mem.DRAMReq{Line: victim.Tag, Write: true, ID: victim.Tag}, now)
+			c.Backing.Write(victim.Tag, victim.Meta.Val)
+			c.DRAM.Submit(mem.DRAMReq{Line: victim.Tag, Write: true, ID: victim.Tag}, now)
 		}
 	}
 
 	l := &e.Meta
-	l.Val = c.backing.Read(line)
+	l.Val = c.Backing.Read(line)
 	if mshr.hasWrite {
 		l.Val = mshr.writeVal
 		l.Dirty = true
@@ -799,29 +662,29 @@ func (c *L2) fill(req mem.DRAMReq, now timing.Cycle) {
 	for _, r := range mshr.readers {
 		l.Sharers |= 1 << uint(r.Src)
 		if r.Span != 0 {
-			c.sp.Mark(r.Span, span.SegDRAM, now)
+			c.Sp.Mark(r.Span, span.SegDRAM, now)
 		}
-		resp := c.pool.Get()
+		resp := c.Pool.Get()
 		*resp = coherence.Msg{
 			Type: coherence.Data,
 			Line: line,
-			Src:  c.nodeID,
+			Src:  c.ID,
 			Dst:  r.Src,
 			Val:  l.Val,
 			Span: r.Span,
 		}
-		c.port.Send(resp, now)
-		c.pool.Put(r)
+		c.Port.Send(resp, now)
+		c.Pool.Put(r)
 	}
 	mshr.readers = mshr.readers[:0]
 	stalled := mshr.stalled
 	c.mshrs.Free(line)
 	for _, s := range stalled {
 		if s.Span != 0 {
-			c.sp.Mark(s.Span, span.SegDRAM, now)
+			c.Sp.Mark(s.Span, span.SegDRAM, now)
 		}
 		if !c.handle(s, now) {
-			c.deferred = append(c.deferred, s)
+			c.Defer(s)
 		}
 	}
 }
@@ -829,10 +692,10 @@ func (c *L2) fill(req mem.DRAMReq, now timing.Cycle) {
 // recall invalidates every L1 copy of an evicted block; until the acks
 // return, the address belongs to the invalidation round.
 func (c *L2) recall(line, sharers uint64, now timing.Cycle) {
-	c.st.Recalls++
-	c.tr.L2State(now, c.part, line, "recall", 0, 0)
+	c.St.Recalls++
+	c.Tr.L2State(now, c.Part, line, "recall", 0, 0)
 	if c.ideal {
-		for core := 0; core < c.cfg.NumSMs; core++ {
+		for core := 0; core < c.Cfg.NumSMs; core++ {
 			if sharers&(1<<uint(core)) != 0 {
 				c.zap(core, line)
 			}
@@ -841,24 +704,22 @@ func (c *L2) recall(line, sharers uint64, now timing.Cycle) {
 	}
 	w := &invWait{}
 	c.invs[line] = w
-	for core := 0; core < c.cfg.NumSMs; core++ {
+	for core := 0; core < c.Cfg.NumSMs; core++ {
 		if sharers&(1<<uint(core)) != 0 {
 			w.pending++
-			inv := c.pool.Get()
+			inv := c.Pool.Get()
 			*inv = coherence.Msg{
 				Type: coherence.Inv,
 				Line: line,
-				Src:  c.nodeID,
+				Src:  c.ID,
 				Dst:  core,
 			}
-			c.port.Send(inv, now)
+			c.Port.Send(inv, now)
 		}
 	}
 }
 
-// Peek returns the current value of line if the block is resident — the
-// authoritative copy, since MESI L1s here are write-through (differential
-// checker's final-memory oracle).
+// Peek implements coherence.L2.
 func (c *L2) Peek(line uint64) (uint64, bool) {
 	if e := c.tags.Lookup(line); e != nil {
 		return e.Meta.Val, true
@@ -868,29 +729,12 @@ func (c *L2) Peek(line uint64) (uint64, bool) {
 
 // NextEvent implements coherence.L2.
 func (c *L2) NextEvent(now timing.Cycle) timing.Cycle {
-	next := timing.Min(c.dram.NextEvent(), c.pipe.NextReady())
-	next = timing.Min(next, c.mpipe.NextReady())
-	next = timing.Min(next, c.fillRetry.NextReady())
-	if len(c.deferred) > 0 {
-		next = timing.Min(next, now+1)
-	}
-	return next
+	next := timing.Min(c.L2.NextEvent(now), c.mpipe.NextReady())
+	return timing.Min(next, c.fillRetry.NextReady())
 }
 
 // Drained implements coherence.L2.
 func (c *L2) Drained() bool {
-	return c.pipe.Len() == 0 && c.mpipe.Len() == 0 && len(c.deferred) == 0 &&
-		len(c.invs) == 0 && c.mshrs.Len() == 0 && c.dram.Pending() == 0 &&
-		c.fillRetry.Len() == 0
-}
-
-// SetSink wires the completion path to the SM (set once at machine build;
-// the SM and L1 reference each other).
-func (c *L1) SetSink(s coherence.Sink) {
-	c.sink = s
-	if w, ok := s.(coherence.Waker); ok {
-		c.wake = w.Wake
-	} else {
-		c.wake = nil
-	}
+	return c.Idle() && c.mpipe.Len() == 0 && len(c.invs) == 0 &&
+		c.mshrs.Len() == 0 && c.fillRetry.Len() == 0
 }

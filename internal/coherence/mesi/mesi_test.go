@@ -69,7 +69,7 @@ func newHarness(t *testing.T, ideal bool, mutate func(*config.Config)) *harness 
 	zap := func(core int, line uint64) { h.l1s[core].Zap(line) }
 	h.l2 = NewL2(cfg, 0, ideal, h, h.st, dram, h.backing, zap)
 	for i := 0; i < cfg.NumSMs; i++ {
-		l1 := NewL1(cfg, i, h, nil, h.st)
+		l1 := NewL1(cfg, i, h, h.st)
 		l1.SetSink(h)
 		h.l1s = append(h.l1s, l1)
 	}

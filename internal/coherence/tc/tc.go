@@ -13,6 +13,7 @@ package tc
 
 import (
 	"rccsim/internal/coherence"
+	"rccsim/internal/coherence/ctl"
 	"rccsim/internal/config"
 	"rccsim/internal/mem"
 	"rccsim/internal/obs"
@@ -46,65 +47,25 @@ func resetL1MSHR(m *l1MSHR) {
 
 // L1 is the TC private-cache controller (write-through, write-no-allocate).
 type L1 struct {
-	cfg  config.Config
-	id   int
+	ctl.L1
 	weak bool // TCW
-	port coherence.Port
-	sink coherence.Sink
-	st   *stats.Run
-	tr   *trace.Bus
 
-	tags   *mem.Array[l1Line]
-	mshrs  *mem.MSHRs[l1MSHR]
-	inbox  []*coherence.Msg
-	inHead int // next inbox element to drain (the slice is reused, not re-sliced)
-	pool   *coherence.MsgPool
+	tags  *mem.Array[l1Line]
+	mshrs *mem.MSHRs[l1MSHR]
 
 	// TCW: per-warp maximum GWCT, consulted by fences.
 	gwct []timing.Cycle
-
-	// wake, when non-nil, notifies the SM that this Tick may have freed
-	// resources it is polling for (an MSHR slot); set from SetSink when the
-	// sink implements coherence.Waker.
-	wake func()
-
-	heat *obs.Heat // per-line contention sampling (nil disables)
-
-	sp *span.Recorder // causal spans for sampled requests (nil disables)
 }
 
 // NewL1 builds the controller; weak selects TC-Weak semantics.
-func NewL1(cfg config.Config, id int, weak bool, port coherence.Port, sink coherence.Sink, st *stats.Run) *L1 {
+func NewL1(cfg config.Config, id int, weak bool, port coherence.Port, st *stats.Run) *L1 {
 	return &L1{
-		cfg:  cfg,
-		id:   id,
-		weak: weak,
-		port: port,
-		sink: sink,
-		st:   st,
-		tags: mem.NewArray[l1Line](cfg.L1Sets, cfg.L1Ways, func(l uint64) int {
-			return coherence.L1SetIndex(l, cfg.L1Sets)
-		}),
+		L1:    ctl.NewL1(cfg, id, port, st),
+		weak:  weak,
+		tags:  ctl.L1Tags[l1Line](cfg),
 		mshrs: mem.NewMSHRs(cfg.L1MSHRs, resetL1MSHR),
 		gwct:  make([]timing.Cycle, cfg.WarpsPerSM),
 	}
-}
-
-// SetTracer attaches the event bus (nil disables tracing).
-func (c *L1) SetTracer(tr *trace.Bus) { c.tr = tr }
-
-// SetMsgPool attaches the machine's message free list (nil keeps plain
-// allocation).
-func (c *L1) SetMsgPool(p *coherence.MsgPool) { c.pool = p }
-
-// SetHeat attaches the contention sketch (nil disables sampling).
-func (c *L1) SetHeat(h *obs.Heat) { c.heat = h }
-
-// SetSpans attaches the causal-span recorder (nil disables).
-func (c *L1) SetSpans(sp *span.Recorder) { c.sp = sp }
-
-func (c *L1) l2node(line uint64) int {
-	return coherence.L2NodeID(coherence.PartitionOf(line, c.cfg.L2Partitions), c.cfg.NumSMs)
 }
 
 func (c *L1) readable(e *mem.Entry[l1Line], now timing.Cycle) bool {
@@ -122,84 +83,82 @@ func (c *L1) Access(r *coherence.Request, now timing.Cycle) bool {
 }
 
 func (c *L1) load(r *coherence.Request, now timing.Cycle) bool {
-	c.st.L1Loads++
+	c.St.L1Loads++
 	e := c.tags.Lookup(r.Line)
 
 	if m := c.mshrs.Get(r.Line); m != nil {
 		if c.readable(e, now) {
-			c.st.L1LoadHits++
-			if c.sp != nil {
-				c.sp.Mark(r.ID, span.SegL1, now)
+			c.St.L1LoadHits++
+			if c.Sp != nil {
+				c.Sp.Mark(r.ID, span.SegL1, now)
 			}
-			r.Data = e.Meta.Val
-			c.sink.MemDone(r, now)
+			c.Complete(r, e.Meta.Val, now)
 			return true
 		}
 		m.loads = append(m.loads, r)
 		if !m.getsOut {
-			if c.sp.Tracked(r.ID) {
+			if c.Sp.Tracked(r.ID) {
 				m.span = r.ID
-				c.sp.Mark(r.ID, span.SegL1, now)
+				c.Sp.Mark(r.ID, span.SegL1, now)
 			}
 			c.sendGets(r.Line, m.span, now)
 			m.getsOut = true
-		} else if c.sp.Tracked(r.ID) {
-			c.sp.Edge(r.ID, m.span, "coalesce")
+		} else if c.Sp.Tracked(r.ID) {
+			c.Sp.Edge(r.ID, m.span, "coalesce")
 		}
 		return true
 	}
 
 	if c.readable(e, now) {
-		c.st.L1LoadHits++
+		c.St.L1LoadHits++
 		c.tags.Touch(e)
-		if c.sp != nil {
-			c.sp.Mark(r.ID, span.SegL1, now)
+		if c.Sp != nil {
+			c.Sp.Mark(r.ID, span.SegL1, now)
 		}
-		r.Data = e.Meta.Val
-		c.sink.MemDone(r, now)
+		c.Complete(r, e.Meta.Val, now)
 		return true
 	}
 	if e != nil {
-		c.st.L1LoadExpired++ // self-invalidated lease; TC has no renewal
+		c.St.L1LoadExpired++ // self-invalidated lease; TC has no renewal
 	} else {
-		c.st.L1LoadMisses++
+		c.St.L1LoadMisses++
 	}
 
 	m := c.mshrs.Alloc(r.Line)
 	if m == nil {
-		c.st.L1Loads--
+		c.St.L1Loads--
 		if e == nil {
-			c.st.L1LoadMisses--
+			c.St.L1LoadMisses--
 		} else {
-			c.st.L1LoadExpired--
+			c.St.L1LoadExpired--
 		}
 		return false
 	}
 	if e != nil {
-		c.tr.LeaseExpiredAt(now, c.id, r.Line, uint64(e.Meta.Lease), uint64(now))
-		c.heat.Add(r.Line, obs.HeatExpiryWaits, -1)
+		c.Tr.LeaseExpiredAt(now, c.ID, r.Line, uint64(e.Meta.Lease), uint64(now))
+		c.Heat.Add(r.Line, obs.HeatExpiryWaits, -1)
 	}
 	m.getsOut = true
 	m.loads = append(m.loads, r)
-	if c.sp.Tracked(r.ID) {
+	if c.Sp.Tracked(r.ID) {
 		m.span = r.ID
-		c.sp.Mark(r.ID, span.SegL1, now)
+		c.Sp.Mark(r.ID, span.SegL1, now)
 	}
 	c.sendGets(r.Line, m.span, now)
 	return true
 }
 
 func (c *L1) sendGets(line uint64, sp uint64, now timing.Cycle) {
-	msg := c.pool.Get()
+	msg := c.Pool.Get()
 	*msg = coherence.Msg{
 		Type: coherence.GetS,
 		Line: line,
-		Src:  c.id,
-		Dst:  c.l2node(line),
+		Src:  c.ID,
+		Dst:  c.L2Node(line),
 		Now:  uint64(now),
 		Span: sp,
 	}
-	c.port.Send(msg, now)
+	c.Port.Send(msg, now)
 }
 
 func (c *L1) write(r *coherence.Request, now timing.Cycle) bool {
@@ -211,7 +170,7 @@ func (c *L1) write(r *coherence.Request, now timing.Cycle) bool {
 		}
 	}
 	if r.Class == stats.OpStore {
-		c.st.L1Stores++
+		c.St.L1Stores++
 	}
 	m.stores = append(m.stores, r)
 	typ := coherence.Write
@@ -221,16 +180,16 @@ func (c *L1) write(r *coherence.Request, now timing.Cycle) bool {
 		atomic = true
 	}
 	var sp uint64
-	if c.sp.Tracked(r.ID) {
+	if c.Sp.Tracked(r.ID) {
 		sp = r.ID
-		c.sp.Mark(r.ID, span.SegL1, now)
+		c.Sp.Mark(r.ID, span.SegL1, now)
 	}
-	msg := c.pool.Get()
+	msg := c.Pool.Get()
 	*msg = coherence.Msg{
 		Type:   typ,
 		Line:   r.Line,
-		Src:    c.id,
-		Dst:    c.l2node(r.Line),
+		Src:    c.ID,
+		Dst:    c.L2Node(r.Line),
 		ReqID:  r.ID,
 		Warp:   r.Warp,
 		Now:    uint64(now),
@@ -238,32 +197,12 @@ func (c *L1) write(r *coherence.Request, now timing.Cycle) bool {
 		Atomic: atomic,
 		Span:   sp,
 	}
-	c.port.Send(msg, now)
+	c.Port.Send(msg, now)
 	return true
 }
 
-// Deliver implements coherence.L1. The delivery timestamp is unused: the
-// inbox is drained in full on the next Tick.
-func (c *L1) Deliver(m *coherence.Msg, at timing.Cycle) { c.inbox = append(c.inbox, m) }
-
 // Tick implements coherence.L1.
-func (c *L1) Tick(now timing.Cycle) bool {
-	did := false
-	for c.inHead < len(c.inbox) {
-		m := c.inbox[c.inHead]
-		c.inbox[c.inHead] = nil
-		c.inHead++
-		c.handle(m, now)
-		c.pool.Put(m)
-		did = true
-	}
-	c.inbox = c.inbox[:0]
-	c.inHead = 0
-	if did && c.wake != nil {
-		c.wake()
-	}
-	return did
-}
+func (c *L1) Tick(now timing.Cycle) bool { return c.Drain(now, false, c.handle) }
 
 func (c *L1) handle(m *coherence.Msg, now timing.Cycle) {
 	switch m.Type {
@@ -286,7 +225,7 @@ func (c *L1) handleData(m *coherence.Msg, now timing.Cycle) {
 	})
 	if ok {
 		if victim.WasValid {
-			c.st.L1Evictions++
+			c.St.L1Evictions++
 		}
 		e.Meta.Lease = timing.Cycle(m.Exp)
 		e.Meta.Val = m.Val
@@ -298,11 +237,10 @@ func (c *L1) handleData(m *coherence.Msg, now timing.Cycle) {
 	mshr.getsOut = false
 	mshr.span = 0
 	for _, r := range mshr.loads {
-		if c.sp != nil && r.ID != m.Span {
-			c.sp.Mark(r.ID, span.SegCoalesce, now)
+		if c.Sp != nil && r.ID != m.Span {
+			c.Sp.Mark(r.ID, span.SegCoalesce, now)
 		}
-		r.Data = m.Val
-		c.sink.MemDone(r, now)
+		c.Complete(r, m.Val, now)
 	}
 	mshr.loads = mshr.loads[:0]
 	if len(mshr.stores) == 0 {
@@ -330,8 +268,7 @@ func (c *L1) finishStore(m *coherence.Msg, data uint64, now timing.Cycle) {
 	for i, r := range mshr.stores {
 		if r.ID == m.ReqID {
 			mshr.stores = append(mshr.stores[:i], mshr.stores[i+1:]...)
-			r.Data = data
-			c.sink.MemDone(r, now)
+			c.Complete(r, data, now)
 			break
 		}
 	}
@@ -341,14 +278,6 @@ func (c *L1) finishStore(m *coherence.Msg, data uint64, now timing.Cycle) {
 }
 
 func (m *l1MSHR) empty() bool { return len(m.loads) == 0 && len(m.stores) == 0 }
-
-// NextEvent implements coherence.L1.
-func (c *L1) NextEvent(now timing.Cycle) timing.Cycle {
-	if c.inHead < len(c.inbox) {
-		return now
-	}
-	return timing.Never
-}
 
 // FenceReadyAt implements coherence.L1: TCW fences wait for the warp's
 // maximum GWCT; TCS fences are no-ops (SC cores never reorder).
@@ -367,7 +296,7 @@ func (c *L1) FenceComplete(warp int, now timing.Cycle) {
 }
 
 // Drained implements coherence.L1.
-func (c *L1) Drained() bool { return c.inHead >= len(c.inbox) && c.mshrs.Len() == 0 }
+func (c *L1) Drained() bool { return c.Idle() && c.mshrs.Len() == 0 }
 
 // l2Line is the per-block L2 metadata: the latest granted lease end (the
 // "global timestamp"), the value, and the dirty bit.
@@ -393,21 +322,11 @@ func resetL2MSHR(m *l2MSHR) {
 
 // L2 is one TC shared-cache partition.
 type L2 struct {
-	cfg    config.Config
-	part   int
-	nodeID int
-	weak   bool
-	port   coherence.Port
-	st     *stats.Run
-	tr     *trace.Bus
+	ctl.L2
+	weak bool
 
-	tags    *mem.Array[l2Line]
-	mshrs   *mem.MSHRs[l2MSHR]
-	dram    *mem.DRAM
-	backing *mem.Backing
-
-	pipe     timing.Pipe[*coherence.Msg]
-	deferred []*coherence.Msg
+	tags  *mem.Array[l2Line]
+	mshrs *mem.MSHRs[l2MSHR]
 
 	// TCS: stores waiting for lease expiry, plus per-line FIFO of
 	// requests queued behind a stalled store (prevents starvation and
@@ -415,68 +334,22 @@ type L2 struct {
 	// not push order, so stallQ is a Calendar rather than a Pipe.
 	stallQ  timing.Calendar[*coherence.Msg]
 	blocked map[uint64][]*coherence.Msg
-
-	pool *coherence.MsgPool
-
-	heat *obs.Heat // per-line contention sampling (nil disables)
-
-	sp *span.Recorder // causal spans for sampled requests (nil disables)
 }
 
 // NewL2 builds partition part; weak selects TC-Weak.
 func NewL2(cfg config.Config, part int, weak bool, port coherence.Port, st *stats.Run, dram *mem.DRAM, backing *mem.Backing) *L2 {
 	return &L2{
-		cfg:    cfg,
-		part:   part,
-		nodeID: coherence.L2NodeID(part, cfg.NumSMs),
-		weak:   weak,
-		port:   port,
-		st:     st,
-		tags: mem.NewArray[l2Line](cfg.L2SetsPerPart, cfg.L2Ways, func(l uint64) int {
-			return coherence.L2SetIndex(l, cfg.L2Partitions, cfg.L2SetsPerPart)
-		}),
+		L2:      ctl.NewL2(cfg, part, port, st, dram, backing),
+		weak:    weak,
+		tags:    ctl.L2Tags[l2Line](cfg),
 		mshrs:   mem.NewMSHRs(cfg.L2MSHRs, resetL2MSHR),
-		dram:    dram,
-		backing: backing,
 		blocked: make(map[uint64][]*coherence.Msg),
 	}
 }
 
-// SetTracer attaches the event bus (nil disables tracing).
-func (c *L2) SetTracer(tr *trace.Bus) { c.tr = tr }
-
-// SetMsgPool attaches the machine's message free list (nil keeps plain
-// allocation).
-func (c *L2) SetMsgPool(p *coherence.MsgPool) { c.pool = p }
-
-// SetHeat attaches the contention sketch (nil disables sampling).
-func (c *L2) SetHeat(h *obs.Heat) { c.heat = h }
-
-// SetSpans attaches the causal-span recorder (nil disables).
-func (c *L2) SetSpans(sp *span.Recorder) { c.sp = sp }
-
-// Deliver implements coherence.L2: requests enter the access pipeline at
-// the delivery timestamp supplied by the interconnect.
-func (c *L2) Deliver(m *coherence.Msg, at timing.Cycle) {
-	c.pipe.Push(at+timing.Cycle(c.cfg.L2Latency), m)
-}
-
 // Tick implements coherence.L2.
 func (c *L2) Tick(now timing.Cycle) bool {
-	did := false
-
-	if c.dram.Tick(now) {
-		did = true
-	}
-	for {
-		req, ok := c.dram.PopDone(now)
-		if !ok {
-			break
-		}
-		c.fill(req, now)
-		did = true
-	}
-
+	did := c.DrainDRAM(now, c.fill)
 	// Wake stores whose lease wait ended (TCS).
 	for {
 		m, ok := c.stallQ.PopReady(now)
@@ -486,29 +359,13 @@ func (c *L2) Tick(now timing.Cycle) bool {
 		c.wakeStalledStore(m, now)
 		did = true
 	}
-
-	if len(c.deferred) > 0 {
-		m := c.deferred[0]
-		if c.handle(m, now) {
-			c.deferred = c.deferred[1:]
-			did = true
-		}
-		return did
-	}
-
-	if m, ok := c.pipe.PopReady(now); ok {
-		if !c.handle(m, now) {
-			c.deferred = append(c.deferred, m)
-		}
-		did = true
-	}
-	return did
+	return c.Serve(now, c.handle) || did
 }
 
 // handle processes one request; false means "defer and retry".
 func (c *L2) handle(m *coherence.Msg, now timing.Cycle) bool {
 	if m.Span != 0 {
-		c.sp.Mark(m.Span, span.SegL2Pipe, now)
+		c.Sp.Mark(m.Span, span.SegL2Pipe, now)
 	}
 	// Requests for a line with a stalled store queue behind it in
 	// arrival order: the stalled store is the ordering point.
@@ -518,7 +375,7 @@ func (c *L2) handle(m *coherence.Msg, now timing.Cycle) bool {
 	}
 	e := c.tags.Lookup(m.Line)
 	if e != nil {
-		c.st.L2Accesses++
+		c.St.L2Accesses++
 		switch m.Type {
 		case coherence.GetS:
 			c.getsHit(m, e, now)
@@ -532,34 +389,34 @@ func (c *L2) handle(m *coherence.Msg, now timing.Cycle) bool {
 
 func (c *L2) getsHit(m *coherence.Msg, e *mem.Entry[l2Line], now timing.Cycle) {
 	l := &e.Meta
-	lease := now + timing.Cycle(c.cfg.TCLease)
+	lease := now + timing.Cycle(c.Cfg.TCLease)
 	if lease > l.GTS {
 		l.GTS = lease
 	}
 	c.tags.Touch(e)
-	c.heat.Add(m.Line, obs.HeatReads, -1)
+	c.Heat.Add(m.Line, obs.HeatReads, -1)
 	if m.Exp > 0 {
-		c.st.ExpiredGets++ // tracked for Fig 6 comparability
+		c.St.ExpiredGets++ // tracked for Fig 6 comparability
 	}
-	c.tr.Lease(now, trace.LeaseGrant, c.part, m.Line, uint64(now), uint64(lease), m.Src)
+	c.Tr.Lease(now, trace.LeaseGrant, c.Part, m.Line, uint64(now), uint64(lease), m.Src)
 	if m.Span != 0 {
 		// TC leases live in physical cycles, so the grant window is a
 		// true sub-span of the run.
-		c.sp.AddChild(m.Span, "lease-grant", now, lease)
-		c.sp.NoteLease(m.Line, m.Span)
+		c.Sp.AddChild(m.Span, "lease-grant", now, lease)
+		c.Sp.NoteLease(m.Line, m.Span)
 	}
-	resp := c.pool.Get()
+	resp := c.Pool.Get()
 	*resp = coherence.Msg{
 		Type: coherence.Data,
 		Line: m.Line,
-		Src:  c.nodeID,
+		Src:  c.ID,
 		Dst:  m.Src,
 		Exp:  uint64(lease),
 		Val:  l.Val,
 		Span: m.Span,
 	}
-	c.port.Send(resp, now)
-	c.pool.Put(m)
+	c.Port.Send(resp, now)
+	c.Pool.Put(m)
 }
 
 // writeHit performs or stalls a store/atomic on a resident block. TCS
@@ -569,42 +426,42 @@ func (c *L2) writeHit(m *coherence.Msg, e *mem.Entry[l2Line], now timing.Cycle) 
 	l := &e.Meta
 	if !c.weak && l.GTS >= now {
 		// TC-Strong: wait out the lease.
-		c.st.L2StoreStallCycles += uint64(l.GTS + 1 - now)
-		c.heat.Add(m.Line, obs.HeatExpiryWaits, -1)
-		c.tr.L2State(now, c.part, m.Line, "store-stall", uint64(now), uint64(l.GTS))
+		c.St.L2StoreStallCycles += uint64(l.GTS + 1 - now)
+		c.Heat.Add(m.Line, obs.HeatExpiryWaits, -1)
+		c.Tr.L2State(now, c.Part, m.Line, "store-stall", uint64(now), uint64(l.GTS))
 		if m.Span != 0 {
-			c.sp.AddChild(m.Span, "expiry-wait", now, l.GTS+1)
-			c.sp.EdgeLease(m.Span, m.Line)
+			c.Sp.AddChild(m.Span, "expiry-wait", now, l.GTS+1)
+			c.Sp.EdgeLease(m.Span, m.Line)
 		}
 		c.blocked[m.Line] = []*coherence.Msg{}
 		c.stallQ.Push(l.GTS+1, m)
 		return
 	}
 	c.performWrite(m, l, now)
-	c.pool.Put(m)
+	c.Pool.Put(m)
 	c.tags.Touch(e)
 }
 
 func (c *L2) performWrite(m *coherence.Msg, l *l2Line, now timing.Cycle) {
-	c.heat.Add(m.Line, obs.HeatWrites, m.Src)
+	c.Heat.Add(m.Line, obs.HeatWrites, m.Src)
 	old := l.Val
 	if m.Type == coherence.AtomicReq {
 		l.Val = old + m.Val
-		c.tr.L2State(now, c.part, m.Line, "atomic", uint64(now), uint64(l.GTS))
+		c.Tr.L2State(now, c.Part, m.Line, "atomic", uint64(now), uint64(l.GTS))
 	} else {
 		l.Val = m.Val
-		c.tr.L2State(now, c.part, m.Line, "write", uint64(now), uint64(l.GTS))
+		c.Tr.L2State(now, c.Part, m.Line, "write", uint64(now), uint64(l.GTS))
 	}
 	l.Dirty = true
 	gwct := uint64(now)
 	if uint64(l.GTS) > gwct {
 		gwct = uint64(l.GTS)
 	}
-	resp := c.pool.Get()
+	resp := c.Pool.Get()
 	*resp = coherence.Msg{
 		Type:  coherence.Ack,
 		Line:  m.Line,
-		Src:   c.nodeID,
+		Src:   c.ID,
 		Dst:   m.Src,
 		ReqID: m.ReqID,
 		Warp:  m.Warp,
@@ -616,7 +473,7 @@ func (c *L2) performWrite(m *coherence.Msg, l *l2Line, now timing.Cycle) {
 		resp.Atomic = true
 		resp.Val = old
 	}
-	c.port.Send(resp, now)
+	c.Port.Send(resp, now)
 }
 
 // wakeStalledStore completes a TCS store whose lease wait ended, then
@@ -624,7 +481,7 @@ func (c *L2) performWrite(m *coherence.Msg, l *l2Line, now timing.Cycle) {
 func (c *L2) wakeStalledStore(m *coherence.Msg, now timing.Cycle) {
 	if m.Span != 0 {
 		// The lease wait the store just finished is protocol blame.
-		c.sp.Mark(m.Span, span.SegProto, now)
+		c.Sp.Mark(m.Span, span.SegProto, now)
 	}
 	queued := c.blocked[m.Line]
 	delete(c.blocked, m.Line)
@@ -633,33 +490,33 @@ func (c *L2) wakeStalledStore(m *coherence.Msg, now timing.Cycle) {
 		// Evicted while stalled (cannot happen: unexpired blocks are
 		// pinned); be safe and reprocess from scratch.
 		if !c.handle(m, now) {
-			c.deferred = append(c.deferred, m)
+			c.Defer(m)
 		}
 	} else {
-		c.st.L2Accesses++
+		c.St.L2Accesses++
 		c.performWrite(m, &e.Meta, now)
-		c.pool.Put(m)
+		c.Pool.Put(m)
 		c.tags.Touch(e)
 	}
 	for _, q := range queued {
 		if !c.handle(q, now) {
-			c.deferred = append(c.deferred, q)
+			c.Defer(q)
 		}
 	}
 }
 
 func (c *L2) miss(m *coherence.Msg, now timing.Cycle) bool {
-	c.st.L2Accesses++
+	c.St.L2Accesses++
 	mshr := c.mshrs.Get(m.Line)
 	if mshr == nil {
-		c.st.L2Misses++
+		c.St.L2Misses++
 		mshr = c.mshrs.Alloc(m.Line)
 		if mshr == nil {
-			c.st.L2Accesses--
-			c.st.L2Misses--
+			c.St.L2Accesses--
+			c.St.L2Misses--
 			return false
 		}
-		c.dram.Submit(mem.DRAMReq{Line: m.Line, ID: m.Line, Span: m.Span}, now)
+		c.DRAM.Submit(mem.DRAMReq{Line: m.Line, ID: m.Line, Span: m.Span}, now)
 	}
 	switch m.Type {
 	case coherence.GetS:
@@ -669,19 +526,19 @@ func (c *L2) miss(m *coherence.Msg, now timing.Cycle) bool {
 		// globally visible once ordered here; ack immediately.
 		mshr.writeVal = m.Val
 		mshr.hasWrite = true
-		ack := c.pool.Get()
+		ack := c.Pool.Get()
 		*ack = coherence.Msg{
 			Type:  coherence.Ack,
 			Line:  m.Line,
-			Src:   c.nodeID,
+			Src:   c.ID,
 			Dst:   m.Src,
 			ReqID: m.ReqID,
 			Warp:  m.Warp,
 			Exp:   uint64(now),
 			Span:  m.Span,
 		}
-		c.port.Send(ack, now)
-		c.pool.Put(m)
+		c.Port.Send(ack, now)
+		c.Pool.Put(m)
 	case coherence.AtomicReq:
 		mshr.stalled = append(mshr.stalled, m)
 	}
@@ -691,11 +548,7 @@ func (c *L2) miss(m *coherence.Msg, now timing.Cycle) bool {
 // fill installs a DRAM fetch. Eviction must pick an expired victim: TC
 // pins unexpired blocks (the paper notes Singh et al. hold them in MSHRs);
 // if none is available the fill retries, modeling that cost.
-func (c *L2) fill(req mem.DRAMReq, now timing.Cycle) {
-	if req.Write {
-		return
-	}
-	line := req.Line
+func (c *L2) fill(line uint64, now timing.Cycle) {
 	mshr := c.mshrs.Get(line)
 	if mshr == nil {
 		return
@@ -705,44 +558,44 @@ func (c *L2) fill(req mem.DRAMReq, now timing.Cycle) {
 	})
 	if !ok {
 		// All ways hold live leases; retry when the earliest expires.
-		c.dram.Submit(mem.DRAMReq{Line: line, ID: line}, now)
+		c.DRAM.Submit(mem.DRAMReq{Line: line, ID: line}, now)
 		return
 	}
 	if victim.WasValid {
-		c.st.L2Evictions++
+		c.St.L2Evictions++
 		if victim.Meta.Dirty {
-			c.backing.Write(victim.Tag, victim.Meta.Val)
-			c.dram.Submit(mem.DRAMReq{Line: victim.Tag, Write: true, ID: victim.Tag}, now)
+			c.Backing.Write(victim.Tag, victim.Meta.Val)
+			c.DRAM.Submit(mem.DRAMReq{Line: victim.Tag, Write: true, ID: victim.Tag}, now)
 		}
 	}
 	l := &e.Meta
-	l.Val = c.backing.Read(line)
+	l.Val = c.Backing.Read(line)
 	if mshr.hasWrite {
 		l.Val = mshr.writeVal
 		l.Dirty = true
 	}
 	if len(mshr.readers) > 0 {
-		lease := now + timing.Cycle(c.cfg.TCLease)
+		lease := now + timing.Cycle(c.Cfg.TCLease)
 		l.GTS = lease
 		for _, r := range mshr.readers {
-			c.tr.Lease(now, trace.LeaseGrant, c.part, line, uint64(now), uint64(lease), r.Src)
+			c.Tr.Lease(now, trace.LeaseGrant, c.Part, line, uint64(now), uint64(lease), r.Src)
 			if r.Span != 0 {
-				c.sp.Mark(r.Span, span.SegDRAM, now)
-				c.sp.AddChild(r.Span, "lease-grant", now, lease)
-				c.sp.NoteLease(line, r.Span)
+				c.Sp.Mark(r.Span, span.SegDRAM, now)
+				c.Sp.AddChild(r.Span, "lease-grant", now, lease)
+				c.Sp.NoteLease(line, r.Span)
 			}
-			resp := c.pool.Get()
+			resp := c.Pool.Get()
 			*resp = coherence.Msg{
 				Type: coherence.Data,
 				Line: line,
-				Src:  c.nodeID,
+				Src:  c.ID,
 				Dst:  r.Src,
 				Exp:  uint64(lease),
 				Val:  l.Val,
 				Span: r.Span,
 			}
-			c.port.Send(resp, now)
-			c.pool.Put(r)
+			c.Port.Send(resp, now)
+			c.Pool.Put(r)
 		}
 		mshr.readers = mshr.readers[:0]
 	}
@@ -750,17 +603,15 @@ func (c *L2) fill(req mem.DRAMReq, now timing.Cycle) {
 	c.mshrs.Free(line)
 	for _, s := range stalled {
 		if s.Span != 0 {
-			c.sp.Mark(s.Span, span.SegProto, now)
+			c.Sp.Mark(s.Span, span.SegProto, now)
 		}
 		if !c.handle(s, now) {
-			c.deferred = append(c.deferred, s)
+			c.Defer(s)
 		}
 	}
 }
 
-// Peek returns the current value of line if the block is resident — the
-// authoritative copy, since TC L1s are write-through (differential
-// checker's final-memory oracle).
+// Peek implements coherence.L2.
 func (c *L2) Peek(line uint64) (uint64, bool) {
 	if e := c.tags.Lookup(line); e != nil {
 		return e.Meta.Val, true
@@ -770,27 +621,10 @@ func (c *L2) Peek(line uint64) (uint64, bool) {
 
 // NextEvent implements coherence.L2.
 func (c *L2) NextEvent(now timing.Cycle) timing.Cycle {
-	next := timing.Min(c.dram.NextEvent(), c.pipe.NextReady())
-	next = timing.Min(next, c.stallQ.NextReady())
-	if len(c.deferred) > 0 {
-		next = timing.Min(next, now+1)
-	}
-	return next
+	return timing.Min(c.L2.NextEvent(now), c.stallQ.NextReady())
 }
 
 // Drained implements coherence.L2.
 func (c *L2) Drained() bool {
-	return c.pipe.Len() == 0 && len(c.deferred) == 0 && c.stallQ.Len() == 0 &&
-		len(c.blocked) == 0 && c.mshrs.Len() == 0 && c.dram.Pending() == 0
-}
-
-// SetSink wires the completion path to the SM (set once at machine build;
-// the SM and L1 reference each other).
-func (c *L1) SetSink(s coherence.Sink) {
-	c.sink = s
-	if w, ok := s.(coherence.Waker); ok {
-		c.wake = w.Wake
-	} else {
-		c.wake = nil
-	}
+	return c.Idle() && c.stallQ.Len() == 0 && len(c.blocked) == 0 && c.mshrs.Len() == 0
 }

@@ -59,7 +59,7 @@ func newHarness(t *testing.T, weak bool, mutate func(*config.Config)) *harness {
 	dram := mem.NewDRAM(cfg, h.st)
 	h.l2 = NewL2(cfg, 0, weak, h, h.st, dram, h.backing)
 	for i := 0; i < cfg.NumSMs; i++ {
-		l1 := NewL1(cfg, i, weak, h, nil, h.st)
+		l1 := NewL1(cfg, i, weak, h, h.st)
 		l1.SetSink(h)
 		h.l1s = append(h.l1s, l1)
 	}

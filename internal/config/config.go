@@ -310,6 +310,13 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: MSHR counts must be positive")
 	case c.LineBytes <= 0 || c.FlitBytes <= 0:
 		return fmt.Errorf("config: line/flit sizes must be positive")
+	case c.PortFlitsPerCycle <= 0:
+		return fmt.Errorf("config: PortFlitsPerCycle must be positive, got %d", c.PortFlitsPerCycle)
+	case c.DRAMBanksPerPart <= 0 || c.DRAMRowLines <= 0:
+		return fmt.Errorf("config: DRAM geometry invalid (%d banks x %d-line rows)", c.DRAMBanksPerPart, c.DRAMRowLines)
+	case (c.Protocol == MESI || c.Protocol == SCIdeal) && c.NumSMs > 64:
+		// The directory's sharer set is a 64-bit full map.
+		return fmt.Errorf("config: %v tracks at most 64 SMs, got %d", c.Protocol, c.NumSMs)
 	case c.TCLease == 0:
 		return fmt.Errorf("config: TCLease must be positive")
 	case c.RCCMinLease == 0 || c.RCCMaxLease < c.RCCMinLease:

@@ -96,6 +96,11 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		func(c *Config) { c.L2Ways = 0 },
 		func(c *Config) { c.L1MSHRs = 0 },
 		func(c *Config) { c.LineBytes = 0 },
+		func(c *Config) { c.PortFlitsPerCycle = 0 },
+		func(c *Config) { c.DRAMBanksPerPart = 0 },
+		func(c *Config) { c.DRAMRowLines = 0 },
+		func(c *Config) { c.Protocol = MESI; c.NumSMs = 65 },
+		func(c *Config) { c.Protocol = SCIdeal; c.NumSMs = 65 },
 		func(c *Config) { c.TCLease = 0 },
 		func(c *Config) { c.RCCMinLease = 0 },
 		func(c *Config) { c.RCCMaxLease = 4 },
@@ -109,6 +114,13 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("mutation %d not caught by Validate", i)
 		}
+	}
+	// Only the directory protocols' sharer map limits the SM count.
+	c := Default()
+	c.Protocol = RCC
+	c.NumSMs = 65
+	if err := c.Validate(); err != nil {
+		t.Errorf("RCC with 65 SMs: %v", err)
 	}
 }
 

@@ -53,7 +53,9 @@ func newHarness(t *testing.T, mutate func(*config.Config)) *harness {
 	h.l2 = NewL2(cfg, 0, h, h.st, h.dram, h.backing, nil)
 	wo := cfg.Protocol == config.RCCWO
 	for i := 0; i < cfg.NumSMs; i++ {
-		h.l1s = append(h.l1s, NewL1(cfg, i, h, h, h.st, NewClock(wo)))
+		l1 := NewL1(cfg, i, h, h.st, NewClock(wo))
+		l1.SetSink(h)
+		h.l1s = append(h.l1s, l1)
 	}
 	return h
 }

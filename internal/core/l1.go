@@ -2,6 +2,7 @@ package core
 
 import (
 	"rccsim/internal/coherence"
+	"rccsim/internal/coherence/ctl"
 	"rccsim/internal/config"
 	"rccsim/internal/mem"
 	"rccsim/internal/obs"
@@ -59,19 +60,11 @@ func resetL1MSHR(m *l1MSHR) {
 // and write-no-allocate; reads are satisfied from leased copies while the
 // core's logical time has not passed the lease expiration.
 type L1 struct {
-	cfg  config.Config
-	id   int
-	port coherence.Port
-	sink coherence.Sink
-	st   *stats.Run
-	tr   *trace.Bus
-	clk  *Clock
+	ctl.L1
+	clk *Clock
 
-	tags   *mem.Array[l1Line]
-	mshrs  *mem.MSHRs[l1MSHR]
-	inbox  []*coherence.Msg
-	inHead int // next inbox element to drain (the slice is reused, not re-sliced)
-	pool   *coherence.MsgPool
+	tags  *mem.Array[l1Line]
+	mshrs *mem.MSHRs[l1MSHR]
 
 	lastLivelock timing.Cycle
 	frozen       bool // rollover in progress: reject new requests
@@ -80,32 +73,15 @@ type L1 struct {
 	// opportunity (expired copy attached); the SM's cycle accounting reads
 	// it through RenewPending to refine sc-stall-load into lease-renew.
 	renewsPending int
-
-	// heat, when non-nil, receives per-line contention samples.
-	heat *obs.Heat
-
-	// sp, when non-nil, records causal spans for sampled requests.
-	sp *span.Recorder
-
-	// wake, when non-nil, notifies the SM that this Tick may have freed
-	// resources it is polling for (an MSHR slot); set from SetSink when the
-	// sink implements coherence.Waker.
-	wake func()
 }
 
 // NewL1 builds the controller. clk is shared with the SM front end (for
 // RCC-WO fences).
-func NewL1(cfg config.Config, id int, port coherence.Port, sink coherence.Sink, st *stats.Run, clk *Clock) *L1 {
+func NewL1(cfg config.Config, id int, port coherence.Port, st *stats.Run, clk *Clock) *L1 {
 	return &L1{
-		cfg:  cfg,
-		id:   id,
-		port: port,
-		sink: sink,
-		st:   st,
-		clk:  clk,
-		tags: mem.NewArray[l1Line](cfg.L1Sets, cfg.L1Ways, func(l uint64) int {
-			return coherence.L1SetIndex(l, cfg.L1Sets)
-		}),
+		L1:    ctl.NewL1(cfg, id, port, st),
+		clk:   clk,
+		tags:  ctl.L1Tags[l1Line](cfg),
 		mshrs: mem.NewMSHRs(cfg.L1MSHRs, resetL1MSHR),
 	}
 }
@@ -113,26 +89,9 @@ func NewL1(cfg config.Config, id int, port coherence.Port, sink coherence.Sink, 
 // Clock exposes the core's logical clock.
 func (c *L1) Clock() *Clock { return c.clk }
 
-// SetTracer attaches the event bus (nil disables tracing).
-func (c *L1) SetTracer(tr *trace.Bus) { c.tr = tr }
-
-// SetMsgPool attaches the machine's message free list (nil keeps plain
-// allocation).
-func (c *L1) SetMsgPool(p *coherence.MsgPool) { c.pool = p }
-
-// SetHeat attaches the contention sketch (nil disables sampling).
-func (c *L1) SetHeat(h *obs.Heat) { c.heat = h }
-
-// SetSpans attaches the causal-span recorder (nil disables).
-func (c *L1) SetSpans(sp *span.Recorder) { c.sp = sp }
-
 // RenewPending reports whether any in-flight GETS is a lease-renewal
 // opportunity (the SM cycle accounting's lease-renew refinement).
 func (c *L1) RenewPending() bool { return c.renewsPending > 0 }
-
-func (c *L1) l2node(line uint64) int {
-	return coherence.L2NodeID(coherence.PartitionOf(line, c.cfg.L2Partitions), c.cfg.NumSMs)
-}
 
 // leaseSlackForTest widens every RCC L1 lease check by the given number of
 // logical ticks, letting a core keep reading a copy the protocol says has
@@ -173,24 +132,24 @@ func (c *L1) Access(r *coherence.Request, now timing.Cycle) bool {
 }
 
 func (c *L1) load(r *coherence.Request, now timing.Cycle) bool {
-	c.st.L1Loads++
+	c.St.L1Loads++
 	e := c.tags.Lookup(r.Line)
 
 	if m := c.mshrs.Get(r.Line); m != nil {
 		// VI: the pre-write copy remains readable by other warps.
 		if m.state == stateVI && c.readable(e) {
-			c.st.L1LoadHits++
-			if c.sp != nil {
-				c.sp.Mark(r.ID, span.SegL1, now)
+			c.St.L1LoadHits++
+			if c.Sp != nil {
+				c.Sp.Mark(r.ID, span.SegL1, now)
 			}
-			c.complete(r, e.Meta.Val, now)
+			c.Complete(r, e.Meta.Val, now)
 			return true
 		}
 		m.loads = append(m.loads, r)
 		if !m.getsOut {
-			if c.sp.Tracked(r.ID) {
+			if c.Sp.Tracked(r.ID) {
 				m.span = r.ID
-				c.sp.Mark(r.ID, span.SegL1, now)
+				c.Sp.Mark(r.ID, span.SegL1, now)
 			}
 			c.sendGets(r.Line, e, m.span, now)
 			m.getsOut = true
@@ -198,55 +157,55 @@ func (c *L1) load(r *coherence.Request, now timing.Cycle) bool {
 				m.renewing = true
 				c.renewsPending++
 			}
-		} else if c.sp.Tracked(r.ID) {
+		} else if c.Sp.Tracked(r.ID) {
 			// Joined an in-flight GETS: the whole wait is coalesce
 			// time, causally blocked on the carrier op.
-			c.sp.Edge(r.ID, m.span, "coalesce")
+			c.Sp.Edge(r.ID, m.span, "coalesce")
 		}
 		return true
 	}
 
 	if e != nil {
 		if c.readable(e) {
-			c.st.L1LoadHits++
+			c.St.L1LoadHits++
 			c.tags.Touch(e)
-			if c.sp != nil {
-				c.sp.Mark(r.ID, span.SegL1, now)
+			if c.Sp != nil {
+				c.Sp.Mark(r.ID, span.SegL1, now)
 			}
-			c.complete(r, e.Meta.Val, now)
+			c.Complete(r, e.Meta.Val, now)
 			return true
 		}
 		// V but expired: self-invalidated copy; renewal opportunity.
-		c.st.L1LoadExpired++
+		c.St.L1LoadExpired++
 	} else {
-		c.st.L1LoadMisses++
+		c.St.L1LoadMisses++
 	}
 
 	m := c.mshrs.Alloc(r.Line)
 	if m == nil {
-		c.st.L1Loads-- // retried later; avoid double counting
+		c.St.L1Loads-- // retried later; avoid double counting
 		if e == nil {
-			c.st.L1LoadMisses--
+			c.St.L1LoadMisses--
 		} else {
-			c.st.L1LoadExpired--
+			c.St.L1LoadExpired--
 		}
 		return false
 	}
 	if e != nil {
-		c.tr.LeaseExpiredAt(now, c.id, r.Line, e.Meta.Exp, c.clk.ReadNow())
-		c.tr.L1State(now, c.id, r.Line, "V_exp->IV")
-		c.heat.Add(r.Line, obs.HeatExpiryWaits, -1)
+		c.Tr.LeaseExpiredAt(now, c.ID, r.Line, e.Meta.Exp, c.clk.ReadNow())
+		c.Tr.L1State(now, c.ID, r.Line, "V_exp->IV")
+		c.Heat.Add(r.Line, obs.HeatExpiryWaits, -1)
 		m.renewing = true
 		c.renewsPending++
 	} else {
-		c.tr.L1State(now, c.id, r.Line, "I->IV")
+		c.Tr.L1State(now, c.ID, r.Line, "I->IV")
 	}
 	m.state = stateIV
 	m.getsOut = true
 	m.loads = append(m.loads, r)
-	if c.sp.Tracked(r.ID) {
+	if c.Sp.Tracked(r.ID) {
 		m.span = r.ID
-		c.sp.Mark(r.ID, span.SegL1, now)
+		c.Sp.Mark(r.ID, span.SegL1, now)
 	}
 	c.sendGets(r.Line, e, m.span, now)
 	return true
@@ -260,58 +219,58 @@ func (c *L1) sendGets(line uint64, e *mem.Entry[l1Line], sp uint64, now timing.C
 	if e != nil {
 		oldExp = e.Meta.Exp
 	}
-	msg := c.pool.Get()
+	msg := c.Pool.Get()
 	*msg = coherence.Msg{
 		Type: coherence.GetS,
 		Line: line,
-		Src:  c.id,
-		Dst:  c.l2node(line),
+		Src:  c.ID,
+		Dst:  c.L2Node(line),
 		Now:  c.clk.ReadNow(),
 		Exp:  oldExp,
 		Span: sp,
 	}
-	c.port.Send(msg, now)
+	c.Port.Send(msg, now)
 }
 
 func (c *L1) store(r *coherence.Request, now timing.Cycle) bool {
-	c.st.L1Stores++
+	c.St.L1Stores++
 	m := c.mshrs.Get(r.Line)
 	if m == nil {
 		m = c.mshrs.Alloc(r.Line)
 		if m == nil {
-			c.st.L1Stores--
+			c.St.L1Stores--
 			return false
 		}
 		if e := c.tags.Lookup(r.Line); c.readable(e) {
 			m.state = stateVI
-			c.tr.L1State(now, c.id, r.Line, "V->VI")
+			c.Tr.L1State(now, c.ID, r.Line, "V->VI")
 		} else {
 			m.state = stateII
-			c.tr.L1State(now, c.id, r.Line, "I->II")
+			c.Tr.L1State(now, c.ID, r.Line, "I->II")
 		}
 	} else if m.state == stateIV {
 		m.state = stateII
-		c.tr.L1State(now, c.id, r.Line, "IV->II")
+		c.Tr.L1State(now, c.ID, r.Line, "IV->II")
 	}
 	m.stores = append(m.stores, r)
 	var sp uint64
-	if c.sp.Tracked(r.ID) {
+	if c.Sp.Tracked(r.ID) {
 		sp = r.ID
-		c.sp.Mark(r.ID, span.SegL1, now)
+		c.Sp.Mark(r.ID, span.SegL1, now)
 	}
-	msg := c.pool.Get()
+	msg := c.Pool.Get()
 	*msg = coherence.Msg{
 		Type:  coherence.Write,
 		Line:  r.Line,
-		Src:   c.id,
-		Dst:   c.l2node(r.Line),
+		Src:   c.ID,
+		Dst:   c.L2Node(r.Line),
 		ReqID: r.ID,
 		Warp:  r.Warp,
 		Now:   c.clk.WriteNow(),
 		Val:   r.Val,
 		Span:  sp,
 	}
-	c.port.Send(msg, now)
+	c.Port.Send(msg, now)
 	return true
 }
 
@@ -324,27 +283,27 @@ func (c *L1) atomic(r *coherence.Request, now timing.Cycle) bool {
 		}
 		if e := c.tags.Lookup(r.Line); c.readable(e) {
 			m.state = stateVI
-			c.tr.L1State(now, c.id, r.Line, "V->VI")
+			c.Tr.L1State(now, c.ID, r.Line, "V->VI")
 		} else {
 			m.state = stateII
-			c.tr.L1State(now, c.id, r.Line, "I->II")
+			c.Tr.L1State(now, c.ID, r.Line, "I->II")
 		}
 	} else if m.state == stateIV {
 		m.state = stateII
-		c.tr.L1State(now, c.id, r.Line, "IV->II")
+		c.Tr.L1State(now, c.ID, r.Line, "IV->II")
 	}
 	m.stores = append(m.stores, r)
 	var sp uint64
-	if c.sp.Tracked(r.ID) {
+	if c.Sp.Tracked(r.ID) {
 		sp = r.ID
-		c.sp.Mark(r.ID, span.SegL1, now)
+		c.Sp.Mark(r.ID, span.SegL1, now)
 	}
-	msg := c.pool.Get()
+	msg := c.Pool.Get()
 	*msg = coherence.Msg{
 		Type:   coherence.AtomicReq,
 		Line:   r.Line,
-		Src:    c.id,
-		Dst:    c.l2node(r.Line),
+		Src:    c.ID,
+		Dst:    c.L2Node(r.Line),
 		ReqID:  r.ID,
 		Warp:   r.Warp,
 		Now:    c.clk.WriteNow(),
@@ -352,42 +311,20 @@ func (c *L1) atomic(r *coherence.Request, now timing.Cycle) bool {
 		Atomic: true,
 		Span:   sp,
 	}
-	c.port.Send(msg, now)
+	c.Port.Send(msg, now)
 	return true
 }
-
-func (c *L1) complete(r *coherence.Request, val uint64, now timing.Cycle) {
-	r.Data = val
-	c.sink.MemDone(r, now)
-}
-
-// Deliver implements coherence.L1. The delivery timestamp is unused: the
-// inbox is drained in full on the next Tick.
-func (c *L1) Deliver(m *coherence.Msg, at timing.Cycle) { c.inbox = append(c.inbox, m) }
 
 // Tick implements coherence.L1: it drains the inbox and advances the
 // livelock-avoidance clock tick.
 func (c *L1) Tick(now timing.Cycle) bool {
 	did := false
-	if c.cfg.RCCLivelockTick > 0 && now-c.lastLivelock >= timing.Cycle(c.cfg.RCCLivelockTick) {
+	if c.Cfg.RCCLivelockTick > 0 && now-c.lastLivelock >= timing.Cycle(c.Cfg.RCCLivelockTick) {
 		c.lastLivelock = now
 		c.clk.TickLivelock()
 		did = true
 	}
-	for c.inHead < len(c.inbox) {
-		m := c.inbox[c.inHead]
-		c.inbox[c.inHead] = nil
-		c.inHead++
-		c.handle(m, now)
-		c.pool.Put(m)
-		did = true
-	}
-	c.inbox = c.inbox[:0]
-	c.inHead = 0
-	if did && c.wake != nil {
-		c.wake()
-	}
-	return did
+	return c.Drain(now, did, c.handle)
 }
 
 func (c *L1) handle(m *coherence.Msg, now timing.Cycle) {
@@ -414,7 +351,7 @@ func (c *L1) handle(m *coherence.Msg, now timing.Cycle) {
 // cached unless every way is pinned by an active MSHR.
 func (c *L1) handleData(m *coherence.Msg, now timing.Cycle) {
 	c.clk.AdvanceRead(m.Ver)
-	c.tr.Clock(now, c.id, c.clk.ReadNow(), c.clk.WriteNow())
+	c.Tr.Clock(now, c.ID, c.clk.ReadNow(), c.clk.WriteNow())
 	mshr := c.mshrs.Get(m.Line)
 
 	// Install the line (write-allocate on load).
@@ -423,7 +360,7 @@ func (c *L1) handleData(m *coherence.Msg, now timing.Cycle) {
 	})
 	if ok {
 		if victim.WasValid {
-			c.st.L1Evictions++
+			c.St.L1Evictions++
 		}
 		e.Meta.Exp = m.Exp
 		e.Meta.Val = m.Val
@@ -439,31 +376,31 @@ func (c *L1) handleData(m *coherence.Msg, now timing.Cycle) {
 		c.renewsPending--
 	}
 	for _, r := range mshr.loads {
-		if c.sp != nil && r.ID != m.Span {
-			c.sp.Mark(r.ID, span.SegCoalesce, now)
+		if c.Sp != nil && r.ID != m.Span {
+			c.Sp.Mark(r.ID, span.SegCoalesce, now)
 		}
-		c.complete(r, m.Val, now)
+		c.Complete(r, m.Val, now)
 	}
 	mshr.loads = mshr.loads[:0]
 	if len(mshr.stores) > 0 {
 		// Stores still outstanding: the fresh copy is readable (VI).
 		mshr.state = stateVI
-		c.tr.L1State(now, c.id, m.Line, "IV->VI")
+		c.Tr.L1State(now, c.ID, m.Line, "IV->VI")
 		return
 	}
-	c.tr.L1State(now, c.id, m.Line, "IV->V")
+	c.Tr.L1State(now, c.ID, m.Line, "IV->V")
 	c.mshrs.Free(m.Line)
 }
 
 // handleRenew processes a lease-extension grant: no data, new expiration.
 func (c *L1) handleRenew(m *coherence.Msg, now timing.Cycle) {
 	c.clk.AdvanceRead(m.Ver)
-	c.tr.Clock(now, c.id, c.clk.ReadNow(), c.clk.WriteNow())
+	c.Tr.Clock(now, c.ID, c.clk.ReadNow(), c.clk.WriteNow())
 	e := c.tags.Lookup(m.Line)
 	if e != nil {
 		e.Meta.Exp = m.Exp
 		c.tags.Touch(e)
-		c.tr.L1State(now, c.id, m.Line, "V_exp->V")
+		c.Tr.L1State(now, c.ID, m.Line, "V_exp->V")
 	}
 	mshr := c.mshrs.Get(m.Line)
 	if mshr == nil {
@@ -477,11 +414,11 @@ func (c *L1) handleRenew(m *coherence.Msg, now timing.Cycle) {
 	}
 	if e != nil {
 		for _, r := range mshr.loads {
-			c.st.L1Renewed++
-			if c.sp != nil && r.ID != m.Span {
-				c.sp.Mark(r.ID, span.SegCoalesce, now)
+			c.St.L1Renewed++
+			if c.Sp != nil && r.ID != m.Span {
+				c.Sp.Mark(r.ID, span.SegCoalesce, now)
 			}
-			c.complete(r, e.Meta.Val, now)
+			c.Complete(r, e.Meta.Val, now)
 		}
 		mshr.loads = mshr.loads[:0]
 	}
@@ -499,7 +436,7 @@ func (c *L1) handleRenew(m *coherence.Msg, now timing.Cycle) {
 // drains, the block transitions to I — the local copy is stale.
 func (c *L1) handleAck(m *coherence.Msg, now timing.Cycle) {
 	c.clk.AdvanceWrite(m.Ver)
-	c.tr.Clock(now, c.id, c.clk.ReadNow(), c.clk.WriteNow())
+	c.Tr.Clock(now, c.ID, c.clk.ReadNow(), c.clk.WriteNow())
 	mshr := c.mshrs.Get(m.Line)
 	if mshr == nil {
 		return
@@ -512,7 +449,7 @@ func (c *L1) handleAck(m *coherence.Msg, now timing.Cycle) {
 func (c *L1) handleAtomicData(m *coherence.Msg, now timing.Cycle) {
 	c.clk.AdvanceWrite(m.Ver)
 	c.clk.AdvanceRead(m.Ver)
-	c.tr.Clock(now, c.id, c.clk.ReadNow(), c.clk.WriteNow())
+	c.Tr.Clock(now, c.ID, c.clk.ReadNow(), c.clk.WriteNow())
 	mshr := c.mshrs.Get(m.Line)
 	if mshr == nil {
 		return
@@ -524,7 +461,7 @@ func (c *L1) finishStore(mshr *l1MSHR, m *coherence.Msg, data uint64, now timing
 	for i, r := range mshr.stores {
 		if r.ID == m.ReqID {
 			mshr.stores = append(mshr.stores[:i], mshr.stores[i+1:]...)
-			c.complete(r, data, now)
+			c.Complete(r, data, now)
 			break
 		}
 	}
@@ -537,17 +474,17 @@ func (c *L1) finishStore(mshr *l1MSHR, m *coherence.Msg, data uint64, now timing
 	}
 	if len(mshr.loads) > 0 {
 		if mshr.state == stateVI {
-			c.tr.L1State(now, c.id, m.Line, "VI->IV")
+			c.Tr.L1State(now, c.ID, m.Line, "VI->IV")
 		} else {
-			c.tr.L1State(now, c.id, m.Line, "II->IV")
+			c.Tr.L1State(now, c.ID, m.Line, "II->IV")
 		}
 		mshr.state = stateIV
 		return
 	}
 	if mshr.state == stateVI {
-		c.tr.L1State(now, c.id, m.Line, "VI->I")
+		c.Tr.L1State(now, c.ID, m.Line, "VI->I")
 	} else {
-		c.tr.L1State(now, c.id, m.Line, "II->I")
+		c.Tr.L1State(now, c.ID, m.Line, "II->I")
 	}
 	c.mshrs.Free(m.Line)
 }
@@ -556,13 +493,13 @@ func (c *L1) finishStore(mshr *l1MSHR, m *coherence.Msg, data uint64, now timing
 // a message: zero the clock, invalidate every cached line, acknowledge.
 func (c *L1) handleFlush(m *coherence.Msg, now timing.Cycle) {
 	c.FlushNow(now)
-	ack := c.pool.Get()
+	ack := c.Pool.Get()
 	*ack = coherence.Msg{
 		Type: coherence.FlushAck,
-		Src:  c.id,
+		Src:  c.ID,
 		Dst:  m.Src,
 	}
-	c.port.Send(ack, now)
+	c.Port.Send(ack, now)
 }
 
 // FlushNow zeroes the core's logical clock and invalidates every cached
@@ -573,7 +510,7 @@ func (c *L1) FlushNow(now timing.Cycle) {
 	c.clk.Reset()
 	c.tags.ForEach(func(e *mem.Entry[l1Line]) { c.tags.Invalidate(e) })
 	c.lastLivelock = now
-	c.tr.Rollover(now, trace.RolloverFlush, c.id, 0)
+	c.Tr.Rollover(now, trace.RolloverFlush, c.ID, 0)
 }
 
 // Freeze stops the controller from accepting new SM requests (rollover).
@@ -581,12 +518,9 @@ func (c *L1) Freeze(frozen bool) { c.frozen = frozen }
 
 // NextEvent implements coherence.L1.
 func (c *L1) NextEvent(now timing.Cycle) timing.Cycle {
-	next := timing.Never
-	if c.inHead < len(c.inbox) {
-		next = now
-	}
-	if c.cfg.RCCLivelockTick > 0 && c.mshrs.Len() > 0 {
-		next = timing.Min(next, c.lastLivelock+timing.Cycle(c.cfg.RCCLivelockTick))
+	next := c.L1.NextEvent(now)
+	if c.Cfg.RCCLivelockTick > 0 && c.mshrs.Len() > 0 {
+		next = timing.Min(next, c.lastLivelock+timing.Cycle(c.Cfg.RCCLivelockTick))
 	}
 	return next
 }
@@ -599,12 +533,9 @@ func (c *L1) NextEvent(now timing.Cycle) timing.Cycle {
 // run loop uses NextTick to decide when to visit the controller and
 // NextEvent to decide when to advance time.
 func (c *L1) NextTick(now timing.Cycle) timing.Cycle {
-	next := timing.Never
-	if c.inHead < len(c.inbox) {
-		next = now
-	}
-	if c.cfg.RCCLivelockTick > 0 {
-		next = timing.Min(next, c.lastLivelock+timing.Cycle(c.cfg.RCCLivelockTick))
+	next := c.L1.NextEvent(now)
+	if c.Cfg.RCCLivelockTick > 0 {
+		next = timing.Min(next, c.lastLivelock+timing.Cycle(c.Cfg.RCCLivelockTick))
 	}
 	return next
 }
@@ -618,18 +549,7 @@ func (c *L1) FenceReadyAt(warp int, now timing.Cycle) timing.Cycle { return now 
 func (c *L1) FenceComplete(warp int, now timing.Cycle) { c.clk.Merge() }
 
 // Drained implements coherence.L1.
-func (c *L1) Drained() bool { return c.inHead >= len(c.inbox) && c.mshrs.Len() == 0 }
-
-// SetSink wires the completion path to the SM (set once at machine build;
-// the SM and L1 reference each other).
-func (c *L1) SetSink(s coherence.Sink) {
-	c.sink = s
-	if w, ok := s.(coherence.Waker); ok {
-		c.wake = w.Wake
-	} else {
-		c.wake = nil
-	}
-}
+func (c *L1) Drained() bool { return c.Idle() && c.mshrs.Len() == 0 }
 
 // Seed installs a leased copy with the given expiration and value —
 // scenario setup for tests and walkthroughs, never used by the machine.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"rccsim/internal/coherence"
+	"rccsim/internal/coherence/ctl"
 	"rccsim/internal/config"
 	"rccsim/internal/mem"
 	"rccsim/internal/obs"
@@ -58,123 +59,50 @@ func resetL2MSHR(m *l2MSHR) {
 // and exp per block, carries the partition's memory time mnow, and hosts
 // the per-block lease predictor.
 type L2 struct {
-	cfg    config.Config
-	part   int
-	nodeID int
-	port   coherence.Port
-	st     *stats.Run
-	tr     *trace.Bus
+	ctl.L2
 
-	tags    *mem.Array[l2Line]
-	mshrs   *mem.MSHRs[l2MSHR]
-	dram    *mem.DRAM
-	backing *mem.Backing
-
-	pipe     timing.Pipe[*coherence.Msg] // models the access pipeline
-	deferred []*coherence.Msg            // requeued (MSHR-full or rollover)
-	pool     *coherence.MsgPool
-	mnow     uint64
+	tags  *mem.Array[l2Line]
+	mshrs *mem.MSHRs[l2MSHR]
+	mnow  uint64
 
 	frozen      bool
 	rolloverReq func() // machine-level rollover coordinator hook
 	tsGuard     uint64 // trigger threshold: TSMax minus headroom
-
-	heat *obs.Heat // per-line contention sampling (nil disables)
-
-	sp *span.Recorder // causal spans for sampled requests (nil disables)
 }
 
 // NewL2 builds partition part. rollover is invoked (once per trigger) when
 // a timestamp is about to exceed the configured maximum.
 func NewL2(cfg config.Config, part int, port coherence.Port, st *stats.Run, dram *mem.DRAM, backing *mem.Backing, rollover func()) *L2 {
-	guard := cfg.RCCTSMax - 2*cfg.RCCMaxLease - 2
-	c := &L2{
-		cfg:    cfg,
-		part:   part,
-		nodeID: coherence.L2NodeID(part, cfg.NumSMs),
-		port:   port,
-		st:     st,
-		tags: mem.NewArray[l2Line](cfg.L2SetsPerPart, cfg.L2Ways, func(l uint64) int {
-			return coherence.L2SetIndex(l, cfg.L2Partitions, cfg.L2SetsPerPart)
-		}),
+	return &L2{
+		L2:          ctl.NewL2(cfg, part, port, st, dram, backing),
+		tags:        ctl.L2Tags[l2Line](cfg),
 		mshrs:       mem.NewMSHRs(cfg.L2MSHRs, resetL2MSHR),
-		dram:        dram,
-		backing:     backing,
 		rolloverReq: rollover,
-		tsGuard:     guard,
+		tsGuard:     cfg.RCCTSMax - 2*cfg.RCCMaxLease - 2,
 	}
-	return c
 }
 
 // MNow returns the partition's memory time (exported for tests and the
 // rollover coordinator).
 func (c *L2) MNow() uint64 { return c.mnow }
 
-// SetTracer attaches the event bus (nil disables tracing).
-func (c *L2) SetTracer(tr *trace.Bus) { c.tr = tr }
-
-// SetMsgPool attaches the machine's message free list (nil keeps plain
-// allocation).
-func (c *L2) SetMsgPool(p *coherence.MsgPool) { c.pool = p }
-
-// SetHeat attaches the contention sketch (nil disables sampling).
-func (c *L2) SetHeat(h *obs.Heat) { c.heat = h }
-
-// SetSpans attaches the causal-span recorder (nil disables).
-func (c *L2) SetSpans(sp *span.Recorder) { c.sp = sp }
-
-// Deliver implements coherence.L2: requests enter the access pipeline at
-// the delivery timestamp supplied by the interconnect.
-func (c *L2) Deliver(m *coherence.Msg, at timing.Cycle) {
-	c.pipe.Push(at+timing.Cycle(c.cfg.L2Latency), m)
-}
-
-// Tick implements coherence.L2. One request is serviced per cycle; DRAM
-// completions are drained and deferred requests retried.
+// Tick implements coherence.L2: DRAM completions fill, then, unless a
+// rollover froze the partition, one request is serviced.
 func (c *L2) Tick(now timing.Cycle) bool {
-	did := false
-
-	if c.dram.Tick(now) {
-		did = true
-	}
-	for {
-		req, ok := c.dram.PopDone(now)
-		if !ok {
-			break
-		}
-		c.fill(req, now)
-		did = true
-	}
-
+	did := c.DrainDRAM(now, c.fill)
 	if c.frozen {
 		return did
 	}
-
-	if len(c.deferred) > 0 {
-		m := c.deferred[0]
-		if c.handle(m, now) {
-			c.deferred = c.deferred[1:]
-			did = true
-		}
-		return did
-	}
-
-	if m, ok := c.pipe.PopReady(now); ok {
-		if !c.handle(m, now) {
-			c.deferred = append(c.deferred, m)
-		}
-		did = true
-	}
-	return did
+	return c.Serve(now, c.handle) || did
 }
 
 // lease returns the lease duration to grant for entry e.
 func (c *L2) lease(e *l2Line) uint64 {
-	if !c.cfg.RCCPredictor {
-		return c.cfg.RCCFixedLease
+	if !c.Cfg.RCCPredictor {
+		return c.Cfg.RCCFixedLease
 	}
 	if e.Pred == 0 {
-		return c.cfg.RCCMaxLease
+		return c.Cfg.RCCMaxLease
 	}
 	return e.Pred
 }
@@ -203,7 +131,7 @@ func (c *L2) handle(m *coherence.Msg, now timing.Cycle) bool {
 	if m.Span != 0 {
 		// Bank pipeline plus any defer/replay wait telescopes into the
 		// L2-pipe segment; a repeated mark just extends it.
-		c.sp.Mark(m.Span, span.SegL2Pipe, now)
+		c.Sp.Mark(m.Span, span.SegL2Pipe, now)
 	}
 	e := c.tags.Lookup(m.Line)
 	if e != nil {
@@ -213,7 +141,7 @@ func (c *L2) handle(m *coherence.Msg, now timing.Cycle) bool {
 			}
 			return false
 		}
-		c.st.L2Accesses++
+		c.St.L2Accesses++
 		switch m.Type {
 		case coherence.GetS:
 			c.getsHit(m, e, now)
@@ -240,63 +168,63 @@ func (c *L2) getsHit(m *coherence.Msg, e *mem.Entry[l2Line], now timing.Cycle) {
 	lease := c.lease(l)
 	l.Exp = maxU(l.Exp, maxU(l.Ver+lease, m.Now+lease))
 	c.tags.Touch(e)
-	c.heat.Add(m.Line, obs.HeatReads, -1)
+	c.Heat.Add(m.Line, obs.HeatReads, -1)
 
 	if m.Exp > 0 {
-		c.st.ExpiredGets++
+		c.St.ExpiredGets++
 		if m.Exp > l.Ver {
-			c.st.ExpiredGetsRenewable++
+			c.St.ExpiredGetsRenewable++
 		}
 	}
-	if c.cfg.RCCRenew && m.Exp > l.Ver {
+	if c.Cfg.RCCRenew && m.Exp > l.Ver {
 		// The requester's lease outlived the last write: its copy is
 		// current and only the expiration needs refreshing.
-		if c.cfg.RCCPredictor {
+		if c.Cfg.RCCPredictor {
 			grown := c.lease(l) * 2
-			if grown > c.cfg.RCCMaxLease {
-				grown = c.cfg.RCCMaxLease
+			if grown > c.Cfg.RCCMaxLease {
+				grown = c.Cfg.RCCMaxLease
 			}
 			l.Pred = grown
-			c.st.PredictorGrows++
+			c.St.PredictorGrows++
 		}
-		c.heat.Add(m.Line, obs.HeatRenewals, -1)
-		c.tr.Lease(now, trace.LeaseRenew, c.part, m.Line, l.Ver, l.Exp, m.Src)
+		c.Heat.Add(m.Line, obs.HeatRenewals, -1)
+		c.Tr.Lease(now, trace.LeaseRenew, c.Part, m.Line, l.Ver, l.Exp, m.Src)
 		if m.Span != 0 {
-			c.sp.AddChild(m.Span, "lease-renew", now, now)
-			c.sp.NoteLease(m.Line, m.Span)
+			c.Sp.AddChild(m.Span, "lease-renew", now, now)
+			c.Sp.NoteLease(m.Line, m.Span)
 		}
-		resp := c.pool.Get()
+		resp := c.Pool.Get()
 		*resp = coherence.Msg{
 			Type: coherence.Renew,
 			Line: m.Line,
-			Src:  c.nodeID,
+			Src:  c.ID,
 			Dst:  m.Src,
 			Exp:  l.Exp,
 			Ver:  l.Ver,
 			Span: m.Span,
 		}
-		c.port.Send(resp, now)
-		c.pool.Put(m)
+		c.Port.Send(resp, now)
+		c.Pool.Put(m)
 		return
 	}
-	c.tr.Lease(now, trace.LeaseGrant, c.part, m.Line, l.Ver, l.Exp, m.Src)
+	c.Tr.Lease(now, trace.LeaseGrant, c.Part, m.Line, l.Ver, l.Exp, m.Src)
 	if m.Span != 0 {
-		c.sp.AddChild(m.Span, "lease-grant", now, now)
-		c.sp.NoteLease(m.Line, m.Span)
+		c.Sp.AddChild(m.Span, "lease-grant", now, now)
+		c.Sp.NoteLease(m.Line, m.Span)
 	}
-	resp := c.pool.Get()
+	resp := c.Pool.Get()
 	*resp = coherence.Msg{
 		Type: coherence.Data,
 		Line: m.Line,
-		Src:  c.nodeID,
+		Src:  c.ID,
 		Dst:  m.Src,
 		Exp:  l.Exp,
 		Ver:  l.Ver,
 		Val:  l.Val,
 		Span: m.Span,
 	}
-	c.port.Send(resp, now)
-	c.pool.Put(m)
+	c.Port.Send(resp, now)
+	c.Pool.Put(m)
 }
 
 // writeHit implements the V-state WRITE row: rules 2–3 advance the version
@@ -308,29 +236,29 @@ func (c *L2) writeHit(m *coherence.Msg, e *mem.Entry[l2Line], now timing.Cycle) 
 	l.Ver = maxU(m.Now, maxU(l.Ver, l.Exp+1))
 	l.Val = m.Val
 	l.Dirty = true
-	c.heat.Add(m.Line, obs.HeatWrites, m.Src)
+	c.Heat.Add(m.Line, obs.HeatWrites, m.Src)
 	if l.Ver != oldVer {
-		c.heat.Add(m.Line, obs.HeatVerBumps, -1)
+		c.Heat.Add(m.Line, obs.HeatVerBumps, -1)
 	}
-	if c.cfg.RCCPredictor && l.Pred != c.cfg.RCCMinLease {
-		l.Pred = c.cfg.RCCMinLease
-		c.st.PredictorDrops++
+	if c.Cfg.RCCPredictor && l.Pred != c.Cfg.RCCMinLease {
+		l.Pred = c.Cfg.RCCMinLease
+		c.St.PredictorDrops++
 	}
 	c.tags.Touch(e)
-	c.tr.L2State(now, c.part, m.Line, "write", l.Ver, l.Exp)
-	resp := c.pool.Get()
+	c.Tr.L2State(now, c.Part, m.Line, "write", l.Ver, l.Exp)
+	resp := c.Pool.Get()
 	*resp = coherence.Msg{
 		Type:  coherence.Ack,
 		Line:  m.Line,
-		Src:   c.nodeID,
+		Src:   c.ID,
 		Dst:   m.Src,
 		ReqID: m.ReqID,
 		Warp:  m.Warp,
 		Ver:   l.Ver,
 		Span:  m.Span,
 	}
-	c.port.Send(resp, now)
-	c.pool.Put(m)
+	c.Port.Send(resp, now)
+	c.Pool.Put(m)
 }
 
 // atomicHit performs the read-modify-write at the L2 (fetch-and-add) and
@@ -342,21 +270,21 @@ func (c *L2) atomicHit(m *coherence.Msg, e *mem.Entry[l2Line], now timing.Cycle)
 	l.Ver = maxU(m.Now, maxU(l.Ver, l.Exp+1))
 	l.Val = old + m.Val
 	l.Dirty = true
-	c.heat.Add(m.Line, obs.HeatWrites, m.Src)
+	c.Heat.Add(m.Line, obs.HeatWrites, m.Src)
 	if l.Ver != oldVer {
-		c.heat.Add(m.Line, obs.HeatVerBumps, -1)
+		c.Heat.Add(m.Line, obs.HeatVerBumps, -1)
 	}
-	if c.cfg.RCCPredictor && l.Pred != c.cfg.RCCMinLease {
-		l.Pred = c.cfg.RCCMinLease
-		c.st.PredictorDrops++
+	if c.Cfg.RCCPredictor && l.Pred != c.Cfg.RCCMinLease {
+		l.Pred = c.Cfg.RCCMinLease
+		c.St.PredictorDrops++
 	}
 	c.tags.Touch(e)
-	c.tr.L2State(now, c.part, m.Line, "atomic", l.Ver, l.Exp)
-	resp := c.pool.Get()
+	c.Tr.L2State(now, c.Part, m.Line, "atomic", l.Ver, l.Exp)
+	resp := c.Pool.Get()
 	*resp = coherence.Msg{
 		Type:   coherence.Data,
 		Line:   m.Line,
-		Src:    c.nodeID,
+		Src:    c.ID,
 		Dst:    m.Src,
 		ReqID:  m.ReqID,
 		Warp:   m.Warp,
@@ -366,21 +294,21 @@ func (c *L2) atomicHit(m *coherence.Msg, e *mem.Entry[l2Line], now timing.Cycle)
 		Atomic: true,
 		Span:   m.Span,
 	}
-	c.port.Send(resp, now)
-	c.pool.Put(m)
+	c.Port.Send(resp, now)
+	c.Pool.Put(m)
 }
 
 // miss handles requests for absent blocks: I-state and transient rows of
 // Fig. 5.
 func (c *L2) miss(m *coherence.Msg, now timing.Cycle) bool {
-	c.st.L2Accesses++
+	c.St.L2Accesses++
 	mshr := c.mshrs.Get(m.Line)
 	if mshr == nil {
-		c.st.L2Misses++
+		c.St.L2Misses++
 		mshr = c.mshrs.Alloc(m.Line)
 		if mshr == nil {
-			c.st.L2Accesses--
-			c.st.L2Misses--
+			c.St.L2Accesses--
+			c.St.L2Misses--
 			return false // MSHR full; defer
 		}
 		switch m.Type {
@@ -395,13 +323,13 @@ func (c *L2) miss(m *coherence.Msg, now timing.Cycle) bool {
 			mshr.lastWr = m.Now
 			mshr.writeVal = m.Val
 			c.ackWrite(m, now)
-			c.pool.Put(m)
+			c.Pool.Put(m)
 		case coherence.AtomicReq:
 			mshr.state = l2IAV
 			mshr.lastWr = m.Now
 			mshr.atomic = m
 		}
-		c.dram.Submit(mem.DRAMReq{Line: m.Line, ID: m.Line, Span: m.Span}, now)
+		c.DRAM.Submit(mem.DRAMReq{Line: m.Line, ID: m.Line, Span: m.Span}, now)
 		return true
 	}
 
@@ -426,7 +354,7 @@ func (c *L2) miss(m *coherence.Msg, now timing.Cycle) bool {
 		}
 		mshr.hasWrite = true
 		c.ackWrite(m, now)
-		c.pool.Put(m)
+		c.Pool.Put(m)
 	case coherence.AtomicReq:
 		// Atomics cannot merge; they stall until the block is V.
 		mshr.stalled = append(mshr.stalled, m)
@@ -438,28 +366,24 @@ func (c *L2) miss(m *coherence.Msg, now timing.Cycle) bool {
 // the DRAM fill returns (Sec. III-D), so the store does not wait.
 func (c *L2) ackWrite(m *coherence.Msg, now timing.Cycle) {
 	mshr := c.mshrs.Get(m.Line)
-	resp := c.pool.Get()
+	resp := c.Pool.Get()
 	*resp = coherence.Msg{
 		Type:  coherence.Ack,
 		Line:  m.Line,
-		Src:   c.nodeID,
+		Src:   c.ID,
 		Dst:   m.Src,
 		ReqID: m.ReqID,
 		Warp:  m.Warp,
 		Ver:   maxU(mshr.lastWr, c.mnow),
 		Span:  m.Span,
 	}
-	c.port.Send(resp, now)
+	c.Port.Send(resp, now)
 }
 
 // fill completes a DRAM fetch: install the block with ver/exp seeded from
 // mnow, apply merged writes, satisfy waiting readers, then replay stalled
 // requests.
-func (c *L2) fill(req mem.DRAMReq, now timing.Cycle) {
-	if req.Write {
-		return // write-back completion; nothing to do
-	}
-	line := req.Line
+func (c *L2) fill(line uint64, now timing.Cycle) {
 	mshr := c.mshrs.Get(line)
 	if mshr == nil {
 		return // rollover flushed the MSHR
@@ -471,7 +395,7 @@ func (c *L2) fill(req mem.DRAMReq, now timing.Cycle) {
 	if !ok {
 		// Pathological: every way mid-fill. Retry next cycle by
 		// resubmitting a zero-latency fill.
-		c.dram.Submit(mem.DRAMReq{Line: line, ID: line}, now)
+		c.DRAM.Submit(mem.DRAMReq{Line: line, ID: line}, now)
 		return
 	}
 	if victim.WasValid {
@@ -479,10 +403,10 @@ func (c *L2) fill(req mem.DRAMReq, now timing.Cycle) {
 	}
 
 	l := &e.Meta
-	l.Val = c.backing.Read(line)
+	l.Val = c.Backing.Read(line)
 	l.Exp = c.mnow
 	l.Ver = c.mnow
-	l.Pred = c.cfg.RCCMaxLease
+	l.Pred = c.Cfg.RCCMaxLease
 
 	if mshr.state == l2IAV {
 		m := mshr.atomic
@@ -491,15 +415,15 @@ func (c *L2) fill(req mem.DRAMReq, now timing.Cycle) {
 		l.Exp = maxU(l.Exp, l.Ver)
 		l.Val = old + m.Val
 		l.Dirty = true
-		l.Pred = c.cfg.RCCMinLease
+		l.Pred = c.Cfg.RCCMinLease
 		if m.Span != 0 {
-			c.sp.Mark(m.Span, span.SegDRAM, now)
+			c.Sp.Mark(m.Span, span.SegDRAM, now)
 		}
-		resp := c.pool.Get()
+		resp := c.Pool.Get()
 		*resp = coherence.Msg{
 			Type:   coherence.Data,
 			Line:   line,
-			Src:    c.nodeID,
+			Src:    c.ID,
 			Dst:    m.Src,
 			ReqID:  m.ReqID,
 			Warp:   m.Warp,
@@ -509,55 +433,55 @@ func (c *L2) fill(req mem.DRAMReq, now timing.Cycle) {
 			Atomic: true,
 			Span:   m.Span,
 		}
-		c.port.Send(resp, now)
-		c.pool.Put(m)
+		c.Port.Send(resp, now)
+		c.Pool.Put(m)
 		mshr.atomic = nil
 	} else {
 		if mshr.hasWrite {
 			l.Ver = maxU(mshr.lastWr, c.mnow)
 			l.Val = mshr.writeVal
 			l.Dirty = true
-			l.Pred = c.cfg.RCCMinLease
+			l.Pred = c.Cfg.RCCMinLease
 		}
 		if mshr.hasRead {
 			lease := c.lease(l)
 			l.Exp = maxU(l.Exp, maxU(l.Ver+lease, mshr.lastRd+lease))
 			for _, r := range mshr.readers {
-				c.tr.Lease(now, trace.LeaseGrant, c.part, line, l.Ver, l.Exp, r.Src)
+				c.Tr.Lease(now, trace.LeaseGrant, c.Part, line, l.Ver, l.Exp, r.Src)
 				if r.Span != 0 {
-					c.sp.Mark(r.Span, span.SegDRAM, now)
-					c.sp.AddChild(r.Span, "lease-grant", now, now)
-					c.sp.NoteLease(line, r.Span)
+					c.Sp.Mark(r.Span, span.SegDRAM, now)
+					c.Sp.AddChild(r.Span, "lease-grant", now, now)
+					c.Sp.NoteLease(line, r.Span)
 				}
-				resp := c.pool.Get()
+				resp := c.Pool.Get()
 				*resp = coherence.Msg{
 					Type: coherence.Data,
 					Line: line,
-					Src:  c.nodeID,
+					Src:  c.ID,
 					Dst:  r.Src,
 					Exp:  l.Exp,
 					Ver:  l.Ver,
 					Val:  l.Val,
 					Span: r.Span,
 				}
-				c.port.Send(resp, now)
-				c.pool.Put(r)
+				c.Port.Send(resp, now)
+				c.Pool.Put(r)
 			}
 			mshr.readers = mshr.readers[:0]
 		}
 	}
 
-	c.tr.L2State(now, c.part, line, "fill", l.Ver, l.Exp)
+	c.Tr.L2State(now, c.Part, line, "fill", l.Ver, l.Exp)
 	stalled := mshr.stalled
 	c.mshrs.Free(line)
 	// Replay stalled requests in arrival order (they hit in V now).
 	for _, s := range stalled {
 		if s.Span != 0 {
 			// The IAV hold was a protocol stall, not pipe occupancy.
-			c.sp.Mark(s.Span, span.SegProto, now)
+			c.Sp.Mark(s.Span, span.SegProto, now)
 		}
 		if !c.handle(s, now) {
-			c.deferred = append(c.deferred, s)
+			c.Defer(s)
 		}
 	}
 }
@@ -565,12 +489,12 @@ func (c *L2) fill(req mem.DRAMReq, now timing.Cycle) {
 // evict implements the V-state evict row: fold the block's timestamps into
 // the partition's memory time and write back dirty data.
 func (c *L2) evict(v mem.Victim[l2Line], now timing.Cycle) {
-	c.st.L2Evictions++
+	c.St.L2Evictions++
 	c.mnow = maxU(c.mnow, maxU(v.Meta.Exp, v.Meta.Ver))
-	c.tr.L2State(now, c.part, v.Tag, "evict", v.Meta.Ver, v.Meta.Exp)
+	c.Tr.L2State(now, c.Part, v.Tag, "evict", v.Meta.Ver, v.Meta.Exp)
 	if v.Meta.Dirty {
-		c.backing.Write(v.Tag, v.Meta.Val)
-		c.dram.Submit(mem.DRAMReq{Line: v.Tag, Write: true, ID: v.Tag}, now)
+		c.Backing.Write(v.Tag, v.Meta.Val)
+		c.DRAM.Submit(mem.DRAMReq{Line: v.Tag, Write: true, ID: v.Tag}, now)
 	}
 }
 
@@ -601,38 +525,19 @@ func (c *L2) ResetTimestamps(now timing.Cycle) {
 			m.atomic.Now, m.atomic.Exp, m.atomic.Ver = 0, 0, 0
 		}
 	})
-	for _, m := range c.deferred {
-		m.Now, m.Exp, m.Ver = 0, 0, 0
-	}
-	zeroed := c.pipe
-	c.pipe = timing.Pipe[*coherence.Msg]{}
-	for {
-		m, ok := zeroed.PopReady(timing.Never - 1)
-		if !ok {
-			break
-		}
-		m.Now, m.Exp, m.Ver = 0, 0, 0
-		c.pipe.Push(now, m)
-	}
+	c.Requeue(now, func(m *coherence.Msg) { m.Now, m.Exp, m.Ver = 0, 0, 0 })
 }
 
 // NextEvent implements coherence.L2.
 func (c *L2) NextEvent(now timing.Cycle) timing.Cycle {
-	next := c.dram.NextEvent()
-	if !c.frozen {
-		next = timing.Min(next, c.pipe.NextReady())
-		if len(c.deferred) > 0 {
-			next = timing.Min(next, now+1)
-		}
+	if c.frozen {
+		return c.DRAM.NextEvent()
 	}
-	return next
+	return c.L2.NextEvent(now)
 }
 
 // Drained implements coherence.L2.
-func (c *L2) Drained() bool {
-	return c.pipe.Len() == 0 && len(c.deferred) == 0 &&
-		c.mshrs.Len() == 0 && c.dram.Pending() == 0
-}
+func (c *L2) Drained() bool { return c.Idle() && c.mshrs.Len() == 0 }
 
 // BlockMeta is the externally visible per-block L2 metadata (inspection
 // and example/walkthrough tooling).
@@ -642,10 +547,7 @@ type BlockMeta struct {
 	Pred          uint64
 }
 
-// Peek returns the current value of line if the block is resident — the
-// authoritative copy, since L1s are write-through. Used by the
-// differential checker's final-memory oracle; a drained machine has no
-// merged writes pending in MSHRs, so residency fully determines the value.
+// Peek implements coherence.L2.
 func (c *L2) Peek(line uint64) (uint64, bool) {
 	if e := c.tags.Lookup(line); e != nil {
 		return e.Meta.Val, true
@@ -669,5 +571,5 @@ func (c *L2) Seed(line, ver, exp, val uint64) {
 	if !ok {
 		panic("core: L2 seed failed")
 	}
-	e.Meta = l2Line{Ver: ver, Exp: exp, Val: val, Pred: c.cfg.RCCFixedLease}
+	e.Meta = l2Line{Ver: ver, Exp: exp, Val: val, Pred: c.Cfg.RCCFixedLease}
 }

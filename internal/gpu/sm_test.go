@@ -34,6 +34,7 @@ func (f *fakeL1) Access(r *coherence.Request, now timing.Cycle) bool {
 	return true
 }
 func (f *fakeL1) Deliver(m *coherence.Msg, at timing.Cycle) {}
+func (f *fakeL1) SetSink(s coherence.Sink)                  { f.sink = s }
 func (f *fakeL1) Tick(now timing.Cycle) bool {
 	did := false
 	for {
@@ -98,7 +99,7 @@ func build(t *testing.T, cfg config.Config, traces []workload.Trace, obs Observe
 	l1 := &fakeL1{delay: 50}
 	st := stats.New()
 	sm := NewSM(cfg, 0, l1, st, traces, obs)
-	l1.sink = sm
+	l1.SetSink(sm)
 	return sm, l1
 }
 

@@ -248,9 +248,6 @@ func (n *Network) InFlight() int { return n.inflight.Len() }
 // occupies one port.
 func (n *Network) serialization(flits int) timing.Cycle {
 	per := n.cfg.PortFlitsPerCycle
-	if per < 1 {
-		per = 1
-	}
 	return timing.Cycle((flits + per - 1) / per)
 }
 

@@ -211,13 +211,15 @@ func decodeEntry(b []byte) (*stats.Run, error) {
 	if v := binary.LittleEndian.Uint32(b[len(entryMagic):]); v != entryVersion {
 		return nil, fmt.Errorf("resultcache: entry version %d, want %d", v, entryVersion)
 	}
+	// Compare against the bytes actually present: hdr+n+digest would wrap
+	// for a huge n and let a short entry through.
 	n := binary.LittleEndian.Uint64(b[len(entryMagic)+4:])
-	if uint64(len(b)) != uint64(hdr)+n+sha256.Size {
+	if len(b) < hdr+sha256.Size || n != uint64(len(b)-hdr-sha256.Size) {
 		return nil, fmt.Errorf("resultcache: entry length mismatch")
 	}
-	payload := b[hdr : hdr+int(n)]
+	payload := b[hdr : len(b)-sha256.Size]
 	var want [sha256.Size]byte
-	copy(want[:], b[hdr+int(n):])
+	copy(want[:], b[len(b)-sha256.Size:])
 	if sha256.Sum256(payload) != want {
 		return nil, fmt.Errorf("resultcache: payload digest mismatch")
 	}

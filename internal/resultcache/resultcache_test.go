@@ -1,6 +1,8 @@
 package resultcache
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -76,6 +78,9 @@ func TestCorruptedEntryRecomputes(t *testing.T) {
 		"bad magic":    func(b []byte) []byte { b[0] ^= 0xff; return b },
 		"bad version":  func(b []byte) []byte { b[8] ^= 0xff; return b },
 		"empty":        func([]byte) []byte { return nil },
+		"wrapped length": func(b []byte) []byte {
+			return wrappedLengthEntry(b[:len(entryMagic)+4])
+		},
 	}
 	for name, mutate := range corruptions {
 		t.Run(name, func(t *testing.T) {
@@ -199,4 +204,27 @@ func TestEntryFanout(t *testing.T) {
 	if _, err := os.Stat(want); err != nil {
 		t.Errorf("entry not at fan-out path %s: %v", want, err)
 	}
+}
+
+// wrappedLengthEntry returns a 40-byte entry with the given magic and
+// version whose payload length field n makes header+n+digest wrap around
+// to exactly 40 (n = 2^64-12 for the 20-byte header).
+func wrappedLengthEntry(head []byte) []byte {
+	const size = 40
+	b := binary.LittleEndian.AppendUint64(append([]byte(nil), head...), uint64(size)-uint64(len(head)+8)-sha256.Size)
+	return append(b, make([]byte, size-len(b))...)
+}
+
+// FuzzDecodeEntry checks that no byte string panics the entry decoder: a
+// corrupt entry must come back as an error, which Get turns into a miss.
+// The seed corpus in testdata/fuzz runs as an ordinary test; explore with
+//
+//	go test ./internal/resultcache -run '^$' -fuzz FuzzDecodeEntry -fuzztime 30s -parallel 1
+func FuzzDecodeEntry(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		st, err := decodeEntry(b)
+		if (st == nil) == (err == nil) {
+			t.Fatalf("decodeEntry returned run %v with error %v", st, err)
+		}
+	})
 }

@@ -71,7 +71,8 @@ func Walkthrough(out io.Writer, lease uint64, tr *trace.Bus) (int, error) {
 	port.l2 = core.NewL2(cfg, 0, port, st, dram, backing, nil)
 	port.l2.SetTracer(tr)
 	for i := 0; i < 2; i++ {
-		l1 := core.NewL1(cfg, i, port, memSink{}, st, core.NewClock(false))
+		l1 := core.NewL1(cfg, i, port, st, core.NewClock(false))
+		l1.SetSink(memSink{})
 		l1.SetTracer(tr)
 		port.l1s = append(port.l1s, l1)
 	}

@@ -41,8 +41,8 @@ type Machine struct {
 	st      *stats.Run
 	network *noc.Network
 	sms     []*gpu.SM
-	l1s     []coherence.L1
-	l2s     []coherence.L2
+	l1s     []l1Ctl
+	l2s     []l2Ctl
 	drams   []*mem.DRAM
 	backing *mem.Backing
 	tr      *trace.Bus
@@ -89,12 +89,33 @@ type Machine struct {
 	// golden digest pins these grid-snapped transition cycles.
 	rccL1s    []*core.L1
 	rccL2s    []*core.L2
+	idealL1s  []*mesi.L1 // SC-IDEAL: the L2s invalidate copies through zapL1
 	roState   int
 	roPending bool
 	roGridAt  timing.Cycle
 	roReadyAt timing.Cycle
 	roStart   timing.Cycle
 }
+
+// l1Ctl and l2Ctl are the controllers a machine assembles: the protocol
+// interface plus the pool and observer setters every controller inherits
+// from ctl.Node.
+type (
+	l1Ctl interface {
+		coherence.L1
+		hooks
+	}
+	l2Ctl interface {
+		coherence.L2
+		hooks
+	}
+	hooks interface {
+		SetMsgPool(*coherence.MsgPool)
+		SetTracer(*trace.Bus)
+		SetHeat(*obs.Heat)
+		SetSpans(*span.Recorder)
+	}
+)
 
 // gridAfter returns the first epoch-grid cycle strictly after now.
 func (m *Machine) gridAfter(now timing.Cycle) timing.Cycle {
@@ -119,6 +140,10 @@ func New(cfg config.Config, prog *workload.Program, obs gpu.Observer) (*Machine,
 		backing: mem.NewBacking(),
 	}
 	m.network = noc.New(cfg, m.st)
+	// One message free list shared by every controller of this machine.
+	// The machine is ticked from a single goroutine, so recycled messages
+	// never cross machines and the pool needs no synchronization.
+	m.pool = &coherence.MsgPool{}
 
 	// Epoch grid: one serialization cycle plus the router pipeline, the
 	// least time any message spends in flight. Grid geometry is derived
@@ -135,7 +160,7 @@ func New(cfg config.Config, prog *workload.Program, obs gpu.Observer) (*Machine,
 
 	// L2 partitions.
 	for p := 0; p < cfg.L2Partitions; p++ {
-		var l2 coherence.L2
+		var l2 l2Ctl
 		switch cfg.Protocol {
 		case config.RCC, config.RCCWO:
 			r := core.NewL2(cfg, p, m.network, m.st, drams[p], m.backing, m.requestRollover)
@@ -152,47 +177,47 @@ func New(cfg config.Config, prog *workload.Program, obs gpu.Observer) (*Machine,
 		default:
 			return nil, fmt.Errorf("sim: unknown protocol %v", cfg.Protocol)
 		}
+		l2.SetMsgPool(m.pool)
 		m.l2s = append(m.l2s, l2)
 		m.network.Register(coherence.L2NodeID(p, cfg.NumSMs), l2)
 	}
 
 	// SMs and their L1s.
 	for s := 0; s < cfg.NumSMs; s++ {
-		var l1 coherence.L1
+		var l1 l1Ctl
+		var next func(timing.Cycle) timing.Cycle
 		switch cfg.Protocol {
 		case config.RCC, config.RCCWO:
 			clk := core.NewClock(cfg.Protocol == config.RCCWO)
-			r := core.NewL1(cfg, s, m.network, nil, m.st, clk)
+			r := core.NewL1(cfg, s, m.network, m.st, clk)
 			m.rccL1s = append(m.rccL1s, r)
-			l1 = r
+			// The livelock tick fires whenever its deadline passes but
+			// only unblocks progress, and so only merits advancing idle
+			// time, while misses are outstanding: the scheduler visits at
+			// NextTick and jumps by NextEvent.
+			l1, next = r, r.NextTick
 		case config.TCS:
-			l1 = tc.NewL1(cfg, s, false, m.network, nil, m.st)
+			l1 = tc.NewL1(cfg, s, false, m.network, m.st)
 		case config.TCW:
-			l1 = tc.NewL1(cfg, s, true, m.network, nil, m.st)
-		case config.MESI, config.SCIdeal:
-			l1 = mesi.NewL1(cfg, s, m.network, nil, m.st)
+			l1 = tc.NewL1(cfg, s, true, m.network, m.st)
+		case config.MESI:
+			l1 = mesi.NewL1(cfg, s, m.network, m.st)
+		case config.SCIdeal:
+			r := mesi.NewL1(cfg, s, m.network, m.st)
+			m.idealL1s = append(m.idealL1s, r)
+			l1 = r
 		}
+		if next == nil {
+			next = l1.NextEvent
+		}
+		l1.SetMsgPool(m.pool)
 		m.l1s = append(m.l1s, l1)
+		m.l1Next = append(m.l1Next, next)
 		m.network.Register(s, l1)
 		sm := gpu.NewSM(cfg, s, l1, m.st, prog.SMs[s], obs)
 		sm.SetEnvProbe(m)
 		m.sms = append(m.sms, sm)
-		bindSink(l1, sm)
-	}
-
-	// One message free list shared by every controller of this machine.
-	// The machine is ticked from a single goroutine, so recycled messages
-	// never cross machines and the pool needs no synchronization.
-	m.pool = &coherence.MsgPool{}
-	for _, l1 := range m.l1s {
-		if t, ok := l1.(msgPoolTarget); ok {
-			t.SetMsgPool(m.pool)
-		}
-	}
-	for _, l2 := range m.l2s {
-		if t, ok := l2.(msgPoolTarget); ok {
-			t.SetMsgPool(m.pool)
-		}
+		l1.SetSink(sm)
 	}
 
 	// Active-set scheduler wiring: zero wake times make the first Step
@@ -200,24 +225,8 @@ func New(cfg config.Config, prog *workload.Program, obs gpu.Observer) (*Machine,
 	m.smWake = make([]timing.Cycle, cfg.NumSMs)
 	m.l1Wake = make([]timing.Cycle, cfg.NumSMs)
 	m.l2Wake = make([]timing.Cycle, cfg.L2Partitions)
-	for _, l1 := range m.l1s {
-		if nt, ok := l1.(nextTicker); ok {
-			m.l1Next = append(m.l1Next, nt.NextTick)
-		} else {
-			m.l1Next = append(m.l1Next, l1.NextEvent)
-		}
-	}
 	m.network.SetWake(m.deliveryWake)
 	return m, nil
-}
-
-// nextTicker is implemented by controllers whose Tick does work at cycles
-// their NextEvent deliberately does not advertise (the RCC L1's livelock
-// tick fires whenever its deadline passes, but only unblocks progress —
-// and therefore only merits advancing idle time — while misses are
-// outstanding). The scheduler visits at NextTick and jumps by NextEvent.
-type nextTicker interface {
-	NextTick(now timing.Cycle) timing.Cycle
 }
 
 // deliveryWake re-arms the wake time of a component that just received a
@@ -269,33 +278,7 @@ func (m *Machine) wakeAll(at timing.Cycle) {
 	m.l2WakeMin = timing.Min(m.l2WakeMin, at)
 }
 
-// msgPoolTarget is implemented by controllers that recycle coherence
-// messages through the machine's free list.
-type msgPoolTarget interface {
-	SetMsgPool(*coherence.MsgPool)
-}
-
-// bindSink wires the completion path from an L1 back to its SM.
-func bindSink(l1 coherence.L1, sm *gpu.SM) {
-	switch c := l1.(type) {
-	case *core.L1:
-		c.SetSink(sm)
-	case *tc.L1:
-		c.SetSink(sm)
-	case *mesi.L1:
-		c.SetSink(sm)
-	}
-}
-
-func (m *Machine) zapL1(coreID int, line uint64) {
-	m.l1s[coreID].(*mesi.L1).Zap(line)
-}
-
-// tracerTarget is implemented by every component that can host the event
-// bus; AttachTracer fans out through it.
-type tracerTarget interface {
-	SetTracer(*trace.Bus)
-}
+func (m *Machine) zapL1(coreID int, line uint64) { m.idealL1s[coreID].Zap(line) }
 
 // AttachTracer threads the event bus through every component of the
 // machine and binds the run's counters to any stats-snapshotting sinks.
@@ -304,14 +287,10 @@ func (m *Machine) AttachTracer(tr *trace.Bus) {
 	m.tr = tr
 	m.network.SetTracer(tr)
 	for _, l1 := range m.l1s {
-		if t, ok := l1.(tracerTarget); ok {
-			t.SetTracer(tr)
-		}
+		l1.SetTracer(tr)
 	}
 	for _, l2 := range m.l2s {
-		if t, ok := l2.(tracerTarget); ok {
-			t.SetTracer(tr)
-		}
+		l2.SetTracer(tr)
 	}
 	for _, sm := range m.sms {
 		sm.SetTracer(tr)
@@ -322,33 +301,17 @@ func (m *Machine) AttachTracer(tr *trace.Bus) {
 	tr.BindStats(m.st)
 }
 
-// heatTarget is implemented by every controller that can sample per-line
-// contention; AttachHeat fans out through it.
-type heatTarget interface {
-	SetHeat(*obs.Heat)
-}
-
 // AttachHeat threads the contention sketch through every cache controller.
 // Call it before Run; a nil sketch detaches sampling everywhere. Like
 // stats.Run, the sketch becomes owned by this (single-threaded) machine —
 // never share one between concurrently running machines.
 func (m *Machine) AttachHeat(h *obs.Heat) {
 	for _, l1 := range m.l1s {
-		if t, ok := l1.(heatTarget); ok {
-			t.SetHeat(h)
-		}
+		l1.SetHeat(h)
 	}
 	for _, l2 := range m.l2s {
-		if t, ok := l2.(heatTarget); ok {
-			t.SetHeat(h)
-		}
+		l2.SetHeat(h)
 	}
-}
-
-// spanTarget is implemented by every component that can stamp causal
-// spans; AttachSpans fans out through it.
-type spanTarget interface {
-	SetSpans(*span.Recorder)
 }
 
 // AttachSpans threads the causal-span recorder through the full request
@@ -357,14 +320,10 @@ type spanTarget interface {
 func (m *Machine) AttachSpans(sp *span.Recorder) {
 	m.network.SetSpans(sp)
 	for _, l1 := range m.l1s {
-		if t, ok := l1.(spanTarget); ok {
-			t.SetSpans(sp)
-		}
+		l1.SetSpans(sp)
 	}
 	for _, l2 := range m.l2s {
-		if t, ok := l2.(spanTarget); ok {
-			t.SetSpans(sp)
-		}
+		l2.SetSpans(sp)
 	}
 	for _, sm := range m.sms {
 		sm.SetSpans(sp)
@@ -396,12 +355,6 @@ func (m *Machine) Stats() *stats.Run { return m.st }
 // Backing returns the DRAM value image (tests inspect final memory).
 func (m *Machine) Backing() *mem.Backing { return m.backing }
 
-// linePeeker is implemented by L2 controllers that expose the current
-// value of a resident line (the differential checker's memory oracle).
-type linePeeker interface {
-	Peek(line uint64) (uint64, bool)
-}
-
 // ReadLine returns the current value of a line as the memory system sees
 // it: the owning L2 partition's copy when resident (the L2s are write-back,
 // so a dirty block may never have reached DRAM), otherwise the backing
@@ -409,10 +362,8 @@ type linePeeker interface {
 // writes.
 func (m *Machine) ReadLine(line uint64) uint64 {
 	p := coherence.PartitionOf(line, m.cfg.L2Partitions)
-	if pk, ok := m.l2s[p].(linePeeker); ok {
-		if v, ok := pk.Peek(line); ok {
-			return v
-		}
+	if v, ok := m.l2s[p].Peek(line); ok {
+		return v
 	}
 	return m.backing.Read(line)
 }
