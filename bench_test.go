@@ -159,19 +159,3 @@ func BenchmarkProtocols(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkSimulatorThroughput measures host-side simulation speed
-// (simulated cycles per host second) — the simulator's own performance.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	cfg := benchBase()
-	cfg.Protocol = rccsim.RCC
-	var cycles uint64
-	for i := 0; i < b.N; i++ {
-		res, err := rccsim.Run(cfg, "KMN")
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles += res.Stats.Cycles
-	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "simCycles/s")
-}

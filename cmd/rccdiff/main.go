@@ -1,24 +1,22 @@
 // rccdiff — hierarchical perf-regression attribution over the run ledger.
 //
-// Given any two ledger entries (or entry/legacy-JSON files), rccdiff
-// decomposes their delta top-down: top-line throughput with a noise-aware
-// median ± MAD verdict, a largest-mover table over the cycle-account
-// categories (largest-remainder percentages that sum to exactly 100.0 and
-// reconcile against the closed-sum invariant), per-benchmark and per-run
-// drill-downs, and span/heat movers. Cross-host pairs are flagged and
-// their wall-clock comparisons skipped; simulated-cycle comparisons are
-// host-independent and always checked.
+// Given any two ledger entries (or entry JSON files), rccdiff decomposes
+// their delta top-down: every benchmark both share, gated on its median
+// ns/op with a noise-aware median ± MAD verdict, a largest-mover table
+// over the cycle-account categories (largest-remainder percentages that
+// sum to exactly 100.0 and reconcile against the closed-sum invariant),
+// per-run drill-downs, and span/heat movers. Cross-host pairs are flagged
+// and their wall-clock comparisons skipped; simulated-cycle comparisons
+// are host-independent and always checked.
 //
-//	rccdiff [flags] BASE CUR        diff two refs (exit 1 on regression)
-//	rccdiff -ci [BASE CUR]          CI gate; defaults to @-2 @-1
-//	rccdiff -ci -window N           trailing-window baseline vs @-1
+//	rccdiff [flags] BASE CUR        diff two refs
+//	rccdiff -ci [BASE CUR]          CI gate (exit 1 on regression); defaults to @-2 @-1
 //	rccdiff -record -label L        append an entry from go-bench stdin
-//	rccdiff -import FILE...         import legacy BENCH_<n>.json snapshots
 //	rccdiff -plant REF              append a synthetic regression (self-test)
 //	rccdiff -list                   list the ledger index
 //
 // A ref is @N (0-based index), @-N (from the end, @-1 latest), a content-ID
-// hex prefix (>= 4 chars), or a path to an entry / legacy BENCH JSON file.
+// hex prefix (>= 4 chars), or a path to an entry JSON file.
 package main
 
 import (
@@ -45,33 +43,23 @@ func main() {
 	var (
 		dir     = flag.String("dir", "ledger", "ledger directory")
 		ci      = flag.Bool("ci", false, "CI gate mode: diff BASE CUR (default @-2 @-1), exit 1 on regression")
-		window  = flag.Int("window", 0, "with -ci: pool the N entries before the latest into the baseline")
 		record  = flag.Bool("record", false, "append an entry parsed from `go test -bench` output on stdin")
 		doList  = flag.Bool("list", false, "list the ledger index")
-		imports = flag.Bool("import", false, "import legacy BENCH_<n>.json files (args) as read-only entries")
 		plant   = flag.String("plant", "", "append a planted regression derived from the given ref (self-test)")
 		cat     = flag.String("cat", "mshr-full", "with -plant: cycle-account category to inflate")
 		frac    = flag.Float64("frac", 0.25, "with -plant: fraction of total cycles to plant")
 		label   = flag.String("label", "", "with -record: entry label (required)")
-		kind    = flag.String("kind", ledger.KindBench, "with -record: entry kind")
 		jsonOut = flag.Bool("json", false, "emit the diff as JSON instead of text")
-		tol     = flag.Float64("tol", 10, "top-line wall-clock regression tolerance (percent)")
-		simTol  = flag.Float64("sim-tol", 2, "simulated-cycles regression tolerance (percent)")
-		mads    = flag.Float64("mads", 3, "noise band width in MADs")
-		bench   = flag.String("bench", "", "top-line benchmark name (default BenchmarkSimulatorThroughput)")
-		metric  = flag.String("metric", "", "top-line metric (default simCycles/s)")
+		tol     = flag.Float64("tol", 10, "per-benchmark ns/op regression tolerance (percent)")
 	)
 	flag.Parse()
 
 	if err := run(opts{
-		dir: *dir, ci: *ci, window: *window, record: *record, list: *doList,
-		imports: *imports, plant: *plant, cat: *cat, frac: *frac,
-		label: *label, kind: *kind, jsonOut: *jsonOut,
-		diffOpt: ledger.Options{
-			TopBench: *bench, TopMetric: *metric,
-			TolerancePct: *tol, SimTolerancePct: *simTol, NoiseMADs: *mads,
-		},
-		args: flag.Args(),
+		dir: *dir, ci: *ci, record: *record, list: *doList,
+		plant: *plant, cat: *cat, frac: *frac,
+		label: *label, jsonOut: *jsonOut,
+		diffOpt: ledger.Options{TolerancePct: *tol},
+		args:    flag.Args(),
 	}); err != nil {
 		if err == errRegressed {
 			os.Exit(1)
@@ -86,15 +74,12 @@ var errRegressed = fmt.Errorf("regression detected")
 type opts struct {
 	dir     string
 	ci      bool
-	window  int
 	record  bool
 	list    bool
-	imports bool
 	plant   string
 	cat     string
 	frac    float64
 	label   string
-	kind    string
 	jsonOut bool
 	diffOpt ledger.Options
 	args    []string
@@ -106,8 +91,6 @@ func run(o opts) error {
 		return runList(o)
 	case o.record:
 		return runRecord(o)
-	case o.imports:
-		return runImport(o)
 	case o.plant != "":
 		return runPlant(o)
 	}
@@ -128,11 +111,11 @@ func run(o opts) error {
 
 func openLedger(o opts) (*ledger.Ledger, error) { return ledger.Open(o.dir) }
 
-// resolve maps a ref to (id, entry): a readable file wins (entry or legacy
-// JSON, identified by its content hash), otherwise the ledger resolves it.
+// resolve maps a ref to (id, entry): a readable entry JSON file wins
+// (identified by its content hash), otherwise the ledger resolves it.
 func resolve(l *ledger.Ledger, ref string) (string, *ledger.Entry, error) {
 	if b, err := os.ReadFile(ref); err == nil {
-		e, err := ledger.LoadEntryOrLegacy(b, ref)
+		e, err := ledger.DecodeEntry(b)
 		if err != nil {
 			return "", nil, err
 		}
@@ -174,7 +157,7 @@ func runRecord(o opts) error {
 		return err
 	}
 	e := &ledger.Entry{
-		Kind:       o.kind,
+		Kind:       ledger.KindBench,
 		Label:      o.label,
 		Time:       ledger.Now(),
 		Host:       ledger.Fingerprint("."),
@@ -190,32 +173,6 @@ func runRecord(o opts) error {
 	}
 	fmt.Printf("recorded %s (%d benchmarks, %d samples) as %s\n",
 		o.label, len(recs), samples, ledger.ShortID(id))
-	return nil
-}
-
-func runImport(o opts) error {
-	if len(o.args) == 0 {
-		return fmt.Errorf("-import requires at least one BENCH_<n>.json file")
-	}
-	l, err := openLedger(o)
-	if err != nil {
-		return err
-	}
-	for _, path := range o.args {
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		e, err := ledger.LoadEntryOrLegacy(b, path)
-		if err != nil {
-			return err
-		}
-		id, err := l.Append(e)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("imported %s as %s\n", e.Label, ledger.ShortID(id))
-	}
 	return nil
 }
 
@@ -260,17 +217,11 @@ func runDiff(o opts, baseRef, curRef string) error {
 	if err != nil {
 		return err
 	}
-	curID, cur, err := resolve(l, curRef)
+	baseID, base, err := resolve(l, baseRef)
 	if err != nil {
 		return err
 	}
-	var baseID string
-	var base *ledger.Entry
-	if o.ci && o.window > 1 {
-		baseID, base, err = windowBase(l, o.window)
-	} else {
-		baseID, base, err = resolve(l, baseRef)
-	}
+	curID, cur, err := resolve(l, curRef)
 	if err != nil {
 		return err
 	}
@@ -288,35 +239,4 @@ func runDiff(o opts, baseRef, curRef string) error {
 		return errRegressed
 	}
 	return nil
-}
-
-// windowBase pools the entries before the latest into one baseline (at
-// most n of them, host-filtered against the latest entry's fingerprint).
-func windowBase(l *ledger.Ledger, n int) (string, *ledger.Entry, error) {
-	idx, err := l.Index()
-	if err != nil {
-		return "", nil, err
-	}
-	if len(idx) < 2 {
-		return "", nil, fmt.Errorf("-window needs at least 2 ledger entries, have %d", len(idx))
-	}
-	latest, err := l.Get(idx[len(idx)-1].ID)
-	if err != nil {
-		return "", nil, err
-	}
-	lo := len(idx) - 1 - n
-	if lo < 0 {
-		lo = 0
-	}
-	var pool []*ledger.Entry
-	for _, line := range idx[lo : len(idx)-1] {
-		e, err := l.Get(line.ID)
-		if err != nil {
-			return "", nil, err
-		}
-		pool = append(pool, e)
-	}
-	base := ledger.WindowBaseline(pool, latest.Host)
-	id, err := base.ID()
-	return id, base, err
 }

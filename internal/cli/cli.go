@@ -207,7 +207,7 @@ func (s *Session) Record(kind, label string) error {
 // Append records one ledger entry (nothing without -ledger), diffs it
 // against the previous latest entry when one exists, publishes the
 // rccsim_regression_* gauges when serving, and prints the verdict on
-// stderr.
+// stderr: OK, REGRESSED, or NO-DATA when the two entries share no run.
 func (s *Session) Append(kind, label string, runs []ledger.RunRec) error {
 	if s.Ledger == nil {
 		return nil
@@ -231,8 +231,11 @@ func (s *Session) Append(kind, label string, runs []ledger.RunRec) error {
 			ledger.PublishRegression(s.Tracker.Registry(), d)
 		}
 		verdict := "OK"
-		if !d.Ok() {
+		switch {
+		case !d.Ok():
 			verdict = "REGRESSED (run rccdiff " + ledger.ShortID(prevID)[:8] + " " + ledger.ShortID(id)[:8] + " for attribution)"
+		case d.NoData():
+			verdict = "NO-DATA (no runs shared with it)"
 		}
 		fmt.Fprintf(os.Stderr, "%s: ledger: vs %s: %s\n", s.tool, ledger.ShortID(prevID), verdict)
 	}

@@ -14,6 +14,7 @@ import (
 
 	"rccsim/internal/config"
 	"rccsim/internal/ledger"
+	"rccsim/internal/stats"
 	"rccsim/internal/workload"
 )
 
@@ -104,5 +105,41 @@ func TestStartFailureStopsProfiles(t *testing.T) {
 			t.Fatalf("%+v: CPU profile still running after a failed Start: %v", f, err)
 		}
 		pprof.StopCPUProfile()
+	}
+}
+
+// TestAppendVerdict: the auto-diff after a ledger append says NO-DATA when
+// the previous entry shares no run with the new one (a bench entry, as
+// rccperf records), and OK once it compares a matching run.
+func TestAppendVerdict(t *testing.T) {
+	l, err := ledger.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(&ledger.Entry{Kind: ledger.KindBench, Label: "rccperf",
+		Benchmarks: []ledger.BenchRec{{Name: "BenchmarkRccperf/suite-sc", Samples: []ledger.Sample{{NsPerOp: 1}}}}}); err != nil {
+		t.Fatal(err)
+	}
+	run := ledger.RunRec{Label: "DLB/RCC"}
+	run.SetStats(stats.New())
+	s := &Session{tool: "clitest", Ledger: l}
+	for _, want := range []string{": NO-DATA", ": OK"} {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stderr := os.Stderr
+		os.Stderr = w
+		err = s.Append(ledger.KindRun, "stats DLB RCC", []ledger.RunRec{run})
+		os.Stderr = stderr
+		w.Close()
+		out, _ := io.ReadAll(r)
+		r.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(out), want) {
+			t.Errorf("Append printed %q, want a verdict %q", out, want)
+		}
 	}
 }

@@ -1,11 +1,12 @@
-// Hierarchical regression attribution between two ledger entries: the
-// top-line throughput delta with a noise-aware verdict (median ± MAD over
-// repeats), a largest-mover decomposition over stats.CycleCat categories
-// (largest-remainder percentages, the report package's conventions), a
-// per-benchmark and per-run drill-down, and span-segment / heat-line
-// deltas. All output is deterministic: map walks are sorted and every
-// number has a fixed format, so the same entry pair always renders the
-// same bytes (byte-pinned by the tests and relied on by CI).
+// Hierarchical regression attribution between two ledger entries: a
+// noise-aware wall-clock gate on every benchmark both entries share
+// (median ns/op ± MAD over repeats), a largest-mover decomposition over
+// stats.CycleCat categories (largest-remainder percentages, the report
+// package's conventions), a per-benchmark and per-run drill-down, and
+// span-segment / heat-line deltas. All output is deterministic: map walks
+// are sorted and every number has a fixed format, so the same entry pair
+// always renders the same bytes (byte-pinned by the tests and relied on by
+// CI).
 package ledger
 
 import (
@@ -18,40 +19,25 @@ import (
 	"rccsim/internal/stats"
 )
 
+const (
+	// simTolerancePct fails the gate when a matched run's simulated cycles
+	// grow more than this: a behaviour regression, host-independent.
+	simTolerancePct = 2
+	// noiseMADs scales the noise band: an ns/op delta within
+	// noiseMADs × (MAD_base + MAD_cur) of zero is not significant.
+	noiseMADs = 3
+)
+
 // Options tunes a diff computation. The zero value picks the defaults.
 type Options struct {
-	// TopBench/TopMetric name the headline series (default
-	// BenchmarkSimulatorThroughput's simCycles/s, higher is better;
-	// ns/op is the fallback when the metric is absent).
-	TopBench  string
-	TopMetric string
-	// TolerancePct fails CI when the top-line regresses more than this
-	// (and more than the noise band). Default 10.
+	// TolerancePct fails the gate when a shared benchmark's median ns/op
+	// grows more than this (and more than its noise band). Default 10.
 	TolerancePct float64
-	// SimTolerancePct fails CI when a matched run's simulated cycles grow
-	// more than this — a behaviour regression, host-independent. Default 2.
-	SimTolerancePct float64
-	// NoiseMADs scales the noise band: a delta within
-	// NoiseMADs × (MAD_base + MAD_cur) of zero is not significant.
-	// Default 3.
-	NoiseMADs float64
 }
 
 func (o Options) withDefaults() Options {
-	if o.TopBench == "" {
-		o.TopBench = "BenchmarkSimulatorThroughput"
-	}
-	if o.TopMetric == "" {
-		o.TopMetric = "simCycles/s"
-	}
 	if o.TolerancePct == 0 {
 		o.TolerancePct = 10
-	}
-	if o.SimTolerancePct == 0 {
-		o.SimTolerancePct = 2
-	}
-	if o.NoiseMADs == 0 {
-		o.NoiseMADs = 3
 	}
 	return o
 }
@@ -63,20 +49,6 @@ type Stat struct {
 	N      int     `json:"n"`
 }
 
-// Topline is the headline throughput comparison.
-type Topline struct {
-	Bench          string `json:"bench"`
-	Metric         string `json:"metric"`
-	HigherIsBetter bool   `json:"higher_is_better"`
-	Base           Stat   `json:"base"`
-	Cur            Stat   `json:"cur"`
-	// RegressPct is how much WORSE the current entry is (positive =
-	// regression, negative = improvement), direction-normalized.
-	RegressPct  float64 `json:"regress_pct"`
-	NoisePct    float64 `json:"noise_pct"`
-	Significant bool    `json:"significant"`
-}
-
 // MetricDelta compares one metric of one benchmark.
 type MetricDelta struct {
 	Name     string  `json:"name"`
@@ -85,11 +57,25 @@ type MetricDelta struct {
 	DeltaPct float64 `json:"delta_pct"` // signed (cur-base)/base, raw direction
 }
 
-// BenchDelta is the per-benchmark drill-down row.
+// BenchDelta is the per-benchmark row. Its median ns/op is the gated
+// wall-clock series (lower is better for every Go-bench line); the other
+// metrics are reported only.
 type BenchDelta struct {
-	Name    string        `json:"name"`
-	NsPerOp *MetricDelta  `json:"ns_per_op,omitempty"`
+	Name    string       `json:"name"`
+	NsPerOp *MetricDelta `json:"ns_per_op,omitempty"`
+	// NoisePct is the ns/op noise band: noiseMADs × (MAD_base + MAD_cur)
+	// as a percentage of the base median.
+	NoisePct float64 `json:"noise_pct"`
+	// Gated is false when the hosts are not comparable or either side
+	// has a single ns/op sample (no noise estimate): the row is shown but
+	// never fails the gate.
+	Gated   bool          `json:"gated"`
 	Metrics []MetricDelta `json:"metrics,omitempty"`
+}
+
+// significant reports whether the ns/op delta lies outside its noise band.
+func (r *BenchDelta) significant() bool {
+	return r.NsPerOp != nil && math.Abs(r.NsPerOp.DeltaPct) > r.NoisePct
 }
 
 // CatDelta is one cycle-account category's movement.
@@ -151,7 +137,6 @@ type Diff struct {
 	// CrossHost means wall-clock comparisons were skipped (flagged, not
 	// silently compared); behaviour comparisons still run.
 	CrossHost bool         `json:"cross_host"`
-	Topline   *Topline     `json:"topline,omitempty"`
 	Benches   []BenchDelta `json:"benchmarks,omitempty"`
 	// Aggregate is the all-matched-runs cycle-account attribution; Runs
 	// is the per-point drill-down.
@@ -166,6 +151,10 @@ type Diff struct {
 
 // Ok reports whether the CI gate passes.
 func (d *Diff) Ok() bool { return len(d.Failures) == 0 }
+
+// NoData reports whether the entries shared no benchmark and no
+// decodable run: the diff compared nothing, so Ok carries no evidence.
+func (d *Diff) NoData() bool { return len(d.Benches) == 0 && len(d.Runs) == 0 }
 
 // median returns the middle sample (mean of the middle two for even n).
 func median(vs []float64) float64 {
@@ -235,48 +224,9 @@ func Compute(baseID string, base *Entry, curID string, cur *Entry, opt Options) 
 			"cross-host: base [%s] vs cur [%s] — wall-clock deltas skipped, behaviour deltas still checked",
 			base.Host, cur.Host))
 	}
-	d.computeTopline(base, cur)
 	d.computeBenches(base, cur)
 	d.computeRuns(base, cur)
 	return d
-}
-
-func (d *Diff) computeTopline(base, cur *Entry) {
-	br, cr := base.Bench(d.opt.TopBench), cur.Bench(d.opt.TopBench)
-	if br == nil || cr == nil {
-		return
-	}
-	metric, higher := d.opt.TopMetric, true
-	bs, bok := reduce(br, metric)
-	cs, cok := reduce(cr, metric)
-	if !bok || !cok {
-		metric, higher = "ns/op", false
-		bs, bok = reduce(br, "")
-		cs, cok = reduce(cr, "")
-		if !bok || !cok {
-			return
-		}
-	}
-	t := &Topline{Bench: d.opt.TopBench, Metric: metric, HigherIsBetter: higher, Base: bs, Cur: cs}
-	delta := pct(bs.Median, cs.Median)
-	if higher {
-		t.RegressPct = -delta
-	} else {
-		t.RegressPct = delta
-	}
-	if bs.Median != 0 {
-		t.NoisePct = d.opt.NoiseMADs * (bs.MAD + cs.MAD) / bs.Median * 100
-	}
-	t.Significant = math.Abs(t.RegressPct) > t.NoisePct
-	d.Topline = t
-	if d.CrossHost {
-		return // flagged in Notes; never a failure
-	}
-	if t.RegressPct > d.opt.TolerancePct && t.Significant {
-		d.Failures = append(d.Failures, fmt.Sprintf(
-			"top-line %s %s regressed %.1f%% (tolerance %.0f%%, noise band ±%.1f%%)",
-			t.Bench, t.Metric, t.RegressPct, d.opt.TolerancePct, t.NoisePct))
-	}
 }
 
 func (d *Diff) computeBenches(base, cur *Entry) {
@@ -297,6 +247,10 @@ func (d *Diff) computeBenches(base, cur *Entry) {
 		if bs, ok := reduce(br, ""); ok {
 			if cs, ok := reduce(cr, ""); ok {
 				row.NsPerOp = &MetricDelta{Name: "ns/op", Base: bs, Cur: cs, DeltaPct: pct(bs.Median, cs.Median)}
+				if bs.Median != 0 {
+					row.NoisePct = 100 * noiseMADs * (bs.MAD + cs.MAD) / bs.Median
+				}
+				row.Gated = !d.CrossHost && bs.N > 1 && cs.N > 1
 			}
 		}
 		mset := map[string]bool{}
@@ -317,6 +271,11 @@ func (d *Diff) computeBenches(base, cur *Entry) {
 				continue
 			}
 			row.Metrics = append(row.Metrics, MetricDelta{Name: m, Base: bs, Cur: cs, DeltaPct: pct(bs.Median, cs.Median)})
+		}
+		if row.Gated && row.NsPerOp.DeltaPct > d.opt.TolerancePct && row.significant() {
+			d.Failures = append(d.Failures, fmt.Sprintf(
+				"benchmark %s ns/op regressed %.1f%% (tolerance %.0f%%, noise band ±%.1f%%)",
+				name, row.NsPerOp.DeltaPct, d.opt.TolerancePct, row.NoisePct))
 		}
 		d.Benches = append(d.Benches, row)
 	}
@@ -365,14 +324,14 @@ func (d *Diff) computeRuns(base, cur *Entry) {
 	// Behaviour gate: simulated cycles growing beyond tolerance is a
 	// regression regardless of host (the numbers are bit-deterministic).
 	for _, rd := range d.Runs {
-		if rd.CyclesDeltaPct > d.opt.SimTolerancePct {
+		if rd.CyclesDeltaPct > simTolerancePct {
 			mover := rd.LargestMover
 			if mover == "" {
 				mover = "(no account movement)"
 			}
 			d.Failures = append(d.Failures, fmt.Sprintf(
-				"run %s: simulated cycles regressed %.1f%% (%d → %d, tolerance %.0f%%), largest mover: %s (%+.1f pts)",
-				rd.Label, rd.CyclesDeltaPct, rd.BaseCycles, rd.CurCycles, d.opt.SimTolerancePct,
+				"run %s: simulated cycles regressed %.1f%% (%d → %d, tolerance %d%%), largest mover: %s (%+.1f pts)",
+				rd.Label, rd.CyclesDeltaPct, rd.BaseCycles, rd.CurCycles, simTolerancePct,
 				mover, rd.LargestMoverPts))
 		}
 	}
@@ -478,16 +437,6 @@ func heatDeltas(base, cur []HeatLine) []HeatDelta {
 	return out
 }
 
-// topValue renders a top-line median or MAD: whole numbers at
-// simCycles/s scale, three significant digits below 100 so runs/s-scale
-// series do not round to a bare integer.
-func topValue(v float64) string {
-	if math.Abs(v) >= 100 {
-		return fmt.Sprintf("%.0f", v)
-	}
-	return fmt.Sprintf("%.3g", v)
-}
-
 func absDiff(a, b uint64) uint64 {
 	if a > b {
 		return a - b
@@ -499,7 +448,7 @@ func absDiff(a, b uint64) uint64 {
 func (d *Diff) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "rccdiff: %s (%s) -> %s (%s)\n",
-		shortID(d.BaseID), d.BaseLabel, shortID(d.CurID), d.CurLabel)
+		ShortID(d.BaseID), d.BaseLabel, ShortID(d.CurID), d.CurLabel)
 	if d.CrossHost {
 		fmt.Fprintf(&b, "hosts: NOT comparable\n  base: %s\n  cur:  %s\n", d.BaseHost, d.CurHost)
 	} else {
@@ -509,33 +458,11 @@ func (d *Diff) Format() string {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
 
-	if t := d.Topline; t != nil {
-		dir := "lower is better"
-		if t.HigherIsBetter {
-			dir = "higher is better"
-		}
-		fmt.Fprintf(&b, "\ntop-line: %s %s (%s)\n", t.Bench, t.Metric, dir)
-		fmt.Fprintf(&b, "  base  median %s  ±MAD %s  (n=%d)\n", topValue(t.Base.Median), topValue(t.Base.MAD), t.Base.N)
-		fmt.Fprintf(&b, "  cur   median %s  ±MAD %s  (n=%d)\n", topValue(t.Cur.Median), topValue(t.Cur.MAD), t.Cur.N)
-		sig := "not significant vs noise"
-		if t.Significant {
-			sig = "significant"
-		}
-		if d.CrossHost {
-			sig = "SKIPPED: cross-host"
-		}
-		fmt.Fprintf(&b, "  regression %+.1f%%  (noise band ±%.1f%%, %s)\n", t.RegressPct, t.NoisePct, sig)
-	}
-
-	if agg := d.Aggregate; agg != nil {
-		b.WriteString("\ncycle-account attribution " + agg.Label + ":\n")
-		formatAccount(&b, agg)
-	}
-
 	if len(d.Benches) > 0 {
-		b.WriteString("\nper-benchmark (median):\n")
-		for _, row := range d.Benches {
-			fmt.Fprintf(&b, "  %s\n", row.Name)
+		fmt.Fprintf(&b, "\nper-benchmark (median; gate: ns/op > +%.0f%% and outside its noise band):\n", d.opt.TolerancePct)
+		for i := range d.Benches {
+			row := &d.Benches[i]
+			fmt.Fprintf(&b, "  %s  (%s)\n", row.Name, d.gateStatus(row))
 			if row.NsPerOp != nil {
 				formatMetric(&b, *row.NsPerOp)
 			}
@@ -543,6 +470,11 @@ func (d *Diff) Format() string {
 				formatMetric(&b, m)
 			}
 		}
+	}
+
+	if agg := d.Aggregate; agg != nil {
+		b.WriteString("\ncycle-account attribution " + agg.Label + ":\n")
+		formatAccount(&b, agg)
 	}
 
 	if len(d.Runs) > 0 {
@@ -578,7 +510,7 @@ func (d *Diff) Format() string {
 
 	b.WriteByte('\n')
 	if len(d.Failures) == 0 {
-		if d.Topline == nil && len(d.Runs) == 0 {
+		if d.NoData() {
 			b.WriteString("verdict: NO-DATA (no matching benchmarks or runs between the entries)\n")
 		} else {
 			b.WriteString("verdict: OK\n")
@@ -590,6 +522,21 @@ func (d *Diff) Format() string {
 		}
 	}
 	return b.String()
+}
+
+// gateStatus says whether and how a benchmark row's ns/op is gated.
+func (d *Diff) gateStatus(r *BenchDelta) string {
+	switch {
+	case r.NsPerOp == nil:
+		return "no ns/op"
+	case d.CrossHost:
+		return "not gated: cross-host"
+	case !r.Gated:
+		return "not gated: one sample"
+	case r.significant():
+		return fmt.Sprintf("noise band ±%.1f%%, significant", r.NoisePct)
+	}
+	return fmt.Sprintf("noise band ±%.1f%%, not significant", r.NoisePct)
 }
 
 // formatAccount renders one attribution table with its reconciliation
@@ -627,8 +574,8 @@ func formatMetric(b *strings.Builder, m MetricDelta) {
 // Plant derives a synthetic regression from e for CI self-tests: the
 // chosen cycle-account category is inflated by frac of each run's total
 // cycles (keeping the closed-sum invariant exact by growing Cycles in
-// per-SM steps), and every wall-clock benchmark metric is worsened by the
-// same fraction. The returned entry shares e's host fingerprint, so the
+// per-SM steps), and every benchmark sample's ns/op, the gated series,
+// grows by the same fraction. The returned entry shares e's host fingerprint, so the
 // planted pair always compares as same-host.
 func Plant(e *Entry, cat stats.CycleCat, frac float64) (*Entry, error) {
 	if frac <= 0 {
@@ -644,21 +591,7 @@ func Plant(e *Entry, cat stats.CycleCat, frac float64) (*Entry, error) {
 	for _, rec := range e.Benchmarks {
 		cp := BenchRec{Name: rec.Name, Iterations: rec.Iterations}
 		for _, s := range rec.Samples {
-			ns := Sample{NsPerOp: s.NsPerOp * (1 + frac)}
-			if len(s.Metrics) > 0 {
-				ns.Metrics = make(map[string]float64, len(s.Metrics))
-				for k, v := range s.Metrics {
-					switch k {
-					case "simCycles/s", "ipc": // rates: worsen downward
-						ns.Metrics[k] = v / (1 + frac)
-					case "gpuCycles":
-						ns.Metrics[k] = v * (1 + frac)
-					default:
-						ns.Metrics[k] = v
-					}
-				}
-			}
-			cp.Samples = append(cp.Samples, ns)
+			cp.Samples = append(cp.Samples, Sample{NsPerOp: s.NsPerOp * (1 + frac), Metrics: s.Metrics})
 		}
 		p.Benchmarks = append(p.Benchmarks, cp)
 	}
@@ -682,41 +615,4 @@ func Plant(e *Entry, cat stats.CycleCat, frac float64) (*Entry, error) {
 		p.Runs = append(p.Runs, cp)
 	}
 	return p, nil
-}
-
-// WindowBaseline pools the benchmark samples of several comparable
-// entries into one synthetic baseline entry (trailing-window comparisons:
-// the median then spans every pooled repeat, damping single-run noise).
-// Entries whose host is not comparable with ref are skipped — that is the
-// data-driven form of the old cross-host skip guard. Runs are taken from
-// the newest contributing entry only (simulated counters are
-// bit-deterministic; pooling them would be meaningless).
-func WindowBaseline(entries []*Entry, ref Host) *Entry {
-	out := &Entry{Schema: Schema, Kind: KindBench, Label: "(window baseline)", Host: ref}
-	recs := map[string]*BenchRec{}
-	var order []string
-	used := 0
-	for _, e := range entries {
-		if e == nil || !e.Host.Comparable(ref) {
-			continue
-		}
-		used++
-		for _, r := range e.Benchmarks {
-			dst, ok := recs[r.Name]
-			if !ok {
-				dst = &BenchRec{Name: r.Name, Iterations: r.Iterations}
-				recs[r.Name] = dst
-				order = append(order, r.Name)
-			}
-			dst.Samples = append(dst.Samples, r.Samples...)
-		}
-		if len(e.Runs) > 0 && len(out.Runs) == 0 {
-			out.Runs = e.Runs
-		}
-	}
-	out.Label = fmt.Sprintf("(window baseline over %d entries)", used)
-	for _, n := range order {
-		out.Benchmarks = append(out.Benchmarks, *recs[n])
-	}
-	return out
 }

@@ -31,19 +31,19 @@ func synthRun(t *testing.T, cycles uint64, sms int, account map[stats.CycleCat]u
 	return st
 }
 
-// fixturePair is the canonical synthetic regression: the current entry is
-// ~15%% slower on the wall clock (well past the 10%% tolerance, small
+// fixturePair is the canonical synthetic regression: the current entry's
+// benchmark is 17%% slower in ns/op (well past the 10%% tolerance, small
 // MADs so it is significant) and its simulated run grew 10%% in cycles
 // with the dram category as the planted largest mover.
 func fixturePair(t *testing.T) (*Entry, *Entry) {
 	t.Helper()
 	host := Host{OS: "linux", Arch: "amd64", Kernel: "k1", GoVersion: "go1.22"}
 	mkBench := func(ns, scs [3]float64) []BenchRec {
-		recs := []BenchRec{{Name: "BenchmarkSimulatorThroughput", Iterations: 2}}
+		recs := []BenchRec{{Name: "BenchmarkRccperf/suite-sc", Iterations: 1}}
 		for i := 0; i < 3; i++ {
 			recs[0].Samples = append(recs[0].Samples, Sample{
 				NsPerOp: ns[i],
-				Metrics: map[string]float64{"simCycles/s": scs[i], "allocs/op": 7500},
+				Metrics: map[string]float64{"simCycles/s": scs[i], "B/op": 7500},
 			})
 		}
 		return recs
@@ -125,24 +125,25 @@ func TestAttributionPlantedDelta(t *testing.T) {
 		t.Fatal("category deltas do not reconcile with ΔCycles × SMs")
 	}
 
-	// Both gates must fire: the wall-clock top line (14.7% > 10%,
+	// Both gates must fire: the benchmark's ns/op (+17% > 10%,
 	// significant vs the small MADs) and the behaviour gate (cycles +10%
 	// > 2%) naming the planted category.
 	if d.Ok() || len(d.Failures) != 2 {
-		t.Fatalf("failures = %v, want top-line + behaviour", d.Failures)
+		t.Fatalf("failures = %v, want benchmark + behaviour", d.Failures)
 	}
-	if !strings.Contains(d.Failures[0], "top-line") {
-		t.Fatalf("first failure not the top line: %q", d.Failures[0])
+	if !strings.Contains(d.Failures[0], "benchmark BenchmarkRccperf/suite-sc ns/op regressed 17.0%") {
+		t.Fatalf("first failure does not name the benchmark: %q", d.Failures[0])
 	}
 	if !strings.Contains(d.Failures[1], "largest mover: dram") {
 		t.Fatalf("behaviour failure does not name the planted category: %q", d.Failures[1])
 	}
 
-	if d.Topline == nil || !d.Topline.Significant {
-		t.Fatal("top-line regression should be significant vs the fixture MADs")
+	row := d.Benches[0]
+	if !row.Gated || !row.significant() {
+		t.Fatal("ns/op regression should be gated and significant vs the fixture MADs")
 	}
-	if got := d.Topline.Base; got.Median != 950 || got.MAD != 5 || got.N != 3 {
-		t.Fatalf("base stat = %+v, want median 950 MAD 5 n 3", got)
+	if got := row.NsPerOp.Base; got.Median != 100 || got.MAD != 1 || got.N != 3 {
+		t.Fatalf("base stat = %+v, want median 100 MAD 1 n 3", got)
 	}
 }
 
@@ -174,52 +175,80 @@ func TestSharesAlwaysSumTo100(t *testing.T) {
 	}
 }
 
-// benchEntry is a bench-kind entry holding three samples of one metric.
-func benchEntry(bench, metric string, vs [3]float64) *Entry {
+// benchEntry is a same-host bench-kind entry holding one ns/op sample per
+// value.
+func benchEntry(bench string, ns ...float64) *Entry {
 	e := &Entry{Kind: KindBench, Label: "n", Host: Host{OS: "linux", Arch: "amd64"},
 		Benchmarks: []BenchRec{{Name: bench}}}
-	for _, v := range vs {
-		e.Benchmarks[0].Samples = append(e.Benchmarks[0].Samples,
-			Sample{NsPerOp: 1, Metrics: map[string]float64{metric: v}})
+	for _, v := range ns {
+		e.Benchmarks[0].Samples = append(e.Benchmarks[0].Samples, Sample{NsPerOp: v})
 	}
 	return e
+}
+
+// TestBenchGate: every shared benchmark is gated on its median ns/op. A
+// regression past the tolerance and outside the noise band fails and
+// names the benchmark; the entries' other benchmarks do not mask it.
+func TestBenchGate(t *testing.T) {
+	base := benchEntry("BenchmarkRccperf/suite-sc", 100, 101, 99)
+	cur := benchEntry("BenchmarkRccperf/suite-sc", 115, 116, 114)
+	other := BenchRec{Name: "BenchmarkRccperf/mc-family", Samples: []Sample{{NsPerOp: 10}, {NsPerOp: 10}}}
+	base.Benchmarks = append(base.Benchmarks, other)
+	cur.Benchmarks = append(cur.Benchmarks, other)
+	d := Compute("b", base, "c", cur, Options{})
+	if d.Ok() || len(d.Failures) != 1 {
+		t.Fatalf("failures = %v, want one", d.Failures)
+	}
+	want := "benchmark BenchmarkRccperf/suite-sc ns/op regressed 15.0% (tolerance 10%, noise band ±6.0%)"
+	if d.Failures[0] != want {
+		t.Fatalf("failure = %q, want %q", d.Failures[0], want)
+	}
+	if d.NoData() {
+		t.Fatal("a diff with shared benchmarks reported NO-DATA")
+	}
+	if d := Compute("b", base, "c", cur, Options{TolerancePct: 20}); !d.Ok() {
+		t.Fatalf("15%% regression failed a 20%% tolerance: %v", d.Failures)
+	}
 }
 
 // TestNoiseGate: a delta inside the MAD-scaled noise band is reported but
 // never failed, even when it exceeds the tolerance.
 func TestNoiseGate(t *testing.T) {
-	mk := func(scs [3]float64) *Entry { return benchEntry("BenchmarkSimulatorThroughput", "simCycles/s", scs) }
-	base, cur := mk([3]float64{950, 850, 900}), mk([3]float64{880, 780, 830})
+	base := benchEntry("BenchmarkRccperf/suite-sc", 950, 850, 900)
+	cur := benchEntry("BenchmarkRccperf/suite-sc", 1020, 920, 970)
 	d := Compute("b", base, "c", cur, Options{TolerancePct: 5})
-	if d.Topline == nil {
-		t.Fatal("no top line")
+	row := d.Benches[0]
+	if row.NsPerOp.DeltaPct < 5 {
+		t.Fatalf("fixture broken: regression %.1f%% should exceed the 5%% tolerance", row.NsPerOp.DeltaPct)
 	}
-	if d.Topline.RegressPct < 5 {
-		t.Fatalf("fixture broken: regression %.1f%% should exceed the 5%% tolerance", d.Topline.RegressPct)
-	}
-	if d.Topline.Significant {
-		t.Fatalf("regression %.1f%% inside noise band %.1f%% flagged significant",
-			d.Topline.RegressPct, d.Topline.NoisePct)
+	if !row.Gated || row.significant() {
+		t.Fatalf("regression %.1f%% inside noise band %.1f%%: gated %v, significant %v",
+			row.NsPerOp.DeltaPct, row.NoisePct, row.Gated, row.significant())
 	}
 	if !d.Ok() {
 		t.Fatalf("noise-band delta failed the gate: %v", d.Failures)
 	}
+	if out := d.Format(); !strings.Contains(out, "not significant") || !strings.Contains(out, "verdict: OK") {
+		t.Fatalf("report does not show the in-band delta as passing:\n%s", out)
+	}
 }
 
-// TestToplineRunsPerSecondScale: a top line measured in runs/s (single
-// digits, as the rccperf suites record) must render its median and MAD
-// legibly instead of rounding them to whole numbers.
-func TestToplineRunsPerSecondScale(t *testing.T) {
-	const bench = "BenchmarkRccperf/suite-weak"
-	base := benchEntry(bench, "runs/s", [3]float64{4.21, 4.28, 4.35})
-	cur := benchEntry(bench, "runs/s", [3]float64{5.61, 5.66, 5.70})
-	out := Compute("b", base, "c", cur, Options{TopBench: bench, TopMetric: "runs/s"}).Format()
-	for _, want := range []string{
-		"base  median 4.28  ±MAD 0.07  (n=3)",
-		"cur   median 5.66  ±MAD 0.04  (n=3)",
+// TestSingleSampleNotGated: a benchmark with one sample on either side
+// has no noise estimate, so even a large regression is shown, not gated.
+func TestSingleSampleNotGated(t *testing.T) {
+	for _, pair := range [][2]*Entry{
+		{benchEntry("BenchmarkProtocols/TCW", 100), benchEntry("BenchmarkProtocols/TCW", 150, 151, 149)},
+		{benchEntry("BenchmarkProtocols/TCW", 100, 101, 99), benchEntry("BenchmarkProtocols/TCW", 150)},
 	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("top line missing %q:\n%s", want, out)
+		d := Compute("b", pair[0], "c", pair[1], Options{})
+		if !d.Ok() || d.Benches[0].Gated {
+			t.Fatalf("one-sample benchmark gated: failures %v", d.Failures)
+		}
+		out := d.Format()
+		for _, want := range []string{"BenchmarkProtocols/TCW  (not gated: one sample)", "+50.0%", "verdict: OK"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("report missing %q:\n%s", want, out)
+			}
 		}
 	}
 }
@@ -265,46 +294,24 @@ func TestPlant(t *testing.T) {
 	if st.Cycles != 1250 || st.CycleAccount[stats.CatMSHRFull] != 500 {
 		t.Fatalf("plant arithmetic: cycles=%d mshr=%d, want 1250/500", st.Cycles, st.CycleAccount[stats.CatMSHRFull])
 	}
-	if got := p.Benchmarks[0].Samples[0].Metrics["simCycles/s"]; math.Abs(got-950/1.25) > 1e-9 {
-		t.Fatalf("planted simCycles/s = %v, want %v", got, 950/1.25)
+	if got := p.Benchmarks[0].Samples[0].NsPerOp; math.Abs(got-100*1.25) > 1e-9 {
+		t.Fatalf("planted ns/op = %v, want %v", got, 100*1.25)
 	}
 	d := Compute("b", base, "p", p, Options{})
 	if d.Ok() {
 		t.Fatal("planted regression passed the gate")
 	}
-	found := false
+	found, bench := false, false
 	for _, f := range d.Failures {
-		if strings.Contains(f, "mshr-full") {
-			found = true
-		}
+		found = found || strings.Contains(f, "mshr-full")
+		bench = bench || strings.Contains(f, "benchmark BenchmarkRccperf/suite-sc ns/op regressed 25.0%")
 	}
-	if !found {
-		t.Fatalf("no failure names the planted category: %v", d.Failures)
+	if !found || !bench {
+		t.Fatalf("failures do not name both the planted category and the benchmark: %v", d.Failures)
 	}
 
 	if _, err := Plant(base, stats.CatMSHRFull, 0); err == nil {
 		t.Fatal("Plant(frac=0) should error")
-	}
-}
-
-// TestWindowBaseline: samples pool across comparable entries only, and
-// runs come from the newest contributor.
-func TestWindowBaseline(t *testing.T) {
-	ref := Host{OS: "linux", Arch: "amd64", Kernel: "k1"}
-	mk := func(kernel string, v float64) *Entry {
-		return &Entry{Kind: KindBench, Label: "e", Host: Host{OS: "linux", Arch: "amd64", Kernel: kernel},
-			Benchmarks: []BenchRec{{Name: "B", Samples: []Sample{{NsPerOp: v}}}}}
-	}
-	base := WindowBaseline([]*Entry{mk("k1", 1), mk("k0", 2), mk("k1", 3), nil}, ref)
-	b := base.Bench("B")
-	if b == nil || len(b.Samples) != 2 {
-		t.Fatalf("pooled %d samples, want 2 (cross-host entry skipped)", len(b.Samples))
-	}
-	if b.Samples[0].NsPerOp != 1 || b.Samples[1].NsPerOp != 3 {
-		t.Fatalf("pooled wrong samples: %+v", b.Samples)
-	}
-	if !strings.Contains(base.Label, "2 entries") {
-		t.Fatalf("label = %q", base.Label)
 	}
 }
 

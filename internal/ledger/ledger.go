@@ -50,7 +50,7 @@ const (
 	KindBench   = "bench"   // repeat-level Go-benchmark record (bench_baseline.sh)
 	KindRun     = "run"     // full simulation runs with wire stats (rccbench -ledger)
 	KindSweep   = "sweep"   // sweep/fleet points (rccsweep -ledger)
-	KindImport  = "import"  // converted legacy BENCH_<n>.json snapshot
+	KindImport  = "import"  // historical BENCH_<n>.json snapshot (@0–@5 of the checked-in ledger)
 	KindPlanted = "planted" // synthetic regression planted by rccdiff -plant (self-tests)
 )
 
@@ -72,7 +72,7 @@ type Host struct {
 // and o can be meaningfully compared: every fingerprint field that is
 // known on BOTH sides must match (git SHA excluded — comparing across
 // commits is the whole point). Unknown-on-one-side fields are ignored so
-// imported legacy entries (which only carried a uname string) still
+// the imported entries @0–@5 (which only carried a uname string) still
 // compare against each other.
 func (h Host) Comparable(o Host) bool {
 	same := func(a, b string) bool { return a == "" || b == "" || a == b }
@@ -367,7 +367,7 @@ func (l *Ledger) Get(id string) (*Entry, error) {
 	}
 	sum := sha256.Sum256(b)
 	if hex.EncodeToString(sum[:]) != id {
-		return nil, fmt.Errorf("ledger: entry %s fails content verification", shortID(id))
+		return nil, fmt.Errorf("ledger: entry %s fails content verification", ShortID(id))
 	}
 	return DecodeEntry(b)
 }
@@ -379,7 +379,7 @@ func (l *Ledger) Get(id string) (*Entry, error) {
 //	<hex...>  a unique content-ID prefix (>= 4 chars)
 //
 // File paths are the caller's business (see cmd/rccdiff, which also
-// accepts entry and legacy BENCH JSON files).
+// accepts entry JSON files).
 func (l *Ledger) Resolve(ref string) (string, *Entry, error) {
 	idx, err := l.Index()
 	if err != nil {
@@ -418,16 +418,13 @@ func (l *Ledger) Resolve(ref string) (string, *Entry, error) {
 	return match, e, err
 }
 
-// shortID abbreviates a content ID for display.
-func shortID(id string) string {
+// ShortID abbreviates a content ID for display (12 hex chars).
+func ShortID(id string) string {
 	if len(id) > 12 {
 		return id[:12]
 	}
 	return id
 }
-
-// ShortID abbreviates a content ID for display (12 hex chars).
-func ShortID(id string) string { return shortID(id) }
 
 // Fingerprint gathers the recording host's fingerprint. Every probe is
 // best-effort: a field that cannot be determined is left empty (and then

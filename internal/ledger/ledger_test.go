@@ -221,47 +221,6 @@ ok  	rccsim	1.2s
 	}
 }
 
-func TestImportLegacy(t *testing.T) {
-	blob := []byte(`{
-  "date": "2026-08-01T00:00:00Z",
-  "go": "go version go1.24.0 linux/amd64",
-  "host": "Linux 6.18.5-fc-v19 x86_64",
-  "benchtime": "3x",
-  "benchmarks": [
-    {"name": "BenchmarkSimulatorThroughput-4", "iterations": 2, "ns/op": 15503495, "simCycles/s": 674761}
-  ]
-}`)
-	e, err := ImportLegacy(blob, "BENCH_9.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Kind != KindImport || e.Label != "BENCH_9.json" || e.Time != "2026-08-01T00:00:00Z" {
-		t.Fatalf("header wrong: %+v", e)
-	}
-	// uname spellings must normalize to the runtime's, so legacy and
-	// fresh entries recorded on the same machine compare as one host.
-	want := Host{OS: "linux", Arch: "amd64", Kernel: "6.18.5-fc-v19", GoVersion: "go1.24.0"}
-	if e.Host != want {
-		t.Fatalf("legacy host = %+v, want %+v", e.Host, want)
-	}
-	b := e.Bench("BenchmarkSimulatorThroughput")
-	if b == nil || len(b.Samples) != 1 || b.Samples[0].Metrics["simCycles/s"] != 674761 {
-		t.Fatalf("benchmark not imported: %+v", e.Benchmarks)
-	}
-
-	// The auto-detecting loader must route both layouts correctly.
-	if le, err := LoadEntryOrLegacy(blob, "/x/BENCH_9.json"); err != nil || le.Kind != KindImport {
-		t.Fatalf("LoadEntryOrLegacy(legacy): %v %+v", err, le)
-	}
-	canon, err := e.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ce, err := LoadEntryOrLegacy(canon, "e.json"); err != nil || !reflect.DeepEqual(ce, e) {
-		t.Fatalf("LoadEntryOrLegacy(entry) mismatch: %v", err)
-	}
-}
-
 // TestCollectorDeterminism: the recorded entry must not depend on the
 // completion order of worker goroutines — observe points in shuffled
 // order and expect sorted, stable output.
@@ -288,4 +247,25 @@ func TestCollectorDeterminism(t *testing.T) {
 	if want[0].Label != "BH/RCC@0" {
 		t.Fatalf("point key = %q, want BH/RCC@0", want[0].Label)
 	}
+}
+
+// FuzzDecodeEntry: arbitrary bytes either decode to an entry or return an
+// error, and any two decoded entries diff, render and plant without
+// panicking. The seeds in testdata/fuzz are a run entry with spans and
+// heat, a pair of rccperf bench entries, and a truncated entry.
+func FuzzDecodeEntry(f *testing.F) {
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		base, err := DecodeEntry(a)
+		if (base == nil) == (err == nil) {
+			t.Fatalf("DecodeEntry returned entry %v with error %v", base, err)
+		}
+		cur, err := DecodeEntry(b)
+		if err != nil || base == nil {
+			return
+		}
+		_ = Compute("a", base, "b", cur, Options{}).Format()
+		if p, err := Plant(cur, stats.CatMSHRFull, 0.25); err == nil {
+			_ = Compute("b", cur, "p", p, Options{}).Format()
+		}
+	})
 }

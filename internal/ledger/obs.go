@@ -81,18 +81,12 @@ func Handler(l *Ledger) http.Handler {
 }
 
 // PublishRegression exports a computed diff as rccsim_regression_*
-// gauges: the top-line regression and noise band, the per-category share
-// movement of the aggregate attribution, and the failure count (nonzero
-// = the CI gate would fail).
+// gauges: the per-category share movement and simulated-cycles delta of
+// the aggregate attribution, the failure count (nonzero = the CI gate
+// would fail) and the cross-host flag.
 func PublishRegression(reg *obs.Registry, d *Diff) {
 	if reg == nil || d == nil {
 		return
-	}
-	if t := d.Topline; t != nil {
-		reg.Register("rccsim_regression_topline_pct",
-			"Top-line regression vs baseline in percent (positive = slower)", obs.Gauge).SetFloat(t.RegressPct)
-		reg.Register("rccsim_regression_noise_pct",
-			"Noise band around the top-line delta (MAD-scaled), percent", obs.Gauge).SetFloat(t.NoisePct)
 	}
 	if agg := d.Aggregate; agg != nil {
 		for _, c := range agg.Account {

@@ -1,16 +1,12 @@
-// Recording front-ends: parsing `go test -bench` text output into
-// repeat-level BenchRecs (rccdiff -record, scripts/bench_baseline.sh) and
-// converting the historical hand-numbered BENCH_<n>.json snapshots into
-// read-only entries (rccdiff -import), so the whole perf trajectory since
-// PR 3 lives in one queryable archive.
+// Recording front-end: parsing `go test -bench` text output (rccperf
+// -format gobench included) into repeat-level BenchRecs for rccdiff
+// -record and scripts/bench_baseline.sh.
 package ledger
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
-	"path/filepath"
 	"strconv"
 	"strings"
 )
@@ -94,120 +90,4 @@ func trimProcsSuffix(name string) string {
 		return name
 	}
 	return name[:i]
-}
-
-// legacyFile mirrors the BENCH_<n>.json layout written by the historical
-// bench_baseline.sh (PR 3 through PR 8).
-type legacyFile struct {
-	Date       string            `json:"date"`
-	Go         string            `json:"go"`
-	Host       string            `json:"host"` // "Linux 6.18.5-fc-v19 x86_64"
-	Benchtime  string            `json:"benchtime"`
-	Benchmarks []json.RawMessage `json:"benchmarks"`
-}
-
-// ImportLegacy converts one historical BENCH_<n>.json blob into a
-// read-only ledger entry (kind "import", one sample per benchmark — the
-// old script recorded aggregates, so repeat-level noise bounds are not
-// recoverable). label is normally the source file name.
-func ImportLegacy(b []byte, label string) (*Entry, error) {
-	var lf legacyFile
-	if err := json.Unmarshal(b, &lf); err != nil {
-		return nil, fmt.Errorf("ledger: import %s: %w", label, err)
-	}
-	if len(lf.Benchmarks) == 0 {
-		return nil, fmt.Errorf("ledger: import %s: no benchmarks", label)
-	}
-	e := &Entry{
-		Schema: Schema,
-		Kind:   KindImport,
-		Label:  label,
-		Time:   lf.Date,
-		Host:   legacyHost(lf.Host, lf.Go),
-	}
-	for _, raw := range lf.Benchmarks {
-		// Each legacy benchmark object is {"name":..., "iterations":...,
-		// "ns/op":..., <metric>:...}. Decode generically so every metric
-		// the old script captured survives the conversion.
-		var m map[string]any
-		if err := json.Unmarshal(raw, &m); err != nil {
-			return nil, fmt.Errorf("ledger: import %s: %w", label, err)
-		}
-		name, _ := m["name"].(string)
-		if name == "" {
-			continue
-		}
-		rec := BenchRec{Name: trimProcsSuffix(name)}
-		s := Sample{Metrics: map[string]float64{}}
-		for k, v := range m {
-			f, ok := v.(float64)
-			if !ok {
-				continue
-			}
-			switch k {
-			case "iterations":
-				rec.Iterations = int(f)
-			case "ns/op":
-				s.NsPerOp = f
-			default:
-				s.Metrics[k] = f
-			}
-		}
-		if len(s.Metrics) == 0 {
-			s.Metrics = nil
-		}
-		rec.Samples = []Sample{s}
-		e.Benchmarks = append(e.Benchmarks, rec)
-	}
-	if len(e.Benchmarks) == 0 {
-		return nil, fmt.Errorf("ledger: import %s: no parsable benchmarks", label)
-	}
-	return e, nil
-}
-
-// legacyHost recovers a fingerprint from the old uname + `go version`
-// strings, normalizing uname's spellings to the runtime's (Linux→linux,
-// x86_64→amd64) so legacy and fresh entries on the same machine compare
-// as the same host.
-func legacyHost(uname, goVersion string) Host {
-	h := Host{}
-	f := strings.Fields(uname) // "Linux 6.18.5-fc-v19 x86_64"
-	if len(f) > 0 {
-		h.OS = strings.ToLower(f[0])
-	}
-	if len(f) > 1 {
-		h.Kernel = f[1]
-	}
-	if len(f) > 2 {
-		switch f[2] {
-		case "x86_64":
-			h.Arch = "amd64"
-		case "aarch64":
-			h.Arch = "arm64"
-		default:
-			h.Arch = f[2]
-		}
-	}
-	// "go version go1.24.0 linux/amd64" → "go1.24.0"
-	if gf := strings.Fields(goVersion); len(gf) >= 3 {
-		h.GoVersion = gf[2]
-	}
-	return h
-}
-
-// LoadEntryOrLegacy reads path as either a canonical ledger entry or a
-// legacy BENCH_<n>.json snapshot (auto-detected by the schema field),
-// returning the entry form in both cases. This is what lets rccdiff and
-// the CI wrapper accept the historical checked-in files directly.
-func LoadEntryOrLegacy(b []byte, path string) (*Entry, error) {
-	var probe struct {
-		Schema int `json:"schema"`
-	}
-	if err := json.Unmarshal(b, &probe); err != nil {
-		return nil, fmt.Errorf("ledger: %s: %w", path, err)
-	}
-	if probe.Schema != 0 {
-		return DecodeEntry(b)
-	}
-	return ImportLegacy(b, filepath.Base(path))
 }

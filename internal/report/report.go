@@ -32,7 +32,7 @@ func Format(cfg config.Config, st *stats.Run) string {
 	if tot := st.TotalSCStallCycles(); tot > 0 {
 		fmt.Fprintf(&b, "SC stalls: %d cycles in %d episodes (mean %.0f)\n",
 			tot, st.SCStallEvents, st.MeanSCStallLatency())
-		pc := percentShares(st.SCStallCycles[:], tot)
+		pc := PercentShares(st.SCStallCycles[:], tot)
 		fmt.Fprintf(&b, "  blamed on: load %.1f%%  store %.1f%%  atomic %.1f%%\n",
 			pc[stats.OpLoad], pc[stats.OpStore], pc[stats.OpAtomic])
 	}
@@ -42,7 +42,7 @@ func Format(cfg config.Config, st *stats.Run) string {
 
 	if tot := st.TotalAccounted(); tot > 0 {
 		b.WriteString("\ntop-down cycle accounting (SM-cycles):\n")
-		pc := percentShares(st.CycleAccount[:], tot)
+		pc := PercentShares(st.CycleAccount[:], tot)
 		for _, c := range stats.CycleCats() {
 			if st.CycleAccount[c] == 0 {
 				continue
@@ -88,7 +88,7 @@ func Format(cfg config.Config, st *stats.Run) string {
 	}
 
 	b.WriteString("\ninterconnect traffic (flits):\n")
-	pc := percentShares(st.Flits[:], st.TotalFlits())
+	pc := PercentShares(st.Flits[:], st.TotalFlits())
 	for _, c := range stats.MsgClasses() {
 		if st.Flits[c] == 0 {
 			continue
@@ -109,21 +109,14 @@ func frac(n, d uint64) float64 {
 	return float64(n) / float64(d)
 }
 
-// percentShares apportions 100.0% across values in tenths of a percent
+// PercentShares apportions 100.0% across values in tenths of a percent
 // using largest-remainder rounding: each printed one-decimal percentage is
 // within a tenth of its exact share, and — unlike independently rounded
 // rows, which drift to 99.9 or 100.1 — the rows always sum to exactly
 // 100.0. Zero values stay at exactly 0.0, so rows skipped by the caller
 // never absorb a tenth. Ties break toward the earlier index, keeping the
-// output deterministic.
-func percentShares(values []uint64, total uint64) []float64 {
-	return PercentShares(values, total)
-}
-
-// PercentShares is the exported form of the largest-remainder rounding
-// used throughout this package's tables, shared with the ledger diff so
-// regression-attribution percentages follow the same conventions (sum to
-// exactly 100.0, zero rows stay 0.0, deterministic tie-breaks).
+// output deterministic. The ledger diff and rccperf's layer table share it,
+// so their percentages follow the same conventions.
 func PercentShares(values []uint64, total uint64) []float64 {
 	out := make([]float64, len(values))
 	if total == 0 {

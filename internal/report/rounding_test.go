@@ -16,7 +16,7 @@ import (
 
 // TestPercentSharesSumTo100 pins the largest-remainder property on the
 // classic pathological splits: rows rounded independently would print
-// 99.9% or 100.1%, percentShares must hand out the missing/extra tenth
+// 99.9% or 100.1%, PercentShares must hand out the missing/extra tenth
 // deterministically and leave zero rows untouched.
 func TestPercentSharesSumTo100(t *testing.T) {
 	cases := [][]uint64{
@@ -33,7 +33,7 @@ func TestPercentSharesSumTo100(t *testing.T) {
 		for _, v := range values {
 			total += v
 		}
-		pc := percentShares(values, total)
+		pc := PercentShares(values, total)
 		var tenths int
 		for i, p := range pc {
 			tenths += int(p*10 + 0.5)
@@ -51,12 +51,12 @@ func TestPercentSharesSumTo100(t *testing.T) {
 	}
 	// Determinism incl. ties: equal remainders must break the same way
 	// every call.
-	a := fmt.Sprint(percentShares([]uint64{1, 1, 1, 1, 1, 1}, 6))
-	b := fmt.Sprint(percentShares([]uint64{1, 1, 1, 1, 1, 1}, 6))
+	a := fmt.Sprint(PercentShares([]uint64{1, 1, 1, 1, 1, 1}, 6))
+	b := fmt.Sprint(PercentShares([]uint64{1, 1, 1, 1, 1, 1}, 6))
 	if a != b {
 		t.Fatalf("tie-break not deterministic: %s vs %s", a, b)
 	}
-	if got := percentShares(nil, 0); len(got) != 0 {
+	if got := PercentShares(nil, 0); len(got) != 0 {
 		t.Fatalf("empty input: %v", got)
 	}
 }
@@ -135,7 +135,7 @@ func TestFormatSpans(t *testing.T) {
 	}
 }
 
-// TestFormatEmptyStats guards the zero-total paths of percentShares within
+// TestFormatEmptyStats guards the zero-total paths of PercentShares within
 // a full render.
 func TestFormatEmptyStats(t *testing.T) {
 	cfg := config.Small()

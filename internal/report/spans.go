@@ -38,7 +38,7 @@ func FormatSpans(cfg config.Config, rec *span.Recorder, topN int) string {
 		vals = append(vals, n)
 		total += n
 	}
-	pc := percentShares(vals, total)
+	pc := PercentShares(vals, total)
 	for i, s := range segs {
 		if vals[i] == 0 {
 			continue

@@ -7,16 +7,15 @@ import (
 	"rccsim"
 )
 
-// TestObsOverheadBudget guards the observability overhead budget on the
-// BenchmarkSimulatorThroughput workload (KMN under RCC): the fully enabled
-// path (contention sketch attached, tracker folding every run, causal-span
-// recorder sampling every 64th op) must stay close to the disabled path
-// (nil heat, nil recorder, no tracker — what every run pays when
-// -serve/-hotspots/-spans are off). The disabled path deliberately goes
-// through RunSpanned with a nil recorder, so the span layer's hot-path
-// branches are inside the measured baseline; that baseline itself is
-// budgeted at ≤2% vs the pre-observability one, enforced cross-PR by
-// scripts/bench_compare.sh against the checked-in ledger's baselines.
+// TestObsOverheadBudget guards the observability overhead budget on one
+// KMN run under RCC: the fully enabled path (contention sketch attached,
+// tracker folding every run, causal-span recorder sampling every 64th op)
+// must stay close to the disabled path (nil heat, nil recorder, no
+// tracker — what every run pays when -serve/-hotspots/-spans are off).
+// The disabled path deliberately goes through RunSpanned with a nil
+// recorder, so the span layer's hot-path branches are inside the measured
+// baseline. The rccperf observed workload measures observer cost across
+// all 12 kernels (bench/README.md).
 //
 // Timing assertions on shared CI hosts flake, so the in-test threshold is
 // deliberately generous (1.5×) and the runs are interleaved best-of-N so

@@ -9,14 +9,15 @@
 # Usage: scripts/bench_baseline.sh [label]
 #        LEDGER_DIR=ledger scripts/bench_baseline.sh
 #
-# The default label is "bench <short-sha>". Compare two entries on one
-# workload with cmd/rccdiff:
+# The default label is "bench <short-sha>". Each workload is one
+# benchmark, BenchmarkRccperf/<workload>; compare two entries with
 #
-#	go run ./cmd/rccdiff -bench BenchmarkRccperf/suite-sc -metric runs/s @-2 @-1
+#	go run ./cmd/rccdiff @-2 @-1
 #
-# The historical BENCH_<n>.json snapshots live read-only in the
-# checked-in ledger/ directory as refs @0-@5 (imported with
-# `rccdiff -import`, which still accepts external files).
+# which gates every workload both entries hold on its median ns/op
+# (scripts/bench_compare.sh is the same check with exit status 1 on a
+# regression). The historical BENCH_<n>.json snapshots live read-only in
+# the checked-in ledger/ directory as refs @0-@5.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
