@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	rccbench [-scale f] [-seed n] [-small] [-j N] [-progress] [-cache-dir dir]
+//	rccbench [-scale f] [-seed n] [-small] [-j N] [-progress]
 //	         [-ledger dir] [-serve addr]
 //	         [-trace file [-trace-format jsonl|perfetto] [-metrics-interval N]]
 //	         [-hotspots N] [-stacks file]

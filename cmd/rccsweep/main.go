@@ -1,16 +1,16 @@
 // Command rccsweep runs parameter sweeps around the paper's design points:
-// fixed RCC lease values (the paper notes the spread among fixed leases is
-// small because logical time self-scales — Sec. III-E), warps per SM (the
-// TLP that hides SC stalls), the TC lease the baselines depend on, the
-// timestamp width behind the Sec. III-D rollover mechanism, and the warp
-// scheduler.
+// warps per SM (the TLP that hides SC stalls), the TC lease the baselines
+// depend on, the timestamp width behind the Sec. III-D rollover
+// mechanism, and the warp scheduler. (RCC's fixed lease has no sweep: with
+// the predictor off it does not change simulated behaviour at all, as
+// Sec. III-E expects of logical time, and a test pins that.)
 //
-//	rccsweep [-bench BH] [-scale f] [-j N] [-progress] [-cache-dir dir]
+//	rccsweep [-bench BH] [-scale f] [-j N] [-progress]
 //	         [-trace file [-trace-format jsonl|perfetto] [-metrics-interval N]]
 //	         [-hotspots N] [-ledger dir] [-serve addr]
 //	         [-cpuprofile file] [-memprofile file] <sweep>
 //
-// Sweeps: lease, warps, tclease, tsbits, sched. Each runs on one
+// Sweeps: warps, tclease, tsbits, sched. Each runs on one
 // experiments.Runner, the run context rccbench's figures use too, so the
 // flags shared with rccbench (internal/cli) mean the same here. Sweep
 // points are independent simulations; -j runs up to N of them
@@ -22,14 +22,6 @@
 // own buffering bus and the buffers are replayed into the output file in
 // point order, so the trace is byte-identical for any -j. -hotspots
 // merges every point's contention sketch the same way.
-//
-// -cache-dir memoizes finished points in a content-addressed on-disk
-// cache keyed by (binary behaviour digest, benchmark, config); re-running
-// an interrupted or repeated sweep replays hits without simulating, with
-// output byte-identical to a cold run. Each point is written atomically
-// as it finishes, so an interrupted sweep resumes from every finished
-// point. A hit runs no machine, so -cache-dir excludes -trace and
-// -hotspots.
 package main
 
 import (
@@ -54,7 +46,6 @@ var (
 )
 
 var sweeps = map[string]func(*experiments.Runner, workload.Benchmark) error{
-	"lease":   sweepLease,
 	"warps":   sweepWarps,
 	"tclease": sweepTCLease,
 	"tsbits":  sweepTSBits,
@@ -69,8 +60,8 @@ func main() {
 
 func realMain() int {
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: rccsweep [-bench BH] [-scale f] [-j N] [-cache-dir dir] [-trace file] [-hotspots N] [-ledger dir] [-serve addr] <sweep>")
-		fmt.Fprintln(os.Stderr, "sweeps: lease warps tclease tsbits sched")
+		fmt.Fprintln(os.Stderr, "usage: rccsweep [-bench BH] [-scale f] [-j N] [-trace file] [-hotspots N] [-ledger dir] [-serve addr] <sweep>")
+		fmt.Fprintln(os.Stderr, "sweeps: warps tclease tsbits sched")
 		return 2
 	}
 	b, ok := workload.ByName(*bench)
@@ -82,12 +73,6 @@ func realMain() int {
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown sweep %q\n", flag.Arg(0))
 		return 1
-	}
-	// Cache hits never run a local machine, so there is nothing for a
-	// trace bus or heat sketch to hook.
-	if flags.CacheDir != "" && (flags.Trace != "" || flags.Hotspots > 0) {
-		fmt.Fprintln(os.Stderr, "rccsweep: -trace and -hotspots are incompatible with -cache-dir (cache hits do not run a machine)")
-		return 2
 	}
 	dst, traceFile, err := flags.OpenTrace()
 	if err != nil {
@@ -180,19 +165,6 @@ func (p *points) mergedHeat() *obs.Heat {
 		out.Merge(p.heats[i])
 	}
 	return out
-}
-
-func sweepLease(r *experiments.Runner, b workload.Benchmark) error {
-	fmt.Printf("RCC fixed-lease sweep on %s (predictor off)\n", b.Name)
-	fmt.Printf("%8s %10s %10s %12s\n", "lease", "cycles", "expired", "renewed")
-	rows, err := r.LeaseSweep(b, []uint64{8, 32, 64, 128, 512, 2048})
-	if err != nil {
-		return err
-	}
-	for _, row := range rows {
-		fmt.Printf("%8d %10d %10d %12d\n", row.Lease, row.Cycles, row.Expired, row.Renewed)
-	}
-	return nil
 }
 
 func sweepWarps(r *experiments.Runner, b workload.Benchmark) error {

@@ -1,7 +1,7 @@
 // Package cli is the harness rccbench and rccsweep share: the flags both
 // declare, and the wiring from those flags onto one experiments.Runner —
-// CPU and heap profiles, the result cache, the introspection server with
-// its run tracker, the run ledger, and the -trace output file.
+// CPU and heap profiles, the introspection server with its run tracker,
+// the run ledger, and the -trace output file.
 package cli
 
 import (
@@ -17,8 +17,6 @@ import (
 	"rccsim/internal/ledger"
 	"rccsim/internal/obs"
 	"rccsim/internal/obs/span"
-	"rccsim/internal/resultcache"
-	"rccsim/internal/sim"
 	"rccsim/internal/stats"
 	"rccsim/internal/trace"
 )
@@ -30,7 +28,6 @@ type Flags struct {
 	Trace           string
 	TraceFormat     string
 	MetricsInterval uint64
-	CacheDir        string
 	Ledger          string
 	Serve           string
 	Hotspots        int
@@ -45,7 +42,6 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Trace, "trace", "", "write the event trace to this file")
 	fs.StringVar(&f.TraceFormat, "trace-format", "jsonl", "event trace format: jsonl or perfetto")
 	fs.Uint64Var(&f.MetricsInterval, "metrics-interval", 0, "emit stats deltas into the trace every N cycles (0 = off)")
-	fs.StringVar(&f.CacheDir, "cache-dir", "", "content-addressed result cache directory: hits replay stored stats instead of simulating, making runs resumable and incremental")
 	fs.StringVar(&f.Ledger, "ledger", "", "append every finished simulation point (full wire stats) to the run ledger in this directory")
 	fs.StringVar(&f.Serve, "serve", "", "serve live introspection (/metrics, /runs, /ledger, /healthz, /debug/pprof) on this address, e.g. :8080")
 	fs.IntVar(&f.Hotspots, "hotspots", 0, "print the top-N contended cache lines (0 = off)")
@@ -108,12 +104,11 @@ type Session struct {
 }
 
 // Start starts the -cpuprofile capture and builds the Runner over base
-// with -j workers. Onto its hooks it wires the -progress line, the
-// -cache-dir cache, the -serve server's tracker (and cache gauges), and
-// the -ledger collector. spans, when non-nil, is served on /spans. tool
-// prefixes every stderr line but the -progress line, which progressLabel
-// prefixes. On error the profiles are already stopped; otherwise Close the
-// session when the run is over.
+// with -j workers. Onto its hooks it wires the -progress line, the -serve
+// server's tracker, and the -ledger collector. spans, when non-nil, is
+// served on /spans. tool prefixes every stderr line but the -progress
+// line, which progressLabel prefixes. On error the profiles are already
+// stopped; otherwise Close the session when the run is over.
 func (f *Flags) Start(tool, progressLabel string, base config.Config, spans *span.Recorder) (_ *Session, err error) {
 	stopProf, err := f.startProfiles(tool)
 	if err != nil {
@@ -130,11 +125,6 @@ func (f *Flags) Start(tool, progressLabel string, base config.Config, spans *spa
 	var observe []func(label string, st *stats.Run)
 	if f.Progress {
 		progress = append(progress, experiments.StderrProgress(os.Stderr, progressLabel))
-	}
-	if f.CacheDir != "" {
-		if r.Cache, err = resultcache.Open(f.CacheDir, sim.GoldenDigest()); err != nil {
-			return nil, err
-		}
 	}
 	if f.Ledger != "" {
 		if s.Ledger, err = ledger.Open(f.Ledger); err != nil {
@@ -156,17 +146,6 @@ func (f *Flags) Start(tool, progressLabel string, base config.Config, spans *spa
 		r.Started = tr.Begin
 		observe = append(observe, tr.Done)
 		progress = append(progress, func(_, total int, _ string) { tr.SetTotal(total) })
-		if c := r.Cache; c != nil {
-			reg := tr.Registry()
-			hits := reg.Register("rccsim_cache_hits", "Result-cache hits (points replayed from disk)", obs.Gauge)
-			misses := reg.Register("rccsim_cache_misses", "Result-cache misses (points simulated)", obs.Gauge)
-			ratio := reg.Register("rccsim_cache_hit_ratio", "Result-cache hit ratio for this invocation", obs.Gauge)
-			progress = append(progress, func(int, int, string) {
-				hits.Set(c.Hits())
-				misses.Set(c.Misses())
-				ratio.SetFloat(c.HitRatio())
-			})
-		}
 	}
 	if len(progress) > 0 {
 		r.Progress = func(done, total int, label string) {
@@ -185,15 +164,8 @@ func (f *Flags) Start(tool, progressLabel string, base config.Config, spans *spa
 	return s, nil
 }
 
-// Close prints the result cache's hit/miss summary and finalizes the
-// profiles.
-func (s *Session) Close() {
-	if c := s.Runner.Cache; c != nil {
-		fmt.Fprintf(os.Stderr, "%s: cache %s: %d hits, %d misses, %d stored (hit ratio %.0f%%)\n",
-			s.tool, c.Dir(), c.Hits(), c.Misses(), c.Puts(), 100*c.HitRatio())
-	}
-	s.stopProf()
-}
+// Close finalizes the profiles.
+func (s *Session) Close() { s.stopProf() }
 
 // Record appends every point the Runner observed as one ledger entry; it
 // does nothing without -ledger or when no point finished.

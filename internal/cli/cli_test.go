@@ -50,10 +50,10 @@ func TestSessionHooks(t *testing.T) {
 	}
 	defer s.Close()
 	b, _ := workload.ByName("BH")
-	if _, err := s.Runner.LeaseSweep(b, []uint64{8, 64, 512}); err != nil {
+	if _, err := s.Runner.TCLeaseSweep(b, []uint64{100, 400, 1600}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Record(ledger.KindSweep, "clitest lease BH"); err != nil {
+	if err := s.Record(ledger.KindSweep, "clitest tclease BH"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -79,7 +79,7 @@ func TestSessionHooks(t *testing.T) {
 	for _, r := range e.Runs {
 		labels = append(labels, r.Label)
 	}
-	if want := []string{"BH/RCC@0", "BH/RCC@1", "BH/RCC@2"}; e.Kind != ledger.KindSweep || !reflect.DeepEqual(labels, want) {
+	if want := []string{"BH/TCS@0", "BH/TCS@1", "BH/TCS@2"}; e.Kind != ledger.KindSweep || !reflect.DeepEqual(labels, want) {
 		t.Errorf("ledger entry kind %q runs %v, want %q %v", e.Kind, labels, ledger.KindSweep, want)
 	}
 }
@@ -93,7 +93,7 @@ func TestStartFailureStopsProfiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	for _, f := range []Flags{{CacheDir: filepath.Join(file, "cache")}, {Ledger: file}, {Serve: ln.Addr().String()}} {
+	for _, f := range []Flags{{Ledger: file}, {Serve: ln.Addr().String()}} {
 		f.CPUProfile = filepath.Join(t.TempDir(), "cpu.pprof")
 		if s, err := f.Start("clitest", "clitest", config.Small(), nil); err == nil || s != nil {
 			t.Fatalf("Start(%+v) = %v, %v; want an error", f, s, err)

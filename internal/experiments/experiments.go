@@ -19,7 +19,6 @@ import (
 
 	"rccsim/internal/config"
 	"rccsim/internal/obs"
-	"rccsim/internal/resultcache"
 	"rccsim/internal/sim"
 	"rccsim/internal/stats"
 	"rccsim/internal/trace"
@@ -29,19 +28,13 @@ import (
 // Runner is the one run context for figures and sweeps: it executes
 // benchmark simulations for one base machine configuration, up to Jobs
 // at a time, under one set of hooks. Figure points are memoized in
-// memory; sweep points (LeaseSweep, WarpSweep, ...) are not. It is safe
+// memory; sweep points (WarpSweep, TCLeaseSweep, ...) are not. It is safe
 // for concurrent use: the memo cache dedupes in-flight runs, so figures
 // requested from several goroutines still pay for each shared simulation
 // once.
 type Runner struct {
 	Base config.Config
 	Jobs int // max concurrent simulations (set at construction)
-
-	// Cache, when non-nil, memoizes points on disk across runs: a hit
-	// replays the stored stats instead of simulating, a miss simulates
-	// and stores the result. Replayed results are bit-identical, so
-	// output does not depend on whether a cache is attached.
-	Cache *resultcache.Cache
 
 	// Progress, when non-nil, is invoked after each point a Preload batch
 	// or a sweep completes (done so far, batch total, completed point's
@@ -54,12 +47,10 @@ type Runner struct {
 	// runs: Started fires as the point begins, Observe when it completes
 	// with the finished stats (nil on failure). Figure points are
 	// labelled "bench/protocol" plus any ablation suffix, sweep points
-	// "bench/protocol@i" with i the point's input index. Memo hits in the
-	// in-memory cache invoke neither (the point is not run again), but
-	// hits in the disk Cache DO fire both — a warm-cache sweep still
-	// ticks every progress and tracker counter, so /runs ETAs stay finite
-	// (see cache_test.go). Both run on worker goroutines — side channels
-	// only (e.g. obs.Tracker.Begin/Done, ledger.Collector.Observe).
+	// "bench/protocol@i" with i the point's input index. Memo hits invoke
+	// neither (the point is not run again). Both run on worker goroutines
+	// — side channels only (e.g. obs.Tracker.Begin/Done,
+	// ledger.Collector.Observe).
 	Started func(label string)
 	Observe func(label string, st *stats.Run)
 
@@ -69,7 +60,7 @@ type Runner struct {
 	// used by that point alone: sharing one between two points is a data
 	// race. Hand out one buffering bus and one sketch per point and
 	// replay/merge them in point order after the sweep, so the output is
-	// independent of Jobs. Figure points and Cache runs never call it.
+	// independent of Jobs. Figure points never call it.
 	Attach func(point int) (*trace.Bus, *obs.Heat)
 
 	mu    sync.Mutex

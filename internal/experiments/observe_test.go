@@ -14,10 +14,10 @@ import (
 	"rccsim/internal/workload"
 )
 
-// traceLeaseSweep runs a small LeaseSweep with a per-point buffering bus
-// from Runner.Attach and returns the buffers replayed in point order as
-// JSONL — the same recipe cmd/rccsweep -trace uses.
-func traceLeaseSweep(t *testing.T, jobs int) []byte {
+// traceTCLeaseSweep runs a small TCLeaseSweep with a per-point buffering
+// bus from Runner.Attach and returns the buffers replayed in point order
+// as JSONL — the same recipe cmd/rccsweep -trace uses.
+func traceTCLeaseSweep(t *testing.T, jobs int) []byte {
 	t.Helper()
 	base := config.Small()
 	base.Scale = 0.05
@@ -35,7 +35,7 @@ func traceLeaseSweep(t *testing.T, jobs int) []byte {
 		mu.Unlock()
 		return trace.NewBus(buf), nil
 	}
-	if _, err := r.LeaseSweep(b, []uint64{8, 64, 512}); err != nil {
+	if _, err := r.TCLeaseSweep(b, []uint64{100, 400, 1600}); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
@@ -54,8 +54,8 @@ func traceLeaseSweep(t *testing.T, jobs int) []byte {
 // cmd/rccsweep -trace relies on). Under -race this also exercises the
 // one-bus-per-point ownership discipline.
 func TestSweepTraceDeterminism(t *testing.T) {
-	seq := traceLeaseSweep(t, 1)
-	par := traceLeaseSweep(t, 4)
+	seq := traceTCLeaseSweep(t, 1)
+	par := traceTCLeaseSweep(t, 4)
 	if len(seq) == 0 {
 		t.Fatal("sweep produced no trace events")
 	}
@@ -89,14 +89,14 @@ func TestProgressCallback(t *testing.T) {
 		total = tot
 		mu.Unlock()
 	}
-	if _, err := r.LeaseSweep(b, []uint64{8, 64}); err != nil {
+	if _, err := r.TCLeaseSweep(b, []uint64{100, 1600}); err != nil {
 		t.Fatal(err)
 	}
 	if len(calls) != 2 || total != 2 {
 		t.Fatalf("progress calls %v (total %d), want 2 calls with total 2", calls, total)
 	}
-	if !labels["BH/RCC@0"] || !labels["BH/RCC@1"] {
-		t.Fatalf("progress labels %v, want BH/RCC@0 and BH/RCC@1", labels)
+	if !labels["BH/TCS@0"] || !labels["BH/TCS@1"] {
+		t.Fatalf("progress labels %v, want BH/TCS@0 and BH/TCS@1", labels)
 	}
 	seen := map[int]bool{}
 	for _, d := range calls {
@@ -140,11 +140,11 @@ func TestSweepPointLabels(t *testing.T) {
 		started = append(started, label)
 		mu.Unlock()
 	}
-	if _, err := r.LeaseSweep(b, []uint64{8, 64, 512}); err != nil {
+	if _, err := r.TCLeaseSweep(b, []uint64{100, 400, 1600}); err != nil {
 		t.Fatal(err)
 	}
 	sort.Strings(started)
-	if want := []string{"BH/RCC@0", "BH/RCC@1", "BH/RCC@2"}; !reflect.DeepEqual(started, want) {
+	if want := []string{"BH/TCS@0", "BH/TCS@1", "BH/TCS@2"}; !reflect.DeepEqual(started, want) {
 		t.Fatalf("Started labels %v, want %v", started, want)
 	}
 }

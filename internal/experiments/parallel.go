@@ -18,7 +18,9 @@ import (
 	"sync/atomic"
 
 	"rccsim/internal/config"
+	"rccsim/internal/obs"
 	"rccsim/internal/sim"
+	"rccsim/internal/trace"
 	"rccsim/internal/workload"
 )
 
@@ -100,16 +102,23 @@ func (r *Runner) resultOpt(p config.Protocol, b workload.Benchmark, renew, pred 
 	return f.res, f.err
 }
 
-// runPoint runs one labelled point, bounded with every other point of the
-// Runner to Jobs at a time: Started fires as it begins and Observe as it
-// ends, with the finished stats (nil on failure). point is the sweep
-// point's index, or -1 for a memoized figure point.
+// runPoint simulates one labelled point, bounded with every other point
+// of the Runner to Jobs at a time: Started fires as it begins and Observe
+// as it ends, with the finished stats (nil on failure). point is the
+// sweep point's index, whose machine runs with the observers
+// r.Attach(point) returns, or -1 for a memoized figure point, which runs
+// with none.
 func (r *Runner) runPoint(label string, point int, cfg config.Config, b workload.Benchmark) (sim.Result, error) {
 	r.sem <- struct{}{}
 	if r.Started != nil {
 		r.Started(label)
 	}
-	res, err := r.simulate(point, cfg, b)
+	var bus *trace.Bus
+	var heat *obs.Heat
+	if r.Attach != nil && point >= 0 {
+		bus, heat = r.Attach(point)
+	}
+	res, err := sim.RunBenchmarkSpanned(cfg, b, bus, heat, nil)
 	if r.Observe != nil {
 		r.Observe(label, res.Stats) // Stats is nil on error
 	}

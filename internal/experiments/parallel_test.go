@@ -84,17 +84,24 @@ func TestConcurrentFiguresShareRuns(t *testing.T) {
 }
 
 // TestSweepParallelDeterminism checks the non-memoized sweep path: rows
-// from a 4-worker sweep must equal the sequential ones.
+// from a 4-worker sweep must equal the sequential ones. The points'
+// stats must differ from each other, or a result delivered to the wrong
+// point would go unseen.
 func TestSweepParallelDeterminism(t *testing.T) {
 	cfg, b := sweepBench(t)
-	leases := []uint64{8, 64, 512}
-	seqRows, err := NewRunnerJobs(cfg, 1).LeaseSweep(b, leases)
+	warps := []int{2, 4, 8}
+	seqRows, err := NewRunnerJobs(cfg, 1).WarpSweep(b, warps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parRows, err := NewRunnerJobs(cfg, 4).LeaseSweep(b, leases)
+	parRows, err := NewRunnerJobs(cfg, 4).WarpSweep(b, warps)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := 1; i < len(seqRows); i++ {
+		if a, b := seqRows[i-1], seqRows[i]; a.Cycles == b.Cycles && a.StallCycles == b.StallCycles {
+			t.Fatalf("points %d and %d have equal stats (%+v, %+v): the comparison is blind to a swap", i-1, i, a, b)
+		}
 	}
 	if !reflect.DeepEqual(seqRows, parRows) {
 		t.Fatalf("parallel sweep rows differ:\nseq %+v\npar %+v", seqRows, parRows)

@@ -5,49 +5,17 @@ import (
 	"rccsim/internal/workload"
 )
 
-// The sweeps vary config fields outside the Runner's memo key (lease,
-// warps, timestamp width, scheduler), so they do not memoize; instead each
+// The sweeps vary config fields outside the Runner's memo key (warps, TC
+// lease, timestamp width, scheduler), so they do not memoize; instead each
 // builds its point configs from r.Base up front and fans the independent
 // simulations out through r.sweep, which runs them under the Runner's
-// Jobs, Cache and hooks and preserves input order, so rows are identical
-// to a sequential run.
-
-// LeaseSweepRow is one point of the fixed-lease sweep (Sec. III-E: the
-// paper found the spread among fixed leases negligible because logical
-// time advances in lease-sized steps).
-type LeaseSweepRow struct {
-	Lease   uint64
-	Cycles  uint64
-	Expired uint64
-	Renewed uint64
-}
-
-// LeaseSweep runs benchmark b under RCC with the predictor disabled for
-// each fixed lease value.
-func (r *Runner) LeaseSweep(b workload.Benchmark, leases []uint64) ([]LeaseSweepRow, error) {
-	cfgs := make([]config.Config, len(leases))
-	for i, lease := range leases {
-		cfg := r.Base
-		cfg.Protocol = config.RCC
-		cfg.RCCPredictor = false
-		cfg.RCCFixedLease = lease
-		cfgs[i] = cfg
-	}
-	results, err := r.sweep(b, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]LeaseSweepRow, len(results))
-	for i, res := range results {
-		rows[i] = LeaseSweepRow{
-			Lease:   leases[i],
-			Cycles:  res.Stats.Cycles,
-			Expired: res.Stats.L1LoadExpired,
-			Renewed: res.Stats.L1Renewed,
-		}
-	}
-	return rows, nil
-}
+// Jobs and hooks and preserves input order, so rows are identical to a
+// sequential run.
+//
+// There is no RCC fixed-lease sweep. With the predictor off, RCC's
+// simulated behaviour does not depend on the fixed lease (Sec. III-E:
+// logical time advances in lease-sized steps, so only the order of
+// timestamps matters); TestLogicalTimeInvariance pins that instead.
 
 // WarpSweepRow is one point of the TLP sweep: how much thread-level
 // parallelism is needed to cover SC stalls (the argument of [13]).

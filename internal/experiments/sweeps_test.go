@@ -16,28 +16,6 @@ func sweepBench(t *testing.T) (config.Config, workload.Benchmark) {
 	return config.Small(), b
 }
 
-func TestLeaseSweep(t *testing.T) {
-	cfg, b := sweepBench(t)
-	rows, err := NewRunnerJobs(cfg, 2).LeaseSweep(b, []uint64{8, 64, 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Cycles == 0 {
-			t.Fatalf("lease %d: empty run", r.Lease)
-		}
-	}
-	// Longer fixed leases cannot increase the expired-read count by much
-	// (the paper: the spread among fixed leases is small); sanity-check
-	// monotone direction loosely.
-	if rows[2].Expired > rows[0].Expired*2+100 {
-		t.Errorf("longer leases expired far more: %d vs %d", rows[2].Expired, rows[0].Expired)
-	}
-}
-
 func TestWarpSweep(t *testing.T) {
 	cfg, b := sweepBench(t)
 	rows, err := NewRunnerJobs(cfg, 2).WarpSweep(b, []int{2, 8})

@@ -8,7 +8,7 @@
 // host fingerprint (CPU model, cores, GOMAXPROCS, Go version, kernel, git
 // SHA) so cross-host numbers are flagged instead of silently compared.
 //
-// Storage follows the resultcache discipline: an entry's identity is the
+// Storage is content-addressed and write-once: an entry's identity is the
 // SHA-256 of its canonical JSON bytes, objects live under
 // DIR/entries/<id>.json written atomically (temp + rename), and DIR/INDEX
 // is an append-only log — one line per recorded run, in recording order —

@@ -1,9 +1,9 @@
-// Stable wire encoding of Run for the content-addressed result cache and
-// the run ledger. The cache stores finished counter sets on disk across
-// process lifetimes, so the encoding must be deterministic (same Run ⇒
-// same bytes, always), self-describing enough to reject foreign data, and
-// automatically exhaustive: forgetting a field here would silently drop a
-// counter from every cached sweep.
+// Stable wire encoding of Run for the run ledger and the model checker's
+// state fingerprints. Ledger entries keep finished counter sets on disk
+// across process lifetimes, so the encoding must be deterministic (same
+// Run ⇒ same bytes, always), self-describing enough to reject foreign
+// data, and automatically exhaustive: forgetting a field here would
+// silently drop a counter from every recorded run.
 //
 // Run is, by construction, a tree of uint64 leaves (plain counters, fixed
 // arrays of counters, and small structs of counters — see the package
@@ -56,8 +56,8 @@ func (r *Run) AppendWire(dst []byte) []byte {
 }
 
 // DecodeWire parses bytes produced by WireBytes. It rejects wrong magic,
-// version, leaf counts and trailing garbage, so a corrupted or stale cache
-// entry surfaces as an error (and a recompute), never as skewed counters.
+// version, leaf counts and trailing garbage, so corrupted or stale bytes
+// surface as an error, never as skewed counters.
 func DecodeWire(b []byte) (*Run, error) {
 	hdr := len(wireMagic) + 8
 	if len(b) < hdr || string(b[:len(wireMagic)]) != wireMagic {

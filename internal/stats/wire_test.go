@@ -118,9 +118,11 @@ func TestWireRejectsCorruption(t *testing.T) {
 	}
 }
 
-// A flipped payload byte is not caught by the header checks — that is the
-// result cache's job (it stores a payload digest alongside). But the bytes
-// must still decode into *different* counters, never silently equal ones.
+// A flipped payload byte is not caught by the header checks — the format
+// carries no checksum, so a store of wire bytes guards their integrity
+// itself (the run ledger addresses entries by content hash). But the
+// bytes must still decode into *different* counters, never silently
+// equal ones.
 func TestWirePayloadFlipChangesDecode(t *testing.T) {
 	r := populated()
 	b := r.WireBytes()
@@ -146,4 +148,25 @@ func TestWireDigestStableAndDistinct(t *testing.T) {
 	if New().WireDigest() == a.WireDigest() {
 		t.Error("zero Run digest collides with populated Run")
 	}
+}
+
+// FuzzDecodeWire: arbitrary bytes either decode to a Run or return an
+// error, never panic, and any input that decodes re-encodes to the same
+// bytes. The seeds in testdata/fuzz are a valid run, a truncated run, a
+// wrong leaf count and a bad magic. Fuzz with
+//
+//	go test ./internal/stats -run '^$' -fuzz FuzzDecodeWire -fuzztime 30s -parallel 1
+func FuzzDecodeWire(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, err := DecodeWire(b)
+		if (r == nil) == (err == nil) {
+			t.Fatalf("DecodeWire returned run %v with error %v", r, err)
+		}
+		if err != nil {
+			return
+		}
+		if got := r.WireBytes(); !bytes.Equal(got, b) {
+			t.Fatalf("decoded run re-encodes to different bytes:\n in  %x\n out %x", b, got)
+		}
+	})
 }
