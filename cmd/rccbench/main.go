@@ -13,12 +13,16 @@
 // Experiments: fig1 fig6 fig7 fig8 fig9 fig10 table1 table3 table4 table5
 // all, plus "stats <bench> <protocol>" for a full single-run report.
 // Without arguments it prints the experiment list. The flags shared with
-// rccsweep (internal/cli) drive one experiments.Runner; -trace,
-// -hotspots, -stacks and -spans apply to the single-run "stats"
-// experiment only.
+// rccsweep (internal/cli) drive one experiments.Runner; -trace (with
+// -trace-format and -metrics-interval), -hotspots, -stacks and -spans
+// (with -spans-out and -spans-folded) apply to the single-run "stats"
+// experiment only, and any other experiment rejects them with exit 2.
+// So does "stats" when -spans-out or -spans-folded is given without
+// -spans.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -49,18 +53,28 @@ var (
 	flags cli.Flags
 )
 
+// statsOnly lists the flags only the "stats" experiment reads.
+var statsOnly = []string{"trace", "trace-format", "metrics-interval", "hotspots", "stacks", "spans", "spans-out", "spans-folded"}
+
 func main() {
 	flags.Register(flag.CommandLine)
 	flag.Parse()
-	os.Exit(realMain())
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	os.Exit(realMain(flag.Args(), set))
 }
 
-func realMain() int {
-	args := flag.Args()
+// realMain runs the experiments in args; set holds the names of the flags
+// given on the command line.
+func realMain(args []string, set map[string]bool) int {
 	if len(args) == 0 {
 		fmt.Println("experiments: fig1 fig6 fig7 fig8 fig9 fig10 table1 table3 table4 table5 all")
 		fmt.Println("             stats <bench> <protocol>   (full single-run report)")
 		return 0
+	}
+	if err := checkFlags(args[0] == "stats", set); err != nil {
+		fmt.Fprintf(os.Stderr, "rccbench: %v\n", err)
+		return 2
 	}
 	base := config.Default()
 	if *small {
@@ -100,6 +114,23 @@ func realMain() int {
 		return 1
 	}
 	return 0
+}
+
+// checkFlags rejects, before anything is simulated, flags the run would
+// otherwise ignore or honour only after simulating: stats-only flags
+// outside "stats", and span exports without span recording.
+func checkFlags(stats bool, set map[string]bool) error {
+	if !stats {
+		for _, name := range statsOnly {
+			if set[name] {
+				return fmt.Errorf("-%s applies to the stats experiment only", name)
+			}
+		}
+	}
+	if *spansN <= 0 && (*spansOut != "" || *spansFolded != "") {
+		return errors.New("-spans-out/-spans-folded require -spans N")
+	}
+	return nil
 }
 
 func run(r *experiments.Runner, name string) error {
@@ -384,20 +415,17 @@ func statsReport(s *cli.Session, spans *span.Recorder, args []string) error {
 	if err != nil {
 		return err
 	}
-	var bus *trace.Bus
-	if dst != nil {
-		bus = flags.NewBus(dst)
-	}
-	heat := flags.NewHeat()
+	o := flags.Observers(dst)
+	o.Sp = spans
 	label := fmt.Sprintf("%s/%v", b.Name, proto)
 	s.Tracker.SetTotal(1)
 	s.Tracker.Begin(label)
-	res, err := sim.RunBenchmarkSpanned(cfg, b, bus, heat, spans)
+	res, err := sim.RunBenchmark(cfg, b, o)
 	s.Tracker.Done(label, res.Stats)
 	if perf, ok := dst.(*trace.PerfettoSink); ok && spans != nil {
 		perf.WriteSpanFlows(spans.Flows())
 	}
-	if cerr := bus.Close(); err == nil {
+	if cerr := o.Tr.Close(); err == nil {
 		err = cerr
 	}
 	if traceFile != nil {
@@ -414,9 +442,9 @@ func statsReport(s *cli.Session, spans *span.Recorder, args []string) error {
 	if err := writeSpanFiles(cfg, spans); err != nil {
 		return err
 	}
-	if heat != nil {
+	if o.Heat != nil {
 		header(fmt.Sprintf("top %d contended lines", flags.Hotspots))
-		heat.WriteTable(os.Stdout, flags.Hotspots)
+		o.Heat.WriteTable(os.Stdout, flags.Hotspots)
 	}
 	if *stacksOut != "" {
 		f, err := os.Create(*stacksOut)
@@ -444,19 +472,16 @@ func statsReport(s *cli.Session, spans *span.Recorder, args []string) error {
 	if heatTop == 0 {
 		heatTop = 16
 	}
-	rec.Heat = ledger.TopHeatLines(heat, heatTop)
+	rec.Heat = ledger.TopHeatLines(o.Heat, heatTop)
 	return s.Append(ledger.KindRun, "rccbench stats "+label, []ledger.RunRec{rec})
 }
 
 // writeSpanFiles dumps the -spans-out JSON summary and -spans-folded
 // segment stacks after a 'stats' run. Both are no-ops when span recording
-// is off; asking for the files without -spans is an error (the dumps would
-// be empty and silently useless).
+// is off (checkFlags has already rejected asking for them then: the dumps
+// would be empty and silently useless).
 func writeSpanFiles(cfg config.Config, spans *span.Recorder) error {
 	if spans == nil {
-		if *spansOut != "" || *spansFolded != "" {
-			return fmt.Errorf("-spans-out/-spans-folded require -spans N")
-		}
 		return nil
 	}
 	if *spansOut != "" {

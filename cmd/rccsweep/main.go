@@ -91,7 +91,7 @@ func realMain() int {
 		return 1
 	}
 	defer s.Close()
-	pts := &points{buses: map[int]*trace.Bus{}, bufs: map[int]*trace.BufferSink{}, heats: map[int]*obs.Heat{}}
+	pts := &points{sets: map[int]trace.Observers{}, bufs: map[int]*trace.BufferSink{}}
 	if dst != nil || flags.Hotspots > 0 {
 		s.Runner.Attach = pts.attach
 	}
@@ -104,7 +104,7 @@ func realMain() int {
 		}
 	}
 	if err == nil && flags.Hotspots > 0 {
-		fmt.Printf("\ntop %d contended lines (merged across %d points)\n", flags.Hotspots, len(pts.heats))
+		fmt.Printf("\ntop %d contended lines (merged across %d points)\n", flags.Hotspots, len(pts.sets))
 		pts.mergedHeat().WriteTable(os.Stdout, flags.Hotspots)
 	}
 	if err == nil {
@@ -117,39 +117,35 @@ func realMain() int {
 	return 0
 }
 
-// points hands each sweep point its own buffering trace bus and heat
-// sketch (Runner.Attach, called from worker goroutines), then replays the
-// buffers and merges the sketches in point order, keeping the trace file
-// and hotspot table independent of worker scheduling.
+// points hands each sweep point its own observers, a buffering trace bus
+// and a heat sketch (Runner.Attach, called from worker goroutines), then
+// replays the buffers and merges the sketches in point order, keeping the
+// trace file and hotspot table independent of worker scheduling.
 type points struct {
-	mu    sync.Mutex
-	buses map[int]*trace.Bus
-	bufs  map[int]*trace.BufferSink
-	heats map[int]*obs.Heat
+	mu   sync.Mutex
+	sets map[int]trace.Observers
+	bufs map[int]*trace.BufferSink // the bus's only sink, under -trace
 }
 
-func (p *points) attach(point int) (*trace.Bus, *obs.Heat) {
-	var bus *trace.Bus
-	heat := flags.NewHeat()
+func (p *points) attach(point int) trace.Observers {
+	buf := &trace.BufferSink{}
+	var dst trace.Sink
+	if flags.Trace != "" {
+		dst = buf
+	}
+	o := flags.Observers(dst)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if flags.Trace != "" {
-		buf := &trace.BufferSink{}
-		bus = flags.NewBus(buf)
-		p.buses[point], p.bufs[point] = bus, buf
-	}
-	if heat != nil {
-		p.heats[point] = heat
-	}
-	return bus, heat
+	p.sets[point], p.bufs[point] = o, buf
+	return o
 }
 
 // replay closes each point's bus (flushing its final interval-metrics
 // row into the buffer) and streams the buffers into dst in point order,
 // separated by "sweep-point" marker events.
 func (p *points) replay(dst trace.Sink) error {
-	for i := 0; i < len(p.bufs); i++ {
-		if err := p.buses[i].Close(); err != nil {
+	for i := 0; i < len(p.sets); i++ {
+		if err := p.sets[i].Tr.Close(); err != nil {
 			return err
 		}
 		dst.Event(&trace.Event{Kind: trace.KindMetrics, Label: "sweep-point",
@@ -160,9 +156,9 @@ func (p *points) replay(dst trace.Sink) error {
 }
 
 func (p *points) mergedHeat() *obs.Heat {
-	out := flags.NewHeat()
-	for i := 0; i < len(p.heats); i++ {
-		out.Merge(p.heats[i])
+	out := flags.Observers(nil).Heat
+	for i := 0; i < len(p.sets); i++ {
+		out.Merge(p.sets[i].Heat)
 	}
 	return out
 }

@@ -46,7 +46,7 @@ func main() {
 		sinks = append(sinks, newSink(f))
 	}
 	bus := trace.NewBus(sinks...)
-	msgs, err := scenario.Walkthrough(os.Stdout, *lease, bus)
+	msgs, err := scenario.Walkthrough(os.Stdout, *lease, trace.Observers{Tr: bus})
 	if err == nil {
 		err = bus.Close()
 	}

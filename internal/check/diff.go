@@ -179,7 +179,7 @@ func runOne(p *Prog, set *SCSet, exp map[string]int, proto config.Protocol, r in
 	// The invariant sink checks leases, L2 versions and core clocks over
 	// the live event stream.
 	inv := trace.NewInvariantSink(nil)
-	m.AttachTracer(trace.NewBus(inv))
+	m.Attach(trace.Observers{Tr: trace.NewBus(inv)})
 
 	if _, err := m.Run(); err != nil {
 		return fail(FailRunError, "machine error: %v", err), nil

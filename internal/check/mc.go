@@ -326,7 +326,7 @@ func (d *mcDriver) runOne(delays []uint32, prefix []uint8) (*mcRunOutcome, error
 		return nil, fmt.Errorf("check: building machine: %w", err)
 	}
 	inv := trace.NewInvariantSink(nil)
-	m.AttachTracer(trace.NewBus(inv))
+	m.Attach(trace.Observers{Tr: trace.NewBus(inv)})
 	m.SetNoCDelayChooser(func() uint64 {
 		i := len(out.taken)
 		fp := d.fingerprintMachine(m, rec)

@@ -72,23 +72,25 @@ func (f *Flags) OpenTrace() (trace.Sink, *os.File, error) {
 	return newSink(file), file, nil
 }
 
-// NewBus returns a bus over dst that also writes a stats-delta row into
-// dst every -metrics-interval cycles. Closing the bus closes dst.
-func (f *Flags) NewBus(dst trace.Sink) *trace.Bus {
-	if f.MetricsInterval == 0 {
-		return trace.NewBus(dst)
+// Observers returns the observers the shared flags ask for. With dst
+// non-nil it holds a bus over dst that also writes a stats-delta row into
+// dst every -metrics-interval cycles; closing the bus closes dst. With
+// -hotspots on it holds the contention sketch behind the table, tracking
+// four times the lines shown (at least 64), so the displayed tail is
+// trustworthy.
+func (f *Flags) Observers(dst trace.Sink) trace.Observers {
+	var o trace.Observers
+	switch {
+	case dst == nil:
+	case f.MetricsInterval == 0:
+		o.Tr = trace.NewBus(dst)
+	default:
+		o.Tr = trace.NewBus(trace.NewIntervalSink(dst, f.MetricsInterval), dst)
 	}
-	return trace.NewBus(trace.NewIntervalSink(dst, f.MetricsInterval), dst)
-}
-
-// NewHeat returns the contention sketch behind a -hotspots table, or nil
-// when -hotspots is off. It tracks four times the lines shown (at least
-// 64), so the displayed tail is trustworthy.
-func (f *Flags) NewHeat() *obs.Heat {
-	if f.Hotspots <= 0 {
-		return nil
+	if f.Hotspots > 0 {
+		o.Heat = obs.NewHeat(max(4*f.Hotspots, 64))
 	}
-	return obs.NewHeat(max(4*f.Hotspots, 64))
+	return o
 }
 
 // Session is one CLI invocation's run context: the Runner with every hook

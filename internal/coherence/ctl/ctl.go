@@ -6,8 +6,9 @@
 // and whatever its Tick does between the shared steps.
 //
 //   - Node holds what every controller has: config, node id, port,
-//     counters, message pool and the observers (tracer, contention sketch,
-//     span recorder), with their setters.
+//     counters, message pool and the embedded trace.Observers (tracer,
+//     contention sketch, span recorder), set together by the promoted
+//     SetObservers.
 //   - L1 adds the inbox, the completion sink and the wake that tells the
 //     SM a refused access may now succeed.
 //   - L2 adds the access pipe, the deferred list, the DRAM channel and the
@@ -21,8 +22,6 @@ import (
 	"rccsim/internal/coherence"
 	"rccsim/internal/config"
 	"rccsim/internal/mem"
-	"rccsim/internal/obs"
-	"rccsim/internal/obs/span"
 	"rccsim/internal/stats"
 	"rccsim/internal/timing"
 	"rccsim/internal/trace"
@@ -36,23 +35,12 @@ type Node struct {
 	Port coherence.Port
 	St   *stats.Run
 	Pool *coherence.MsgPool
-	Tr   *trace.Bus
-	Heat *obs.Heat
-	Sp   *span.Recorder
+	trace.Observers
 }
 
 // SetMsgPool attaches the machine's message free list (nil keeps plain
 // allocation).
 func (n *Node) SetMsgPool(p *coherence.MsgPool) { n.Pool = p }
-
-// SetTracer attaches the event bus (nil disables tracing).
-func (n *Node) SetTracer(tr *trace.Bus) { n.Tr = tr }
-
-// SetHeat attaches the contention sketch (nil disables sampling).
-func (n *Node) SetHeat(h *obs.Heat) { n.Heat = h }
-
-// SetSpans attaches the causal-span recorder (nil disables).
-func (n *Node) SetSpans(sp *span.Recorder) { n.Sp = sp }
 
 // L2Node returns the interconnect node id of the partition that owns line.
 func (n *Node) L2Node(line uint64) int {

@@ -6,6 +6,7 @@ import (
 	"rccsim/internal/config"
 	"rccsim/internal/energy"
 	"rccsim/internal/sim"
+	"rccsim/internal/trace"
 	"rccsim/internal/workload"
 )
 
@@ -21,7 +22,7 @@ func TestEnergyFromAccountedRun(t *testing.T) {
 	}
 	cfg := config.Small()
 	cfg.Protocol = config.RCC
-	res, err := sim.RunBenchmark(cfg, b)
+	res, err := sim.RunBenchmark(cfg, b, trace.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 
 	"rccsim/internal/config"
-	"rccsim/internal/obs"
 	"rccsim/internal/sim"
 	"rccsim/internal/stats"
 	"rccsim/internal/trace"
@@ -54,14 +53,14 @@ type Runner struct {
 	Started func(label string)
 	Observe func(label string, st *stats.Run)
 
-	// Attach, when non-nil, supplies the event bus and contention sketch
-	// (either may be nil) attached to sweep point i's machine. It is
-	// called from worker goroutines, and each returned observer must be
-	// used by that point alone: sharing one between two points is a data
-	// race. Hand out one buffering bus and one sketch per point and
-	// replay/merge them in point order after the sweep, so the output is
-	// independent of Jobs. Figure points never call it.
-	Attach func(point int) (*trace.Bus, *obs.Heat)
+	// Attach, when non-nil, supplies the observers attached to sweep
+	// point i's machine. It is called from worker goroutines, and each
+	// returned observer must be used by that point alone: sharing one
+	// between two points is a data race. Hand out one buffering bus and
+	// one sketch per point and replay/merge them in point order after the
+	// sweep, so the output is independent of Jobs. Figure points never
+	// call it.
+	Attach func(point int) trace.Observers
 
 	mu    sync.Mutex
 	cache map[cacheKey]*flight

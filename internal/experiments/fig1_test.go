@@ -7,6 +7,7 @@ import (
 	"rccsim/internal/sim"
 	"rccsim/internal/stats"
 	"rccsim/internal/timing"
+	"rccsim/internal/trace"
 	"rccsim/internal/workload"
 )
 
@@ -54,12 +55,12 @@ func TestFig1LatencyColumnsNotSwapped(t *testing.T) {
 	b := storeHeavyBench()
 	cfg := config.Small()
 	cfg.Protocol = config.MESI
-	mesi, err := sim.RunBenchmark(cfg, b)
+	mesi, err := sim.RunBenchmark(cfg, b, trace.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Protocol = config.SCIdeal
-	ideal, err := sim.RunBenchmark(cfg, b)
+	ideal, err := sim.RunBenchmark(cfg, b, trace.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}

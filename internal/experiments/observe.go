@@ -2,11 +2,11 @@
 //
 // Determinism note: the Runner's Progress, Started and Observe hooks fire
 // from worker goroutines in completion order (non-deterministic under
-// Jobs > 1) and must only drive side channels like stderr. The trace
-// buses and heat sketches Runner.Attach hands out, by contrast, are one
-// per sweep point and each is driven only by that point's single-threaded
-// machine, so replaying/merging them in point order after the sweep
-// yields output independent of Jobs.
+// Jobs > 1) and must only drive side channels like stderr. The
+// trace.Observers sets Runner.Attach hands out, by contrast, are one per
+// sweep point and each is driven only by that point's single-threaded
+// machine, so replaying the buses and merging the sketches in point order
+// after the sweep yields output independent of Jobs.
 package experiments
 
 import (

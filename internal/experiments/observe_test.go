@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"rccsim/internal/config"
-	"rccsim/internal/obs"
 	"rccsim/internal/trace"
 	"rccsim/internal/workload"
 )
@@ -28,12 +27,12 @@ func traceTCLeaseSweep(t *testing.T, jobs int) []byte {
 	var mu sync.Mutex
 	bufs := map[int]*trace.BufferSink{}
 	r := NewRunnerJobs(base, jobs)
-	r.Attach = func(point int) (*trace.Bus, *obs.Heat) {
+	r.Attach = func(point int) trace.Observers {
 		buf := &trace.BufferSink{}
 		mu.Lock()
 		bufs[point] = buf
 		mu.Unlock()
-		return trace.NewBus(buf), nil
+		return trace.Observers{Tr: trace.NewBus(buf)}
 	}
 	if _, err := r.TCLeaseSweep(b, []uint64{100, 400, 1600}); err != nil {
 		t.Fatal(err)

@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 
 	"rccsim/internal/config"
-	"rccsim/internal/obs"
 	"rccsim/internal/sim"
 	"rccsim/internal/trace"
 	"rccsim/internal/workload"
@@ -113,12 +112,11 @@ func (r *Runner) runPoint(label string, point int, cfg config.Config, b workload
 	if r.Started != nil {
 		r.Started(label)
 	}
-	var bus *trace.Bus
-	var heat *obs.Heat
+	var o trace.Observers
 	if r.Attach != nil && point >= 0 {
-		bus, heat = r.Attach(point)
+		o = r.Attach(point)
 	}
-	res, err := sim.RunBenchmarkSpanned(cfg, b, bus, heat, nil)
+	res, err := sim.RunBenchmark(cfg, b, o)
 	if r.Observe != nil {
 		r.Observe(label, res.Stats) // Stats is nil on error
 	}

@@ -97,9 +97,11 @@ type SM struct {
 	sc  bool
 	l1  coherence.L1
 	st  *stats.Run
-	tr  *trace.Bus
 	obs Observer
-	sp  *span.Recorder // causal spans for sampled requests (nil disables)
+
+	// The event bus and the span recorder; Heat is unused, as the SM
+	// touches no cache line itself.
+	trace.Observers
 
 	// lastSpanDone is the most recent tracked request to complete on this
 	// SM; barrierDep snapshots it when the block barrier releases, so the
@@ -414,7 +416,7 @@ func (s *SM) Tick(now timing.Cycle) bool {
 			s.idleValid = true
 			s.idleFrom = now
 			s.idleBlame = s.blame(first)
-			s.tr.StallBegin(now, s.id, first.id, s.idleBlame)
+			s.Tr.StallBegin(now, s.id, first.id, s.idleBlame)
 		}
 		first.wasStalled = true
 	} else {
@@ -561,7 +563,7 @@ func (s *SM) closeIdle(now timing.Cycle) {
 		return
 	}
 	s.idleValid = false
-	s.tr.StallEnd(now, s.id, s.idleBlame, uint64(now-s.idleFrom))
+	s.Tr.StallEnd(now, s.id, s.idleBlame, uint64(now-s.idleFrom))
 	if now > s.idleFrom {
 		s.st.SCStallCycles[s.idleBlame] += uint64(now - s.idleFrom)
 		s.st.SCStallEvents++
@@ -731,17 +733,17 @@ func (s *SM) drainSubmit(w *warp, now timing.Cycle) bool {
 			Issue: tr.issue,
 			Slot:  w.subSlot,
 		}
-		tracked := s.sp != nil && s.sp.Start(r.ID, s.id, w.id, r.Line, spanKind(tr.class), tr.issue)
+		tracked := s.Sp != nil && s.Sp.Start(r.ID, s.id, w.id, r.Line, spanKind(tr.class), tr.issue)
 		if tracked {
 			// The span opens at warp-instruction issue; the gap to the
 			// submit cycle (MSHR-full retries) telescopes into SegIssue.
-			s.sp.Mark(r.ID, span.SegIssue, now)
-			s.sp.Edge(r.ID, s.barrierDep, "barrier")
+			s.Sp.Mark(r.ID, span.SegIssue, now)
+			s.Sp.Edge(r.ID, s.barrierDep, "barrier")
 		}
 		if !s.l1.Access(r, now) {
 			// The abort drops the edge with the op; barrierDep stays set
 			// so the retry (same ID) records it again.
-			s.sp.Abort(r.ID)
+			s.Sp.Abort(r.ID)
 			s.freeReqs = append(s.freeReqs, r)
 			s.idSeq--
 			break
@@ -842,16 +844,10 @@ func (s *SM) checkBarrier() {
 	}
 	s.barrierN = 0
 	s.dirty = true
-	if s.sp != nil && s.lastSpanDone != 0 {
+	if s.Sp != nil && s.lastSpanDone != 0 {
 		s.barrierDep = s.lastSpanDone
 	}
 }
-
-// SetTracer attaches the event bus (nil disables tracing).
-func (s *SM) SetTracer(tr *trace.Bus) { s.tr = tr }
-
-// SetSpans attaches the causal-span recorder (nil disables).
-func (s *SM) SetSpans(sp *span.Recorder) { s.sp = sp }
 
 // spanKind maps the stats op class to the span vocabulary.
 func spanKind(c stats.OpClass) span.Kind {
@@ -871,7 +867,7 @@ func (s *SM) MemDone(r *coherence.Request, now timing.Cycle) {
 		return
 	}
 	tr := s.trackers[slot]
-	if s.sp != nil && s.sp.Finish(r.ID, span.SegReply, now) {
+	if s.Sp != nil && s.Sp.Finish(r.ID, span.SegReply, now) {
 		s.lastSpanDone = r.ID
 	}
 	s.freeReqs = append(s.freeReqs, r)

@@ -8,6 +8,7 @@ import (
 	"rccsim/internal/obs/span"
 	"rccsim/internal/stats"
 	"rccsim/internal/timing"
+	"rccsim/internal/trace"
 	"rccsim/internal/workload"
 )
 
@@ -483,7 +484,7 @@ func TestBarrierEdgeSurvivesRefusedSubmit(t *testing.T) {
 	}
 	sm, l1 := build(t, smConfig(config.RCC), []workload.Trace{tr, nil}, nil)
 	sp := span.NewRecorder(1)
-	sm.SetSpans(sp)
+	sm.SetObservers(trace.Observers{Sp: sp})
 	now := timing.Cycle(0)
 	for ; len(l1.accesses) == 0; now++ {
 		sm.Tick(now)

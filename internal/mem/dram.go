@@ -2,7 +2,6 @@ package mem
 
 import (
 	"rccsim/internal/config"
-	"rccsim/internal/obs/span"
 	"rccsim/internal/stats"
 	"rccsim/internal/timing"
 	"rccsim/internal/trace"
@@ -53,9 +52,6 @@ type DRAM struct {
 	seq      uint64     // submit counter
 	done     timing.Calendar[DRAMReq]
 	st       *stats.Run
-	tr       *trace.Bus
-	sp       *span.Recorder
-	part     int
 	rowLines uint64
 	lastTick timing.Cycle
 
@@ -65,6 +61,11 @@ type DRAM struct {
 	// paths reset the cache, so skipping scans before nextTry is exact.
 	// Zero means unknown (scan on the next call).
 	nextTry timing.Cycle
+
+	// Part is the L2 partition this channel belongs to, which labels its
+	// trace events; its owner sets it (the channel itself doesn't know).
+	Part int
+	trace.Observers
 }
 
 // NewDRAM builds a channel using the DRAM parameters in cfg.
@@ -81,16 +82,6 @@ func NewDRAM(cfg config.Config, st *stats.Run) *DRAM {
 	d.done.Reserve(int(cfg.DRAMtRP+cfg.DRAMtRCD+cfg.DRAMtCL+2*cfg.DRAMPipeLatency) + 64)
 	return d
 }
-
-// SetTracer attaches the event bus (nil disables tracing); part is the L2
-// partition this channel belongs to (the DRAM itself doesn't know it).
-func (d *DRAM) SetTracer(tr *trace.Bus, part int) {
-	d.tr = tr
-	d.part = part
-}
-
-// SetSpans attaches the causal-span recorder (nil disables).
-func (d *DRAM) SetSpans(sp *span.Recorder) { d.sp = sp }
 
 // Submit enqueues req at cycle now; the scheduler issues it later. Calls
 // must not go back in time: a request that would arrive before its bank's
@@ -231,7 +222,7 @@ func (d *DRAM) schedule(now timing.Cycle) bool {
 		b.hasOpen = true
 		b.openRow = p.row
 	}
-	if d.tr != nil {
+	if d.Tr != nil {
 		label := "read-miss"
 		switch {
 		case p.req.Write && rowHit:
@@ -241,7 +232,7 @@ func (d *DRAM) schedule(now timing.Cycle) bool {
 		case rowHit:
 			label = "read-hit"
 		}
-		d.tr.DRAMOp(now, d.part, p.req.Line, label)
+		d.Tr.DRAMOp(now, d.Part, p.req.Line, label)
 	}
 	dataStart := timing.Max(now+access, d.busFree)
 	dataEnd := dataStart + timing.Cycle(d.cfg.DRAMBusCycles)
@@ -259,7 +250,7 @@ func (d *DRAM) schedule(now timing.Cycle) bool {
 		if rowHit {
 			why = "dram-row-hit"
 		}
-		d.sp.AddChild(p.req.Span, why, p.arrival, completion)
+		d.Sp.AddChild(p.req.Span, why, p.arrival, completion)
 	}
 	d.done.Push(completion, p.req)
 	return true

@@ -33,9 +33,8 @@ type Node interface {
 type Network struct {
 	cfg   config.Config
 	st    *stats.Run
-	tr    *trace.Bus
-	sp    *span.Recorder
 	nodes []Node
+	trace.Observers
 
 	// Per-port busy-until times, separately for the request direction
 	// (L1 source ports, L2 sink ports) and the response direction.
@@ -109,12 +108,6 @@ func New(cfg config.Config, st *stats.Run) *Network {
 // Register attaches the receiver for node id.
 func (n *Network) Register(id int, node Node) { n.nodes[id] = node }
 
-// SetTracer attaches the event bus (nil disables tracing).
-func (n *Network) SetTracer(tr *trace.Bus) { n.tr = tr }
-
-// SetSpans attaches the causal-span recorder (nil disables).
-func (n *Network) SetSpans(sp *span.Recorder) { n.sp = sp }
-
 // SetChooser attaches a controlled-nondeterminism delay chooser (nil
 // restores the seeded jitter stream, if any). Attach before the first
 // Send; the in-flight log only covers messages sent while a chooser is
@@ -157,7 +150,7 @@ func (n *Network) mcLogRemove(m *coherence.Msg) {
 func (n *Network) Send(m *coherence.Msg, now timing.Cycle) {
 	flits := coherence.Flits(&n.cfg, m)
 	n.st.Traffic(m.Type.Class(), flits)
-	n.tr.MsgSend(now, m, flits)
+	n.Tr.MsgSend(now, m, flits)
 
 	ser := n.serialization(flits)
 	pipe := timing.Cycle(n.cfg.NoCPipeLatency)
@@ -197,11 +190,11 @@ func (n *Network) Send(m *coherence.Msg, now timing.Cycle) {
 		// touches this span again before the delivery cycle, and the
 		// telescoping rule is monotone in `last` anyway.
 		if m.Src < n.cfg.NumSMs {
-			n.sp.Mark(m.Span, span.SegNoCReqQueue, startTx)
-			n.sp.Mark(m.Span, span.SegNoCReqWire, deliver)
+			n.Sp.Mark(m.Span, span.SegNoCReqQueue, startTx)
+			n.Sp.Mark(m.Span, span.SegNoCReqWire, deliver)
 		} else {
-			n.sp.Mark(m.Span, span.SegNoCRspQueue, startTx)
-			n.sp.Mark(m.Span, span.SegNoCRspWire, deliver)
+			n.Sp.Mark(m.Span, span.SegNoCRspQueue, startTx)
+			n.Sp.Mark(m.Span, span.SegNoCRspWire, deliver)
 		}
 	}
 
@@ -227,7 +220,7 @@ func (n *Network) Tick(now timing.Cycle) bool {
 		if n.chooser != nil {
 			n.mcLogRemove(m)
 		}
-		n.tr.MsgRecv(now, m)
+		n.Tr.MsgRecv(now, m)
 		n.nodes[m.Dst].Deliver(m, now)
 		if n.onDeliver != nil {
 			n.onDeliver(m.Dst, now)

@@ -7,6 +7,7 @@ import (
 	"rccsim/internal/config"
 	"rccsim/internal/sim"
 	"rccsim/internal/stats"
+	"rccsim/internal/trace"
 	"rccsim/internal/workload"
 )
 
@@ -15,7 +16,7 @@ func runFor(t *testing.T, p config.Protocol) (config.Config, *sim.Result) {
 	cfg := config.Small()
 	cfg.Protocol = p
 	b, _ := workload.ByName("DLB")
-	res, err := sim.RunBenchmark(cfg, b)
+	res, err := sim.RunBenchmark(cfg, b, trace.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"rccsim/internal/obs/span"
 	"rccsim/internal/sim"
 	"rccsim/internal/stats"
+	"rccsim/internal/trace"
 	"rccsim/internal/workload"
 )
 
@@ -70,7 +71,7 @@ func TestFormatPercentagesReconcile(t *testing.T) {
 	cfg := config.Small()
 	cfg.Protocol = config.RCC
 	b, _ := workload.ByName("DLB")
-	res, err := sim.RunBenchmark(cfg, b)
+	res, err := sim.RunBenchmark(cfg, b, trace.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestFormatSpans(t *testing.T) {
 	cfg.Protocol = config.RCC
 	b, _ := workload.ByName("DLB")
 	rec := span.NewRecorder(1)
-	if _, err := sim.RunBenchmarkSpanned(cfg, b, nil, nil, rec); err != nil {
+	if _, err := sim.RunBenchmark(cfg, b, trace.Observers{Sp: rec}); err != nil {
 		t.Fatal(err)
 	}
 	out := FormatSpans(cfg, rec, 3)

@@ -20,7 +20,7 @@ func runWalkthrough(t *testing.T) (narrative, jsonl, text []byte, msgs int) {
 	textSink := trace.NewTextSink(&tx, 2)
 	inv := trace.NewInvariantSink(nil)
 	bus := trace.NewBus(trace.NewJSONLSink(&jl), textSink, inv)
-	msgs, err := Walkthrough(&out, 10, bus)
+	msgs, err := Walkthrough(&out, 10, trace.Observers{Tr: bus})
 	if err != nil {
 		t.Fatal(err)
 	}

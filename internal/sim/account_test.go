@@ -5,6 +5,7 @@ import (
 
 	"rccsim/internal/config"
 	"rccsim/internal/stats"
+	"rccsim/internal/trace"
 	"rccsim/internal/workload"
 )
 
@@ -21,7 +22,7 @@ func TestCycleAccountConservation(t *testing.T) {
 	for _, p := range []config.Protocol{config.MESI, config.TCS, config.TCW, config.RCC, config.RCCWO, config.SCIdeal} {
 		cfg := config.Small()
 		cfg.Protocol = p
-		res, err := RunBenchmark(cfg, b)
+		res, err := RunBenchmark(cfg, b, trace.Observers{})
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
@@ -54,7 +55,7 @@ func TestCycleAccountRollover(t *testing.T) {
 	cfg := config.Small()
 	cfg.Protocol = config.RCC
 	cfg.RCCTSMax = 4 * cfg.RCCMaxLease // narrowest width Validate allows
-	res, err := RunBenchmark(cfg, b)
+	res, err := RunBenchmark(cfg, b, trace.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}

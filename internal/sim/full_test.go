@@ -5,6 +5,7 @@ import (
 
 	"rccsim/internal/config"
 	"rccsim/internal/stats"
+	"rccsim/internal/trace"
 	"rccsim/internal/workload"
 )
 
@@ -17,7 +18,7 @@ func TestFullScaleProbe(t *testing.T) {
 		for _, p := range []config.Protocol{config.MESI, config.TCS, config.TCW, config.RCC, config.RCCWO, config.SCIdeal} {
 			cfg := config.Default()
 			cfg.Protocol = p
-			res, err := RunBenchmark(cfg, b)
+			res, err := RunBenchmark(cfg, b, trace.Observers{})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", b.Name, p, err)
 			}

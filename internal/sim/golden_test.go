@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"rccsim/internal/config"
+	"rccsim/internal/trace"
 	"rccsim/internal/workload"
 )
 
@@ -44,7 +45,7 @@ func TestCrossProtocolGoldenDigest(t *testing.T) {
 
 		var snaps [2]string
 		for i := range snaps {
-			res, err := RunBenchmark(cfg, b)
+			res, err := RunBenchmark(cfg, b, trace.Observers{})
 			if err != nil {
 				t.Fatalf("%v run %d: %v", p, i, err)
 			}

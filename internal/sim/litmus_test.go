@@ -58,7 +58,7 @@ func runLitmus(t *testing.T, cfg config.Config, l sc.Litmus, seed uint64, fenced
 	// sanity, L2 version monotonicity, and core clock monotonicity are
 	// verified over the live event stream.
 	inv := trace.NewInvariantSink(nil)
-	m.AttachTracer(trace.NewBus(inv))
+	m.Attach(trace.Observers{Tr: trace.NewBus(inv)})
 	if _, err := m.Run(); err != nil {
 		t.Fatalf("%s seed %d: %v", l.Name, seed, err)
 	}

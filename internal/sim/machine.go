@@ -45,7 +45,7 @@ type Machine struct {
 	l2s     []l2Ctl
 	drams   []*mem.DRAM
 	backing *mem.Backing
-	tr      *trace.Bus
+	obsv    trace.Observers // the attached set; the machine itself emits on obsv.Tr
 	pool    *coherence.MsgPool
 	now     timing.Cycle
 	done    bool // latched: a finished machine never becomes un-done
@@ -111,9 +111,7 @@ type (
 	}
 	hooks interface {
 		SetMsgPool(*coherence.MsgPool)
-		SetTracer(*trace.Bus)
-		SetHeat(*obs.Heat)
-		SetSpans(*span.Recorder)
+		SetObservers(trace.Observers)
 	}
 )
 
@@ -155,6 +153,7 @@ func New(cfg config.Config, prog *workload.Program, obs gpu.Observer) (*Machine,
 	drams := make([]*mem.DRAM, cfg.L2Partitions)
 	for p := range drams {
 		drams[p] = mem.NewDRAM(cfg, m.st)
+		drams[p].Part = p
 	}
 	m.drams = drams
 
@@ -280,58 +279,39 @@ func (m *Machine) wakeAll(at timing.Cycle) {
 
 func (m *Machine) zapL1(coreID int, line uint64) { m.idealL1s[coreID].Zap(line) }
 
-// AttachTracer threads the event bus through every component of the
-// machine and binds the run's counters to any stats-snapshotting sinks.
-// Call it before Run; a nil bus detaches tracing everywhere.
-func (m *Machine) AttachTracer(tr *trace.Bus) {
-	m.tr = tr
-	m.network.SetTracer(tr)
+// Attach threads the observers through every component of the machine
+// (SMs, L1s, L2 partitions, the interconnect and the DRAM channels) and
+// binds the run's counters to any stats-snapshotting sinks on the bus.
+// Call it before Run; the zero Observers detaches everything.
+func (m *Machine) Attach(o trace.Observers) {
+	m.obsv = o
+	m.network.SetObservers(o)
 	for _, l1 := range m.l1s {
-		l1.SetTracer(tr)
+		l1.SetObservers(o)
 	}
 	for _, l2 := range m.l2s {
-		l2.SetTracer(tr)
+		l2.SetObservers(o)
 	}
 	for _, sm := range m.sms {
-		sm.SetTracer(tr)
-	}
-	for p, d := range m.drams {
-		d.SetTracer(tr, p)
-	}
-	tr.BindStats(m.st)
-}
-
-// AttachHeat threads the contention sketch through every cache controller.
-// Call it before Run; a nil sketch detaches sampling everywhere. Like
-// stats.Run, the sketch becomes owned by this (single-threaded) machine —
-// never share one between concurrently running machines.
-func (m *Machine) AttachHeat(h *obs.Heat) {
-	for _, l1 := range m.l1s {
-		l1.SetHeat(h)
-	}
-	for _, l2 := range m.l2s {
-		l2.SetHeat(h)
-	}
-}
-
-// AttachSpans threads the causal-span recorder through the full request
-// path: SMs (issue/finish), L1s, L2 partitions, the interconnect, and the
-// DRAM channels. Call it before Run; a nil recorder detaches everywhere.
-func (m *Machine) AttachSpans(sp *span.Recorder) {
-	m.network.SetSpans(sp)
-	for _, l1 := range m.l1s {
-		l1.SetSpans(sp)
-	}
-	for _, l2 := range m.l2s {
-		l2.SetSpans(sp)
-	}
-	for _, sm := range m.sms {
-		sm.SetSpans(sp)
+		sm.SetObservers(o)
 	}
 	for _, d := range m.drams {
-		d.SetSpans(sp)
+		d.SetObservers(o)
 	}
+	o.Tr.BindStats(m.st)
 }
+
+// AttachTracer, AttachHeat and AttachSpans each replace one member of the
+// attached set. They are kept only for bench/, which calls them in
+// sequence, until the next benchmark change moves it to Attach; nothing
+// else may call them.
+func (m *Machine) AttachTracer(tr *trace.Bus) { o := m.obsv; o.Tr = tr; m.Attach(o) }
+
+// AttachHeat: see AttachTracer.
+func (m *Machine) AttachHeat(h *obs.Heat) { o := m.obsv; o.Heat = h; m.Attach(o) }
+
+// AttachSpans: see AttachTracer.
+func (m *Machine) AttachSpans(sp *span.Recorder) { o := m.obsv; o.Sp = sp; m.Attach(o) }
 
 // SetNoCDelayChooser replaces the seeded NoC jitter stream with a
 // controlled-nondeterminism hook: fn is consulted once per message send,
@@ -406,7 +386,7 @@ func (m *Machine) Done() bool {
 // ticking everything.
 func (m *Machine) Step() bool {
 	now := m.now
-	m.tr.CycleReached(now)
+	m.obsv.Tr.CycleReached(now)
 	did := false
 	// Grid-snapped machine-level work first: a rollover phase change at a
 	// grid cycle freezes or thaws the components before any of them tick
@@ -646,7 +626,7 @@ func (m *Machine) rolloverGrid(now timing.Cycle) bool {
 func (m *Machine) applyRollover(now timing.Cycle) {
 	m.roState = roStalling
 	m.roStart = now
-	m.tr.Rollover(now, trace.RolloverStall, -1, 0)
+	m.obsv.Tr.Rollover(now, trace.RolloverStall, -1, 0)
 	// Ring stall: a flit visits every partition before processing stops
 	// everywhere.
 	m.roReadyAt = now + timing.Cycle(4*m.cfg.L2Partitions)
@@ -675,7 +655,7 @@ func (m *Machine) tickRollover(now timing.Cycle) bool {
 		for _, l2 := range m.rccL2s {
 			l2.ResetTimestamps(now)
 		}
-		m.tr.Rollover(now, trace.RolloverReset, -1, 0)
+		m.obsv.Tr.Rollover(now, trace.RolloverReset, -1, 0)
 		flushRT := 2 * (timing.Cycle(m.cfg.NoCPipeLatency) +
 			timing.Cycle((m.cfg.ControlFlits()+m.cfg.PortFlitsPerCycle-1)/m.cfg.PortFlitsPerCycle))
 		m.roState = roFlushing
@@ -702,7 +682,7 @@ func (m *Machine) tickRollover(now timing.Cycle) bool {
 		}
 		m.st.Rollovers++
 		m.st.RolloverStall += uint64(now - m.roStart)
-		m.tr.Rollover(now, trace.RolloverDone, -1, uint64(now-m.roStart))
+		m.obsv.Tr.Rollover(now, trace.RolloverDone, -1, uint64(now-m.roStart))
 		m.roState = roIdle
 		return true
 	}
@@ -716,27 +696,27 @@ type Result struct {
 	Energy energy.Breakdown
 }
 
-// RunBenchmark generates and executes benchmark b under cfg.
-func RunBenchmark(cfg config.Config, b workload.Benchmark) (Result, error) {
-	return RunBenchmarkSpanned(cfg, b, nil, nil, nil)
-}
-
-// RunBenchmarkSpanned is RunBenchmark with observers attached for the
-// duration of the run: an event bus, a contention sketch and a
-// causal-span recorder, any of which may be nil. The caller keeps
-// ownership of all three and closes/summarizes them after the run.
-func RunBenchmarkSpanned(cfg config.Config, b workload.Benchmark, tr *trace.Bus, heat *obs.Heat, sp *span.Recorder) (Result, error) {
+// RunBenchmark generates and executes benchmark b under cfg with the
+// observers o attached for the duration of the run (the zero value for
+// none). The caller keeps ownership of them and closes/summarizes them
+// after the run.
+func RunBenchmark(cfg config.Config, b workload.Benchmark, o trace.Observers) (Result, error) {
 	prog := b.Generate(cfg)
 	m, err := New(cfg, prog, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	m.AttachTracer(tr)
-	m.AttachHeat(heat)
-	m.AttachSpans(sp)
+	m.Attach(o)
 	st, err := m.Run()
 	if err != nil {
 		return Result{}, fmt.Errorf("%s/%v: %w", b.Name, cfg.Protocol, err)
 	}
 	return Result{Config: cfg, Stats: st, Energy: energy.Interconnect(cfg, st)}, nil
+}
+
+// RunBenchmarkSpanned is RunBenchmark with the observers as separate
+// arguments, kept only for bench/ until the next benchmark change moves
+// it to RunBenchmark; nothing else may call it.
+func RunBenchmarkSpanned(cfg config.Config, b workload.Benchmark, tr *trace.Bus, heat *obs.Heat, sp *span.Recorder) (Result, error) {
+	return RunBenchmark(cfg, b, trace.Observers{Tr: tr, Heat: heat, Sp: sp})
 }

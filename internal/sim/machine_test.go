@@ -8,6 +8,7 @@ import (
 	"rccsim/internal/config"
 	"rccsim/internal/sc"
 	"rccsim/internal/stats"
+	"rccsim/internal/trace"
 	"rccsim/internal/workload"
 )
 
@@ -19,7 +20,7 @@ func TestAllProtocolsAllBenchmarksSmall(t *testing.T) {
 		for _, p := range []config.Protocol{config.MESI, config.TCS, config.TCW, config.RCC, config.RCCWO, config.SCIdeal} {
 			cfg := config.Small()
 			cfg.Protocol = p
-			res, err := RunBenchmark(cfg, b)
+			res, err := RunBenchmark(cfg, b, trace.Observers{})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", b.Name, p, err)
 			}
@@ -50,11 +51,11 @@ func TestDeterminism(t *testing.T) {
 		cfg := config.Small()
 		cfg.Protocol = p
 		b, _ := workload.ByName("DLB")
-		a1, err := RunBenchmark(cfg, b)
+		a1, err := RunBenchmark(cfg, b, trace.Observers{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		a2, err := RunBenchmark(cfg, b)
+		a2, err := RunBenchmark(cfg, b, trace.Observers{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,12 +70,12 @@ func TestSeedSensitivity(t *testing.T) {
 	cfg := config.Small()
 	cfg.Protocol = config.RCC
 	b, _ := workload.ByName("VPR")
-	r1, err := RunBenchmark(cfg, b)
+	r1, err := RunBenchmark(cfg, b, trace.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Seed = 99
-	r2, err := RunBenchmark(cfg, b)
+	r2, err := RunBenchmark(cfg, b, trace.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestRolloverForced(t *testing.T) {
 	cfg.RCCMaxLease = 2048
 	cfg.Scale = 0.5
 	b, _ := workload.ByName("STN") // store-heavy: advances logical time fast
-	res, err := RunBenchmark(cfg, b)
+	res, err := RunBenchmark(cfg, b, trace.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestMaxCyclesGuard(t *testing.T) {
 	cfg := config.Small()
 	cfg.MaxCycles = 100 // far too few to finish
 	b, _ := workload.ByName("BH")
-	_, err := RunBenchmark(cfg, b)
+	_, err := RunBenchmark(cfg, b, trace.Observers{})
 	if err == nil {
 		t.Fatal("MaxCycles did not trigger")
 	}

@@ -11,6 +11,7 @@ import (
 
 	"rccsim/internal/config"
 	"rccsim/internal/stats"
+	"rccsim/internal/trace"
 	"rccsim/internal/workload"
 )
 
@@ -37,7 +38,7 @@ func TestMSHRPressureDigest(t *testing.T) {
 				cfg.Scale = 0.03
 				cfg.L1MSHRs = mshrs
 				cfg.RCCTSMax = 4 * cfg.RCCMaxLease // narrowest width Validate allows
-				res, err := RunBenchmark(cfg, b)
+				res, err := RunBenchmark(cfg, b, trace.Observers{})
 				if err != nil {
 					t.Fatalf("%s/%v/mshrs=%d: %v", b.Name, p, mshrs, err)
 				}

@@ -6,6 +6,7 @@ import (
 
 	"rccsim/internal/config"
 	"rccsim/internal/obs/span"
+	"rccsim/internal/trace"
 	"rccsim/internal/workload"
 )
 
@@ -26,7 +27,7 @@ func TestSpanInvariantsAllProtocols(t *testing.T) {
 			cfg := config.Small()
 			cfg.Protocol = p
 			rec := span.NewRecorder(1) // track every op
-			res, err := RunBenchmarkSpanned(cfg, b, nil, nil, rec)
+			res, err := RunBenchmark(cfg, b, trace.Observers{Sp: rec})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,11 +78,11 @@ func TestSpansAreBehaviourNeutral(t *testing.T) {
 	}
 	cfg := config.Small()
 	cfg.Protocol = config.RCC
-	ref, err := RunBenchmark(cfg, b)
+	ref, err := RunBenchmark(cfg, b, trace.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunBenchmarkSpanned(cfg, b, nil, nil, span.NewRecorder(2))
+	res, err := RunBenchmark(cfg, b, trace.Observers{Sp: span.NewRecorder(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestSpanSampling(t *testing.T) {
 	counts := map[int]int{}
 	for _, every := range []int{1, 8} {
 		rec := span.NewRecorder(every)
-		if _, err := RunBenchmarkSpanned(cfg, b, nil, nil, rec); err != nil {
+		if _, err := RunBenchmark(cfg, b, trace.Observers{Sp: rec}); err != nil {
 			t.Fatal(err)
 		}
 		counts[every] = len(rec.Done())

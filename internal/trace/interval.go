@@ -29,7 +29,7 @@ type IntervalSink struct {
 }
 
 // NewIntervalSink snapshots every interval cycles into dst. The stats
-// set arrives later via the bus (Machine.AttachTracer → BindStats).
+// set arrives later via the bus (Machine.Attach → BindStats).
 func NewIntervalSink(dst Sink, interval uint64) *IntervalSink {
 	if interval == 0 {
 		interval = 1

@@ -196,7 +196,7 @@ func NewBus(sinks ...Sink) *Bus {
 func (b *Bus) Enabled() bool { return b != nil && len(b.sinks) > 0 }
 
 // BindStats hands the run's live counter set to every sink that snapshots
-// it (IntervalSink). Called by Machine.AttachTracer.
+// it (IntervalSink). Called by Machine.Attach.
 func (b *Bus) BindStats(st *stats.Run) {
 	if b == nil {
 		return

@@ -46,7 +46,7 @@ func TestObsOverheadBudget(t *testing.T) {
 			sp = rccsim.NewSpanRecorder(64)
 		}
 		start := time.Now()
-		res, err := rccsim.RunSpanned(cfg, "KMN", nil, heat, sp)
+		res, err := rccsim.RunSpanned(cfg, "KMN", rccsim.Observers{Heat: heat, Sp: sp})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -148,7 +148,7 @@ func NewIntervalTraceSink(dst TraceSink, interval uint64) TraceSink {
 // returns the statistics and interconnect energy. RunSpanned is the same
 // with observers attached.
 func Run(cfg Config, name string) (Result, error) {
-	return RunSpanned(cfg, name, nil, nil, nil)
+	return RunSpanned(cfg, name, Observers{})
 }
 
 // RunProgram simulates an arbitrary user-supplied program. ob may be nil.
@@ -224,17 +224,21 @@ type SpanSummary = span.Summary
 // ops). every <= 0 returns nil (recording off).
 func NewSpanRecorder(every int) *SpanRecorder { return span.NewRecorder(every) }
 
-// RunSpanned is Run with an event bus, a contention sketch and a
-// causal-span recorder attached for the duration of the simulation; any
-// of tr, heat, sp may be nil. The caller keeps ownership of all three
-// (closing the bus, summarizing the recorder) after the run. Attaching
-// observers never changes simulated results.
-func RunSpanned(cfg Config, name string, tr *TraceBus, heat *Heat, sp *SpanRecorder) (Result, error) {
+// Observers is the set of observers a run attaches: an event bus (Tr), a
+// contention sketch (Heat) and a causal-span recorder (Sp), any of which
+// may be nil. The zero value observes nothing.
+type Observers = trace.Observers
+
+// RunSpanned is Run with observers o attached for the duration of the
+// simulation. The caller keeps ownership of them (closing the bus,
+// summarizing the recorder) after the run. Attaching observers never
+// changes simulated results.
+func RunSpanned(cfg Config, name string, o Observers) (Result, error) {
 	b, ok := workload.ByName(name)
 	if !ok {
 		return Result{}, fmt.Errorf("rccsim: unknown benchmark %q", name)
 	}
-	return sim.RunBenchmarkSpanned(cfg, b, tr, heat, sp)
+	return sim.RunBenchmark(cfg, b, o)
 }
 
 // FormatSpans renders a recorder's summary as the report's causal-span

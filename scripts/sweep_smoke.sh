@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Smoke test of sweep determinism end to end: an rccsweep tclease sweep
-# must print the same rows, write the same -trace file and record the
-# same -ledger runs (labels and stats) at -j 1 and -j 4. Its rows must
-# not all be equal, or these comparisons could not see a result that
-# reached the wrong point.
+# must print the same rows, write the same -trace file, print the same
+# merged -hotspots table and record the same -ledger runs (labels and
+# stats) at -j 1 and -j 4. Its rows must not all be equal, or these
+# comparisons could not see a result that reached the wrong point, and
+# the hotspot table must list at least one line.
 #
 # Usage: scripts/sweep_smoke.sh
 set -euo pipefail
@@ -17,9 +18,10 @@ go build -o "$tmp/rccsweep" ./cmd/rccsweep
 sweep=(-bench DLB -scale 0.1)
 
 for j in 1 4; do
-	echo "sweep_smoke: rows, -trace and -ledger at -j $j"
+	echo "sweep_smoke: rows, -trace, -hotspots and -ledger at -j $j"
 	"$tmp/rccsweep" "${sweep[@]}" -j "$j" tclease >"$tmp/rows-j$j.out"
 	"$tmp/rccsweep" "${sweep[@]}" -j "$j" -trace "$tmp/trace-j$j.jsonl" -metrics-interval 1000 tclease >/dev/null
+	"$tmp/rccsweep" "${sweep[@]}" -j "$j" -hotspots 5 tclease >"$tmp/hot-j$j.out"
 	"$tmp/rccsweep" "${sweep[@]}" -j "$j" -ledger "$tmp/ledger-j$j" tclease >/dev/null 2>&1
 	# runs is the last field of an entry's canonical JSON.
 	sed 's/.*"runs":/"runs":/' "$tmp/ledger-j$j"/entries/*.json >"$tmp/runs-j$j.json"
@@ -36,6 +38,16 @@ cmp "$tmp/rows-j1.out" "$tmp/rows-j4.out" || {
 }
 cmp "$tmp/trace-j1.jsonl" "$tmp/trace-j4.jsonl" || {
 	echo "sweep_smoke: FAIL: sweep -trace differs between -j 1 and -j 4" >&2
+	exit 1
+}
+# The table follows its "top 5 contended lines" title and column header;
+# each line row starts with the line's hex address.
+if ! sed '1,/^top 5 contended lines/d' "$tmp/hot-j1.out" | grep -q '^0x'; then
+	echo "sweep_smoke: FAIL: the merged -hotspots table lists no line" >&2
+	exit 1
+fi
+cmp "$tmp/hot-j1.out" "$tmp/hot-j4.out" || {
+	echo "sweep_smoke: FAIL: sweep -hotspots output differs between -j 1 and -j 4" >&2
 	exit 1
 }
 grep -q '"label":"DLB/TCS@4"' "$tmp/runs-j1.json" || {
