@@ -100,6 +100,13 @@ func newRecorder(p *Prog, maxWarps int) *recorder {
 	return r
 }
 
+// reset clears the observations for a new run of the same program.
+func (r *recorder) reset() {
+	r.entries = r.entries[:0]
+	clear(r.pos)
+	r.bad = r.bad[:0]
+}
+
 func posKey(ti, opIdx int, line uint64) string {
 	return fmt.Sprintf("T%d#%d@%d", ti, opIdx, line)
 }

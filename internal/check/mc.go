@@ -11,9 +11,13 @@
 //
 // Given a full choice vector the machine is bit-deterministic, so one
 // "state" of the explored transition system is a choice-vector prefix,
-// and the checker is a replay-based DFS: run the machine taking recorded
-// choices along the prefix and the default (index 0) beyond it, and for
-// every fresh decision point push the sibling prefixes onto a work stack.
+// and the checker is a replay-based DFS: run the machine from its initial
+// state taking recorded choices along the prefix and the default (index
+// 0) beyond it, and for every fresh decision point push the sibling
+// prefixes onto a work stack. Every replay of one exploration runs on the
+// same machine, returned to its initial state by sim.Machine.Reset, which
+// keeps the machine's allocations where building one per replay would
+// make the search allocation-bound.
 // A visited-set over machine-state fingerprints (see fingerprintMachine)
 // merges converging branches — chiefly siblings whose delay difference
 // was absorbed by port-serialization backlog — and symmetry reduction
@@ -169,6 +173,15 @@ type mcDriver struct {
 	visited map[mcFP]bool
 	res     *MCResult
 
+	// One machine serves every replay of the exploration: runOne resets
+	// it, with its recorder, invariant sink and bus, instead of building
+	// new ones. Nil until the first run.
+	m   *sim.Machine
+	rec *recorder
+	inv *trace.InvariantSink
+	bus *trace.Bus
+	out mcRunOutcome // the latest run's outcome, reused by the next
+
 	// Scratch reused by every fingerprintMachine call.
 	fpBuf []byte
 	fpObs []string
@@ -179,38 +192,10 @@ type mcDriver struct {
 // (ill-formed program, enumeration blow-up, machine build failure) — not
 // a verdict.
 func ModelCheck(p *Prog, opts MCOptions) (*MCResult, error) {
-	if len(opts.DelayMenu) == 0 || len(opts.JitterMenu) == 0 {
-		return nil, fmt.Errorf("check: empty model-checking menu")
-	}
-	set, err := p.Enumerate(opts.Limits)
+	d, err := newMCDriver(p, opts)
 	if err != nil {
 		return nil, err
 	}
-	cfg := config.Small()
-	cfg.Protocol = opts.Protocol
-	cfg.NumSMs, cfg.WarpsPerSM = p.MachineShape()
-	cfg.Seed = 1 // no seeded randomness left on the explored paths
-	cfg.NoCJitter = 0
-	if opts.MaxCycles > 0 {
-		cfg.MaxCycles = opts.MaxCycles
-	}
-
-	d := &mcDriver{
-		p:       p,
-		opts:    opts,
-		set:     set,
-		exp:     expectedObs(p),
-		cfg:     cfg,
-		visited: make(map[mcFP]bool),
-		res: &MCResult{
-			Protocol: opts.Protocol.String(),
-			Outcomes: make(map[string]map[string]bool),
-		},
-	}
-	if opts.Graph {
-		d.res.Graph = newMCGraph(strings.ReplaceAll(strings.TrimSpace(p.String()), "\n", " "), d.res.Protocol)
-	}
-
 	var autos []symAction
 	if opts.Symmetry {
 		autos = progAutomorphisms(p)
@@ -251,11 +236,51 @@ func ModelCheck(p *Prog, opts MCOptions) (*MCResult, error) {
 	return d.res, nil
 }
 
+// newMCDriver validates the menus, enumerates the SC set and sizes the
+// machine for one exploration of p.
+func newMCDriver(p *Prog, opts MCOptions) (*mcDriver, error) {
+	if len(opts.DelayMenu) == 0 || len(opts.JitterMenu) == 0 {
+		return nil, fmt.Errorf("check: empty model-checking menu")
+	}
+	set, err := p.Enumerate(opts.Limits)
+	if err != nil {
+		return nil, err
+	}
+	cfg := config.Small()
+	cfg.Protocol = opts.Protocol
+	cfg.NumSMs, cfg.WarpsPerSM = p.MachineShape()
+	cfg.Seed = 1 // no seeded randomness left on the explored paths
+	cfg.NoCJitter = 0
+	if opts.MaxCycles > 0 {
+		cfg.MaxCycles = opts.MaxCycles
+	}
+	d := &mcDriver{
+		p:       p,
+		opts:    opts,
+		set:     set,
+		exp:     expectedObs(p),
+		cfg:     cfg,
+		visited: make(map[mcFP]bool),
+		res: &MCResult{
+			Protocol: opts.Protocol.String(),
+			Outcomes: make(map[string]map[string]bool),
+		},
+	}
+	if opts.Graph {
+		d.res.Graph = newMCGraph(strings.ReplaceAll(strings.TrimSpace(p.String()), "\n", " "), d.res.Protocol)
+	}
+	return d, nil
+}
+
 // explore runs the jitter-choice DFS for one fixed delay assignment.
 func (d *mcDriver) explore(delayVec []uint8) error {
 	delays := make([]uint32, len(delayVec))
 	for i, c := range delayVec {
 		delays[i] = d.opts.DelayMenu[c]
+	}
+	wl, err := d.p.WorkloadDelays(d.cfg, delays)
+	if err != nil {
+		return err
 	}
 	delayNode := fmt.Sprintf("d:%v", delays)
 	if g := d.res.Graph; g != nil {
@@ -273,7 +298,7 @@ func (d *mcDriver) explore(delayVec []uint8) error {
 		prefix := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 
-		out, err := d.runOne(delays, prefix)
+		out, err := d.runOne(wl, prefix)
 		if err != nil {
 			return err
 		}
@@ -311,22 +336,18 @@ func (d *mcDriver) explore(delayVec []uint8) error {
 	return nil
 }
 
-// runOne executes the machine once: delays fixed, jitter choices replayed
-// from prefix and defaulting to menu index 0 beyond it.
-func (d *mcDriver) runOne(delays []uint32, prefix []uint8) (*mcRunOutcome, error) {
-	out := &mcRunOutcome{prunedAt: -1}
+// runOne executes the machine once on wl (the program with this replay's
+// issue delays): jitter choices replayed from prefix and defaulting to
+// menu index 0 beyond it. The returned outcome is the driver's own and is
+// overwritten by the next run.
+func (d *mcDriver) runOne(wl *workload.Program, prefix []uint8) (*mcRunOutcome, error) {
 	cfg := d.cfg
-	wl, err := d.p.WorkloadDelays(cfg, delays)
-	if err != nil {
+	if err := d.machine(wl); err != nil {
 		return nil, err
 	}
-	rec := newRecorder(d.p, cfg.WarpsPerSM)
-	m, err := sim.New(cfg, wl, rec)
-	if err != nil {
-		return nil, fmt.Errorf("check: building machine: %w", err)
-	}
-	inv := trace.NewInvariantSink(nil)
-	m.Attach(trace.Observers{Tr: trace.NewBus(inv)})
+	m, rec, inv := d.m, d.rec, d.inv
+	out := &d.out
+	*out = mcRunOutcome{taken: out.taken[:0], prunedAt: -1, fps: out.fps[:0]}
 	m.SetNoCDelayChooser(func() uint64 {
 		i := len(out.taken)
 		fp := d.fingerprintMachine(m, rec)
@@ -389,6 +410,29 @@ func (d *mcDriver) runOne(delays []uint32, prefix []uint8) (*mcRunOutcome, error
 	// not part of the pruning set).
 	out.fps = append(out.fps, d.fingerprintMachine(m, rec))
 	return out, nil
+}
+
+// machine readies the driver's machine for a replay of wl: built on the
+// first run, reset on every later one, with the invariant sink attached.
+func (d *mcDriver) machine(wl *workload.Program) error {
+	if d.m == nil {
+		d.rec = newRecorder(d.p, d.cfg.WarpsPerSM)
+		m, err := sim.New(d.cfg, wl, d.rec)
+		if err != nil {
+			return fmt.Errorf("check: building machine: %w", err)
+		}
+		d.m = m
+		d.inv = trace.NewInvariantSink(nil)
+		d.bus = trace.NewBus(d.inv)
+	} else {
+		d.rec.reset()
+		d.inv.Reset()
+		if err := d.m.Reset(wl, d.rec); err != nil {
+			return fmt.Errorf("check: resetting machine: %w", err)
+		}
+	}
+	d.m.Attach(trace.Observers{Tr: d.bus})
+	return nil
 }
 
 // record folds one run's terminal verdict and path into the result.

@@ -37,9 +37,11 @@ func (f mcFP) String() string { return fmt.Sprintf("%x", f[:8]) }
 //     payload of every undelivered message, in delivery order.
 //
 // Controller-internal microstate (MSHR entries, per-line FSM states,
-// lease tables) is NOT serialized — the machine has no snapshot API, and
-// this is the standard hash-compaction trade: the fingerprint is a
-// conservative history digest rather than a complete state encoding. The
+// lease tables) is NOT serialized — the machine has no snapshot API (its
+// Reset returns only to the initial state, which is why every branch is
+// replayed from the root), and this is the standard hash-compaction
+// trade: the fingerprint is a conservative history digest rather than a
+// complete state encoding. The
 // merge this is designed to catch is exact, though: two sibling choices
 // whose jitter difference was absorbed by ejection-port backlog produce
 // literally identical machines (same prefix, same delivery schedule, same

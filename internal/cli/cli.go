@@ -50,20 +50,21 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 }
 
 // OpenTrace creates the -trace file and the -trace-format sink writing
-// to it. The format is resolved first, so an unknown one leaves an
+// to it. The format is resolved first, with or without -trace, so an
+// unknown one is an error even when nothing would be traced and leaves an
 // existing file untouched. With -trace unset it returns a nil sink and
 // file (and an error if -metrics-interval asks for trace rows). The
 // caller closes the sink, then the file.
 func (f *Flags) OpenTrace() (trace.Sink, *os.File, error) {
+	newSink, err := trace.SinkFor(f.TraceFormat)
+	if err != nil {
+		return nil, nil, fmt.Errorf("-trace-format: %w", err)
+	}
 	if f.Trace == "" {
 		if f.MetricsInterval > 0 {
 			return nil, nil, errors.New("-metrics-interval requires -trace")
 		}
 		return nil, nil, nil
-	}
-	newSink, err := trace.SinkFor(f.TraceFormat)
-	if err != nil {
-		return nil, nil, fmt.Errorf("-trace-format: %w", err)
 	}
 	file, err := os.Create(f.Trace)
 	if err != nil {

@@ -32,8 +32,21 @@ func TestOpenTraceUnknownFormatKeepsFile(t *testing.T) {
 	if b, _ := os.ReadFile(path); string(b) != "keep" {
 		t.Fatalf("trace file now holds %q, want it untouched", b)
 	}
-	if _, _, err := (&Flags{MetricsInterval: 10}).OpenTrace(); err == nil {
-		t.Fatal("-metrics-interval without -trace accepted")
+	if _, _, err := (&Flags{TraceFormat: "jsonl", MetricsInterval: 10}).OpenTrace(); err == nil || !strings.Contains(err.Error(), "-metrics-interval") {
+		t.Fatalf("-metrics-interval without -trace: err = %v, want it rejected", err)
+	}
+}
+
+// TestOpenTraceUnknownFormatWithoutTrace: an unknown -trace-format is an
+// error even when -trace is unset and nothing would be traced, as
+// -metrics-interval without -trace is; the default format is not.
+func TestOpenTraceUnknownFormatWithoutTrace(t *testing.T) {
+	if _, _, err := (&Flags{TraceFormat: "bogus"}).OpenTrace(); err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+		t.Fatalf("OpenTrace err = %v, want an unknown-format error", err)
+	}
+	sink, file, err := (&Flags{TraceFormat: "jsonl"}).OpenTrace()
+	if sink != nil || file != nil || err != nil {
+		t.Fatalf("OpenTrace without -trace = %v, %v, %v; want nothing", sink, file, err)
 	}
 }
 

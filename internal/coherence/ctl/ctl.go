@@ -78,6 +78,15 @@ func NewL1(cfg config.Config, id int, port coherence.Port, st *stats.Run) L1 {
 	return L1{Node: Node{Cfg: cfg, ID: id, Port: port, St: st}}
 }
 
+// Reset drops any undelivered inbox messages and detaches the observers;
+// the sink stays wired. A protocol's Reset calls it.
+func (c *L1) Reset() {
+	c.Observers = trace.Observers{}
+	clear(c.inbox)
+	c.inbox = c.inbox[:0]
+	c.inHead = 0
+}
+
 // SetSink implements coherence.L1.
 func (c *L1) SetSink(s coherence.Sink) {
 	c.sink = s
@@ -153,6 +162,16 @@ func NewL2(cfg config.Config, part int, port coherence.Port, st *stats.Run, dram
 		DRAM:    dram,
 		Backing: backing,
 	}
+}
+
+// Reset empties the access pipe and the deferred list and detaches the
+// observers; the DRAM channel and backing image are reset by their owner.
+// A protocol's Reset calls it.
+func (c *L2) Reset() {
+	c.Observers = trace.Observers{}
+	c.pipe.Reset()
+	clear(c.deferred)
+	c.deferred = c.deferred[:0]
 }
 
 // Deliver implements coherence.L2: requests enter the access pipe at the

@@ -64,11 +64,21 @@ type L1 struct {
 
 // NewL1 builds the controller.
 func NewL1(cfg config.Config, id int, port coherence.Port, st *stats.Run) *L1 {
-	return &L1{
+	c := &L1{
 		L1:    ctl.NewL1(cfg, id, port, st),
 		tags:  ctl.L1Tags[l1Line](cfg),
 		mshrs: mem.NewMSHRs(cfg.L1MSHRs, resetL1MSHR),
 	}
+	c.Reset()
+	return c
+}
+
+// Reset returns the controller to the state NewL1 builds, keeping the tag
+// array and MSHR table.
+func (c *L1) Reset() {
+	c.L1.Reset()
+	c.tags.Reset()
+	c.mshrs.Reset()
 }
 
 // Zap invalidates a line with no message exchange (SC-IDEAL only). A fill
@@ -371,7 +381,7 @@ type L2 struct {
 // NewL2 builds partition part. For SC-IDEAL (ideal=true), zap must
 // invalidate the given core's copy instantly.
 func NewL2(cfg config.Config, part int, ideal bool, port coherence.Port, st *stats.Run, dram *mem.DRAM, backing *mem.Backing, zap func(core int, line uint64)) *L2 {
-	return &L2{
+	c := &L2{
 		L2:    ctl.NewL2(cfg, part, port, st, dram, backing),
 		ideal: ideal,
 		tags:  ctl.L2Tags[l2Line](cfg),
@@ -379,6 +389,20 @@ func NewL2(cfg config.Config, part int, ideal bool, port coherence.Port, st *sta
 		invs:  make(map[uint64]*invWait),
 		zap:   zap,
 	}
+	c.Reset()
+	return c
+}
+
+// Reset returns the partition to the state NewL2 builds, keeping the tag
+// array, MSHR table and directory pipes. The DRAM channel and backing
+// image are reset by their owner.
+func (c *L2) Reset() {
+	c.L2.Reset()
+	c.tags.Reset()
+	c.mshrs.Reset()
+	c.mpipe.Reset()
+	clear(c.invs)
+	c.fillRetry.Reset()
 }
 
 // Deliver implements coherence.L2. Directory-maintenance messages (PutS,

@@ -59,13 +59,24 @@ type L1 struct {
 
 // NewL1 builds the controller; weak selects TC-Weak semantics.
 func NewL1(cfg config.Config, id int, weak bool, port coherence.Port, st *stats.Run) *L1 {
-	return &L1{
+	c := &L1{
 		L1:    ctl.NewL1(cfg, id, port, st),
 		weak:  weak,
 		tags:  ctl.L1Tags[l1Line](cfg),
 		mshrs: mem.NewMSHRs(cfg.L1MSHRs, resetL1MSHR),
 		gwct:  make([]timing.Cycle, cfg.WarpsPerSM),
 	}
+	c.Reset()
+	return c
+}
+
+// Reset returns the controller to the state NewL1 builds, keeping the tag
+// array, MSHR table and GWCT slice.
+func (c *L1) Reset() {
+	c.L1.Reset()
+	c.tags.Reset()
+	c.mshrs.Reset()
+	clear(c.gwct)
 }
 
 func (c *L1) readable(e *mem.Entry[l1Line], now timing.Cycle) bool {
@@ -338,13 +349,26 @@ type L2 struct {
 
 // NewL2 builds partition part; weak selects TC-Weak.
 func NewL2(cfg config.Config, part int, weak bool, port coherence.Port, st *stats.Run, dram *mem.DRAM, backing *mem.Backing) *L2 {
-	return &L2{
+	c := &L2{
 		L2:      ctl.NewL2(cfg, part, port, st, dram, backing),
 		weak:    weak,
 		tags:    ctl.L2Tags[l2Line](cfg),
 		mshrs:   mem.NewMSHRs(cfg.L2MSHRs, resetL2MSHR),
 		blocked: make(map[uint64][]*coherence.Msg),
 	}
+	c.Reset()
+	return c
+}
+
+// Reset returns the partition to the state NewL2 builds, keeping the tag
+// array, MSHR table and stall calendar. The DRAM channel and backing
+// image are reset by their owner.
+func (c *L2) Reset() {
+	c.L2.Reset()
+	c.tags.Reset()
+	c.mshrs.Reset()
+	c.stallQ.Reset()
+	clear(c.blocked)
 }
 
 // Tick implements coherence.L2.

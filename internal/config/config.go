@@ -280,6 +280,45 @@ func Small() Config {
 	return c
 }
 
+// validateBounds checks every size and latency against its upper bound.
+func (c Config) validateBounds() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"NumSMs", c.NumSMs}, {"WarpsPerSM", c.WarpsPerSM}, {"WarpWidth", c.WarpWidth},
+		{"L1Sets", c.L1Sets}, {"L1Ways", c.L1Ways}, {"L1MSHRs", c.L1MSHRs},
+		{"L2Partitions", c.L2Partitions}, {"L2SetsPerPart", c.L2SetsPerPart},
+		{"L2Ways", c.L2Ways}, {"L2MSHRs", c.L2MSHRs}, {"PortFlitsPerCycle", c.PortFlitsPerCycle},
+		{"DRAMBanksPerPart", c.DRAMBanksPerPart}, {"DRAMRowLines", c.DRAMRowLines},
+	} {
+		if f.v > maxCount {
+			return fmt.Errorf("config: %s %d exceeds %d", f.name, f.v, maxCount)
+		}
+	}
+	if c.LineBytes > maxBytes || c.FlitBytes > maxBytes {
+		return fmt.Errorf("config: line/flit sizes %d/%d exceed %d bytes", c.LineBytes, c.FlitBytes, maxBytes)
+	}
+	if c.L1Sets*c.L1Ways > maxEntries || c.L2SetsPerPart*c.L2Ways > maxEntries {
+		return fmt.Errorf("config: a tag array exceeds %d lines", maxEntries)
+	}
+	for _, f := range []struct {
+		name string
+		v    uint64
+	}{
+		{"L2Latency", c.L2Latency}, {"LocalLatency", c.LocalLatency},
+		{"NoCPipeLatency", c.NoCPipeLatency}, {"NoCJitter", c.NoCJitter},
+		{"DRAMtCL", c.DRAMtCL}, {"DRAMtRP", c.DRAMtRP}, {"DRAMtRCD", c.DRAMtRCD},
+		{"DRAMBusCycles", c.DRAMBusCycles}, {"DRAMPipeLatency", c.DRAMPipeLatency},
+		{"TCLease", c.TCLease}, {"RCCLivelockTick", c.RCCLivelockTick},
+	} {
+		if f.v > maxLatency {
+			return fmt.Errorf("config: %s %d exceeds %d cycles", f.name, f.v, maxLatency)
+		}
+	}
+	return nil
+}
+
 // Consistency returns the memory model the configured protocol runs under.
 func (c Config) Consistency() Consistency { return c.Protocol.Consistency() }
 
@@ -293,10 +332,29 @@ func (c *Config) ControlFlits() int { return (8 + c.FlitBytes - 1) / c.FlitBytes
 // (line plus 8 bytes of header/address).
 func (c *Config) DataFlits() int { return (c.LineBytes + 8 + c.FlitBytes - 1) / c.FlitBytes }
 
+// Upper bounds Validate enforces so that everything derived from an
+// accepted config (array and ring sizes, flit counts, cycle arithmetic)
+// stays far from overflow and from absurd allocations. Each is orders of
+// magnitude past the Table III machine and every sweep.
+const (
+	maxCount   = 1 << 16 // SMs, warps, sets, ways, partitions, banks, MSHRs, flit lanes
+	maxEntries = 1 << 24 // lines in one tag array
+	maxBytes   = 1 << 16 // line and flit sizes
+	maxLatency = 1 << 20 // any latency, jitter, lease or tick, in cycles
+	maxScale   = 1e3
+)
+
 // Validate checks structural parameters and returns a descriptive error for
 // the first problem found.
 func (c Config) Validate() error {
+	if err := c.validateBounds(); err != nil {
+		return err
+	}
 	switch {
+	case c.Protocol < MESI || c.Protocol > SCIdeal:
+		return fmt.Errorf("config: unknown protocol %d", int(c.Protocol))
+	case c.Scheduler != LRR && c.Scheduler != GTO:
+		return fmt.Errorf("config: unknown scheduler %d", int(c.Scheduler))
 	case c.NumSMs <= 0:
 		return fmt.Errorf("config: NumSMs must be positive, got %d", c.NumSMs)
 	case c.WarpsPerSM <= 0:
@@ -321,10 +379,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: TCLease must be positive")
 	case c.RCCMinLease == 0 || c.RCCMaxLease < c.RCCMinLease:
 		return fmt.Errorf("config: RCC lease bounds invalid (%d..%d)", c.RCCMinLease, c.RCCMaxLease)
-	case c.RCCTSMax < 4*c.RCCMaxLease:
+	case c.RCCMaxLease > c.RCCTSMax/4: // RCCTSMax < 4*RCCMaxLease, without the overflow
 		return fmt.Errorf("config: RCCTSMax %d too small for max lease %d", c.RCCTSMax, c.RCCMaxLease)
-	case c.Scale <= 0:
-		return fmt.Errorf("config: Scale must be positive, got %v", c.Scale)
+	case !(c.Scale > 0) || c.Scale > maxScale: // also rejects NaN
+		return fmt.Errorf("config: Scale must be in (0, %g], got %v", float64(maxScale), c.Scale)
 	case c.Shards != 0 && c.Shards != 1:
 		return fmt.Errorf("config: Shards=%d: sharded execution was removed; use 0 or 1 (sequential)", c.Shards)
 	}

@@ -1,6 +1,12 @@
 package config
 
-import "testing"
+import (
+	"encoding/binary"
+	"math"
+	"reflect"
+	"slices"
+	"testing"
+)
 
 func TestDefaultValid(t *testing.T) {
 	if err := Default().Validate(); err != nil {
@@ -137,4 +143,60 @@ func TestProtocolStrings(t *testing.T) {
 	if Protocol(99).String() == "" {
 		t.Error("unknown protocol should still print")
 	}
+}
+
+// fuzzConfig applies data to Default() as a sequence of 9-byte edits:
+// a selector byte picking a field of Config (in declaration order, modulo
+// the field count) and 8 little-endian bytes for its new value, reduced
+// to the field's kind. Trailing bytes short of an edit are ignored.
+func fuzzConfig(data []byte) Config {
+	c := Default()
+	v := reflect.ValueOf(&c).Elem()
+	for ; len(data) >= 9; data = data[9:] {
+		f := v.Field(int(data[0]) % v.NumField())
+		x := binary.LittleEndian.Uint64(data[1:9])
+		switch f.Kind() {
+		case reflect.Int:
+			f.SetInt(int64(x))
+		case reflect.Uint64:
+			f.SetUint(x)
+		case reflect.Float64:
+			f.SetFloat(math.Float64frombits(x))
+		case reflect.Bool:
+			f.SetBool(x&1 == 1)
+		}
+	}
+	return c
+}
+
+// FuzzConfigValidate: Validate never panics, and a config it accepts keeps
+// the promises the machine builds on: positive flit sizes, a rollover
+// guard band that does not underflow, a positive finite Scale, and sizes
+// and latencies within Validate's bounds. Seeds in testdata/fuzz cover
+// a valid edit, NaN and infinite scales, a lease that overflows 4×, an
+// unknown protocol and a huge pipeline latency. Fuzz with
+//
+//	go test ./internal/config -run '^$' -fuzz FuzzConfigValidate -fuzztime 30s -parallel 1
+func FuzzConfigValidate(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := fuzzConfig(data)
+		if c.Validate() != nil {
+			return
+		}
+		if c.ControlFlits() <= 0 || c.DataFlits() < c.ControlFlits() {
+			t.Fatalf("accepted config has flit sizes %d/%d", c.ControlFlits(), c.DataFlits())
+		}
+		if c.RCCMaxLease > (c.RCCTSMax-2)/2 {
+			t.Fatalf("accepted config's rollover guard underflows: TSMax %d, max lease %d", c.RCCTSMax, c.RCCMaxLease)
+		}
+		if math.IsNaN(c.Scale) || math.IsInf(c.Scale, 0) || c.Scale <= 0 {
+			t.Fatalf("accepted config has Scale %v", c.Scale)
+		}
+		if c.NoCPipeLatency > maxLatency || c.NumSMs > maxCount || c.L2SetsPerPart*c.L2Ways > maxEntries {
+			t.Fatalf("accepted config exceeds a bound: %+v", c)
+		}
+		if !slices.Contains(Protocols(), c.Protocol) {
+			t.Fatalf("accepted unknown protocol %d", int(c.Protocol))
+		}
+	})
 }

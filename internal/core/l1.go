@@ -78,12 +78,26 @@ type L1 struct {
 // NewL1 builds the controller. clk is shared with the SM front end (for
 // RCC-WO fences).
 func NewL1(cfg config.Config, id int, port coherence.Port, st *stats.Run, clk *Clock) *L1 {
-	return &L1{
+	c := &L1{
 		L1:    ctl.NewL1(cfg, id, port, st),
 		clk:   clk,
 		tags:  ctl.L1Tags[l1Line](cfg),
 		mshrs: mem.NewMSHRs(cfg.L1MSHRs, resetL1MSHR),
 	}
+	c.Reset()
+	return c
+}
+
+// Reset returns the controller and its clock to the state NewL1 builds,
+// keeping the tag array and MSHR table.
+func (c *L1) Reset() {
+	c.L1.Reset()
+	c.clk.Reset()
+	c.tags.Reset()
+	c.mshrs.Reset()
+	c.lastLivelock = 0
+	c.frozen = false
+	c.renewsPending = 0
 }
 
 // Clock exposes the core's logical clock.

@@ -73,13 +73,26 @@ type L2 struct {
 // NewL2 builds partition part. rollover is invoked (once per trigger) when
 // a timestamp is about to exceed the configured maximum.
 func NewL2(cfg config.Config, part int, port coherence.Port, st *stats.Run, dram *mem.DRAM, backing *mem.Backing, rollover func()) *L2 {
-	return &L2{
+	c := &L2{
 		L2:          ctl.NewL2(cfg, part, port, st, dram, backing),
 		tags:        ctl.L2Tags[l2Line](cfg),
 		mshrs:       mem.NewMSHRs(cfg.L2MSHRs, resetL2MSHR),
 		rolloverReq: rollover,
 		tsGuard:     cfg.RCCTSMax - 2*cfg.RCCMaxLease - 2,
 	}
+	c.Reset()
+	return c
+}
+
+// Reset returns the partition to the state NewL2 builds, keeping the tag
+// array and MSHR table. The DRAM channel and backing image are reset by
+// their owner.
+func (c *L2) Reset() {
+	c.L2.Reset()
+	c.tags.Reset()
+	c.mshrs.Reset()
+	c.mnow = 0
+	c.frozen = false
 }
 
 // MNow returns the partition's memory time (exported for tests and the

@@ -111,6 +111,7 @@ type SM struct {
 	barrierDep   uint64
 
 	warps  []*warp
+	arena  []warp // backs warps
 	rr     int
 	gto    bool // greedy-then-oldest instead of loose round-robin
 	greedy int  // GTO: warp that issued last
@@ -257,22 +258,51 @@ func NewSM(cfg config.Config, id int, l1 coherence.L1, st *stats.Run, traces []w
 		sc:       cfg.Consistency() == config.SC,
 		l1:       l1,
 		st:       st,
-		obs:      obs,
 		idStride: uint64(cfg.NumSMs),
-		dirty:    true,
 		gto:      cfg.Scheduler == config.GTO,
 	}
-	s.acctCat = stats.CatDrained
-	s.busyFar = timing.Never
 	if rp, ok := l1.(renewProber); ok {
 		s.renew = rp
 	}
-	ws := make([]warp, len(traces)) // one arena: scans walk contiguous memory
+	s.Reset(traces, obs)
+	return s
+}
+
+// Reset returns the SM to the state NewSM builds for traces and obs, with
+// the observers detached. It keeps the warp arena, the scan masks and the
+// tracker and request pools; every tracker slot is free again and is
+// handed out in the order a new SM would number it. The L1, counters and
+// environment probe stay bound.
+func (s *SM) Reset(traces []workload.Trace, obs Observer) {
+	s.obs = obs
+	s.Observers = trace.Observers{}
+	s.lastSpanDone, s.barrierDep = 0, 0
+	s.rr, s.greedy, s.liveN = 0, 0, 0
+	s.idSeq = 0
+
+	s.freeSlots = s.freeSlots[:0]
+	for i := len(s.trackers) - 1; i >= 0; i-- {
+		*s.trackers[i] = tracker{}
+		s.freeSlots = append(s.freeSlots, int32(i))
+	}
+	s.liveTrk, s.pendingSubs = 0, 0
+
+	s.dirty, s.wakeAt = true, 0
+	s.busyBase, s.busyMask, s.busyFar = 0, 0, timing.Never
+	s.idleValid, s.idleFrom, s.idleBlame = false, 0, 0
+	s.acctUpTo, s.acctCat = 0, stats.CatDrained
+	s.sawLSUFull, s.fenceStalledN, s.barrierN = false, 0, 0
+	s.rollover = false
+
+	// One arena: scans walk contiguous memory.
+	if cap(s.arena) < len(traces) {
+		s.arena = make([]warp, len(traces))
+	}
+	s.arena = s.arena[:len(traces)]
+	s.warps = s.warps[:0]
 	for i, tr := range traces {
-		w := &ws[i]
-		w.id = i
-		w.trace = tr
-		w.subSlot = -1
+		w := &s.arena[i]
+		*w = warp{id: i, trace: tr, subSlot: -1}
 		if len(tr) == 0 {
 			w.done = true
 		} else {
@@ -281,18 +311,24 @@ func NewSM(cfg config.Config, id int, l1 coherence.L1, st *stats.Run, traces []w
 		}
 		s.warps = append(s.warps, w)
 	}
-	words := (len(s.warps) + 63) / 64
-	if words == 0 {
-		words = 1
-	}
-	s.cand = make([]uint64, words)
-	s.scMask = make([]uint64, words)
-	s.subWait = make([]uint64, words)
+	words := max((len(s.warps)+63)/64, 1)
+	s.cand = resetMask(s.cand, words)
+	s.scMask = resetMask(s.scMask, words)
+	s.subWait = resetMask(s.subWait, words)
 	for _, w := range s.warps {
 		s.reclassify(w)
 	}
 	s.checkBarrier()
-	return s
+}
+
+// resetMask returns a zeroed bit mask of words words, reusing m's storage.
+func resetMask(m []uint64, words int) []uint64 {
+	if cap(m) < words {
+		return make([]uint64, words)
+	}
+	m = m[:words]
+	clear(m)
+	return m
 }
 
 // Done reports whether every warp has retired its trace and every memory
@@ -352,8 +388,10 @@ func (s *SM) Tick(now timing.Cycle) bool {
 	if s.gto {
 		// Greedy-then-oldest: stick with the last issuing warp, then
 		// fall back to the oldest (lowest-id) ready warp.
-		if g := s.warps[s.greedy]; bitSet(s.cand, s.greedy) && g.busyUntil <= now && s.tryIssue(g, now) {
-			s.reclassify(g)
+		// The greedy warp's candidate bit is tested first: an SM with no
+		// warps has no warps[0].
+		if bitSet(s.cand, s.greedy) && s.warps[s.greedy].busyUntil <= now && s.tryIssue(s.warps[s.greedy], now) {
+			s.reclassify(s.warps[s.greedy])
 			s.wakeAt = now + 1
 			s.closeIdle(now)
 			s.acctIssue(now)
@@ -535,8 +573,8 @@ func (s *SM) firstBlocked(now timing.Cycle) *warp {
 	}
 	n := len(s.warps)
 	if s.gto {
-		if g := s.warps[s.greedy]; bitSet(s.scMask, s.greedy) && g.busyUntil <= now {
-			return g
+		if bitSet(s.scMask, s.greedy) && s.warps[s.greedy].busyUntil <= now {
+			return s.warps[s.greedy]
 		}
 		for i := nextBit(s.scMask, 0, n); i >= 0; i = nextBit(s.scMask, i+1, n) {
 			if w := s.warps[i]; i != s.greedy && w.busyUntil <= now {

@@ -34,6 +34,9 @@ type Array[M any] struct {
 	ways  int
 	index func(line uint64) int
 	clock uint64
+	// maxLine records that line ^0, whose mirror slot holds invalidTag,
+	// was allocated since the last Reset.
+	maxLine bool
 }
 
 const invalidTag = ^uint64(0)
@@ -57,6 +60,22 @@ func NewArray[M any](sets, ways int, index func(line uint64) int) *Array[M] {
 		a.sets[i] = a.flat[i*ways : (i+1)*ways : (i+1)*ways]
 	}
 	return a
+}
+
+// Reset invalidates every entry and restarts the LRU clock, leaving the
+// array as NewArray builds it. It visits only the valid entries, found
+// through the dense tag mirror: an invalid entry is already zero, since
+// Invalidate zeroes it and only Allocate makes it valid again. A valid
+// entry for line ^0 is the one the mirror cannot show (its mirror slot
+// holds the invalid marker), so its presence forces a full pass.
+func (a *Array[M]) Reset() {
+	for i, t := range a.tags {
+		if t != invalidTag || a.maxLine {
+			a.Invalidate(&a.flat[i])
+		}
+	}
+	a.maxLine = false
+	a.clock = 0
 }
 
 // Lookup returns the entry holding line, or nil. It does not update LRU
@@ -134,6 +153,9 @@ func (a *Array[M]) Allocate(line uint64, canEvict func(*Entry[M]) bool) (*Entry[
 	target.Valid = true
 	target.Meta = zero
 	a.tags[target.idx] = line
+	if line == invalidTag {
+		a.maxLine = true
+	}
 	a.Touch(target)
 	return target, victim, true
 }
@@ -196,12 +218,39 @@ func NewMSHRs[E any](capacity int, reset func(*E)) *MSHRs[E] {
 	if capacity <= 0 {
 		panic("mem: non-positive MSHR capacity")
 	}
-	return &MSHRs[E]{
+	t := &MSHRs[E]{
 		cap:   capacity,
-		shift: 60,
 		slots: make([]mshrSlot[E], mshrMinSlots),
 		reset: reset,
 	}
+	t.Reset()
+	return t
+}
+
+// Reset frees every entry, recycling the payloads, and shrinks the slot
+// array back to its initial size, so ForEach visits a reused table in the
+// same order as a new one.
+func (t *MSHRs[E]) Reset() {
+	for i := range t.slots {
+		if e := t.slots[i].e; e != nil {
+			t.recycle(e)
+		}
+	}
+	t.slots = t.slots[:mshrMinSlots]
+	clear(t.slots)
+	t.shift = 60
+	t.n = 0
+}
+
+// recycle restores a released payload and puts it on the free list.
+func (t *MSHRs[E]) recycle(e *E) {
+	if t.reset != nil {
+		t.reset(e)
+	} else {
+		var zero E
+		*e = zero
+	}
+	t.free = append(t.free, e)
 }
 
 // home returns the starting probe index for line.
@@ -278,13 +327,7 @@ func (t *MSHRs[E]) Free(line uint64) {
 		return
 	}
 	mask := len(t.slots) - 1
-	if t.reset != nil {
-		t.reset(e)
-	} else {
-		var zero E
-		*e = zero
-	}
-	t.free = append(t.free, e)
+	t.recycle(e)
 	t.n--
 	// Backward-shift deletion: pull every displaced successor in the
 	// probe chain one hole closer to its home slot.
@@ -357,6 +400,14 @@ type Backing struct {
 
 // NewBacking returns an empty memory image.
 func NewBacking() *Backing { return &Backing{} }
+
+// Reset zeroes every line, keeping the pages.
+func (b *Backing) Reset() {
+	for _, pg := range b.pages {
+		clear(pg)
+	}
+	clear(b.overflow)
+}
 
 // Read returns the value of line (zero if never written).
 func (b *Backing) Read(line uint64) uint64 {

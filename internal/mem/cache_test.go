@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -386,6 +387,106 @@ func TestMSHRsMatchMap(t *testing.T) {
 	for size := mshrMinSlots; size <= 4*capacity; size *= 2 {
 		if !sizes[size] {
 			t.Fatalf("slot array never had %d slots (saw %v)", size, sizes)
+		}
+	}
+}
+
+// TestArrayResetMatchesNew: an array reset after random use — including
+// line ^0, whose mirror slot holds the invalid marker — answers every
+// later Lookup, Allocate victim and ForEach exactly as a new array given
+// the same operations.
+func TestArrayResetMatchesNew(t *testing.T) {
+	r := timing.NewRNG(3)
+	pick := func() uint64 {
+		if r.Intn(10) == 0 {
+			return ^uint64(0)
+		}
+		return uint64(r.Intn(96))
+	}
+	ops := func(a *Array[meta], n int, check func(step int)) {
+		for step := 0; step < n; step++ {
+			line := pick()
+			switch r.Intn(3) {
+			case 0:
+				if e, _, ok := a.Allocate(line, nil); ok {
+					e.Meta.v = step
+				}
+			case 1:
+				if e := a.Lookup(line); e != nil {
+					a.Touch(e)
+				}
+			case 2:
+				if e := a.Lookup(line); e != nil {
+					a.Invalidate(e)
+				}
+			}
+			if check != nil {
+				check(step)
+			}
+		}
+	}
+	used := NewArray[meta](16, 4, mod16)
+	ops(used, 2000, nil)
+	used.Reset()
+	if n := used.CountValid(); n != 0 {
+		t.Fatalf("reset array holds %d valid entries", n)
+	}
+	fresh := NewArray[meta](16, 4, mod16)
+	seed := r.Uint64()
+	*r = *timing.NewRNG(seed)
+	var trace []string
+	ops(fresh, 2000, func(int) {
+		var lines []uint64
+		fresh.ForEach(func(e *Entry[meta]) { lines = append(lines, e.Tag, uint64(e.Meta.v)) })
+		trace = append(trace, fmt.Sprint(lines))
+	})
+	*r = *timing.NewRNG(seed)
+	ops(used, 2000, func(step int) {
+		var lines []uint64
+		used.ForEach(func(e *Entry[meta]) { lines = append(lines, e.Tag, uint64(e.Meta.v)) })
+		if got := fmt.Sprint(lines); got != trace[step] {
+			t.Fatalf("step %d: reset array holds %s, new array %s", step, got, trace[step])
+		}
+	})
+}
+
+// TestMSHRsResetMatchesNew: a table reset after growing past its initial
+// slot array visits entries in the same order as a new table given the
+// same operations, and recycles the released payloads.
+func TestMSHRsResetMatchesNew(t *testing.T) {
+	type entry struct{ n int }
+	used := NewMSHRs[entry](64, nil)
+	for l := uint64(0); l < 40; l++ {
+		used.Alloc(l * 7).n = int(l)
+	}
+	used.Reset()
+	if used.Len() != 0 || len(used.slots) != mshrMinSlots || len(used.free) != 40 {
+		t.Fatalf("reset table: Len %d, %d slots, %d free payloads", used.Len(), len(used.slots), len(used.free))
+	}
+	fresh := NewMSHRs[entry](64, nil)
+	r := timing.NewRNG(9)
+	for step := 0; step < 3000; step++ {
+		line := uint64(r.Intn(200))
+		if r.Bool(0.6) {
+			a, b := used.Alloc(line), fresh.Alloc(line)
+			if (a == nil) != (b == nil) {
+				t.Fatalf("step %d: Alloc(%d) differs", step, line)
+			}
+			if a != nil {
+				if a.n != 0 {
+					t.Fatalf("step %d: recycled payload not zeroed", step)
+				}
+				a.n, b.n = step, step
+			}
+		} else {
+			used.Free(line)
+			fresh.Free(line)
+		}
+		var got, want []uint64
+		used.ForEach(func(l uint64, e *entry) { got = append(got, l, uint64(e.n)) })
+		fresh.ForEach(func(l uint64, e *entry) { want = append(want, l, uint64(e.n)) })
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("step %d: ForEach order %v, new table %v", step, got, want)
 		}
 	}
 }

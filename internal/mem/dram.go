@@ -75,12 +75,28 @@ func NewDRAM(cfg config.Config, st *stats.Run) *DRAM {
 		banks:    make([]dramBank, cfg.DRAMBanksPerPart),
 		st:       st,
 		rowLines: uint64(cfg.DRAMRowLines),
-		lastTick: timing.Never, // so the first Tick, even at cycle 0, schedules
 	}
 	// Completions sit an access latency past issue; size the ring for that
 	// horizon (backlog-driven spans beyond it grow the ring on demand).
 	d.done.Reserve(int(cfg.DRAMtRP+cfg.DRAMtRCD+cfg.DRAMtCL+2*cfg.DRAMPipeLatency) + 64)
+	d.Reset()
 	return d
+}
+
+// Reset empties the channel and closes every row, keeping the bank
+// array, node slab and completion ring, and detaches the observers.
+func (d *DRAM) Reset() {
+	clear(d.banks)
+	d.busFree = 0
+	if d.nodes != nil {
+		clear(d.nodes)
+		d.nodes = d.nodes[:1]
+	}
+	d.free, d.queued, d.seq = 0, 0, 0
+	d.done.Reset()
+	d.lastTick = timing.Never // so the first Tick, even at cycle 0, schedules
+	d.nextTry = 0
+	d.Observers = trace.Observers{}
 }
 
 // Submit enqueues req at cycle now; the scheduler issues it later. Calls

@@ -7,8 +7,6 @@
 package noc
 
 import (
-	"sort"
-
 	"rccsim/internal/coherence"
 	"rccsim/internal/config"
 	"rccsim/internal/obs/span"
@@ -58,9 +56,8 @@ type Network struct {
 	// chooser is attached the network also keeps an in-flight log so the
 	// checker can fold the pending delivery schedule into its machine-state
 	// fingerprint (see FoldInflight).
-	chooser  DelayChooser
-	mcLog    []mcEntry
-	mcLogSeq uint64
+	chooser DelayChooser
+	mcLog   []mcEntry // in delivery order: (delivery cycle, send order)
 
 	// onDeliver, when set, is called after each delivery so the run loop
 	// can re-arm the destination's wake time.
@@ -74,12 +71,10 @@ type Network struct {
 type DelayChooser func() uint64
 
 // mcEntry is one in-flight message in the model-checking log: its exact
-// delivery cycle plus a send-order sequence number (the tiebreak the
-// delivery calendar itself uses).
+// delivery cycle and the message.
 type mcEntry struct {
-	at  timing.Cycle
-	seq uint64
-	m   *coherence.Msg
+	at timing.Cycle
+	m  *coherence.Msg
 }
 
 // New builds the interconnect for cfg.
@@ -95,14 +90,33 @@ func New(cfg config.Config, st *stats.Run) *Network {
 		rspDstFree: make([]timing.Cycle, cfg.NumSMs),
 	}
 	if cfg.NoCJitter > 0 {
-		n.jitter = timing.NewRNG(cfg.Seed ^ 0xa24baed4963ee407)
+		n.jitter = new(timing.RNG)
 		n.jitterMax = cfg.NoCJitter
 	}
 	// In-flight spans are one pipe traversal plus jitter and ejection
 	// backlog; size the ring for the unloaded case and let it grow under
 	// sustained congestion.
 	n.inflight.Reserve(int(cfg.NoCPipeLatency+cfg.NoCJitter) + 128)
+	n.Reset()
 	return n
+}
+
+// Reset drops every in-flight message, frees every port, re-seeds the
+// jitter stream and detaches the delay chooser and the observers, keeping
+// the registered nodes, the wake callback and every allocation.
+func (n *Network) Reset() {
+	clear(n.reqSrcFree)
+	clear(n.reqDstFree)
+	clear(n.rspSrcFree)
+	clear(n.rspDstFree)
+	n.inflight.Reset()
+	if n.jitter != nil {
+		*n.jitter = *timing.NewRNG(n.cfg.Seed ^ 0xa24baed4963ee407)
+	}
+	n.chooser = nil
+	clear(n.mcLog)
+	n.mcLog = n.mcLog[:0]
+	n.Observers = trace.Observers{}
 }
 
 // Register attaches the receiver for node id.
@@ -120,16 +134,22 @@ func (n *Network) SetChooser(fn DelayChooser) { n.chooser = fn }
 // hashes the pending delivery schedule into its state fingerprint so two
 // states that differ only in when a message will land never merge.
 func (n *Network) FoldInflight(fn func(at timing.Cycle, m *coherence.Msg)) {
-	entries := append([]mcEntry(nil), n.mcLog...)
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].at != entries[j].at {
-			return entries[i].at < entries[j].at
-		}
-		return entries[i].seq < entries[j].seq
-	})
-	for _, e := range entries {
+	for _, e := range n.mcLog {
 		fn(e.at, e.m)
 	}
+}
+
+// mcLogInsert adds a just-sent message to the log, which Send keeps
+// sorted in delivery order: (delivery cycle, send order). Sends come in
+// send order, so the new entry goes after every entry due no later.
+func (n *Network) mcLogInsert(at timing.Cycle, m *coherence.Msg) {
+	i := len(n.mcLog)
+	for i > 0 && n.mcLog[i-1].at > at {
+		i--
+	}
+	n.mcLog = append(n.mcLog, mcEntry{})
+	copy(n.mcLog[i+1:], n.mcLog[i:])
+	n.mcLog[i] = mcEntry{at: at, m: m}
 }
 
 // mcLogRemove drops the log entry for a just-delivered message. Pointer
@@ -181,8 +201,7 @@ func (n *Network) Send(m *coherence.Msg, now timing.Cycle) {
 	*dstFree = deliver
 
 	if n.chooser != nil {
-		n.mcLog = append(n.mcLog, mcEntry{at: deliver, seq: n.mcLogSeq, m: m})
-		n.mcLogSeq++
+		n.mcLogInsert(deliver, m)
 	}
 
 	if m.Span != 0 {

@@ -99,7 +99,7 @@ type Machine struct {
 
 // l1Ctl and l2Ctl are the controllers a machine assembles: the protocol
 // interface plus the pool and observer setters every controller inherits
-// from ctl.Node.
+// from ctl.Node, and the Reset each protocol defines over ctl's.
 type (
 	l1Ctl interface {
 		coherence.L1
@@ -112,6 +112,7 @@ type (
 	hooks interface {
 		SetMsgPool(*coherence.MsgPool)
 		SetObservers(trace.Observers)
+		Reset()
 	}
 )
 
@@ -126,10 +127,7 @@ func New(cfg config.Config, prog *workload.Program, obs gpu.Observer) (*Machine,
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(prog.SMs) != cfg.NumSMs {
-		return nil, fmt.Errorf("sim: program has %d SMs, config has %d", len(prog.SMs), cfg.NumSMs)
-	}
-	if err := prog.Validate(cfg.WarpWidth); err != nil {
+	if err := fits(cfg, prog); err != nil {
 		return nil, err
 	}
 	m := &Machine{
@@ -148,7 +146,6 @@ func New(cfg config.Config, prog *workload.Program, obs gpu.Observer) (*Machine,
 	// from the config alone, so grid-snapped decisions (rollover phases,
 	// memory-wait sampling) land on the same cycles in every run.
 	m.epoch = timing.Cycle(cfg.NoCPipeLatency) + 1
-	m.roGridAt = timing.Never
 
 	drams := make([]*mem.DRAM, cfg.L2Partitions)
 	for p := range drams {
@@ -219,13 +216,74 @@ func New(cfg config.Config, prog *workload.Program, obs gpu.Observer) (*Machine,
 		l1.SetSink(sm)
 	}
 
-	// Active-set scheduler wiring: zero wake times make the first Step
-	// visit everything; deliveries pull the destination's wake forward.
+	// Active-set scheduler wiring: deliveries pull the destination's wake
+	// forward.
 	m.smWake = make([]timing.Cycle, cfg.NumSMs)
 	m.l1Wake = make([]timing.Cycle, cfg.NumSMs)
 	m.l2Wake = make([]timing.Cycle, cfg.L2Partitions)
 	m.network.SetWake(m.deliveryWake)
+	m.reset()
 	return m, nil
+}
+
+// fits reports why prog cannot run on a machine built from cfg: a
+// different SM count, an SM with more warps than cfg.WarpsPerSM (the
+// controllers size per-warp state by it), or a malformed program.
+func fits(cfg config.Config, prog *workload.Program) error {
+	if len(prog.SMs) != cfg.NumSMs {
+		return fmt.Errorf("sim: program has %d SMs, config has %d", len(prog.SMs), cfg.NumSMs)
+	}
+	for s, warps := range prog.SMs {
+		if len(warps) > cfg.WarpsPerSM {
+			return fmt.Errorf("sim: program SM %d has %d warps, config allows %d per SM", s, len(warps), cfg.WarpsPerSM)
+		}
+	}
+	return prog.Validate(cfg.WarpWidth)
+}
+
+// Reset returns the machine to exactly the state New(cfg, prog, obs)
+// builds for its own config, keeping every allocation: tag arrays, MSHR
+// tables, calendars, pipes, DRAM slabs, SM arenas and pools, the message
+// pool, the counters and the backing image. The observers and any NoC
+// delay chooser are detached; attach them again before Run. A program
+// that New would reject leaves the machine untouched and returns New's
+// error.
+func (m *Machine) Reset(prog *workload.Program, obs gpu.Observer) error {
+	if err := fits(m.cfg, prog); err != nil {
+		return err
+	}
+	*m.st = stats.Run{}
+	m.backing.Reset()
+	m.network.Reset()
+	for _, d := range m.drams {
+		d.Reset()
+	}
+	for _, l2 := range m.l2s {
+		l2.Reset()
+	}
+	for i, l1 := range m.l1s {
+		l1.Reset()
+		m.sms[i].Reset(prog.SMs[i], obs)
+	}
+	m.reset()
+	return nil
+}
+
+// reset initialises the machine's own run state, the part New and Reset
+// share above the components: the clock, the wake arrays (zero, so the
+// first Step visits everything), the memory-wait sample and the rollover
+// coordinator.
+func (m *Machine) reset() {
+	m.obsv = trace.Observers{}
+	m.now = 0
+	m.done = false
+	clear(m.smWake)
+	clear(m.l1Wake)
+	clear(m.l2Wake)
+	m.smWakeMin, m.l1WakeMin, m.l2WakeMin = 0, 0, 0
+	m.memGridAt, m.memWaitCat = 0, 0
+	m.roState, m.roPending = roIdle, false
+	m.roGridAt, m.roReadyAt, m.roStart = timing.Never, 0, 0
 }
 
 // deliveryWake re-arms the wake time of a component that just received a

@@ -7,16 +7,20 @@
 //
 // Run is, by construction, a tree of uint64 leaves (plain counters, fixed
 // arrays of counters, and small structs of counters — see the package
-// comment for why there are no pointers, maps, or atomics). The encoder
-// exploits that: it walks the struct by reflection in declaration order
-// and emits each leaf as 8 little-endian bytes. Reflection makes the
-// encoding self-extending — a new counter field changes the wire size,
-// which the version-checked header turns into a clean decode error for
-// stale bytes rather than a misaligned read — and TestWireCoversEveryField
-// pins the exhaustiveness. Encoding takes about a microsecond, which is
-// negligible next to a sweep point, but the model checker encodes the
-// live counters at every decision of every run; AppendWire lets such hot
-// callers reuse one buffer instead of allocating per encoding.
+// comment for why there are no pointers, maps, or atomics), so in memory
+// it is a dense array of uint64 words in declaration order. The leaf
+// count comes from a reflective walk of the type, done once at init, and
+// init also checks that the struct's size is exactly eight bytes per leaf
+// (no padding, no other field kinds). AppendWire then emits each word as
+// 8 little-endian bytes with no per-leaf reflection, which matters
+// because the model checker encodes the live counters at every decision
+// of every run; AppendWire also lets such hot callers reuse one buffer
+// instead of allocating per encoding. The leaf count keeps the encoding
+// self-extending — a new counter field changes the wire size, which the
+// version-checked header turns into a clean decode error for stale bytes
+// rather than a misaligned read — and TestWireCoversEveryField pins the
+// exhaustiveness. DecodeWire is off the hot paths and keeps the
+// reflective walk.
 package stats
 
 import (
@@ -25,6 +29,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"reflect"
+	"slices"
+	"unsafe"
 )
 
 // wireMagic identifies a Run wire blob; wireVersion is bumped whenever the
@@ -39,6 +45,15 @@ const (
 // decode agree on the exact payload size.
 var wireLeaves = countLeaves(reflect.TypeOf(Run{}))
 
+// AppendWire reads Run as [wireLeaves]uint64. countLeaves has already
+// rejected every non-uint64 leaf; a size of eight bytes per leaf then
+// rules out padding, so word i is leaf i in declaration order.
+func init() {
+	if size := unsafe.Sizeof(Run{}); size != uintptr(8*wireLeaves) {
+		panic(fmt.Sprintf("stats: Run is %d bytes, not a dense array of %d uint64 leaves", size, wireLeaves))
+	}
+}
+
 // WireBytes renders r in the stable wire format: an 8-byte magic, a
 // uint32 version, a uint32 leaf count, then every uint64 leaf of the
 // struct in declaration order, little-endian.
@@ -52,7 +67,12 @@ func (r *Run) AppendWire(dst []byte) []byte {
 	dst = append(dst, wireMagic...)
 	dst = binary.LittleEndian.AppendUint32(dst, wireVersion)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(wireLeaves))
-	return appendLeaves(dst, reflect.ValueOf(r).Elem())
+	n := len(dst)
+	dst = slices.Grow(dst, 8*wireLeaves)[:n+8*wireLeaves]
+	for i, w := range unsafe.Slice((*uint64)(unsafe.Pointer(r)), wireLeaves) {
+		binary.LittleEndian.PutUint64(dst[n+8*i:], w)
+	}
+	return dst
 }
 
 // DecodeWire parses bytes produced by WireBytes. It rejects wrong magic,
@@ -83,28 +103,6 @@ func DecodeWire(b []byte) (*Run, error) {
 func (r *Run) WireDigest() string {
 	sum := sha256.Sum256(r.WireBytes())
 	return hex.EncodeToString(sum[:])
-}
-
-// appendLeaves walks v (a Run or one of its nested structs/arrays) in
-// field/index order, appending each uint64 leaf.
-func appendLeaves(buf []byte, v reflect.Value) []byte {
-	switch v.Kind() {
-	case reflect.Uint64:
-		return binary.LittleEndian.AppendUint64(buf, v.Uint())
-	case reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			buf = appendLeaves(buf, v.Index(i))
-		}
-		return buf
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			buf = appendLeaves(buf, v.Field(i))
-		}
-		return buf
-	}
-	// Run holds only uint64-based leaves; a new field of any other kind
-	// must extend the wire format deliberately, not slip through.
-	panic(fmt.Sprintf("stats: wire encoding: unsupported kind %v in Run", v.Kind()))
 }
 
 // readLeaves is the inverse walk: it fills v's uint64 leaves from b, which

@@ -2,9 +2,76 @@ package stats
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/rand"
 	"reflect"
 	"testing"
 )
+
+// appendLeavesRef is the reflective reference encoder: it walks v (a Run
+// or one of its nested structs/arrays) in field/index order, appending
+// each uint64 leaf. AppendWire must produce the same bytes.
+func appendLeavesRef(buf []byte, v reflect.Value) []byte {
+	switch v.Kind() {
+	case reflect.Uint64:
+		return binary.LittleEndian.AppendUint64(buf, v.Uint())
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			buf = appendLeavesRef(buf, v.Index(i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			buf = appendLeavesRef(buf, v.Field(i))
+		}
+	}
+	return buf
+}
+
+// TestAppendWireMatchesReflectiveWalk pins the flat word encoder to the
+// reflective leaf walk on randomized counter sets, appended after a
+// non-empty prefix so the offset arithmetic is exercised too.
+func TestAppendWireMatchesReflectiveWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		r := New()
+		var fill func(v reflect.Value)
+		fill = func(v reflect.Value) {
+			switch v.Kind() {
+			case reflect.Uint64:
+				v.SetUint(rng.Uint64() >> uint(rng.Intn(64)))
+			case reflect.Array:
+				for i := 0; i < v.Len(); i++ {
+					fill(v.Index(i))
+				}
+			case reflect.Struct:
+				for i := 0; i < v.NumField(); i++ {
+					fill(v.Field(i))
+				}
+			}
+		}
+		fill(reflect.ValueOf(r).Elem())
+		prefix := []byte("prefix")
+		want := append([]byte(nil), prefix...)
+		want = append(want, wireMagic...)
+		want = binary.LittleEndian.AppendUint32(want, wireVersion)
+		want = binary.LittleEndian.AppendUint32(want, uint32(wireLeaves))
+		want = appendLeavesRef(want, reflect.ValueOf(r).Elem())
+		if got := r.AppendWire(append([]byte(nil), prefix...)); !bytes.Equal(got, want) {
+			t.Fatalf("run %d: AppendWire differs from the reflective walk:\n got  %x\n want %x", i, got, want)
+		}
+	}
+}
+
+// BenchmarkAppendWire measures one encoding into a reused buffer, the
+// model checker's per-decision use.
+func BenchmarkAppendWire(b *testing.B) {
+	r := populated()
+	buf := r.WireBytes()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = r.AppendWire(buf[:0])
+	}
+}
 
 // populated builds a Run with every uint64 leaf set to a distinct non-zero
 // value, so any dropped or reordered field shows up as a mismatch.
@@ -49,8 +116,8 @@ func TestWireRoundTrip(t *testing.T) {
 
 // TestWireCoversEveryField is the exhaustiveness tripwire: perturbing any
 // single uint64 leaf of Run must change both the encoding and the digest.
-// A field the reflection walk somehow skipped (or a future non-uint64
-// field that panics the walk) fails here, not in production.
+// A field the encoder somehow skipped (or a future non-uint64 field, which
+// panics the leaf count at init) fails here, not in production.
 func TestWireCoversEveryField(t *testing.T) {
 	base := populated()
 	baseBytes := base.WireBytes()

@@ -267,6 +267,24 @@ func (c *Calendar[T]) Reserve(span int) {
 	c.init(size)
 }
 
+// Reset empties the calendar, keeping its ring and node slab for reuse.
+// Pop order never depends on the ring size, so a reset calendar behaves
+// exactly like a new one.
+func (c *Calendar[T]) Reset() {
+	if c.count > 0 {
+		// Popping leaves slots, bitmap and nodes zeroed; only pending
+		// items need clearing.
+		clear(c.slots)
+		clear(c.occ)
+		clear(c.nodes)
+	}
+	if c.nodes != nil {
+		c.nodes = c.nodes[:1]
+	}
+	c.free = 0
+	c.count = 0
+}
+
 // init sizes an empty ring. The node slab starts with only its sentinel
 // and grows with the number of simultaneously pending items.
 func (c *Calendar[T]) init(size int) {
@@ -395,6 +413,14 @@ func (p *Pipe[T]) grow() {
 	n := copy(ring, p.ring[p.head:])
 	copy(ring[n:], p.ring[:p.head])
 	p.ring, p.head = ring, 0
+}
+
+// Reset empties the pipe, keeping its ring for reuse.
+func (p *Pipe[T]) Reset() {
+	if p.count > 0 {
+		clear(p.ring)
+	}
+	p.head, p.count = 0, 0
 }
 
 // PopReady removes and returns the head item if it is ready at cycle now.

@@ -312,3 +312,57 @@ func TestPipeRejectsOutOfOrderPush(t *testing.T) {
 	}()
 	p.Push(9, 3)
 }
+
+// TestResetMatchesNew: a Calendar and a Pipe reset with items pending —
+// the calendar after growing its ring — pop exactly what new ones pop for
+// the same later pushes, and hold no payload from before the reset.
+func TestResetMatchesNew(t *testing.T) {
+	var usedCal, newCal Calendar[*int]
+	var usedPipe, newPipe Pipe[*int]
+	r := NewRNG(17)
+	for i := 0; i < 500; i++ {
+		v := -i
+		usedCal.Push(Cycle(r.Intn(5000)), &v)
+		usedPipe.Push(Cycle(i), &v)
+	}
+	usedCal.Reset()
+	usedPipe.Reset()
+	if usedCal.Len() != 0 || usedCal.NextReady() != Never || usedPipe.Len() != 0 || usedPipe.NextReady() != Never {
+		t.Fatal("reset queues are not empty")
+	}
+	for _, n := range usedCal.nodes[:cap(usedCal.nodes)] {
+		if n.val != nil {
+			t.Fatal("reset calendar keeps a payload alive in its slab")
+		}
+	}
+	now := Cycle(0)
+	for step := 0; step < 5000; step++ {
+		v := step
+		at := now + Cycle(r.Intn(300))
+		usedCal.Push(at, &v)
+		newCal.Push(at, &v)
+		usedPipe.Push(now+10, &v)
+		newPipe.Push(now+10, &v)
+		now += Cycle(r.Intn(3))
+		for {
+			a, aok := usedCal.PopReady(now)
+			b, bok := newCal.PopReady(now)
+			if aok != bok || a != b {
+				t.Fatalf("step %d: reset calendar pops (%v, %v), new one (%v, %v)", step, a, aok, b, bok)
+			}
+			if !aok {
+				break
+			}
+		}
+		for {
+			a, aok := usedPipe.PopReady(now)
+			b, bok := newPipe.PopReady(now)
+			if aok != bok || a != b {
+				t.Fatalf("step %d: reset pipe pops (%v, %v), new one (%v, %v)", step, a, aok, b, bok)
+			}
+			if !aok {
+				break
+			}
+		}
+	}
+}

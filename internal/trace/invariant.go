@@ -47,6 +47,14 @@ func NewInvariantSink(onFail func(error)) *InvariantSink {
 	}
 }
 
+// Reset clears the sink for a new run, keeping its maps' storage.
+func (s *InvariantSink) Reset() {
+	s.err = nil
+	clear(s.l2ver)
+	clear(s.clocks)
+	s.n = 0
+}
+
 // Err returns the first recorded violation, if any.
 func (s *InvariantSink) Err() error { return s.err }
 
