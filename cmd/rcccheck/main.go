@@ -93,13 +93,23 @@ func main() {
 	base.MaxRuns = *maxRuns
 	base.Symmetry = *symmetry
 	if *delayMenu != "" {
+		delays, err := parseMenu(*delayMenu, 32)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "rcccheck: -delay-menu: %v\n", err)
+			os.Exit(2)
+		}
 		base.DelayMenu = nil
-		for _, v := range parseMenu(*delayMenu) {
+		for _, v := range delays {
 			base.DelayMenu = append(base.DelayMenu, uint32(v))
 		}
 	}
 	if *jitMenu != "" {
-		base.JitterMenu = parseMenu(*jitMenu)
+		jitters, err := parseMenu(*jitMenu, 64)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "rcccheck: -jitter-menu: %v\n", err)
+			os.Exit(2)
+		}
+		base.JitterMenu = jitters
 	}
 
 	var progs []*check.Prog
@@ -215,17 +225,18 @@ func main() {
 	fmt.Println("rcccheck: no violation exists below this size under the explored menus")
 }
 
-func parseMenu(s string) []uint64 {
+// parseMenu parses a comma-separated menu of cycle counts, each of which
+// must fit in bits bits. check.ModelCheck bounds the menus further.
+func parseMenu(s string, bits int) ([]uint64, error) {
 	var out []uint64
 	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseUint(strings.TrimSpace(part), 10, 64)
+		v, err := strconv.ParseUint(strings.TrimSpace(part), 10, bits)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rcccheck: bad menu entry %q: %v\n", part, err)
-			os.Exit(2)
+			return nil, fmt.Errorf("bad menu entry %q: %w", part, err)
 		}
 		out = append(out, v)
 	}
-	return out
+	return out, nil
 }
 
 // mcMetrics publishes exploration progress into an obs.Registry. The

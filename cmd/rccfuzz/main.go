@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -29,25 +30,32 @@ import (
 	"rccsim/internal/obs"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run parses args, fuzzes or replays, and returns the exit code: 0 clean,
+// 1 a failure found or reproduced, 2 a check that could not run.
+func run(args []string) int {
+	fs := flag.NewFlagSet("rccfuzz", flag.ContinueOnError)
 	var (
-		seeds = flag.Int("seeds", 200, "number of fuzzing seeds to run")
-		start = flag.Uint64("start", 0, "first seed")
+		seeds = fs.Int("seeds", 200, "number of fuzzing seeds to run")
+		start = fs.Uint64("start", 0, "first seed")
 		// GOMAXPROCS(0) respects the runtime's actual parallelism budget
 		// (container CPU quotas, explicit GOMAXPROCS), where NumCPU would
 		// oversubscribe a quota-limited box with idle workers.
-		workers   = flag.Int("j", runtime.GOMAXPROCS(0), "parallel workers")
-		runs      = flag.Int("runs", 3, "timing-perturbed runs per protocol per seed")
-		protocols = flag.String("protocols", "MESI,TCS,RCC,SC-IDEAL", "comma-separated protocols to cross-check")
-		jitter    = flag.Uint64("jitter", 32, "max NoC latency jitter in cycles (0 disables)")
-		maxCycles = flag.Uint64("max-cycles", 5_000_000, "per-run cycle cap")
-		reproPath = flag.String("repro", "", "replay this repro JSON instead of fuzzing")
-		outPath   = flag.String("out", "rccfuzz-repro.json", "where to write the shrunk repro on failure")
-		verbose   = flag.Bool("v", false, "log every seed")
-		weaken    = flag.Uint64("weaken-lease", 0, "self-test: extend every L1 lease check by N cycles (plants an SC bug)")
-		serve     = flag.String("serve", "", "serve live introspection (/metrics, /healthz, /debug/pprof) on this address, e.g. :8080")
+		workers   = fs.Int("j", runtime.GOMAXPROCS(0), "parallel workers")
+		runs      = fs.Int("runs", 3, "timing-perturbed runs per protocol per seed")
+		protocols = fs.String("protocols", "MESI,TCS,RCC,SC-IDEAL", "comma-separated protocols to cross-check")
+		jitter    = fs.Uint64("jitter", 32, "max extra NoC delay per message in cycles (0 disables)")
+		maxCycles = fs.Uint64("max-cycles", 5_000_000, "per-run cycle cap")
+		reproPath = fs.String("repro", "", "replay this repro JSON instead of fuzzing")
+		outPath   = fs.String("out", "rccfuzz-repro.json", "where to write the shrunk repro on failure")
+		verbose   = fs.Bool("v", false, "log every seed")
+		weaken    = fs.Uint64("weaken-lease", 0, "self-test: extend every L1 lease check by N cycles (plants an SC bug)")
+		serve     = fs.String("serve", "", "serve live introspection (/metrics, /healthz, /debug/pprof) on this address, e.g. :8080")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	var fm fuzzMetrics
 	if *serve != "" {
@@ -56,7 +64,7 @@ func main() {
 		addr, err := obs.Serve(*serve, obs.Mounts{Registry: reg})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rccfuzz: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		fmt.Fprintf(os.Stderr, "rccfuzz: serving introspection on http://%s\n", addr)
 	}
@@ -65,6 +73,10 @@ func main() {
 		restore := core.WeakenLeaseCheckForTest(*weaken)
 		defer restore()
 		fmt.Fprintf(os.Stderr, "rccfuzz: L1 lease checks weakened by %d cycles (self-test mode)\n", *weaken)
+	}
+
+	if *reproPath != "" {
+		return replay(*reproPath)
 	}
 
 	opts := check.DefaultOptions()
@@ -76,19 +88,15 @@ func main() {
 		p, err := config.ParseProtocol(strings.TrimSpace(name))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rccfuzz: %v\n", err)
-			os.Exit(2)
-		}
-		if !p.SupportsSC() || p.Consistency() != config.SC {
-			fmt.Fprintf(os.Stderr, "rccfuzz: %s does not claim sequential consistency; the SC oracles do not apply\n", p)
-			os.Exit(2)
+			return 2
 		}
 		opts.Protocols = append(opts.Protocols, p)
 	}
-
-	if *reproPath != "" {
-		os.Exit(replay(*reproPath))
+	if err := opts.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "rccfuzz: %v\n", err)
+		return 2
 	}
-	os.Exit(fuzz(*seeds, *start, *workers, *verbose, *outPath, opts, fm))
+	return fuzz(*seeds, *start, *workers, *verbose, *outPath, opts, fm)
 }
 
 // fuzzMetrics publishes fuzzing progress into an obs.Registry. The zero
@@ -137,11 +145,14 @@ type hit struct {
 	seed uint64
 	prog *check.Prog
 	fail *check.Failure
+	err  error // set when the check could not run
 }
 
 // fuzz runs seeds [start, start+n) across a worker pool. Workers race to
 // the first failure; the lowest failing seed wins so runs are reproducible
 // regardless of scheduling, then that failure is shrunk and written out.
+// A seed whose enumeration hits its limits is skipped; one that could not
+// be checked for any other reason counts as a hit and exits 2.
 func fuzz(n int, start uint64, workers int, verbose bool, outPath string, opts check.Options, fm fuzzMetrics) int {
 	if workers < 1 {
 		workers = 1
@@ -173,17 +184,19 @@ func fuzz(n int, start uint64, workers int, verbose bool, outPath string, opts c
 				prog, fail, err := check.FuzzSeed(seed, opts)
 				fm.done.Add(1)
 				switch {
-				case err != nil:
+				case errors.Is(err, check.ErrEnumLimit):
 					skipped.Add(1)
 					fm.skipped.Add(1)
 					if verbose {
 						fmt.Fprintf(os.Stderr, "seed %d: skipped (%v)\n", seed, err)
 					}
-				case fail != nil:
-					fm.failures.Add(1)
+				case err != nil || fail != nil:
+					if fail != nil {
+						fm.failures.Add(1)
+					}
 					mu.Lock()
 					if first == nil || seed < first.seed {
-						first = &hit{seed: seed, prog: prog, fail: fail}
+						first = &hit{seed: seed, prog: prog, fail: fail, err: err}
 					}
 					mu.Unlock()
 				default:
@@ -196,6 +209,10 @@ func fuzz(n int, start uint64, workers int, verbose bool, outPath string, opts c
 	}
 	wg.Wait()
 
+	if first != nil && first.err != nil {
+		fmt.Fprintf(os.Stderr, "rccfuzz: seed %d could not be checked: %v\n", first.seed, first.err)
+		return 2
+	}
 	if first == nil {
 		fmt.Printf("rccfuzz: %d seeds clean (%d skipped at enumeration limits) across %s\n",
 			n, skipped.Load(), protoNames(opts))

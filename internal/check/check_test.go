@@ -2,6 +2,7 @@ package check
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -390,6 +391,48 @@ func TestReproRoundTrip(t *testing.T) {
 	}
 	if len(ropts.Protocols) != len(opts.Protocols) {
 		t.Fatalf("protocols lost: %v", ropts.Protocols)
+	}
+}
+
+// TestOptionsRejected: options under which a check would run nothing, or
+// could not run, are an error from CheckProg and from a repro's Options
+// and Replay, never a clean verdict.
+func TestOptionsRejected(t *testing.T) {
+	for name, edit := range map[string]func(*Options){
+		"no runs":       func(o *Options) { o.RunSeeds = 0 },
+		"no protocols":  func(o *Options) { o.Protocols = nil },
+		"weak protocol": func(o *Options) { o.Protocols = []config.Protocol{config.RCC, config.TCW} },
+		"long jitter":   func(o *Options) { o.Jitter = 1<<20 + 1 },
+	} {
+		opts := quickOpts()
+		edit(&opts)
+		if _, err := CheckProg(mp(), opts); err == nil {
+			t.Errorf("%s: CheckProg accepted the options", name)
+		}
+		r := NewRepro(0, mp(), nil, opts)
+		if _, err := r.Options(); err == nil {
+			t.Errorf("%s: Repro.Options accepted the options", name)
+		}
+		if _, err := r.Replay(); err == nil {
+			t.Errorf("%s: Repro.Replay ran", name)
+		}
+	}
+	opts := quickOpts()
+	opts.Jitter = 1 << 20
+	if err := opts.Validate(); err != nil {
+		t.Errorf("jitter at the bound rejected: %v", err)
+	}
+}
+
+// TestEnumLimitError: a program too large to enumerate reports
+// ErrEnumLimit, which rccfuzz counts as a skip, for either limit.
+func TestEnumLimitError(t *testing.T) {
+	for _, limits := range []EnumLimits{{MaxStates: 2, MaxEntries: 1 << 22}, {MaxStates: 1 << 20, MaxEntries: 2}} {
+		opts := quickOpts()
+		opts.Limits = limits
+		if _, _, err := FuzzSeed(0, opts); !errors.Is(err, ErrEnumLimit) {
+			t.Errorf("limits %+v: error %v, want ErrEnumLimit", limits, err)
+		}
 	}
 }
 

@@ -50,7 +50,7 @@ func (f *Failure) Error() string {
 type Options struct {
 	Protocols []config.Protocol // protocols to cross-check (must claim SC)
 	RunSeeds  int               // timing-perturbed runs per protocol
-	Jitter    uint64            // config.NoCJitter for every run
+	Jitter    uint64            // max extra NoC pipeline delay per message, in cycles (0 = none)
 	MaxCycles uint64            // per-run cycle cap (0 = config default)
 	Gen       GenConfig         // program generator shape (FuzzSeed)
 	Limits    EnumLimits        // SC enumeration bounds
@@ -70,16 +70,39 @@ func DefaultOptions() Options {
 	}
 }
 
-// runSeed derives the config seed of the r-th perturbed run. Replays use
-// the same derivation, so a repro only records the run count.
+// maxDelay bounds each extra delay a checker adds (the fuzzer's Jitter,
+// every menu entry) as config.Validate bounds latencies, in cycles.
+const maxDelay = 1 << 20
+
+// Validate rejects options under which a check would run nothing or could
+// not run. Flags and repro files both reach CheckProg through it.
+func (o Options) Validate() error {
+	switch {
+	case o.RunSeeds < 1:
+		return fmt.Errorf("check: %d runs per protocol, want at least 1", o.RunSeeds)
+	case len(o.Protocols) == 0:
+		return fmt.Errorf("check: no protocols to cross-check")
+	case o.Jitter > maxDelay:
+		return fmt.Errorf("check: jitter %d exceeds %d cycles", o.Jitter, maxDelay)
+	}
+	for _, p := range o.Protocols {
+		if !p.SupportsSC() || p.Consistency() != config.SC {
+			return fmt.Errorf("check: %s does not claim sequential consistency; the SC oracles do not apply", p)
+		}
+	}
+	return nil
+}
+
+// runSeed derives the seed of the r-th perturbed run. Replays use the
+// same derivation, so a repro only records the run count.
 func runSeed(r int) uint64 { return (uint64(r) + 1) * 0x9e3779b97f4a7c15 }
 
 // recorder implements gpu.Observer, mapping machine observations back to
 // program coordinates: warp (sm, w) to the thread placed there, trace pc
 // to operation index (every trace carries one leading compute, so op i
 // completes at pc i+1), machine line to program line (minus Base).
-// Each run builds its own recorder, and the machine calls it from the one
-// goroutine that steps it.
+// A runner keeps one recorder for its machine and resets it between runs;
+// the machine calls it from the one goroutine that steps it.
 type recorder struct {
 	threadOf map[int]int
 	maxWarps int
@@ -143,92 +166,155 @@ func expectedObs(p *Prog) map[string]int {
 // CheckProg runs the program under every protocol and timing seed in
 // opts and validates each run against the SC enumeration. It returns the
 // first oracle violation, or nil if every run is SC. A non-nil error
-// means the check itself could not run (ill-formed program, enumeration
-// blow-up) — not a verdict about the protocols.
+// means the check itself could not run (invalid options, ill-formed
+// program, enumeration blow-up) — not a verdict about the protocols.
 func CheckProg(p *Prog, opts Options) (*Failure, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	set, err := p.Enumerate(opts.Limits)
 	if err != nil {
 		return nil, err
 	}
-	exp := expectedObs(p)
 	for _, proto := range opts.Protocols {
-		for r := 0; r < opts.RunSeeds; r++ {
-			if fail, err := runOne(p, set, exp, proto, r, opts); fail != nil || err != nil {
-				return fail, err
+		r := newRunner(p, set, proto, opts.MaxCycles)
+		for i := 0; i < opts.RunSeeds; i++ {
+			if err := r.perturb(i, opts.Jitter); err != nil {
+				return nil, err
+			}
+			if fail, _, _ := r.judge(runSeed(i)); fail != nil {
+				return fail, nil
 			}
 		}
 	}
 	return nil, nil
 }
 
-func runOne(p *Prog, set *SCSet, exp map[string]int, proto config.Protocol, r int, opts Options) (*Failure, error) {
+// runner runs one program under one protocol on one machine, built on the
+// first run and reset, with its recorder and invariant sink, for every
+// later one: the fuzzer's run seeds or the model checker's replays.
+type runner struct {
+	p   *Prog
+	cfg config.Config
+	set *SCSet
+	exp map[string]int
+
+	m   *sim.Machine // nil until the first run
+	rec *recorder
+	inv *trace.InvariantSink
+	bus *trace.Bus
+}
+
+// newRunner sizes the machine for p under proto. The machine ignores
+// cfg.Seed: a run's timing comes from its issue delays and its NoC delay
+// chooser.
+func newRunner(p *Prog, set *SCSet, proto config.Protocol, maxCycles uint64) runner {
 	cfg := config.Small()
 	cfg.Protocol = proto
 	cfg.NumSMs, cfg.WarpsPerSM = p.MachineShape()
-	cfg.Seed = runSeed(r)
-	cfg.NoCJitter = opts.Jitter
-	if opts.MaxCycles > 0 {
-		cfg.MaxCycles = opts.MaxCycles
+	if maxCycles > 0 {
+		cfg.MaxCycles = maxCycles
 	}
-	fail := func(kind FailKind, format string, args ...any) *Failure {
-		return &Failure{Kind: kind, Protocol: proto.String(), RunSeed: cfg.Seed, Detail: fmt.Sprintf(format, args...)}
-	}
+	return runner{p: p, cfg: cfg, set: set, exp: expectedObs(p)}
+}
 
-	wl, err := p.Workload(cfg, timing.NewRNG(cfg.Seed^0x7b3afc1d52e690a9))
+// machine readies the runner's machine for a run of wl: built on the
+// first run, reset on every later one, with the invariant sink attached.
+func (r *runner) machine(wl *workload.Program) error {
+	if r.m == nil {
+		r.rec = newRecorder(r.p, r.cfg.WarpsPerSM)
+		m, err := sim.New(r.cfg, wl, r.rec)
+		if err != nil {
+			return fmt.Errorf("check: building machine: %w", err)
+		}
+		r.m = m
+		r.inv = trace.NewInvariantSink(nil)
+		r.bus = trace.NewBus(r.inv)
+	} else {
+		r.rec.reset()
+		r.inv.Reset()
+		if err := r.m.Reset(wl, r.rec); err != nil {
+			return fmt.Errorf("check: resetting machine: %w", err)
+		}
+	}
+	r.m.Attach(trace.Observers{Tr: r.bus})
+	return nil
+}
+
+// perturb readies the machine for the i-th perturbed run: issue delays of
+// 1..900 cycles per thread and NoC delays of 0..jitter cycles per message,
+// each from its own stream seeded by runSeed(i).
+func (r *runner) perturb(i int, jitter uint64) error {
+	seed := runSeed(i)
+	rng := timing.NewRNG(seed ^ 0x7b3afc1d52e690a9)
+	delays := make([]uint32, len(r.p.Threads))
+	for ti := range delays {
+		delays[ti] = uint32(rng.Intn(900) + 1)
+	}
+	wl, err := r.p.WorkloadDelays(r.cfg, delays)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	rec := newRecorder(p, cfg.WarpsPerSM)
-	m, err := sim.New(cfg, wl, rec)
-	if err != nil {
-		return nil, fmt.Errorf("check: building machine: %w", err)
+	if err := r.machine(wl); err != nil {
+		return err
 	}
-	// The invariant sink checks leases, L2 versions and core clocks over
-	// the live event stream.
-	inv := trace.NewInvariantSink(nil)
-	m.Attach(trace.Observers{Tr: trace.NewBus(inv)})
+	if jitter > 0 {
+		jit := timing.NewRNG(seed ^ 0xa24baed4963ee407)
+		r.m.SetNoCDelayChooser(func() uint64 { return jit.Uint64n(jitter + 1) })
+	}
+	return nil
+}
 
-	if _, err := m.Run(); err != nil {
-		return fail(FailRunError, "machine error: %v", err), nil
+// judge runs the readied machine to completion and returns both
+// checkers' one verdict on the run: a clean stop with every timestamp
+// invariant intact, each load and atomic position observed exactly once,
+// and an SC outcome with a final memory SC allows with it. outcome and
+// memk are set once the observations are well shaped.
+func (r *runner) judge(runSeed uint64) (fail *Failure, outcome, memk string) {
+	failf := func(kind FailKind, format string, args ...any) *Failure {
+		return &Failure{Kind: kind, Protocol: r.cfg.Protocol.String(), RunSeed: runSeed, Detail: fmt.Sprintf(format, args...)}
 	}
-	if err := inv.Err(); err != nil {
-		return fail(FailRunError, "invariant: %v", err), nil
+	if _, err := r.m.Run(); err != nil {
+		return failf(FailRunError, "machine error: %v", err), "", ""
 	}
-
+	if err := r.inv.Err(); err != nil {
+		return failf(FailRunError, "invariant: %v", err), "", ""
+	}
+	rec := r.rec
 	if len(rec.bad) > 0 {
-		return fail(FailObsShape, "observations outside the program: %s", strings.Join(rec.bad, "; ")), nil
+		return failf(FailObsShape, "observations outside the program: %s", strings.Join(rec.bad, "; ")), "", ""
 	}
-	for k, want := range exp {
+	for k, want := range r.exp {
 		if got := rec.pos[k]; got != want {
-			return fail(FailObsShape, "observation %s seen %d times, want %d", k, got, want), nil
+			return failf(FailObsShape, "observation %s seen %d times, want %d", k, got, want), "", ""
 		}
 	}
 	for k, got := range rec.pos {
-		if exp[k] == 0 {
-			return fail(FailObsShape, "unexpected observation position %s (seen %d times)", k, got), nil
+		if r.exp[k] == 0 {
+			return failf(FailObsShape, "unexpected observation position %s (seen %d times)", k, got), "", ""
 		}
 	}
 
-	outcome := CanonOutcome(rec.entries)
-	if !set.AllowsOutcome(outcome) {
-		return fail(FailOutcome, "observed {%s}, not among %d SC outcomes%s",
-			outcome, len(set.Outcomes), nearestOutcomes(set, 4)), nil
-	}
-	final := make([]uint64, p.Lines)
+	outcome = CanonOutcome(rec.entries)
+	final := make([]uint64, r.p.Lines)
 	for l := range final {
-		final[l] = m.ReadLine(Base + uint64(l))
+		final[l] = r.m.ReadLine(Base + uint64(l))
 	}
-	mk := memKey(final)
-	if !set.AllowsFinal(outcome, mk) {
-		allowed := make([]string, 0, len(set.Outcomes[outcome]))
-		for k := range set.Outcomes[outcome] {
+	memk = memKey(final)
+	if !r.set.AllowsOutcome(outcome) {
+		return failf(FailOutcome, "observed {%s}, not among %d SC outcomes%s",
+			outcome, len(r.set.Outcomes), nearestOutcomes(r.set, 4)), outcome, memk
+	}
+	if !r.set.AllowsFinal(outcome, memk) {
+		allowed := make([]string, 0, len(r.set.Outcomes[outcome]))
+		for k := range r.set.Outcomes[outcome] {
 			allowed = append(allowed, "["+k+"]")
 		}
 		sort.Strings(allowed)
-		return fail(FailFinalMem, "final memory [%s] with outcome {%s}; SC allows only %s",
-			mk, outcome, strings.Join(allowed, " ")), nil
+		return failf(FailFinalMem, "final memory [%s] with outcome {%s}; SC allows only %s",
+			memk, outcome, strings.Join(allowed, " ")), outcome, memk
 	}
-	return nil, nil
+	return nil, outcome, memk
 }
 
 // nearestOutcomes renders a few allowed outcomes for failure reports.

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -16,6 +17,11 @@ type EnumLimits struct {
 	MaxStates  int // distinct (pc, submask, memory) nodes explored
 	MaxEntries int // total (observation, final-memory) records memoized
 }
+
+// ErrEnumLimit is wrapped by the error of an enumeration that hit its
+// EnumLimits: the program is too large to check, which makes it a skip,
+// not a verdict and not a fault of the harness.
+var ErrEnumLimit = errors.New("check: SC enumeration exceeds its limits")
 
 // DefaultEnumLimits is sized for the generator's access budget with an
 // order of magnitude of slack.
@@ -311,7 +317,7 @@ func (e *enumerator) solve(st enumState) ([]sres, error) {
 	}
 	e.states++
 	if e.states > e.limits.MaxStates {
-		return nil, fmt.Errorf("check: SC enumeration exceeded %d states", e.limits.MaxStates)
+		return nil, fmt.Errorf("%w: more than %d states", ErrEnumLimit, e.limits.MaxStates)
 	}
 	steps := e.steps(&st)
 	if len(steps) == 0 {
@@ -349,7 +355,7 @@ func (e *enumerator) solve(st enumState) ([]sres, error) {
 	e.memo[key] = r
 	e.entries += len(r)
 	if e.entries > e.limits.MaxEntries {
-		return nil, fmt.Errorf("check: SC enumeration exceeded %d memo entries", e.limits.MaxEntries)
+		return nil, fmt.Errorf("%w: more than %d memo entries", ErrEnumLimit, e.limits.MaxEntries)
 	}
 	return r, nil
 }

@@ -33,12 +33,11 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"rccsim/internal/config"
-	"rccsim/internal/sim"
-	"rccsim/internal/trace"
 	"rccsim/internal/workload"
 )
 
@@ -165,27 +164,23 @@ type mcRunOutcome struct {
 }
 
 type mcDriver struct {
-	p       *Prog
+	// One runner, and so one machine, serves every replay of the
+	// exploration: runOne resets it instead of building a new one.
+	runner
 	opts    MCOptions
-	set     *SCSet
-	exp     map[string]int
-	cfg     config.Config
 	visited map[mcFP]bool
 	res     *MCResult
-
-	// One machine serves every replay of the exploration: runOne resets
-	// it, with its recorder, invariant sink and bus, instead of building
-	// new ones. Nil until the first run.
-	m   *sim.Machine
-	rec *recorder
-	inv *trace.InvariantSink
-	bus *trace.Bus
-	out mcRunOutcome // the latest run's outcome, reused by the next
+	out     mcRunOutcome // the latest run's outcome, reused by the next
 
 	// Scratch reused by every fingerprintMachine call.
 	fpBuf []byte
 	fpObs []string
 }
+
+const (
+	mcRunSeed = 1   // labels failures; no model-checker run draws from a seed
+	maxMenu   = 256 // menu length bound: choices are uint8 menu indices
+)
 
 // ModelCheck exhaustively explores prog under the options' protocol and
 // choice menus. A non-nil error means the exploration could not run
@@ -214,8 +209,10 @@ func ModelCheck(p *Prog, opts MCOptions) (*MCResult, error) {
 		}
 		i := len(delayVec) - 1
 		for ; i >= 0; i-- {
-			delayVec[i]++
-			if int(delayVec[i]) < len(opts.DelayMenu) {
+			// Compare before incrementing: index 255 of a full menu
+			// would wrap to 0.
+			if int(delayVec[i])+1 < len(opts.DelayMenu) {
+				delayVec[i]++
 				break
 			}
 			delayVec[i] = 0
@@ -239,27 +236,22 @@ func ModelCheck(p *Prog, opts MCOptions) (*MCResult, error) {
 // newMCDriver validates the menus, enumerates the SC set and sizes the
 // machine for one exploration of p.
 func newMCDriver(p *Prog, opts MCOptions) (*mcDriver, error) {
-	if len(opts.DelayMenu) == 0 || len(opts.JitterMenu) == 0 {
+	switch {
+	case len(opts.DelayMenu) == 0 || len(opts.JitterMenu) == 0:
 		return nil, fmt.Errorf("check: empty model-checking menu")
+	case len(opts.DelayMenu) > maxMenu || len(opts.JitterMenu) > maxMenu:
+		return nil, fmt.Errorf("check: menus of %d delays and %d jitters, at most %d each",
+			len(opts.DelayMenu), len(opts.JitterMenu), maxMenu)
+	case slices.Max(opts.DelayMenu) > maxDelay || slices.Max(opts.JitterMenu) > maxDelay:
+		return nil, fmt.Errorf("check: a menu entry exceeds %d cycles", maxDelay)
 	}
 	set, err := p.Enumerate(opts.Limits)
 	if err != nil {
 		return nil, err
 	}
-	cfg := config.Small()
-	cfg.Protocol = opts.Protocol
-	cfg.NumSMs, cfg.WarpsPerSM = p.MachineShape()
-	cfg.Seed = 1 // no seeded randomness left on the explored paths
-	cfg.NoCJitter = 0
-	if opts.MaxCycles > 0 {
-		cfg.MaxCycles = opts.MaxCycles
-	}
 	d := &mcDriver{
-		p:       p,
+		runner:  newRunner(p, set, opts.Protocol, opts.MaxCycles),
 		opts:    opts,
-		set:     set,
-		exp:     expectedObs(p),
-		cfg:     cfg,
 		visited: make(map[mcFP]bool),
 		res: &MCResult{
 			Protocol: opts.Protocol.String(),
@@ -341,11 +333,10 @@ func (d *mcDriver) explore(delayVec []uint8) error {
 // menu index 0 beyond it. The returned outcome is the driver's own and is
 // overwritten by the next run.
 func (d *mcDriver) runOne(wl *workload.Program, prefix []uint8) (*mcRunOutcome, error) {
-	cfg := d.cfg
 	if err := d.machine(wl); err != nil {
 		return nil, err
 	}
-	m, rec, inv := d.m, d.rec, d.inv
+	m, rec := d.m, d.rec
 	out := &d.out
 	*out = mcRunOutcome{taken: out.taken[:0], prunedAt: -1, fps: out.fps[:0]}
 	m.SetNoCDelayChooser(func() uint64 {
@@ -367,72 +358,13 @@ func (d *mcDriver) runOne(wl *workload.Program, prefix []uint8) (*mcRunOutcome, 
 		return d.opts.JitterMenu[c]
 	})
 
-	fail := func(kind FailKind, format string, args ...any) *Failure {
-		return &Failure{Kind: kind, Protocol: d.res.Protocol, RunSeed: cfg.Seed, Detail: fmt.Sprintf(format, args...)}
+	out.fail, out.outcome, out.memk = d.judge(mcRunSeed)
+	// Terminal fingerprint for the graph (not a decision point, so not
+	// in the pruning set), once the observations are well shaped.
+	if out.fail == nil || out.fail.Kind == FailOutcome || out.fail.Kind == FailFinalMem {
+		out.fps = append(out.fps, d.fingerprintMachine(m, rec))
 	}
-	if _, err := m.Run(); err != nil {
-		out.fail = fail(FailRunError, "machine error: %v", err)
-		return out, nil
-	}
-	if err := inv.Err(); err != nil {
-		out.fail = fail(FailRunError, "invariant: %v", err)
-		return out, nil
-	}
-	if len(rec.bad) > 0 {
-		out.fail = fail(FailObsShape, "observations outside the program: %s", strings.Join(rec.bad, "; "))
-		return out, nil
-	}
-	for k, want := range d.exp {
-		if got := rec.pos[k]; got != want {
-			out.fail = fail(FailObsShape, "observation %s seen %d times, want %d", k, got, want)
-			return out, nil
-		}
-	}
-	for k, got := range rec.pos {
-		if d.exp[k] == 0 {
-			out.fail = fail(FailObsShape, "unexpected observation position %s (seen %d times)", k, got)
-			return out, nil
-		}
-	}
-	out.outcome = CanonOutcome(rec.entries)
-	final := make([]uint64, d.p.Lines)
-	for l := range final {
-		final[l] = m.ReadLine(Base + uint64(l))
-	}
-	out.memk = memKey(final)
-	if !d.set.AllowsOutcome(out.outcome) {
-		out.fail = fail(FailOutcome, "observed {%s}, not among %d SC outcomes%s",
-			out.outcome, len(d.set.Outcomes), nearestOutcomes(d.set, 4))
-	} else if !d.set.AllowsFinal(out.outcome, out.memk) {
-		out.fail = fail(FailFinalMem, "final memory [%s] with outcome {%s} not SC-reachable", out.memk, out.outcome)
-	}
-	// Terminal fingerprint for the graph (not a decision point, so it is
-	// not part of the pruning set).
-	out.fps = append(out.fps, d.fingerprintMachine(m, rec))
 	return out, nil
-}
-
-// machine readies the driver's machine for a replay of wl: built on the
-// first run, reset on every later one, with the invariant sink attached.
-func (d *mcDriver) machine(wl *workload.Program) error {
-	if d.m == nil {
-		d.rec = newRecorder(d.p, d.cfg.WarpsPerSM)
-		m, err := sim.New(d.cfg, wl, d.rec)
-		if err != nil {
-			return fmt.Errorf("check: building machine: %w", err)
-		}
-		d.m = m
-		d.inv = trace.NewInvariantSink(nil)
-		d.bus = trace.NewBus(d.inv)
-	} else {
-		d.rec.reset()
-		d.inv.Reset()
-		if err := d.m.Reset(wl, d.rec); err != nil {
-			return fmt.Errorf("check: resetting machine: %w", err)
-		}
-	}
-	d.m.Attach(trace.Observers{Tr: d.bus})
-	return nil
 }
 
 // record folds one run's terminal verdict and path into the result.

@@ -3,6 +3,7 @@ package check
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -384,6 +385,43 @@ func TestMCErrors(t *testing.T) {
 	}}}}
 	if _, err := ModelCheck(bad, mcQuick(config.RCC)); err == nil {
 		t.Fatal("ModelCheck accepted an out-of-range line")
+	}
+}
+
+// TestMCMenuBounds: choices are uint8 menu indices, so a menu of 256
+// entries must exhaust exactly and one of 257 must be refused rather than
+// wrap the index and loop until MaxRuns. Entries past 2^20 cycles, which
+// would size an enormous NoC calendar ring, are refused too.
+func TestMCMenuBounds(t *testing.T) {
+	one := &Prog{Lines: 1, Threads: []Thread{{SM: 0, Warp: 0, Ops: []Op{
+		{Kind: workload.OpStore, Lines: []uint64{0}, Val: 1},
+	}}}}
+	opts := mcQuick(config.RCC)
+	opts.JitterMenu = []uint64{0}
+	opts.MaxRuns = 3000
+	opts.DelayMenu = nil
+	for i := range 256 {
+		opts.DelayMenu = append(opts.DelayMenu, uint32(i+1))
+	}
+	res, err := ModelCheck(one, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Truncated || res.Runs != 256 {
+		t.Fatalf("256-entry delay menu: %d runs (truncated %v), want 256 exhausting it", res.Runs, res.Truncated)
+	}
+	for name, edit := range map[string]func(*MCOptions){
+		"257 delays":  func(o *MCOptions) { o.DelayMenu = append(o.DelayMenu, 257) },
+		"257 jitters": func(o *MCOptions) { o.JitterMenu = make([]uint64, 257) },
+		"long delay":  func(o *MCOptions) { o.DelayMenu = []uint32{1, 1<<20 + 1} },
+		"long jitter": func(o *MCOptions) { o.JitterMenu = []uint64{0, 1 << 40} },
+	} {
+		bad := opts
+		bad.DelayMenu = slices.Clone(opts.DelayMenu)
+		edit(&bad)
+		if _, err := ModelCheck(one, bad); err == nil {
+			t.Errorf("%s: ModelCheck accepted the menu", name)
+		}
 	}
 }
 

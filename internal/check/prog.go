@@ -3,9 +3,9 @@
 // machinery with atomics, fences, barriers, memory-divergent accesses and
 // cross-SM warp placement), runs each program on the full machine under
 // every SC-claiming protocol with the trace invariant checker armed and
-// seeded NoC-latency jitter widening the explored interleavings, and
-// validates three oracles against an exact enumeration of the program's
-// sequentially consistent executions:
+// seeded issue delays and NoC delays widening the explored interleavings,
+// and validates three oracles against an exact enumeration of the
+// program's sequentially consistent executions:
 //
 //  1. every observed load (and atomic) outcome lies inside the enumerated
 //     SC outcome set;
@@ -19,6 +19,12 @@
 // reproducer (dropping warps, then operations, then divergent lines) and
 // serializes it as replayable JSON; cmd/rccfuzz drives seed ranges and
 // replays repros.
+//
+// Both checkers perturb NoC timing through the one hook the machine has,
+// sim.Machine.SetNoCDelayChooser: the fuzzer draws each message's delay
+// from a seeded stream, the model checker (ModelCheck) enumerates it. Both
+// run a program under a protocol on one machine, reset between runs, and
+// judge every finished run with the same verdict (runner.judge).
 package check
 
 import (
@@ -26,7 +32,6 @@ import (
 	"fmt"
 
 	"rccsim/internal/config"
-	"rccsim/internal/timing"
 	"rccsim/internal/workload"
 )
 
@@ -266,33 +271,17 @@ func (p *Prog) MachineShape() (numSMs, warpsPerSM int) {
 	return numSMs, warpsPerSM
 }
 
-// Workload materializes the program for cfg: each thread becomes the warp
-// trace at its placement, prefixed with a run-seed-dependent compute delay
-// that (together with NoC jitter) perturbs the interleaving between runs.
-// Operation i of a thread lands at trace pc i+1, which is how the outcome
-// recorder keys observations back to program positions.
-func (p *Prog) Workload(cfg config.Config, rng *timing.RNG) (*workload.Program, error) {
-	return p.workloadWith(cfg, func(int) uint32 { return uint32(rng.Intn(900) + 1) })
-}
-
-// WorkloadDelays is Workload with the per-thread leading compute delays
-// supplied explicitly — delays[ti] (minimum 1 cycle) for program thread
-// ti — instead of drawn from a seed. The model checker materializes one
-// workload per enumerated delay assignment, making the relative issue
-// offsets part of the explored choice vector rather than a random draw.
+// WorkloadDelays materializes the program for cfg: each thread becomes
+// the warp trace at its placement, prefixed with a compute delay of
+// delays[ti] cycles (minimum 1) for program thread ti. The delays set the
+// relative issue offsets of the threads: the fuzzer draws them from a run
+// seed, the model checker enumerates them. Operation i of a thread lands
+// at trace pc i+1, which is how the outcome recorder keys observations
+// back to program positions.
 func (p *Prog) WorkloadDelays(cfg config.Config, delays []uint32) (*workload.Program, error) {
 	if len(delays) != len(p.Threads) {
 		return nil, fmt.Errorf("check: %d delays for %d threads", len(delays), len(p.Threads))
 	}
-	return p.workloadWith(cfg, func(ti int) uint32 {
-		if delays[ti] == 0 {
-			return 1
-		}
-		return delays[ti]
-	})
-}
-
-func (p *Prog) workloadWith(cfg config.Config, delayFor func(ti int) uint32) (*workload.Program, error) {
 	prog := &workload.Program{SMs: make([][]workload.Trace, cfg.NumSMs)}
 	for i := range prog.SMs {
 		prog.SMs[i] = make([]workload.Trace, cfg.WarpsPerSM)
@@ -302,7 +291,7 @@ func (p *Prog) workloadWith(cfg config.Config, delayFor func(ti int) uint32) (*w
 			return nil, fmt.Errorf("check: thread %d placed at SM %d warp %d, machine is %dx%d",
 				ti, th.SM, th.Warp, cfg.NumSMs, cfg.WarpsPerSM)
 		}
-		tr := workload.Trace{{Op: workload.OpCompute, Lat: delayFor(ti)}}
+		tr := workload.Trace{{Op: workload.OpCompute, Lat: max(delays[ti], 1)}}
 		for _, op := range th.Ops {
 			in := workload.Instr{Op: op.Kind, Val: op.Val, Lat: op.Lat}
 			if op.Kind == workload.OpCompute && in.Lat == 0 {

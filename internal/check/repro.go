@@ -42,7 +42,9 @@ func NewRepro(seed uint64, p *Prog, f *Failure, opts Options) *Repro {
 	return r
 }
 
-// Options rebuilds the check options the repro was recorded under.
+// Options rebuilds the check options the repro was recorded under and
+// validates them, so a hand-edited repro cannot ask for no runs, no
+// protocols or an unbounded jitter.
 func (r *Repro) Options() (Options, error) {
 	opts := DefaultOptions()
 	opts.RunSeeds = r.RunSeeds
@@ -56,8 +58,8 @@ func (r *Repro) Options() (Options, error) {
 		}
 		opts.Protocols = append(opts.Protocols, p)
 	}
-	if len(opts.Protocols) == 0 {
-		return Options{}, fmt.Errorf("check: repro lists no protocols")
+	if err := opts.Validate(); err != nil {
+		return Options{}, err
 	}
 	return opts, nil
 }

@@ -170,12 +170,6 @@ type Config struct {
 	FlitBytes         int
 	PortFlitsPerCycle int    // flits a port moves per core cycle
 	NoCPipeLatency    uint64 // core cycles of router/wire pipeline per message
-	// NoCJitter adds a per-message pseudo-random 0..NoCJitter cycles to
-	// the router pipeline, drawn from a stream seeded by Seed. Zero (the
-	// default, used by every performance experiment) disables it; the
-	// differential fuzzer turns it on to widen the explored interleavings
-	// while keeping runs bit-deterministic per (config, seed).
-	NoCJitter uint64
 
 	// DRAM (per L2 partition; GDDR at 1:1 with the 1.4 GHz core clock).
 	DRAMBanksPerPart int
@@ -307,7 +301,7 @@ func (c Config) validateBounds() error {
 		v    uint64
 	}{
 		{"L2Latency", c.L2Latency}, {"LocalLatency", c.LocalLatency},
-		{"NoCPipeLatency", c.NoCPipeLatency}, {"NoCJitter", c.NoCJitter},
+		{"NoCPipeLatency", c.NoCPipeLatency},
 		{"DRAMtCL", c.DRAMtCL}, {"DRAMtRP", c.DRAMtRP}, {"DRAMtRCD", c.DRAMtRCD},
 		{"DRAMBusCycles", c.DRAMBusCycles}, {"DRAMPipeLatency", c.DRAMPipeLatency},
 		{"TCLease", c.TCLease}, {"RCCLivelockTick", c.RCCLivelockTick},
@@ -340,7 +334,7 @@ const (
 	maxCount   = 1 << 16 // SMs, warps, sets, ways, partitions, banks, MSHRs, flit lanes
 	maxEntries = 1 << 24 // lines in one tag array
 	maxBytes   = 1 << 16 // line and flit sizes
-	maxLatency = 1 << 20 // any latency, jitter, lease or tick, in cycles
+	maxLatency = 1 << 20 // any latency, lease or tick, in cycles
 	maxScale   = 1e3
 )
 

@@ -3,8 +3,12 @@ package config
 import (
 	"encoding/binary"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -199,4 +203,57 @@ func FuzzConfigValidate(f *testing.F) {
 			t.Fatalf("accepted unknown protocol %d", int(c.Protocol))
 		}
 	})
+}
+
+// TestFuzzSeedsHitTheirField decodes every FuzzConfigValidate seed and
+// requires Validate's error to name what the seed was written to break,
+// and valid-small-machine to pass. fuzzConfig picks a field by its
+// declaration index, so adding or removing a Config field shifts every
+// later index; a seed whose index byte was not moved with it edits some
+// other field, and the fuzz target alone would not notice.
+func TestFuzzSeedsHitTheirField(t *testing.T) {
+	want := map[string]string{
+		"huge-pipe-latency":   "NoCPipeLatency",
+		"inf-scale":           "Scale",
+		"nan-scale":           "Scale",
+		"lease-overflows-4x":  "RCCTSMax",
+		"negative-sets":       "L2 geometry",
+		"unknown-protocol":    "unknown protocol",
+		"valid-small-machine": "",
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzConfigValidate")
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(want) {
+		t.Errorf("%d seed files, the table lists %d", len(files), len(want))
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+		if len(lines) != 2 || lines[0] != "go test fuzz v1" ||
+			!strings.HasPrefix(lines[1], "[]byte(") || !strings.HasSuffix(lines[1], ")") {
+			t.Fatalf("%s: not a one-value []byte corpus file", f.Name())
+		}
+		arg, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name(), err)
+		}
+		field, ok := want[f.Name()]
+		if !ok {
+			t.Errorf("%s: seed missing from the table", f.Name())
+			continue
+		}
+		err = fuzzConfig([]byte(arg)).Validate()
+		switch {
+		case field == "" && err != nil:
+			t.Errorf("%s: Validate rejects it: %v", f.Name(), err)
+		case field != "" && (err == nil || !strings.Contains(err.Error(), field)):
+			t.Errorf("%s: Validate error %v, want one naming %s", f.Name(), err, field)
+		}
+	}
 }

@@ -43,39 +43,19 @@ type Network struct {
 
 	inflight timing.Calendar[*coherence.Msg]
 
-	// Seeded per-message pipeline jitter (cfg.NoCJitter); nil when
-	// disabled. Draws happen in Send order, which is deterministic, so a
-	// given (config, seed) still produces a bit-identical run.
-	jitter    *timing.RNG
-	jitterMax uint64
-
-	// chooser, when set, replaces the seeded jitter stream with controlled
-	// nondeterminism: Send consults it once per message, in send order, for
-	// the extra pipeline delay. The model checker drives it from a choice
-	// vector, turning each Send into an enumerable decision point. While a
-	// chooser is attached the network also keeps an in-flight log so the
-	// checker can fold the pending delivery schedule into its machine-state
-	// fingerprint (see FoldInflight).
-	chooser DelayChooser
-	mcLog   []mcEntry // in delivery order: (delivery cycle, send order)
+	chooser DelayChooser // nil: no extra pipeline delay
 
 	// onDeliver, when set, is called after each delivery so the run loop
 	// can re-arm the destination's wake time.
 	onDeliver func(dst int, now timing.Cycle)
 }
 
-// DelayChooser resolves the extra router-pipeline delay of one message at
-// a nondeterministic decision point. It is called exactly once per Send,
-// in send order, which is what lets a model checker replay a prefix of
-// choices deterministically and branch on the suffix.
+// DelayChooser resolves the extra router-pipeline delay of one message,
+// the one way to perturb NoC timing: the fuzzer draws it from a seeded
+// stream, the model checker from a choice vector. It is called exactly
+// once per Send, in send order, which is what lets a model checker replay
+// a prefix of choices deterministically and branch on the suffix.
 type DelayChooser func() uint64
-
-// mcEntry is one in-flight message in the model-checking log: its exact
-// delivery cycle and the message.
-type mcEntry struct {
-	at timing.Cycle
-	m  *coherence.Msg
-}
 
 // New builds the interconnect for cfg.
 func New(cfg config.Config, st *stats.Run) *Network {
@@ -89,79 +69,40 @@ func New(cfg config.Config, st *stats.Run) *Network {
 		rspSrcFree: make([]timing.Cycle, cfg.L2Partitions),
 		rspDstFree: make([]timing.Cycle, cfg.NumSMs),
 	}
-	if cfg.NoCJitter > 0 {
-		n.jitter = new(timing.RNG)
-		n.jitterMax = cfg.NoCJitter
-	}
-	// In-flight spans are one pipe traversal plus jitter and ejection
-	// backlog; size the ring for the unloaded case and let it grow under
-	// sustained congestion.
-	n.inflight.Reserve(int(cfg.NoCPipeLatency+cfg.NoCJitter) + 128)
+	// Size the in-flight ring for an unloaded pipe traversal; it grows
+	// under congestion or long chosen delays.
+	n.inflight.Reserve(int(cfg.NoCPipeLatency) + 128)
 	n.Reset()
 	return n
 }
 
-// Reset drops every in-flight message, frees every port, re-seeds the
-// jitter stream and detaches the delay chooser and the observers, keeping
-// the registered nodes, the wake callback and every allocation.
+// Reset drops every in-flight message, frees every port and detaches the
+// delay chooser and the observers, keeping the registered nodes, the wake
+// callback and every allocation.
 func (n *Network) Reset() {
 	clear(n.reqSrcFree)
 	clear(n.reqDstFree)
 	clear(n.rspSrcFree)
 	clear(n.rspDstFree)
 	n.inflight.Reset()
-	if n.jitter != nil {
-		*n.jitter = *timing.NewRNG(n.cfg.Seed ^ 0xa24baed4963ee407)
-	}
 	n.chooser = nil
-	clear(n.mcLog)
-	n.mcLog = n.mcLog[:0]
 	n.Observers = trace.Observers{}
 }
 
 // Register attaches the receiver for node id.
 func (n *Network) Register(id int, node Node) { n.nodes[id] = node }
 
-// SetChooser attaches a controlled-nondeterminism delay chooser (nil
-// restores the seeded jitter stream, if any). Attach before the first
-// Send; the in-flight log only covers messages sent while a chooser is
-// active.
+// SetChooser attaches a delay chooser; nil sends every message with no
+// extra delay. Attach before the first Send.
 func (n *Network) SetChooser(fn DelayChooser) { n.chooser = fn }
 
 // FoldInflight calls fn for every in-flight message, in exact delivery
 // order — (delivery cycle, send order), the order Tick will deliver them.
-// Only meaningful while a DelayChooser is attached; the model checker
-// hashes the pending delivery schedule into its state fingerprint so two
-// states that differ only in when a message will land never merge.
+// The model checker hashes the pending delivery schedule into its state
+// fingerprint so two states that differ only in when a message will land
+// never merge.
 func (n *Network) FoldInflight(fn func(at timing.Cycle, m *coherence.Msg)) {
-	for _, e := range n.mcLog {
-		fn(e.at, e.m)
-	}
-}
-
-// mcLogInsert adds a just-sent message to the log, which Send keeps
-// sorted in delivery order: (delivery cycle, send order). Sends come in
-// send order, so the new entry goes after every entry due no later.
-func (n *Network) mcLogInsert(at timing.Cycle, m *coherence.Msg) {
-	i := len(n.mcLog)
-	for i > 0 && n.mcLog[i-1].at > at {
-		i--
-	}
-	n.mcLog = append(n.mcLog, mcEntry{})
-	copy(n.mcLog[i+1:], n.mcLog[i:])
-	n.mcLog[i] = mcEntry{at: at, m: m}
-}
-
-// mcLogRemove drops the log entry for a just-delivered message. Pointer
-// identity is safe here: a Msg is only recycled after its terminal handler
-// runs, which is strictly after delivery removes it from the log.
-func (n *Network) mcLogRemove(m *coherence.Msg) {
-	for i := range n.mcLog {
-		if n.mcLog[i].m == m {
-			n.mcLog = append(n.mcLog[:i], n.mcLog[i+1:]...)
-			return
-		}
-	}
+	n.inflight.Fold(fn)
 }
 
 // Send injects m at cycle now. Delivery happens via Tick once the message
@@ -176,8 +117,6 @@ func (n *Network) Send(m *coherence.Msg, now timing.Cycle) {
 	pipe := timing.Cycle(n.cfg.NoCPipeLatency)
 	if n.chooser != nil {
 		pipe += timing.Cycle(n.chooser())
-	} else if n.jitterMax > 0 {
-		pipe += timing.Cycle(n.jitter.Uint64n(n.jitterMax + 1))
 	}
 
 	var srcFree, dstFree *timing.Cycle
@@ -199,10 +138,6 @@ func (n *Network) Send(m *coherence.Msg, now timing.Cycle) {
 	arrive := endTx + pipe
 	deliver := timing.Max(arrive, *dstFree+ser)
 	*dstFree = deliver
-
-	if n.chooser != nil {
-		n.mcLogInsert(deliver, m)
-	}
 
 	if m.Span != 0 {
 		// Pre-marking at future timestamps is safe: no component
@@ -236,9 +171,6 @@ func (n *Network) Tick(now timing.Cycle) bool {
 			return did
 		}
 		did = true
-		if n.chooser != nil {
-			n.mcLogRemove(m)
-		}
 		n.Tr.MsgRecv(now, m)
 		n.nodes[m.Dst].Deliver(m, now)
 		if n.onDeliver != nil {

@@ -152,7 +152,7 @@ func TestChooserReplacesJitter(t *testing.T) {
 		t.Fatalf("zero-delay delivery at %d, want %d", got, base)
 	}
 	// A delayed message from another source must land 100 cycles later and
-	// behind the first in the in-flight log until both deliver.
+	// fold behind the first until both deliver.
 	n.Send(&coherence.Msg{Type: coherence.GetS, Src: 1, Dst: cfg.NumSMs + 1}, 0)
 	var seen []timing.Cycle
 	n.FoldInflight(func(at timing.Cycle, m *coherence.Msg) { seen = append(seen, at) })
@@ -164,7 +164,7 @@ func TestChooserReplacesJitter(t *testing.T) {
 		t.Fatalf("delivered %d messages, want 2", len(s.got))
 	}
 	n.FoldInflight(func(at timing.Cycle, m *coherence.Msg) {
-		t.Fatalf("in-flight log not drained: message at %d", at)
+		t.Fatalf("in-flight set not drained: message at %d", at)
 	})
 	if calls != 2 {
 		t.Fatalf("chooser called %d times, want 2", calls)

@@ -371,15 +371,15 @@ func (m *Machine) AttachHeat(h *obs.Heat) { o := m.obsv; o.Heat = h; m.Attach(o)
 // AttachSpans: see AttachTracer.
 func (m *Machine) AttachSpans(sp *span.Recorder) { o := m.obsv; o.Sp = sp; m.Attach(o) }
 
-// SetNoCDelayChooser replaces the seeded NoC jitter stream with a
-// controlled-nondeterminism hook: fn is consulted once per message send,
-// in send order, for the extra pipeline delay. The model checker uses it
-// to turn every delivery into an enumerable decision point. A nil fn
-// restores the configured jitter behaviour.
+// SetNoCDelayChooser attaches the one NoC timing perturbation hook: fn is
+// consulted once per message send, in send order, for the extra pipeline
+// delay. The fuzzer draws it from a seeded stream; the model checker uses
+// it to turn every delivery into an enumerable decision point. A nil fn
+// sends every message with no extra delay. Reset detaches it.
 func (m *Machine) SetNoCDelayChooser(fn noc.DelayChooser) { m.network.SetChooser(fn) }
 
 // FoldInflight visits every in-flight NoC message in exact delivery order
-// (only meaningful while a delay chooser is attached; see noc.Network).
+// (see noc.Network).
 func (m *Machine) FoldInflight(fn func(at timing.Cycle, msg *coherence.Msg)) {
 	m.network.FoldInflight(fn)
 }

@@ -97,8 +97,7 @@ func newMachine(t *testing.T, cfg config.Config, prog *workload.Program) *Machin
 // RCC-WO with the narrowest timestamps Validate allows and a short
 // livelock tick (rollovers, clock ticks), MESI and TCS with a 4-line L2
 // partition (evictions write the backing image back) and, for TCS, long
-// leases (stalled stores), and RCC with NoC jitter (the seeded jitter
-// stream).
+// leases (stalled stores).
 func resetConfigs() []config.Config {
 	var cfgs []config.Config
 	for _, p := range goldenProtocols {
@@ -115,11 +114,6 @@ func resetConfigs() []config.Config {
 			tiny.L2SetsPerPart, tiny.L2Ways = 2, 2
 			tiny.TCLease = 4000 // TCS stores stall behind long leases
 			cfgs = append(cfgs, tiny)
-		}
-		if p == config.RCC {
-			jitter := cfg
-			jitter.NoCJitter = 16
-			cfgs = append(cfgs, jitter)
 		}
 	}
 	return cfgs

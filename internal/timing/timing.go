@@ -186,8 +186,8 @@ type calNode[T any] struct {
 // O(1) Push and amortized-O(1) PopReady, provided pending ready times span
 // less than the ring size (the ring grows on demand when they don't).
 // Use it for high-traffic queues whose pushes are not in ready-time order
-// — e.g. interconnect deliveries with jitter; a producer that pushes in
-// nondecreasing ready-time order uses Pipe instead.
+// — e.g. interconnect deliveries with chosen delays; a producer that
+// pushes in nondecreasing ready-time order uses Pipe instead.
 //
 // Memory follows occupancy, not the horizon: a ring slot is two int32
 // chain ends, and items live in one slab of linked nodes recycled through
@@ -338,24 +338,44 @@ func (c *Calendar[T]) PopReady(now Cycle) (T, bool) {
 		s.tail = 0
 		c.occ[pos>>6] &^= 1 << uint(pos&63)
 		if c.count > 0 {
-			// Jump to the next occupied slot via the bitmap. Pending
-			// cycles span less than the ring size, so the first set bit
-			// circularly after pos is the earliest pending cycle.
-			i := (pos + 1) & c.mask
-			w := i >> 6
-			word := c.occ[w] &^ (1<<uint(i&63) - 1)
-			for word == 0 {
-				w++
-				if w == len(c.occ) {
-					w = 0
-				}
-				word = c.occ[w]
-			}
-			bit := w<<6 + bits.TrailingZeros64(word)
-			c.next += 1 + Cycle((bit-i)&c.mask)
+			c.next += 1 + Cycle((c.occupiedFrom(pos+1)-pos-1)&c.mask)
 		}
 	}
 	return v, true
+}
+
+// occupiedFrom returns the first occupied slot circularly at or after
+// slot i (taken modulo the ring). Pending cycles span less than the ring
+// size, so from the earliest pending slot on, occupied slots come in cycle
+// order. The calendar must not be empty.
+func (c *Calendar[T]) occupiedFrom(i int) int {
+	i &= c.mask
+	w := i >> 6
+	word := c.occ[w] &^ (1<<uint(i&63) - 1)
+	for word == 0 {
+		w++
+		if w == len(c.occ) {
+			w = 0
+		}
+		word = c.occ[w]
+	}
+	return w<<6 + bits.TrailingZeros64(word)
+}
+
+// Fold calls fn for every pending item in the order PopReady would
+// return them: ready cycle, then push order within a cycle. It steps
+// through the occupancy bitmap, so its cost follows the occupied cycles,
+// not the span between them. fn must not push or pop.
+func (c *Calendar[T]) Fold(fn func(at Cycle, v T)) {
+	start := int(c.next) & c.mask
+	for left, pos := c.count, start; left > 0; pos++ {
+		pos = c.occupiedFrom(pos)
+		at := c.next + Cycle((pos-start)&c.mask)
+		for n := c.slots[pos].head; n != 0; n = c.nodes[n].next {
+			fn(at, c.nodes[n].val)
+			left--
+		}
+	}
 }
 
 // pipeItem is one Pipe slot.

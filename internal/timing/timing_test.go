@@ -1,6 +1,8 @@
 package timing
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -161,15 +163,45 @@ func TestQueueInterleavedPushPop(t *testing.T) {
 // pop sequences. The push horizon widens in three phases so the ring grows
 // from its reserved 64 slots to 1024 and then 4096 with items pending, and
 // pending counts stay far below the push total so slab nodes are reused
-// from the free list.
+// from the free list. At random points Fold must visit the pending items
+// in the queue's pop order, on every ring size and with pending cycles
+// wrapped around the ring's end.
 func TestCalendarMatchesQueue(t *testing.T) {
 	var cal Calendar[*int]
 	var q Queue[*int]
 	cal.Reserve(40)
 	r := NewRNG(11)
+	foldRNG := NewRNG(12) // its own stream, so the push/pop stream is unchanged
 	rings := map[int]bool{len(cal.slots): true}
+	folded := map[int]bool{}
+	foldedWrapped := false
 	now := Cycle(0)
 	pushed, peak := 0, 0
+	checkFold := func() {
+		type entry struct {
+			at Cycle
+			v  *int
+		}
+		var got, want []entry
+		cal.Fold(func(at Cycle, v *int) { got = append(got, entry{at, v}) })
+		items := slices.Clone(q.items)
+		slices.SortFunc(items, func(a, b Item[*int]) int {
+			if c := cmp.Compare(a.ReadyAt, b.ReadyAt); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
+		for _, it := range items {
+			want = append(want, entry{it.ReadyAt, it.Val})
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("cycle %d: Fold visits %d items, queue pop order has %d, or their order differs", now, len(got), len(want))
+		}
+		folded[len(cal.slots)] = true
+		if cal.count > 0 && int(cal.next)&cal.mask+int(cal.maxAt-cal.next) >= len(cal.slots) {
+			foldedWrapped = true
+		}
+	}
 	drain := func(upTo Cycle) {
 		for {
 			at := q.NextReady()
@@ -202,6 +234,9 @@ func TestCalendarMatchesQueue(t *testing.T) {
 				peak = cal.Len()
 			}
 			rings[len(cal.slots)] = true
+			if foldRNG.Bool(0.05) {
+				checkFold()
+			}
 			if r.Bool(0.7) {
 				drain(now)
 			}
@@ -216,6 +251,12 @@ func TestCalendarMatchesQueue(t *testing.T) {
 		if !rings[size] {
 			t.Fatalf("ring never had %d slots (saw %v)", size, rings)
 		}
+		if !folded[size] {
+			t.Fatalf("Fold never checked on a %d-slot ring (saw %v)", size, folded)
+		}
+	}
+	if !foldedWrapped {
+		t.Fatal("Fold never checked with pending cycles wrapped around the ring")
 	}
 	if nodes := len(cal.nodes) - 1; nodes != peak || nodes*4 > pushed {
 		t.Fatalf("slab holds %d nodes for %d pushes at peak occupancy %d: free list not reused", nodes, pushed, peak)
