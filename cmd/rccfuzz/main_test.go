@@ -15,6 +15,7 @@ func TestRunRejectsUncheckedRuns(t *testing.T) {
 	for _, args := range [][]string{
 		{"-seeds", "5", "-jitter", "2000000"},
 		{"-seeds", "3", "-runs", "0"},
+		{"-seeds", "3", "-runs", "65537"},
 		{"-seeds", "2", "-protocols", "TCW"},
 		{"-seeds", "2", "-protocols", "BOGUS"},
 		{"-no-such-flag"},
@@ -40,13 +41,15 @@ func TestFuzzCheckErrorExits2(t *testing.T) {
 }
 
 // TestReplayRejectsBadOptions: a repro whose recorded options would check
-// nothing, or jitter past the bound, exits 2 instead of replaying.
+// nothing, or run or jitter past their bounds, exits 2 instead of
+// replaying.
 func TestReplayRejectsBadOptions(t *testing.T) {
 	prog := check.LeaseWitnessProg()
 	for name, edit := range map[string]func(*check.Repro){
-		"no runs":      func(r *check.Repro) { r.RunSeeds = 0 },
-		"no protocols": func(r *check.Repro) { r.Protocols = nil },
-		"long jitter":  func(r *check.Repro) { r.Jitter = 1<<20 + 1 },
+		"no runs":       func(r *check.Repro) { r.RunSeeds = 0 },
+		"no protocols":  func(r *check.Repro) { r.Protocols = nil },
+		"long jitter":   func(r *check.Repro) { r.Jitter = 1<<20 + 1 },
+		"runs past cap": func(r *check.Repro) { r.RunSeeds = 1_000_000_000 },
 	} {
 		r := check.NewRepro(0, prog, nil, check.DefaultOptions())
 		edit(r)

@@ -403,6 +403,7 @@ func TestOptionsRejected(t *testing.T) {
 		"no protocols":  func(o *Options) { o.Protocols = nil },
 		"weak protocol": func(o *Options) { o.Protocols = []config.Protocol{config.RCC, config.TCW} },
 		"long jitter":   func(o *Options) { o.Jitter = 1<<20 + 1 },
+		"too many runs": func(o *Options) { o.RunSeeds = 1<<16 + 1 },
 	} {
 		opts := quickOpts()
 		edit(&opts)
@@ -419,8 +420,9 @@ func TestOptionsRejected(t *testing.T) {
 	}
 	opts := quickOpts()
 	opts.Jitter = 1 << 20
+	opts.RunSeeds = 1 << 16
 	if err := opts.Validate(); err != nil {
-		t.Errorf("jitter at the bound rejected: %v", err)
+		t.Errorf("jitter and runs at their bounds rejected: %v", err)
 	}
 }
 

@@ -74,12 +74,16 @@ func DefaultOptions() Options {
 // every menu entry) as config.Validate bounds latencies, in cycles.
 const maxDelay = 1 << 20
 
+// maxRunSeeds bounds the perturbed runs per protocol: a repro asking for
+// a billion would replay for hours.
+const maxRunSeeds = 1 << 16
+
 // Validate rejects options under which a check would run nothing or could
 // not run. Flags and repro files both reach CheckProg through it.
 func (o Options) Validate() error {
 	switch {
-	case o.RunSeeds < 1:
-		return fmt.Errorf("check: %d runs per protocol, want at least 1", o.RunSeeds)
+	case o.RunSeeds < 1 || o.RunSeeds > maxRunSeeds:
+		return fmt.Errorf("check: %d runs per protocol, want 1 to %d", o.RunSeeds, maxRunSeeds)
 	case len(o.Protocols) == 0:
 		return fmt.Errorf("check: no protocols to cross-check")
 	case o.Jitter > maxDelay:

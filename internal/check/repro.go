@@ -43,8 +43,8 @@ func NewRepro(seed uint64, p *Prog, f *Failure, opts Options) *Repro {
 }
 
 // Options rebuilds the check options the repro was recorded under and
-// validates them, so a hand-edited repro cannot ask for no runs, no
-// protocols or an unbounded jitter.
+// validates them, so a hand-edited repro cannot ask for no runs, more
+// than 2^16 runs, no protocols or an unbounded jitter.
 func (r *Repro) Options() (Options, error) {
 	opts := DefaultOptions()
 	opts.RunSeeds = r.RunSeeds

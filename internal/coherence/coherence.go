@@ -208,11 +208,17 @@ type Port interface {
 
 // L1 is the per-SM cache controller.
 type L1 interface {
-	// Access submits a request. It returns false if the controller
-	// cannot accept it this cycle: its MSHR table is full, or (RCC) it is
-	// frozen for a timestamp rollover. The SM parks the warp and retries
-	// after a Wake (see Waker).
+	// Access submits a request. It returns false only while the
+	// controller is Closed: with a full MSHR table, for a line that has
+	// no MSHR and no readable copy; while frozen, for every request. The
+	// SM parks the warp and retries it once the L1 is open again, or at
+	// once when its own accepted access gives the line an MSHR: while the
+	// L1 is Closed, that is the only thing that lifts a refusal on a line.
 	Access(r *Request, now timing.Cycle) bool
+	// Closed reports whether the controller cannot take a new line: its
+	// MSHR table is full, or (RCC) it is frozen for a timestamp rollover.
+	// Only a Tick that did work (see Waker) or the rollover thaw opens it.
+	Closed() bool
 	// Deliver hands the controller a message from the interconnect. at is
 	// the cycle the interconnect last ticked (== the current cycle when the
 	// controller has not ticked yet this cycle); controllers use it to
@@ -254,16 +260,19 @@ type L2 interface {
 }
 
 // Waker is an optional interface for Sinks: an L1 controller that finds it
-// has freed resources the SM may be waiting on (an MSHR slot, a thaw after
-// a rollover freeze) calls Wake so the SM re-scans on the next visited
-// cycle instead of polling every cycle.
+// may have freed resources the SM is waiting on (an MSHR slot) calls Wake
+// so the SM re-scans on the next visited cycle instead of polling every
+// cycle.
 //
 // Wake is load-bearing, not a hint: the SM parks a warp whose submit the
-// L1 refused and retries it only after Wake or a machine-level ForceWake
-// (the rollover thaw). An L1 must therefore call Wake after every Tick
-// that did work, and nothing between two such Ticks — in particular none
-// of the SM's own accepted accesses — may clear a refusal. Every protocol
-// keeps this contract in one place, ctl.L1.Drain, which ends each L1 Tick.
+// L1 refused, and scans it again only while the L1 is not Closed, after
+// its own accepted access to the warp's line, or after a machine-level
+// ForceWake (the rollover thaw). A sleeping SM rescans only when woken,
+// so an L1 must call Wake after every Tick that did work. While the L1 is
+// Closed, only this SM's own accepted access to a line may lift a refusal
+// on that line: nothing else between two working Ticks may free a slot,
+// make a line readable or thaw the L1. Every protocol keeps this contract
+// in one place, ctl.L1.Drain, which ends each L1 Tick.
 type Waker interface {
 	Wake()
 }

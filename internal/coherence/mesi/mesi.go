@@ -334,6 +334,9 @@ func (c *L1) FenceComplete(warp int, now timing.Cycle) {}
 // Drained implements coherence.L1.
 func (c *L1) Drained() bool { return c.Idle() && c.mshrs.Len() == 0 }
 
+// Closed implements coherence.L1: the MSHR table is full.
+func (c *L1) Closed() bool { return c.mshrs.Full() }
+
 // l2Line is the per-block directory state: value, dirty bit, and the
 // sharer bitmap (full map; up to 64 SMs).
 type l2Line struct {

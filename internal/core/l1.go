@@ -565,6 +565,9 @@ func (c *L1) FenceComplete(warp int, now timing.Cycle) { c.clk.Merge() }
 // Drained implements coherence.L1.
 func (c *L1) Drained() bool { return c.Idle() && c.mshrs.Len() == 0 }
 
+// Closed implements coherence.L1: the MSHR table is full or frozen for a rollover.
+func (c *L1) Closed() bool { return c.frozen || c.mshrs.Full() }
+
 // Seed installs a leased copy with the given expiration and value —
 // scenario setup for tests and walkthroughs, never used by the machine.
 func (c *L1) Seed(line, exp, val uint64) {

@@ -195,14 +195,18 @@ type SM struct {
 	cand   []uint64
 	scMask []uint64
 	// subWait bit i set ⟺ warps[i]'s partially-submitted instruction was
-	// refused by the L1 and no Wake or ForceWake has come since. A
-	// refusal means the MSHR table is full (and the line neither has an
-	// MSHR nor is readable) or the L1 is frozen for a rollover; between
-	// two L1 ticks only this SM's own accepted accesses change the L1, and
-	// none of them frees a slot, makes a line readable or thaws it. So a
-	// retry before Wake or ForceWake is known to fail, and the warp stays
-	// out of cand until one of them returns it.
+	// refused by the L1 and has not been returned to cand since. A refusal
+	// means the L1 is Closed (its MSHR table is full, or it is frozen for
+	// a rollover) and the line neither has an MSHR nor is readable. While
+	// the L1 stays Closed, only this SM's own accepted access to a line can
+	// give that line an MSHR, so a retry is known to fail until then:
+	// Tick scans parked warps only while the L1 is open, an accepted
+	// access returns the warps parked on its line to cand (unparkLine),
+	// and ForceWake returns them all, since a warp parked while the L1 was
+	// frozen may have had an MSHR for its line.
 	subWait []uint64
+	// scan is Tick's scratch mask, cand | subWait while the L1 is open.
+	scan []uint64
 }
 
 func bitSet(mask []uint64, i int) bool { return mask[i>>6]&(1<<uint(i&63)) != 0 }
@@ -240,7 +244,7 @@ func nextBit(mask []uint64, from, n int) int {
 
 // reclassify recomputes w's scan-mask bits from its current state. Besides
 // the SC and barrier blocks, two parked states keep a warp out of cand: a
-// refused submit (subWait, returned by Wake/ForceWake) and a WO fence with
+// refused submit (subWait, scanned while the L1 is open) and a WO fence with
 // accesses still in flight (only MemDone lowers outstanding, and it
 // reclassifies).
 func (s *SM) reclassify(w *warp) {
@@ -315,6 +319,7 @@ func (s *SM) Reset(traces []workload.Trace, obs Observer) {
 	s.cand = resetMask(s.cand, words)
 	s.scMask = resetMask(s.scMask, words)
 	s.subWait = resetMask(s.subWait, words)
+	s.scan = resetMask(s.scan, words)
 	for _, w := range s.warps {
 		s.reclassify(w)
 	}
@@ -385,19 +390,28 @@ func (s *SM) Tick(now timing.Cycle) bool {
 	s.dirty = false
 	s.sawLSUFull = false
 	n := len(s.warps)
+	// Parked warps are scanned, in their places in the scheduler's order,
+	// only while the L1 can take a new line (see subWait).
+	mask := s.cand
+	if s.pendingSubs > 0 && !s.l1.Closed() {
+		for i, c := range s.cand {
+			s.scan[i] = c | s.subWait[i]
+		}
+		mask = s.scan
+	}
 	if s.gto {
 		// Greedy-then-oldest: stick with the last issuing warp, then
 		// fall back to the oldest (lowest-id) ready warp.
 		// The greedy warp's candidate bit is tested first: an SM with no
 		// warps has no warps[0].
-		if bitSet(s.cand, s.greedy) && s.warps[s.greedy].busyUntil <= now && s.tryIssue(s.warps[s.greedy], now) {
+		if bitSet(mask, s.greedy) && s.warps[s.greedy].busyUntil <= now && s.tryIssue(s.warps[s.greedy], now) {
 			s.reclassify(s.warps[s.greedy])
 			s.wakeAt = now + 1
 			s.closeIdle(now)
 			s.acctIssue(now)
 			return true
 		}
-		for i := nextBit(s.cand, 0, n); i >= 0; i = nextBit(s.cand, i+1, n) {
+		for i := nextBit(mask, 0, n); i >= 0; i = nextBit(mask, i+1, n) {
 			if i == s.greedy {
 				continue
 			}
@@ -418,7 +432,7 @@ func (s *SM) Tick(now timing.Cycle) bool {
 		// Loose round-robin over candidate warps: [rr, n) then [0, rr).
 		lo, hi := s.rr, n
 		for pass := 0; pass < 2; pass++ {
-			for i := nextBit(s.cand, lo, hi); i >= 0; i = nextBit(s.cand, i+1, hi) {
+			for i := nextBit(mask, lo, hi); i >= 0; i = nextBit(mask, i+1, hi) {
 				w := s.warps[i]
 				if w.busyUntil > now {
 					continue
@@ -544,8 +558,9 @@ func (s *SM) SetRollover(on bool) { s.rollover = on }
 
 // ForceWake marks the SM dirty unconditionally so its next Tick rescans
 // and re-evaluates the accounting category (rollover start/end must split
-// sleep intervals). It also unparks refused submits: a rollover thaw lifts
-// the RCC L1's freeze without a working L1 tick, so no Wake follows it.
+// sleep intervals). It also unparks every refused submit: a warp parked
+// while the RCC L1 was frozen may have had an MSHR for its line, so after
+// the thaw it can merge even while the table is full.
 // Otherwise a forced tick on a sleeping SM cannot issue — sleep means the
 // scan already proved nothing is issuable and only completions (which set
 // dirty themselves) change that.
@@ -559,6 +574,22 @@ func (s *SM) unparkSubmits() {
 	for i, word := range s.subWait {
 		s.cand[i] |= word
 		s.subWait[i] = 0
+	}
+}
+
+// unparkLine returns to the scan every refused-submit warp other than self
+// whose next line is line: an accepted access gave it an MSHR, which the
+// parked warp can now merge into even while the table is full.
+func (s *SM) unparkLine(line uint64, self int) {
+	for wi, word := range s.subWait {
+		for word != 0 {
+			i := wi<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if i != self && s.warps[i].subLines[0] == line {
+				setBit(s.subWait, i, false)
+				setBit(s.cand, i, true)
+			}
+		}
 	}
 }
 
@@ -789,6 +820,9 @@ func (s *SM) drainSubmit(w *warp, now timing.Cycle) bool {
 		if tracked {
 			s.barrierDep = 0
 		}
+		if s.pendingSubs > 1 { // another warp has a submit pending, so may be parked
+			s.unparkLine(r.Line, w.id)
+		}
 		w.subLines = w.subLines[1:]
 		progress = true
 	}
@@ -796,8 +830,9 @@ func (s *SM) drainSubmit(w *warp, now timing.Cycle) bool {
 		w.subSlot = -1
 		w.subLines = nil
 		s.pendingSubs--
+		setBit(s.subWait, w.id, false)
 	} else {
-		// Refused: park until the L1 ticks (see subWait).
+		// Refused: park until the L1 can take the line (see subWait).
 		setBit(s.subWait, w.id, true)
 		s.reclassify(w)
 	}
@@ -934,14 +969,14 @@ func (s *SM) MemDone(r *coherence.Request, now timing.Cycle) {
 }
 
 // Wake implements coherence.Waker: the L1 ticked and may have freed the
-// MSHR slot a partially-submitted instruction is waiting on. Refused
-// submits rejoin the scan, which reruns on the next visited cycle. Gated
-// on pendingSubs so an idle SM stays asleep: completions arrive via
-// MemDone, which marks dirty itself.
+// MSHR slot a partially-submitted instruction is waiting on, so the scan
+// reruns on the next visited cycle. Refused submits stay parked: the scan
+// itself takes them in while the L1 is open. Gated on pendingSubs so an
+// idle SM stays asleep: completions arrive via MemDone, which marks dirty
+// itself.
 func (s *SM) Wake() {
 	if s.pendingSubs > 0 {
 		s.dirty = true
-		s.unparkSubmits()
 	}
 }
 
@@ -956,7 +991,8 @@ func (s *SM) NextEvent(now timing.Cycle) timing.Cycle {
 		// A partially-submitted instruction keeps the machine visiting
 		// every cycle (as the retry loop always did). The visit is O(1):
 		// Tick rescans only when dirty or at wakeAt, and even then a
-		// refused warp stays parked out of the scan until the L1 wakes us.
+		// refused warp stays out of the scan until the L1 can take its
+		// line.
 		next = timing.Min(next, now+1)
 	}
 	return next
@@ -1041,8 +1077,8 @@ func (s *SM) scanNextEvent(now timing.Cycle) timing.Cycle {
 	n := len(s.warps)
 	// cand ∪ scMask covers every warp the full scan could take an event
 	// from: done, barrier-parked and parked warps are in neither mask (a
-	// parked warp returns on an external event: Wake, ForceWake or
-	// MemDone), and a busy-but-SC-blocked warp (in scMask only) still
+	// parked warp returns on an external event: a Wake that leaves the L1
+	// open, an accepted access to its line, ForceWake or MemDone), and a busy-but-SC-blocked warp (in scMask only) still
 	// contributes its busyUntil, because the stall accounting must re-run
 	// when it wakes. A no-issue scan leaves no pending submit in cand: it
 	// either made progress, which is an issue, or was refused and parked.

@@ -12,41 +12,65 @@ import (
 	"rccsim/internal/workload"
 )
 
-// fakeL1 completes every access after a fixed delay, recording order.
+// fakeL1 completes every access after a fixed delay, recording order. It
+// models an MSHR table of mshrs lines (0 means unbounded): an accepted access
+// makes its line outstanding until the access completes, and the table is
+// Closed while every slot holds a line. Like a real L1, it refuses only
+// while Closed, and only a line that is not outstanding (which the access
+// could merge into). frozen closes it to every access, as an RCC rollover
+// does.
 type fakeL1 struct {
 	sink     coherence.Sink
 	delay    timing.Cycle
 	pending  timing.Queue[*coherence.Request]
-	rejectN  int // reject the first N accesses (MSHR-full emulation)
+	mshrs    int
+	out      map[uint64]int // outstanding accesses per line
+	frozen   bool
 	calls    int // Access calls, refused ones included
 	accesses []uint64
 	fenceAt  timing.Cycle // FenceReadyAt result
 	fences   int
 }
 
+func (f *fakeL1) Closed() bool { return f.frozen || (f.mshrs > 0 && len(f.out) >= f.mshrs) }
+
 func (f *fakeL1) Access(r *coherence.Request, now timing.Cycle) bool {
 	f.calls++
-	if f.rejectN > 0 {
-		f.rejectN--
+	if f.frozen || (f.Closed() && f.out[r.Line] == 0) {
 		return false
 	}
+	if f.out == nil {
+		f.out = map[uint64]int{}
+	}
+	f.out[r.Line]++
 	f.accesses = append(f.accesses, r.Line)
 	f.pending.Push(now+f.delay, r)
 	return true
 }
 func (f *fakeL1) Deliver(m *coherence.Msg, at timing.Cycle) {}
 func (f *fakeL1) SetSink(s coherence.Sink)                  { f.sink = s }
+
+// Tick completes every access due at now, freeing the lines no access
+// holds any longer, and wakes the SM when it did work, as ctl.L1.Drain
+// does.
 func (f *fakeL1) Tick(now timing.Cycle) bool {
 	did := false
 	for {
 		r, ok := f.pending.PopReady(now)
 		if !ok {
-			return did
+			break
+		}
+		if f.out[r.Line]--; f.out[r.Line] == 0 {
+			delete(f.out, r.Line)
 		}
 		r.Data = r.Line + 1000
 		f.sink.MemDone(r, now)
 		did = true
 	}
+	if did {
+		f.sink.(coherence.Waker).Wake()
+	}
+	return did
 }
 func (f *fakeL1) NextEvent(now timing.Cycle) timing.Cycle { return f.pending.NextReady() }
 func (f *fakeL1) FenceReadyAt(warp int, now timing.Cycle) timing.Cycle {
@@ -84,9 +108,6 @@ func runFrom(t *testing.T, sm *SM, l1 *fakeL1, now timing.Cycle, limit int) timi
 		if sm.Done() {
 			return now
 		}
-		// The machine's L1 wakes the SM whenever an MSHR retry might
-		// succeed; fakeL1 has no MSHR model, so wake unconditionally.
-		sm.Wake()
 		sm.Tick(now)
 		l1.Tick(now)
 		now++
@@ -257,10 +278,13 @@ func TestMSHRFullRetries(t *testing.T) {
 		{Op: workload.OpLoad, Lines: []uint64{1, 2}},
 	}
 	sm, l1 := build(t, smConfig(config.RCC), []workload.Trace{tr, nil}, nil)
-	l1.rejectN = 3
+	l1.mshrs = 1 // line 2 is refused until line 1 completes
 	run(t, sm, l1, 1000)
 	if len(l1.accesses) != 2 {
 		t.Fatalf("accesses = %d after retries", len(l1.accesses))
+	}
+	if l1.calls != 3 {
+		t.Fatalf("Access calls = %d, want 3 (line 1, refused line 2, retry)", l1.calls)
 	}
 }
 
@@ -392,17 +416,19 @@ func computeTrace(n int) workload.Trace {
 	return tr
 }
 
-// TestRefusedSubmitParksUntilWake: a refused submit cannot succeed before
-// the L1 ticks, so the scan skips it until Wake (the L1 ticked with work)
-// or ForceWake (a rollover thaw, which comes with no L1 tick) instead of
-// rebuilding and rolling back a request every cycle. Warp 1's computes
-// keep the SM scanning throughout, with no L1 tick in between.
+// TestRefusedSubmitParksUntilWake: a refused submit cannot succeed while
+// the L1 stays Closed, so the scan skips it until the L1 can take its line
+// (after Wake: the L1 ticked with work) or ForceWake (a rollover thaw)
+// instead of rebuilding and rolling back a request every cycle. Warp 1's
+// computes keep the SM scanning throughout, with no L1 tick in between;
+// line 99 holds the L1's only MSHR.
 func TestRefusedSubmitParksUntilWake(t *testing.T) {
 	for name, wake := range map[string]func(*SM){"Wake": (*SM).Wake, "ForceWake": (*SM).ForceWake} {
 		t.Run(name, func(t *testing.T) {
 			load := workload.Trace{{Op: workload.OpLoad, Lines: []uint64{1}}}
 			sm, l1 := build(t, smConfig(config.TCW), []workload.Trace{load, computeTrace(200)}, nil)
-			l1.rejectN = 1 << 30
+			l1.mshrs = 1
+			l1.out = map[uint64]int{99: 1}
 			now := timing.Cycle(0)
 			for ; now < 100; now++ {
 				sm.Tick(now)
@@ -416,7 +442,7 @@ func TestRefusedSubmitParksUntilWake(t *testing.T) {
 			if sm.st.Instructions != 100 {
 				t.Fatalf("instructions = %d, want the load plus a compute every later cycle", sm.st.Instructions)
 			}
-			l1.rejectN = 0
+			delete(l1.out, 99)
 			wake(sm)
 			sm.Tick(now)
 			if l1.calls != 2 || len(l1.accesses) != 1 {
@@ -426,6 +452,111 @@ func TestRefusedSubmitParksUntilWake(t *testing.T) {
 			runFrom(t, sm, l1, now+1, 1000)
 		})
 	}
+}
+
+// parkedLoads builds a TCW SM with one MSHR whose warps each load one line
+// of lines: warp 0's load takes the MSHR at cycle 0, and every later warp
+// is refused and parked by the cycle after its turn. It returns the pair
+// driven through cycle len(lines)-1.
+func parkedLoads(t *testing.T, lines ...uint64) (*SM, *fakeL1) {
+	t.Helper()
+	cfg := smConfig(config.TCW)
+	cfg.WarpsPerSM = len(lines)
+	traces := make([]workload.Trace, len(lines))
+	for i, l := range lines {
+		traces[i] = workload.Trace{{Op: workload.OpLoad, Lines: []uint64{l}}}
+	}
+	sm, l1 := build(t, cfg, traces, nil)
+	l1.mshrs = 1
+	for now := timing.Cycle(0); now < timing.Cycle(len(lines)); now++ {
+		sm.Tick(now)
+		l1.Tick(now)
+	}
+	if l1.calls != len(lines) || len(l1.accesses) != 1 {
+		t.Fatalf("setup: %d calls, %d accepted; want %d calls, only warp 0 accepted", l1.calls, len(l1.accesses), len(lines))
+	}
+	return sm, l1
+}
+
+// TestFreedSlotTriesOneParkedWarp: when one MSHR frees with seven warps
+// parked on distinct lines, the first parked warp in scheduler order takes
+// it, and the other six are not retried while the table is full again.
+func TestFreedSlotTriesOneParkedWarp(t *testing.T) {
+	sm, l1 := parkedLoads(t, 0, 1, 2, 3, 4, 5, 6, 7)
+	// Warp 0's load completes at cycle 50 and frees the slot.
+	now := timing.Cycle(8)
+	for ; now <= 99; now++ {
+		sm.Tick(now)
+		l1.Tick(now)
+	}
+	if got := l1.calls - 8; got != 1 {
+		t.Fatalf("Access calls after one slot freed = %d, want 1", got)
+	}
+	if len(l1.accesses) != 2 || l1.accesses[1] != 1 {
+		t.Fatalf("accepted lines = %v, want warp 1's line 1 to take the slot", l1.accesses)
+	}
+	runFrom(t, sm, l1, now, 1000)
+	if len(l1.accesses) != 8 {
+		t.Fatalf("accesses = %d, want 8", len(l1.accesses))
+	}
+}
+
+// TestParkedWarpMergesIntoSiblingMSHR: warps 1 and 2 are parked on line 7.
+// When the slot frees, warp 1's accepted access gives line 7 an MSHR and
+// fills the table again; warp 2 must rejoin the scan and merge into that
+// MSHR at once, not wait for the table to drain.
+func TestParkedWarpMergesIntoSiblingMSHR(t *testing.T) {
+	sm, l1 := parkedLoads(t, 3, 7, 7)
+	now := timing.Cycle(3)
+	for ; len(l1.accesses) < 2; now++ {
+		if now > 200 {
+			t.Fatal("the freed slot was never taken")
+		}
+		sm.Tick(now)
+		l1.Tick(now)
+	}
+	if !bitSet(sm.cand, 2) {
+		t.Fatal("warp 2 still parked after warp 1's access gave its line an MSHR")
+	}
+	sm.Tick(now)
+	if len(l1.accesses) != 3 || l1.accesses[2] != 7 {
+		t.Fatalf("accepted lines = %v, want warp 2 to merge into line 7 on the next scan", l1.accesses)
+	}
+	if !l1.Closed() || l1.out[7] != 2 {
+		t.Fatalf("closed=%v out=%v, want the merge to share line 7's one MSHR", l1.Closed(), l1.out)
+	}
+	l1.Tick(now)
+	runFrom(t, sm, l1, now+1, 1000)
+}
+
+// TestFrozenParkRetriedAtForceWake: a warp refused while the L1 was frozen
+// for a rollover may have an MSHR for its line (here warp 0's), so the
+// thaw's ForceWake must return it to the scan even though the table is
+// still full afterwards; Wake alone would leave it parked until the table
+// drains.
+func TestFrozenParkRetriedAtForceWake(t *testing.T) {
+	cfg := smConfig(config.TCW)
+	load := workload.Trace{{Op: workload.OpLoad, Lines: []uint64{5}}}
+	sm, l1 := build(t, cfg, []workload.Trace{load, load}, nil)
+	l1.mshrs = 1
+	sm.Tick(0) // warp 0 takes the only MSHR for line 5
+	l1.frozen = true
+	sm.Tick(1) // warp 1 is refused: frozen
+	if l1.calls != 2 || len(l1.accesses) != 1 || !bitSet(sm.subWait, 1) {
+		t.Fatalf("setup: %d calls, %d accepted, parked=%v", l1.calls, len(l1.accesses), bitSet(sm.subWait, 1))
+	}
+	l1.frozen = false
+	sm.Wake()
+	sm.Tick(2)
+	if l1.calls != 2 {
+		t.Fatal("parked warp retried after a Wake while the table is full")
+	}
+	sm.ForceWake()
+	sm.Tick(3)
+	if l1.calls != 3 || len(l1.accesses) != 2 || !l1.Closed() {
+		t.Fatalf("after ForceWake: %d calls, %d accepted, closed=%v; want warp 1 merged into line 5", l1.calls, len(l1.accesses), l1.Closed())
+	}
+	runFrom(t, sm, l1, 4, 1000)
 }
 
 // TestFenceStallParksUntilMemDone: a WO warp at a fence with its store in
@@ -490,12 +621,18 @@ func TestBarrierEdgeSurvivesRefusedSubmit(t *testing.T) {
 		sm.Tick(now)
 		l1.Tick(now)
 	}
-	l1.rejectN = 1 // the post-barrier load's first attempt
+	// Line 99 holds the only MSHR until the post-barrier load's first
+	// attempt has been refused.
+	l1.mshrs = 1
+	l1.out[99] = 1
 	for ; !sm.Done(); now++ {
 		if now > 1000 {
 			t.Fatal("SM did not finish")
 		}
-		sm.Wake()
+		if l1.calls == 2 && l1.out[99] > 0 {
+			delete(l1.out, 99)
+			sm.Wake()
+		}
 		sm.Tick(now)
 		l1.Tick(now)
 	}
