@@ -22,6 +22,10 @@
 // merges converging branches — chiefly siblings whose delay difference
 // was absorbed by port-serialization backlog — and symmetry reduction
 // over program automorphisms prunes equivalent initial delay assignments.
+// Only a fresh decision (past the replayed prefix, before any prune) can
+// prune, so only those are fingerprinted, with a cheap 128-bit hash
+// (hash128); the state graph, when recorded, fingerprints every decision
+// and terminal for its node ids.
 //
 // Two properties are checked: every run must terminate cleanly with the
 // trace.InvariantSink timestamp invariants intact, and every terminal
@@ -157,7 +161,7 @@ type MCResult struct {
 type mcRunOutcome struct {
 	taken    []uint8 // jitter choices actually made
 	prunedAt int     // first fresh decision whose state was already visited; -1 if none
-	fps      []mcFP  // state fingerprint before each decision
+	fps      []mcFP  // state fingerprint before each decision, then the terminal's; graph only
 	fail     *Failure
 	outcome  string // canonical observation outcome ("" if shape failed)
 	memk     string // final memory key
@@ -172,9 +176,13 @@ type mcDriver struct {
 	res     *MCResult
 	out     mcRunOutcome // the latest run's outcome, reused by the next
 
-	// Scratch reused by every fingerprintMachine call.
+	// Scratch reused by every fingerprintMachine call, and the hash it
+	// ends in: hash128, swapped only by tests that audit it.
 	fpBuf []byte
 	fpObs []string
+	hash  func([]byte) mcFP
+
+	pruned int // runs cut short at a visited state
 }
 
 const (
@@ -191,6 +199,12 @@ func ModelCheck(p *Prog, opts MCOptions) (*MCResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	return d.run()
+}
+
+// run performs the exploration newMCDriver set up.
+func (d *mcDriver) run() (*MCResult, error) {
+	p, opts := d.p, d.opts
 	var autos []symAction
 	if opts.Symmetry {
 		autos = progAutomorphisms(p)
@@ -253,6 +267,7 @@ func newMCDriver(p *Prog, opts MCOptions) (*mcDriver, error) {
 		runner:  newRunner(p, set, opts.Protocol, opts.MaxCycles),
 		opts:    opts,
 		visited: make(map[mcFP]bool),
+		hash:    hash128,
 		res: &MCResult{
 			Protocol: opts.Protocol.String(),
 			Outcomes: make(map[string]map[string]bool),
@@ -307,6 +322,7 @@ func (d *mcDriver) explore(delayVec []uint8) error {
 		limit := len(out.taken)
 		if out.prunedAt >= 0 {
 			limit = out.prunedAt
+			d.pruned++
 		}
 		for i := limit - 1; i >= len(prefix); i-- {
 			for alt := len(d.opts.JitterMenu) - 1; alt >= 1; alt-- {
@@ -336,35 +352,47 @@ func (d *mcDriver) runOne(wl *workload.Program, prefix []uint8) (*mcRunOutcome, 
 	if err := d.machine(wl); err != nil {
 		return nil, err
 	}
-	m, rec := d.m, d.rec
 	out := &d.out
 	*out = mcRunOutcome{taken: out.taken[:0], prunedAt: -1, fps: out.fps[:0]}
-	m.SetNoCDelayChooser(func() uint64 {
-		i := len(out.taken)
-		fp := d.fingerprintMachine(m, rec)
-		out.fps = append(out.fps, fp)
-		if i >= len(prefix) && out.prunedAt < 0 {
+	d.m.SetNoCDelayChooser(func() uint64 { return d.decide(prefix) })
+
+	out.fail, out.outcome, out.memk = d.judge(mcRunSeed)
+	// Terminal fingerprint for the graph (not a decision point, so not
+	// in the pruning set), once the observations are well shaped.
+	if d.res.Graph != nil && (out.fail == nil || out.fail.Kind == FailOutcome || out.fail.Kind == FailFinalMem) {
+		out.fps = append(out.fps, d.fingerprintMachine())
+	}
+	return out, nil
+}
+
+// decide takes the current run's next jitter choice, replayed from
+// prefix or the default beyond it, and prunes the run at a visited state.
+func (d *mcDriver) decide(prefix []uint8) uint64 {
+	out := &d.out
+	i := len(out.taken)
+	// A replayed decision's state is already visited (the run that pushed
+	// this prefix passed it), and no sibling past a prune is ever pushed:
+	// neither can prune, so only the graph needs their fingerprints.
+	graph := d.res.Graph != nil
+	if fresh := i >= len(prefix) && out.prunedAt < 0; fresh || graph {
+		fp := d.fingerprintMachine()
+		if graph {
+			out.fps = append(out.fps, fp)
+		}
+		if fresh {
 			if d.visited[fp] {
 				out.prunedAt = i
 			} else {
 				d.visited[fp] = true
 			}
 		}
-		var c uint8
-		if i < len(prefix) {
-			c = prefix[i]
-		}
-		out.taken = append(out.taken, c)
-		return d.opts.JitterMenu[c]
-	})
-
-	out.fail, out.outcome, out.memk = d.judge(mcRunSeed)
-	// Terminal fingerprint for the graph (not a decision point, so not
-	// in the pruning set), once the observations are well shaped.
-	if out.fail == nil || out.fail.Kind == FailOutcome || out.fail.Kind == FailFinalMem {
-		out.fps = append(out.fps, d.fingerprintMachine(m, rec))
 	}
-	return out, nil
+	var c uint8
+	if i < len(prefix) {
+		c = prefix[i]
+	}
+	out.taken = append(out.taken, c)
+	return d.opts.JitterMenu[c]
 }
 
 // record folds one run's terminal verdict and path into the result.

@@ -39,7 +39,9 @@ func snapshotOutcome(out *mcRunOutcome) mcReplay {
 // driver's one reused machine, reset between replays, and once on a
 // machine built by sim.New for that replay alone. Every decision's state
 // fingerprint, the pruning point and the terminal verdict, outcome and
-// final memory must agree, under MESI, TCS and RCC.
+// final memory must agree, under MESI, TCS and RCC. The graph is on so
+// that runOne fingerprints every decision and terminal, not only the
+// fresh decisions it can prune at.
 func TestMCResetMatchesFresh(t *testing.T) {
 	fam := EnumFamily(FamilyShape{SMs: 2, WarpsPerSM: 1, OpsPerThread: 2, Lines: 2})
 	stride := 9 // 8 programs
@@ -51,7 +53,7 @@ func TestMCResetMatchesFresh(t *testing.T) {
 			p := fam[pi]
 			opts := DefaultMCOptions()
 			opts.Protocol = proto
-			opts.Graph = false
+			opts.Graph = true
 			reused, err := newMCDriver(p, opts)
 			if err != nil {
 				t.Fatal(err)

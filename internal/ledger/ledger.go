@@ -429,7 +429,9 @@ func ShortID(id string) string {
 // Fingerprint gathers the recording host's fingerprint. Every probe is
 // best-effort: a field that cannot be determined is left empty (and then
 // ignored by Host.Comparable). gitDir anchors the git SHA probe ("" skips
-// it).
+// it); the SHA gains a "-dirty" suffix when a tracked file differs from
+// HEAD, so entries recorded from an edited checkout do not claim HEAD's
+// code.
 func Fingerprint(gitDir string) Host {
 	h := Host{
 		Cores:      runtime.NumCPU(),
@@ -447,6 +449,11 @@ func Fingerprint(gitDir string) Host {
 		cmd.Dir = gitDir
 		if out, err := cmd.Output(); err == nil {
 			h.GitSHA = strings.TrimSpace(string(out))
+			cmd = exec.Command("git", "status", "--porcelain", "--untracked-files=no")
+			cmd.Dir = gitDir
+			if out, err := cmd.Output(); err == nil && strings.TrimSpace(string(out)) != "" {
+				h.GitSHA += "-dirty"
+			}
 		}
 	}
 	return h

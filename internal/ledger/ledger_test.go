@@ -3,6 +3,9 @@ package ledger
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -171,6 +174,7 @@ func TestHostComparable(t *testing.T) {
 	}{
 		{"identical", full, full, true},
 		{"git sha ignored", full, Host{CPU: "X", Cores: 4, GoVersion: "go1.22", OS: "linux", Arch: "amd64", Kernel: "k1", GitSHA: "bbb"}, true},
+		{"dirty marker ignored", full, Host{CPU: "X", Cores: 4, GoVersion: "go1.22", OS: "linux", Arch: "amd64", Kernel: "k1", GitSHA: "aaa-dirty"}, true},
 		{"unknown fields ignored", full, Host{OS: "linux", Arch: "amd64"}, true},
 		{"legacy vs legacy", Host{OS: "linux", Arch: "amd64", Kernel: "k1"}, Host{OS: "linux", Arch: "amd64", Kernel: "k1"}, true},
 		{"kernel differs", full, Host{OS: "linux", Arch: "amd64", Kernel: "k2"}, false},
@@ -184,6 +188,46 @@ func TestHostComparable(t *testing.T) {
 		if got := c.b.Comparable(c.a); got != c.want {
 			t.Errorf("%s (reversed): Comparable = %v, want %v", c.name, got, c.want)
 		}
+	}
+}
+
+// TestFingerprintGitDirty records the SHA of a scratch repository: the
+// bare short SHA while the checkout is clean, "<sha>-dirty" once a
+// tracked file is edited. An untracked file leaves it clean.
+func TestFingerprintGitDirty(t *testing.T) {
+	if _, err := exec.LookPath("git"); err != nil {
+		t.Skip("git not installed")
+	}
+	dir := t.TempDir()
+	git := func(args ...string) string {
+		t.Helper()
+		cmd := exec.Command("git", append([]string{"-c", "user.name=t", "-c", "user.email=t@example.com", "-c", "commit.gpgsign=false"}, args...)...)
+		cmd.Dir = dir
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("git %v: %v\n%s", args, err, out)
+		}
+		return strings.TrimSpace(string(out))
+	}
+	write := func(name, body string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	git("init", "-q")
+	write("a.txt", "one\n")
+	git("add", "a.txt")
+	git("commit", "-q", "-m", "init")
+	sha := git("rev-parse", "--short", "HEAD")
+
+	write("untracked.txt", "x\n")
+	if got := Fingerprint(dir).GitSHA; got != sha {
+		t.Fatalf("clean checkout: GitSHA %q, want %q", got, sha)
+	}
+	write("a.txt", "two\n")
+	if got := Fingerprint(dir).GitSHA; got != sha+"-dirty" {
+		t.Fatalf("edited tracked file: GitSHA %q, want %q", got, sha+"-dirty")
 	}
 }
 
