@@ -1,6 +1,7 @@
 package check
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -105,24 +106,86 @@ func runSeed(r int) uint64 { return (uint64(r) + 1) * 0x9e3779b97f4a7c15 }
 // program coordinates: warp (sm, w) to the thread placed there, trace pc
 // to operation index (every trace carries one leading compute, so op i
 // completes at pc i+1), machine line to program line (minus Base).
+// Observations are kept as binary entries, sorted, and counted per
+// program position in a dense slice; text is rendered only for reports
+// and for outcomes a runner has not seen before (runner.judge).
 // A runner keeps one recorder for its machine and resets it between runs;
 // the machine calls it from the one goroutine that steps it.
 type recorder struct {
-	threadOf map[int]int
+	threadOf []int32 // sm*maxWarps + warp -> program thread, -1 if none
 	maxWarps int
-	entries  []string       // full ObsKey entries, completion order
-	pos      map[string]int // position-only key -> observation count
-	bad      []string       // observations with no program coordinate
+	lines    int     // program lines: a position is op*lines + line past its thread's base
+	posBase  []int   // first position of each thread; posBase[len(threads)] ends the last
+	exp      []int32 // observations a clean run makes per position
+	expTotal int
+	pos      []int32 // observations per position this run
+	entries  []obs   // every observation, in obs order
+	bad      []string
+}
+
+// obs is one observation in program coordinates: thread ti's operation op
+// read val from program line. Entries order by (ti, op, line, val), the
+// program order of their positions.
+type obs struct {
+	ti, op    uint32
+	line, val uint64
+}
+
+func (a obs) less(b obs) bool {
+	if a.ti != b.ti {
+		return a.ti < b.ti
+	}
+	if a.op != b.op {
+		return a.op < b.op
+	}
+	if a.line != b.line {
+		return a.line < b.line
+	}
+	return a.val < b.val
+}
+
+// appendObs appends the entry count and the entries as fixed-size binary
+// words: the form fingerprints hash and the runner's text caches are
+// keyed by.
+func appendObs(b []byte, entries []obs) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint32(b, uint32(len(entries)))
+	for _, o := range entries {
+		b = le.AppendUint32(b, o.ti)
+		b = le.AppendUint32(b, o.op)
+		b = le.AppendUint64(b, o.line)
+		b = le.AppendUint64(b, o.val)
+	}
+	return b
 }
 
 func newRecorder(p *Prog, maxWarps int) *recorder {
+	sms, _ := p.MachineShape()
 	r := &recorder{
-		threadOf: make(map[int]int, len(p.Threads)),
+		threadOf: make([]int32, sms*maxWarps),
 		maxWarps: maxWarps,
-		pos:      make(map[string]int),
+		lines:    p.Lines,
+		posBase:  make([]int, len(p.Threads)+1),
+	}
+	for i := range r.threadOf {
+		r.threadOf[i] = -1
 	}
 	for ti, th := range p.Threads {
-		r.threadOf[th.SM*maxWarps+th.Warp] = ti
+		r.threadOf[th.SM*maxWarps+th.Warp] = int32(ti)
+		r.posBase[ti+1] = r.posBase[ti] + len(th.Ops)*p.Lines
+	}
+	// A clean run observes each load line and each atomic exactly once.
+	r.exp = make([]int32, r.posBase[len(p.Threads)])
+	r.pos = make([]int32, len(r.exp))
+	for ti, th := range p.Threads {
+		for oi, op := range th.Ops {
+			if op.Kind == workload.OpLoad || op.Kind == workload.OpAtomic {
+				for _, l := range op.Lines {
+					r.exp[r.position(ti, oi, l)]++
+					r.expTotal++
+				}
+			}
+		}
 	}
 	return r
 }
@@ -134,37 +197,88 @@ func (r *recorder) reset() {
 	r.bad = r.bad[:0]
 }
 
-func posKey(ti, opIdx int, line uint64) string {
-	return fmt.Sprintf("T%d#%d@%d", ti, opIdx, line)
+// position returns the dense index of thread ti's operation op on line,
+// or -1 when the program has no such operation or line.
+func (r *recorder) position(ti, op int, line uint64) int {
+	base := r.posBase[ti] + op*r.lines
+	if op < 0 || line >= uint64(r.lines) || base >= r.posBase[ti+1] {
+		return -1
+	}
+	return base + int(line)
 }
 
 // LoadObserved implements gpu.Observer.
 func (r *recorder) LoadObserved(sm, warp, pc int, line, val uint64) {
-	ti, ok := r.threadOf[sm*r.maxWarps+warp]
-	if !ok || pc < 1 || line < Base {
+	ti := int32(-1)
+	if k := sm*r.maxWarps + warp; sm >= 0 && warp >= 0 && warp < r.maxWarps && k < len(r.threadOf) {
+		ti = r.threadOf[k]
+	}
+	if ti < 0 || pc < 1 || line < Base {
 		r.bad = append(r.bad, fmt.Sprintf("sm=%d warp=%d pc=%d line=%d val=%d", sm, warp, pc, line, val))
 		return
 	}
-	opIdx := pc - 1
-	l := line - Base
-	r.entries = append(r.entries, ObsKey(ti, opIdx, l, val))
-	r.pos[posKey(ti, opIdx, l)]++
+	o := obs{ti: uint32(ti), op: uint32(pc - 1), line: line - Base, val: val}
+	if i := r.position(int(ti), pc-1, o.line); i >= 0 {
+		r.pos[i]++
+	}
+	// Insertion keeps the entries sorted; a run makes a handful.
+	i := len(r.entries)
+	r.entries = append(r.entries, o)
+	for ; i > 0 && o.less(r.entries[i-1]); i-- {
+		r.entries[i] = r.entries[i-1]
+	}
+	r.entries[i] = o
 }
 
-// expectedObs returns the exact multiset of observation positions a clean
-// run must produce: one per load line, one per atomic.
-func expectedObs(p *Prog) map[string]int {
-	exp := make(map[string]int)
-	for ti, th := range p.Threads {
-		for oi, op := range th.Ops {
-			if op.Kind == workload.OpLoad || op.Kind == workload.OpAtomic {
-				for _, l := range op.Lines {
-					exp[posKey(ti, oi, l)]++
-				}
+// shapeError describes the first way the observations differ from one
+// per load line and atomic, or returns "" when they match: observations
+// outside the program, then the first expected position seen a wrong
+// number of times, then the first unexpected position, both in program
+// order.
+func (r *recorder) shapeError() string {
+	if len(r.bad) > 0 {
+		return "observations outside the program: " + strings.Join(r.bad, "; ")
+	}
+	for ti := 0; ti+1 < len(r.posBase); ti++ {
+		for i := r.posBase[ti]; i < r.posBase[ti+1]; i++ {
+			if want := r.exp[i]; want > 0 && r.pos[i] != want {
+				k := i - r.posBase[ti]
+				return fmt.Sprintf("observation %s seen %d times, want %d",
+					posKey(ti, k/r.lines, uint64(k%r.lines)), r.pos[i], want)
 			}
 		}
 	}
-	return exp
+	if len(r.entries) == r.expTotal {
+		return "" // every expected position matched, so no entry is extra
+	}
+	for i, o := range r.entries {
+		if p := r.position(int(o.ti), int(o.op), o.line); p >= 0 && r.exp[p] > 0 {
+			continue
+		}
+		n := 1
+		for _, next := range r.entries[i+1:] {
+			if next.ti != o.ti || next.op != o.op || next.line != o.line {
+				break
+			}
+			n++
+		}
+		return fmt.Sprintf("unexpected observation position %s (seen %d times)",
+			posKey(int(o.ti), int(o.op), o.line), n)
+	}
+	return ""
+}
+
+func posKey(ti, opIdx int, line uint64) string {
+	return fmt.Sprintf("T%d#%d@%d", ti, opIdx, line)
+}
+
+// text renders the observations as their canonical outcome key.
+func (r *recorder) text() string {
+	keys := make([]string, len(r.entries))
+	for i, o := range r.entries {
+		keys[i] = ObsKey(int(o.ti), int(o.op), o.line, o.val)
+	}
+	return CanonOutcome(keys)
 }
 
 // CheckProg runs the program under every protocol and timing seed in
@@ -201,12 +315,19 @@ type runner struct {
 	p   *Prog
 	cfg config.Config
 	set *SCSet
-	exp map[string]int
 
 	m   *sim.Machine // nil until the first run
 	rec *recorder
 	inv *trace.InvariantSink
 	bus *trace.Bus
+
+	// The outcome and final-memory texts of the runs so far, keyed by
+	// their binary form: a run renders text only for an observation set
+	// or memory image no earlier run produced. key and final are scratch.
+	outcomes map[string]string
+	mems     map[string]string
+	key      []byte
+	final    []uint64
 }
 
 // newRunner sizes the machine for p under proto. The machine ignores
@@ -219,7 +340,7 @@ func newRunner(p *Prog, set *SCSet, proto config.Protocol, maxCycles uint64) run
 	if maxCycles > 0 {
 		cfg.MaxCycles = maxCycles
 	}
-	return runner{p: p, cfg: cfg, set: set, exp: expectedObs(p)}
+	return runner{p: p, cfg: cfg, set: set, final: make([]uint64, p.Lines)}
 }
 
 // machine readies the runner's machine for a run of wl: built on the
@@ -284,27 +405,11 @@ func (r *runner) judge(runSeed uint64) (fail *Failure, outcome, memk string) {
 	if err := r.inv.Err(); err != nil {
 		return failf(FailRunError, "invariant: %v", err), "", ""
 	}
-	rec := r.rec
-	if len(rec.bad) > 0 {
-		return failf(FailObsShape, "observations outside the program: %s", strings.Join(rec.bad, "; ")), "", ""
-	}
-	for k, want := range r.exp {
-		if got := rec.pos[k]; got != want {
-			return failf(FailObsShape, "observation %s seen %d times, want %d", k, got, want), "", ""
-		}
-	}
-	for k, got := range rec.pos {
-		if r.exp[k] == 0 {
-			return failf(FailObsShape, "unexpected observation position %s (seen %d times)", k, got), "", ""
-		}
+	if detail := r.rec.shapeError(); detail != "" {
+		return failf(FailObsShape, "%s", detail), "", ""
 	}
 
-	outcome = CanonOutcome(rec.entries)
-	final := make([]uint64, r.p.Lines)
-	for l := range final {
-		final[l] = r.m.ReadLine(Base + uint64(l))
-	}
-	memk = memKey(final)
+	outcome, memk = r.outcomeText(), r.memText()
 	if !r.set.AllowsOutcome(outcome) {
 		return failf(FailOutcome, "observed {%s}, not among %d SC outcomes%s",
 			outcome, len(r.set.Outcomes), nearestOutcomes(r.set, 4)), outcome, memk
@@ -319,6 +424,41 @@ func (r *runner) judge(runSeed uint64) (fail *Failure, outcome, memk string) {
 			memk, outcome, strings.Join(allowed, " ")), outcome, memk
 	}
 	return nil, outcome, memk
+}
+
+// outcomeText returns the run's canonical outcome key, rendered only for
+// an observation set this runner has not seen.
+func (r *runner) outcomeText() string {
+	r.key = appendObs(r.key[:0], r.rec.entries)
+	if s, ok := r.outcomes[string(r.key)]; ok {
+		return s
+	}
+	if r.outcomes == nil {
+		r.outcomes = make(map[string]string)
+	}
+	s := r.rec.text()
+	r.outcomes[string(r.key)] = s
+	return s
+}
+
+// memText returns the final memory key of the run, rendered only for an
+// image this runner has not seen.
+func (r *runner) memText() string {
+	b := r.key[:0]
+	for l := range r.final {
+		r.final[l] = r.m.ReadLine(Base + uint64(l))
+		b = binary.LittleEndian.AppendUint64(b, r.final[l])
+	}
+	r.key = b
+	if s, ok := r.mems[string(b)]; ok {
+		return s
+	}
+	if r.mems == nil {
+		r.mems = make(map[string]string)
+	}
+	s := memKey(r.final)
+	r.mems[string(b)] = s
+	return s
 }
 
 // nearestOutcomes renders a few allowed outcomes for failure reports.

@@ -1,9 +1,11 @@
 package check
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"rccsim/internal/workload"
@@ -39,12 +41,22 @@ type SCSet struct {
 	Outcomes map[string]map[string]bool
 }
 
-// ObsKey is the canonical key of one observation: thread ti's operation
-// opIdx read value val from program line. Both the enumerator and the
-// machine-side recorder emit exactly this form, so membership checks are
-// string comparisons.
+// ObsKey is the canonical text of one observation, "T<ti>#<opIdx>@<line>=<val>":
+// thread ti's operation opIdx read value val from program line. The
+// enumerator builds outcome keys from it; the machine-side recorder keeps
+// binary entries and renders this text once per distinct outcome, so an
+// SC-set lookup compares the same strings either way.
 func ObsKey(ti, opIdx int, line, val uint64) string {
-	return fmt.Sprintf("T%d#%d@%d=%d", ti, opIdx, line, val)
+	var buf [64]byte
+	b := append(buf[:0], 'T')
+	b = strconv.AppendInt(b, int64(ti), 10)
+	b = append(b, '#')
+	b = strconv.AppendInt(b, int64(opIdx), 10)
+	b = append(b, '@')
+	b = strconv.AppendUint(b, line, 10)
+	b = append(b, '=')
+	b = strconv.AppendUint(b, val, 10)
+	return string(b)
 }
 
 // CanonOutcome sorts observation entries into the canonical outcome key.
@@ -106,26 +118,31 @@ func (st *enumState) clone() enumState {
 	}
 }
 
-func (st *enumState) key() string {
-	var b strings.Builder
-	b.Grow(len(st.pc)*2 + len(st.mem)*4)
+// appendKey appends the state's memo key: the pc and submask byte of each
+// thread, then each memory word as 8 little-endian bytes. Every state of
+// one program has the same key length.
+func (st *enumState) appendKey(b []byte) []byte {
 	for i := range st.pc {
-		b.WriteByte(st.pc[i])
-		b.WriteByte(st.mask[i])
+		b = append(b, st.pc[i], st.mask[i])
 	}
-	b.WriteByte('|')
 	for _, v := range st.mem {
-		fmt.Fprintf(&b, "%d,", v)
+		b = binary.LittleEndian.AppendUint64(b, v)
 	}
-	return b.String()
+	return b
 }
 
+// memKey is the canonical final-memory key: the line values in decimal,
+// comma-separated.
 func memKey(mem []uint64) string {
-	parts := make([]string, len(mem))
+	var buf [64]byte
+	b := buf[:0]
 	for i, v := range mem {
-		parts[i] = fmt.Sprintf("%d", v)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(b, v, 10)
 	}
-	return strings.Join(parts, ",")
+	return string(b)
 }
 
 // sres is one suffix result: the observations made from a state to
@@ -151,6 +168,7 @@ type enumerator struct {
 	groups  [][]int // threads sharing an SM (barrier groups)
 	limits  EnumLimits
 	memo    map[string][]sres
+	key     []byte // scratch for memo lookups
 	states  int
 	entries int
 }
@@ -311,10 +329,11 @@ func (e *enumerator) steps(st *enumState) []enumStep {
 }
 
 func (e *enumerator) solve(st enumState) ([]sres, error) {
-	key := st.key()
-	if r, ok := e.memo[key]; ok {
+	e.key = st.appendKey(e.key[:0])
+	if r, ok := e.memo[string(e.key)]; ok {
 		return r, nil
 	}
+	key := string(e.key)
 	e.states++
 	if e.states > e.limits.MaxStates {
 		return nil, fmt.Errorf("%w: more than %d states", ErrEnumLimit, e.limits.MaxStates)
@@ -343,15 +362,19 @@ func (e *enumerator) solve(st enumState) ([]sres, error) {
 			dedup[cand.canon()] = cand
 		}
 	}
-	r := make([]sres, 0, len(dedup))
-	for _, v := range dedup {
-		r = append(r, v)
-	}
 	// Canonical order inside each memo entry: the dedup map's iteration
 	// order is randomized, and while set-valued results make the final
 	// SCSet order-independent, sorting here keeps every intermediate
 	// structure bit-deterministic too (and test failures reproducible).
-	sort.Slice(r, func(i, j int) bool { return r[i].canon() < r[j].canon() })
+	keys := make([]string, 0, len(dedup))
+	for k := range dedup {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	r := make([]sres, len(keys))
+	for i, k := range keys {
+		r[i] = dedup[k]
+	}
 	e.memo[key] = r
 	e.entries += len(r)
 	if e.entries > e.limits.MaxEntries {

@@ -33,7 +33,7 @@ func TestFuzzRunsPinned(t *testing.T) {
 				}
 				wire := sha256.Sum256(r.m.Stats().AppendWire(nil))
 				fmt.Fprintf(h, "%d/%s/%d:%v|%v|%s|%s|%d|%x\n", seed, proto, i, runErr, r.inv.Err(),
-					CanonOutcome(r.rec.entries), memKey(final), r.m.Now(), wire[:8])
+					r.rec.text(), memKey(final), r.m.Now(), wire[:8])
 			}
 		}
 	}

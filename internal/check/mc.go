@@ -176,10 +176,14 @@ type mcDriver struct {
 	res     *MCResult
 	out     mcRunOutcome // the latest run's outcome, reused by the next
 
+	// The current run's replayed choices, and decide bound once as the
+	// machine's delay chooser, so a replay allocates no closure.
+	prefix []uint8
+	choose func() uint64
+
 	// Scratch reused by every fingerprintMachine call, and the hash it
 	// ends in: hash128, swapped only by tests that audit it.
 	fpBuf []byte
-	fpObs []string
 	hash  func([]byte) mcFP
 
 	pruned int // runs cut short at a visited state
@@ -273,6 +277,7 @@ func newMCDriver(p *Prog, opts MCOptions) (*mcDriver, error) {
 			Outcomes: make(map[string]map[string]bool),
 		},
 	}
+	d.choose = d.decide
 	if opts.Graph {
 		d.res.Graph = newMCGraph(strings.ReplaceAll(strings.TrimSpace(p.String()), "\n", " "), d.res.Protocol)
 	}
@@ -324,12 +329,18 @@ func (d *mcDriver) explore(delayVec []uint8) error {
 			limit = out.prunedAt
 			d.pruned++
 		}
+		// The run's siblings share one allocation; each is capped to its
+		// own length, and a prefix is only ever read.
+		size := 0
+		for i := limit - 1; i >= len(prefix); i-- {
+			size += (len(d.opts.JitterMenu) - 1) * (i + 1)
+		}
+		sibs := make([]uint8, 0, size)
 		for i := limit - 1; i >= len(prefix); i-- {
 			for alt := len(d.opts.JitterMenu) - 1; alt >= 1; alt-- {
-				sib := make([]uint8, i+1)
-				copy(sib, out.taken[:i])
-				sib[i] = uint8(alt)
-				stack = append(stack, sib)
+				at := len(sibs)
+				sibs = append(append(sibs, out.taken[:i]...), uint8(alt))
+				stack = append(stack, sibs[at:len(sibs):len(sibs)])
 			}
 		}
 		if d.opts.Progress != nil {
@@ -354,7 +365,8 @@ func (d *mcDriver) runOne(wl *workload.Program, prefix []uint8) (*mcRunOutcome, 
 	}
 	out := &d.out
 	*out = mcRunOutcome{taken: out.taken[:0], prunedAt: -1, fps: out.fps[:0]}
-	d.m.SetNoCDelayChooser(func() uint64 { return d.decide(prefix) })
+	d.prefix = prefix
+	d.m.SetNoCDelayChooser(d.choose)
 
 	out.fail, out.outcome, out.memk = d.judge(mcRunSeed)
 	// Terminal fingerprint for the graph (not a decision point, so not
@@ -366,9 +378,9 @@ func (d *mcDriver) runOne(wl *workload.Program, prefix []uint8) (*mcRunOutcome, 
 }
 
 // decide takes the current run's next jitter choice, replayed from
-// prefix or the default beyond it, and prunes the run at a visited state.
-func (d *mcDriver) decide(prefix []uint8) uint64 {
-	out := &d.out
+// d.prefix or the default beyond it, and prunes the run at a visited state.
+func (d *mcDriver) decide() uint64 {
+	out, prefix := &d.out, d.prefix
 	i := len(out.taken)
 	// A replayed decision's state is already visited (the run that pushed
 	// this prefix passed it), and no sibling past a prune is ever pushed:

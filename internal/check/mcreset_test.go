@@ -123,12 +123,14 @@ func TestMCResetMatchesFresh(t *testing.T) {
 }
 
 // TestMCReplayAllocBudget bounds what one replay allocates once the
-// driver's machine exists: Reset plus a full run, fingerprints included.
-// Building a machine per replay cost about 97 KB; a reset replay must
-// stay far below that.
+// driver's machine exists: Reset plus a full run, fingerprints, verdict
+// and outcome texts included. Building a machine per replay cost about
+// 97 KB. A reset replay renders no text for an outcome seen before and
+// binds no new chooser, so it allocates only what the protocol itself
+// does (0 B under TCS and RCC, 48 B under MESI).
 func TestMCReplayAllocBudget(t *testing.T) {
 	const replays = 200
-	const budget = 2 << 10 // bytes per replay
+	const budget = 128 // bytes per replay
 	p := LeaseWitnessProg()
 	for _, proto := range []config.Protocol{config.MESI, config.TCS, config.RCC} {
 		opts := DefaultMCOptions()

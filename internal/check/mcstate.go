@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"rccsim/internal/coherence"
@@ -25,12 +27,13 @@ func (f mcFP) String() string { return fmt.Sprintf("%x", f[:8]) }
 // distinguishes about a machine state at a decision point:
 //
 //   - the machine clock;
-//   - the full aggregate-statistics wire image (a running digest of the
-//     event history: message counts per class, cache transitions, stall
-//     accounting — any divergence in behaviour up to this point shows up
-//     in some counter);
+//   - every aggregate-statistics counter, as its nonzero leaves with
+//     their indices (a running digest of the event history: message
+//     counts per class, cache transitions, stall accounting — any
+//     divergence in behaviour up to this point shows up in some counter);
 //   - the program's shared-memory image;
-//   - every observation recorded so far (sorted; order carries no
+//   - every observation recorded so far, as the recorder's sorted binary
+//     entries behind their count (completion order carries no
 //     information about future behaviour);
 //   - the in-flight NoC delivery schedule: exact delivery cycle and full
 //     payload of every undelivered message, in delivery order.
@@ -57,18 +60,11 @@ func (d *mcDriver) fingerprintMachine() mcFP {
 	m, rec := d.m, d.rec
 	le := binary.LittleEndian
 	b := le.AppendUint64(d.fpBuf[:0], uint64(m.Now()))
-	b = m.Stats().AppendWire(b)
+	b = m.Stats().AppendNonzero(b)
 	for l := 0; l < d.p.Lines; l++ {
 		b = le.AppendUint64(b, m.ReadLine(Base+uint64(l)))
 	}
-	d.fpObs = append(d.fpObs[:0], rec.entries...)
-	sort.Strings(d.fpObs)
-	for i, o := range d.fpObs {
-		if i > 0 {
-			b = append(b, ';')
-		}
-		b = append(b, o...)
-	}
+	b = appendObs(b, rec.entries)
 	m.FoldInflight(func(at timing.Cycle, msg *coherence.Msg) {
 		atomic := uint64(0)
 		if msg.Atomic {
@@ -268,7 +264,11 @@ func (g *MCGraph) DOT() string {
 // serializeProg renders a program as a canonical comparison string:
 // threads sorted by placement, store/atomic values renumbered in
 // first-appearance order so value identity never distinguishes two
-// structurally identical programs.
+// structurally identical programs. Thread T at SM s, warp w renders as
+// "Ts.w:" and then one entry per operation, each ended by ';': "L[l ...]"
+// for a load of its sorted lines, "S[l ...]=n" and "A[l ...]=n" for a
+// store and an atomic of renumbered value n, "B", "F", or "C<lat>"; each
+// thread ends with '|'.
 func serializeProg(p *Prog) string {
 	idx := make([]int, len(p.Threads))
 	for i := range idx {
@@ -282,37 +282,55 @@ func serializeProg(p *Prog) string {
 		return ta.Warp < tb.Warp
 	})
 	ren := map[uint64]int{}
-	var b strings.Builder
+	var lines []uint64
+	b := make([]byte, 0, 128)
 	for _, ti := range idx {
 		th := p.Threads[ti]
-		fmt.Fprintf(&b, "T%d.%d:", th.SM, th.Warp)
+		b = append(b, 'T')
+		b = strconv.AppendInt(b, int64(th.SM), 10)
+		b = append(b, '.')
+		b = strconv.AppendInt(b, int64(th.Warp), 10)
+		b = append(b, ':')
 		for _, op := range th.Ops {
-			lines := append([]uint64(nil), op.Lines...)
-			sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
+			lines = append(lines[:0], op.Lines...)
+			slices.Sort(lines)
 			switch op.Kind {
 			case workload.OpLoad:
-				fmt.Fprintf(&b, "L%v", lines)
+				b = appendLineList(append(b, 'L'), lines)
 			case workload.OpStore, workload.OpAtomic:
 				if _, ok := ren[op.Val]; !ok {
 					ren[op.Val] = len(ren) + 1
 				}
-				k := "S"
+				k := byte('S')
 				if op.Kind == workload.OpAtomic {
-					k = "A"
+					k = 'A'
 				}
-				fmt.Fprintf(&b, "%s%v=%d", k, lines, ren[op.Val])
+				b = appendLineList(append(b, k), lines)
+				b = strconv.AppendInt(append(b, '='), int64(ren[op.Val]), 10)
 			case workload.OpBarrier:
-				b.WriteString("B")
+				b = append(b, 'B')
 			case workload.OpFence:
-				b.WriteString("F")
+				b = append(b, 'F')
 			case workload.OpCompute:
-				fmt.Fprintf(&b, "C%d", op.Lat)
+				b = strconv.AppendUint(append(b, 'C'), uint64(op.Lat), 10)
 			}
-			b.WriteByte(';')
+			b = append(b, ';')
 		}
-		b.WriteByte('|')
+		b = append(b, '|')
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendLineList appends lines as "[l0 l1 ...]".
+func appendLineList(b []byte, lines []uint64) []byte {
+	b = append(b, '[')
+	for i, l := range lines {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendUint(b, l, 10)
+	}
+	return append(b, ']')
 }
 
 // applySym returns the program with SM indices permuted by smPerm and

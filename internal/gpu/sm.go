@@ -306,7 +306,10 @@ func (s *SM) Reset(traces []workload.Trace, obs Observer) {
 	s.warps = s.warps[:0]
 	for i, tr := range traces {
 		w := &s.arena[i]
-		*w = warp{id: i, trace: tr, subSlot: -1}
+		// Zeroed, then set: a literal with fields is built aside and
+		// copied in whole.
+		*w = warp{}
+		w.id, w.trace, w.subSlot = i, tr, -1
 		if len(tr) == 0 {
 			w.done = true
 		} else {

@@ -3,6 +3,8 @@
 // MSHR tables, and a banked GDDR DRAM timing model.
 package mem
 
+import "math/bits"
+
 // Entry is one way of one cache set. Meta carries protocol-specific state
 // (timestamps, MESI state, dirty bits, values).
 type Entry[M any] struct {
@@ -34,9 +36,9 @@ type Array[M any] struct {
 	ways  int
 	index func(line uint64) int
 	clock uint64
-	// maxLine records that line ^0, whose mirror slot holds invalidTag,
-	// was allocated since the last Reset.
-	maxLine bool
+	// touched has one bit per set, set by Allocate: the sets that may
+	// hold a valid entry since the last Reset.
+	touched []uint64
 }
 
 const invalidTag = ^uint64(0)
@@ -47,7 +49,7 @@ func NewArray[M any](sets, ways int, index func(line uint64) int) *Array[M] {
 	if sets <= 0 || ways <= 0 {
 		panic("mem: non-positive cache geometry")
 	}
-	a := &Array[M]{index: index, ways: ways, sets: make([][]Entry[M], sets)}
+	a := &Array[M]{index: index, ways: ways, sets: make([][]Entry[M], sets), touched: make([]uint64, (sets+63)/64)}
 	a.flat = make([]Entry[M], sets*ways) // one backing array for all sets
 	a.tags = make([]uint64, sets*ways)
 	for i := range a.tags {
@@ -63,18 +65,22 @@ func NewArray[M any](sets, ways int, index func(line uint64) int) *Array[M] {
 }
 
 // Reset invalidates every entry and restarts the LRU clock, leaving the
-// array as NewArray builds it. It visits only the valid entries, found
-// through the dense tag mirror: an invalid entry is already zero, since
-// Invalidate zeroes it and only Allocate makes it valid again. A valid
-// entry for line ^0 is the one the mirror cannot show (its mirror slot
-// holds the invalid marker), so its presence forces a full pass.
+// array as NewArray builds it. It visits only the sets Allocate touched
+// since the last Reset: an entry elsewhere is already zero, since only
+// Allocate makes an entry valid and Invalidate zeroes it again. Its cost
+// follows the lines a run used, not the array's capacity.
 func (a *Array[M]) Reset() {
-	for i, t := range a.tags {
-		if t != invalidTag || a.maxLine {
-			a.Invalidate(&a.flat[i])
+	for w, bitsLeft := range a.touched {
+		for ; bitsLeft != 0; bitsLeft &= bitsLeft - 1 {
+			set := a.sets[w*64+bits.TrailingZeros64(bitsLeft)]
+			for i := range set {
+				if set[i].Valid {
+					a.Invalidate(&set[i])
+				}
+			}
 		}
+		a.touched[w] = 0
 	}
-	a.maxLine = false
 	a.clock = 0
 }
 
@@ -153,9 +159,7 @@ func (a *Array[M]) Allocate(line uint64, canEvict func(*Entry[M]) bool) (*Entry[
 	target.Valid = true
 	target.Meta = zero
 	a.tags[target.idx] = line
-	if line == invalidTag {
-		a.maxLine = true
-	}
+	a.touched[setIdx/64] |= 1 << (setIdx % 64)
 	a.Touch(target)
 	return target, victim, true
 }
@@ -229,15 +233,17 @@ func NewMSHRs[E any](capacity int, reset func(*E)) *MSHRs[E] {
 
 // Reset frees every entry, recycling the payloads, and shrinks the slot
 // array back to its initial size, so ForEach visits a reused table in the
-// same order as a new one.
+// same order as a new one. An empty table has no live slot to visit.
 func (t *MSHRs[E]) Reset() {
-	for i := range t.slots {
-		if e := t.slots[i].e; e != nil {
-			t.recycle(e)
+	if t.n > 0 {
+		for i := range t.slots {
+			if e := t.slots[i].e; e != nil {
+				t.recycle(e)
+			}
 		}
+		clear(t.slots)
 	}
 	t.slots = t.slots[:mshrMinSlots]
-	clear(t.slots)
 	t.shift = 60
 	t.n = 0
 }

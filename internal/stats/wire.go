@@ -12,10 +12,10 @@
 // count comes from a reflective walk of the type, done once at init, and
 // init also checks that the struct's size is exactly eight bytes per leaf
 // (no padding, no other field kinds). AppendWire then emits each word as
-// 8 little-endian bytes with no per-leaf reflection, which matters
-// because the model checker encodes the live counters at every decision
-// of every run; AppendWire also lets such hot callers reuse one buffer
-// instead of allocating per encoding. The leaf count keeps the encoding
+// 8 little-endian bytes with no per-leaf reflection, and AppendNonzero
+// walks the same words, which matters because the model checker encodes
+// the live counters at every fresh decision of every run; both let such
+// hot callers reuse one buffer instead of allocating per encoding. The leaf count keeps the encoding
 // self-extending — a new counter field changes the wire size, which the
 // version-checked header turns into a clean decode error for stale bytes
 // rather than a misaligned read — and TestWireCoversEveryField pins the
@@ -72,6 +72,26 @@ func (r *Run) AppendWire(dst []byte) []byte {
 	for i, w := range unsafe.Slice((*uint64)(unsafe.Pointer(r)), wireLeaves) {
 		binary.LittleEndian.PutUint64(dst[n+8*i:], w)
 	}
+	return dst
+}
+
+// AppendNonzero appends the number of r's nonzero leaves as a uint32 and
+// then, for each in declaration order, its leaf index (uint32) and value,
+// little-endian. It carries the same counters as AppendWire's payload in a
+// fraction of the bytes while most are zero, which is how the model
+// checker's state fingerprint hashes them at every fresh decision.
+func (r *Run) AppendNonzero(dst []byte) []byte {
+	at := len(dst)
+	dst = append(dst, 0, 0, 0, 0)
+	n := uint32(0)
+	for i, w := range unsafe.Slice((*uint64)(unsafe.Pointer(r)), wireLeaves) {
+		if w != 0 {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(i))
+			dst = binary.LittleEndian.AppendUint64(dst, w)
+			n++
+		}
+	}
+	binary.LittleEndian.PutUint32(dst[at:], n)
 	return dst
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // appendLeavesRef is the reflective reference encoder: it walks v (a Run
@@ -62,8 +63,42 @@ func TestAppendWireMatchesReflectiveWalk(t *testing.T) {
 	}
 }
 
-// BenchmarkAppendWire measures one encoding into a reused buffer, the
-// model checker's per-decision use.
+// TestAppendNonzeroMatchesWire: AppendNonzero lists exactly the nonzero
+// words of AppendWire's payload, with their indices, behind their count,
+// on counter sets from empty to dense, after a non-empty prefix.
+func TestAppendNonzeroMatchesWire(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	hdr := len(wireMagic) + 8
+	for i := 0; i < 200; i++ {
+		r := New()
+		words := unsafeWords(r)
+		for k := range words {
+			if rng.Intn(200) < i {
+				words[k] = rng.Uint64() >> uint(rng.Intn(64))
+			}
+		}
+		dense := r.AppendWire(nil)[hdr:]
+		got := r.AppendNonzero([]byte("prefix"))
+		if string(got[:6]) != "prefix" {
+			t.Fatalf("run %d: prefix overwritten", i)
+		}
+		want := binary.LittleEndian.AppendUint32(nil, 0)
+		n := uint32(0)
+		for k := 0; k < wireLeaves; k++ {
+			if w := binary.LittleEndian.Uint64(dense[8*k:]); w != 0 {
+				want = binary.LittleEndian.AppendUint32(want, uint32(k))
+				want = binary.LittleEndian.AppendUint64(want, w)
+				n++
+			}
+		}
+		binary.LittleEndian.PutUint32(want, n)
+		if !bytes.Equal(got[6:], want) {
+			t.Fatalf("run %d: AppendNonzero differs from the wire payload:\n got  %x\n want %x", i, got[6:], want)
+		}
+	}
+}
+
+// BenchmarkAppendWire measures one encoding into a reused buffer.
 func BenchmarkAppendWire(b *testing.B) {
 	r := populated()
 	buf := r.WireBytes()
@@ -236,4 +271,9 @@ func FuzzDecodeWire(f *testing.F) {
 			t.Fatalf("decoded run re-encodes to different bytes:\n in  %x\n out %x", b, got)
 		}
 	})
+}
+
+// unsafeWords views r as its wire leaves.
+func unsafeWords(r *Run) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(r)), wireLeaves)
 }

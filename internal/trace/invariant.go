@@ -30,7 +30,7 @@ type InvariantSink struct {
 	err    error
 
 	l2ver  map[[2]uint64]uint64 // (partition, line) -> max version seen
-	clocks map[int][2]uint64    // core -> (read, write) views
+	clocks [][2]uint64          // core -> (read, write) views, zero until seen
 
 	tail [invariantTail]Event
 	n    int // events seen (ring write cursor = n % invariantTail)
@@ -40,14 +40,10 @@ type InvariantSink struct {
 // with the violation (letting tests and CLIs fail fast); Err returns the
 // same error afterwards.
 func NewInvariantSink(onFail func(error)) *InvariantSink {
-	return &InvariantSink{
-		onFail: onFail,
-		l2ver:  make(map[[2]uint64]uint64),
-		clocks: make(map[int][2]uint64),
-	}
+	return &InvariantSink{onFail: onFail, l2ver: make(map[[2]uint64]uint64)}
 }
 
-// Reset clears the sink for a new run, keeping its maps' storage.
+// Reset clears the sink for a new run, keeping its storage.
 func (s *InvariantSink) Reset() {
 	s.err = nil
 	clear(s.l2ver)
@@ -64,7 +60,11 @@ func (s *InvariantSink) Event(e *Event) {
 	if s.err != nil {
 		return
 	}
-	s.tail[s.n%invariantTail] = *e
+	// Copied field by field: assigning *e whole is a bulk copy that, while
+	// the collector runs, also takes a bulk write barrier per event.
+	t := &s.tail[s.n%invariantTail]
+	t.Cycle, t.Kind, t.Src, t.Dst, t.Warp, t.Line, t.Label = e.Cycle, e.Kind, e.Src, e.Dst, e.Warp, e.Line, e.Label
+	t.Now, t.Ver, t.Exp, t.Val, t.Flits = e.Now, e.Ver, e.Exp, e.Val, e.Flits
 	s.n++
 
 	switch e.Kind {
@@ -81,13 +81,18 @@ func (s *InvariantSink) Event(e *Event) {
 	case KindL2State:
 		s.checkL2Ver(e)
 	case KindClock:
-		prev := s.clocks[e.Src]
-		if e.Now < prev[0] || e.Ver < prev[1] {
+		// Cores are the SMs, numbered from 0: a slice indexed by core
+		// holds their clocks without a map lookup per event.
+		for e.Src >= len(s.clocks) {
+			s.clocks = append(s.clocks, [2]uint64{})
+		}
+		v := &s.clocks[e.Src]
+		if e.Now < v[0] || e.Ver < v[1] {
 			s.fail(e, "core %d clock regressed: read %d->%d, write %d->%d",
-				e.Src, prev[0], e.Now, prev[1], e.Ver)
+				e.Src, v[0], e.Now, v[1], e.Ver)
 			return
 		}
-		s.clocks[e.Src] = [2]uint64{e.Now, e.Ver}
+		v[0], v[1] = e.Now, e.Ver
 	case KindRollover:
 		switch e.Label {
 		case RolloverReset:
@@ -95,7 +100,9 @@ func (s *InvariantSink) Event(e *Event) {
 			clear(s.l2ver)
 		case RolloverFlush:
 			// This core zeroed its clock along with its tags.
-			delete(s.clocks, e.Src)
+			if e.Src >= 0 && e.Src < len(s.clocks) {
+				s.clocks[e.Src] = [2]uint64{}
+			}
 		}
 	}
 }

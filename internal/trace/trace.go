@@ -249,13 +249,22 @@ func (b *Bus) Err() error {
 	return nil
 }
 
-// emit hands the reused event to every sink. Each helper below assigns
-// b.ev a whole Event literal first, so no field leaks from the previous
-// event.
+// emit hands the reused event to every sink.
 func (b *Bus) emit() {
 	for _, s := range b.sinks {
 		s.Event(&b.ev)
 	}
+}
+
+// next readies the reused event for one emit helper: it sets the fields
+// every kind carries and zeroes the payload (Now, Ver, Exp, Val, Flits),
+// which the helper then fills, so no field leaks from the previous event.
+// Filling in place spares the copy of a whole Event literal per event.
+func (b *Bus) next(now timing.Cycle, k Kind, src, dst, warp int, line uint64, label string) *Event {
+	e := &b.ev
+	e.Cycle, e.Kind, e.Src, e.Dst, e.Warp, e.Line, e.Label = now, k, src, dst, warp, line, label
+	e.Now, e.Ver, e.Exp, e.Val, e.Flits = 0, 0, 0, 0, 0
+	return e
 }
 
 // MsgSend records a coherence message entering the interconnect with the
@@ -264,9 +273,8 @@ func (b *Bus) MsgSend(now timing.Cycle, m *coherence.Msg, flits int) {
 	if b == nil {
 		return
 	}
-	b.ev = Event{Cycle: now, Kind: KindSend, Src: m.Src, Dst: m.Dst, Warp: m.Warp,
-		Line: m.Line, Label: m.Type.String(), Now: m.Now, Ver: m.Ver, Exp: m.Exp,
-		Val: m.Val, Flits: flits}
+	e := b.next(now, KindSend, m.Src, m.Dst, m.Warp, m.Line, m.Type.String())
+	e.Now, e.Ver, e.Exp, e.Val, e.Flits = m.Now, m.Ver, m.Exp, m.Val, flits
 	b.emit()
 }
 
@@ -275,9 +283,8 @@ func (b *Bus) MsgRecv(now timing.Cycle, m *coherence.Msg) {
 	if b == nil {
 		return
 	}
-	b.ev = Event{Cycle: now, Kind: KindRecv, Src: m.Src, Dst: m.Dst, Warp: m.Warp,
-		Line: m.Line, Label: m.Type.String(), Now: m.Now, Ver: m.Ver, Exp: m.Exp,
-		Val: m.Val}
+	e := b.next(now, KindRecv, m.Src, m.Dst, m.Warp, m.Line, m.Type.String())
+	e.Now, e.Ver, e.Exp, e.Val = m.Now, m.Ver, m.Exp, m.Val
 	b.emit()
 }
 
@@ -286,8 +293,7 @@ func (b *Bus) L1State(now timing.Cycle, core int, line uint64, transition string
 	if b == nil {
 		return
 	}
-	b.ev = Event{Cycle: now, Kind: KindL1State, Src: core, Dst: -1, Warp: -1,
-		Line: line, Label: transition}
+	b.next(now, KindL1State, core, -1, -1, line, transition)
 	b.emit()
 }
 
@@ -297,8 +303,8 @@ func (b *Bus) L2State(now timing.Cycle, part int, line uint64, label string, ver
 	if b == nil {
 		return
 	}
-	b.ev = Event{Cycle: now, Kind: KindL2State, Src: part, Dst: -1, Warp: -1,
-		Line: line, Label: label, Ver: ver, Exp: exp}
+	e := b.next(now, KindL2State, part, -1, -1, line, label)
+	e.Ver, e.Exp = ver, exp
 	b.emit()
 }
 
@@ -307,8 +313,8 @@ func (b *Bus) Lease(now timing.Cycle, label string, part int, line uint64, ver, 
 	if b == nil {
 		return
 	}
-	b.ev = Event{Cycle: now, Kind: KindLease, Src: part, Dst: dst, Warp: -1,
-		Line: line, Label: label, Ver: ver, Exp: exp}
+	e := b.next(now, KindLease, part, dst, -1, line, label)
+	e.Ver, e.Exp = ver, exp
 	b.emit()
 }
 
@@ -318,8 +324,8 @@ func (b *Bus) LeaseExpiredAt(now timing.Cycle, core int, line uint64, exp, clock
 	if b == nil {
 		return
 	}
-	b.ev = Event{Cycle: now, Kind: KindLease, Src: core, Dst: -1, Warp: -1,
-		Line: line, Label: LeaseExpired, Now: clock, Exp: exp}
+	e := b.next(now, KindLease, core, -1, -1, line, LeaseExpired)
+	e.Now, e.Exp = clock, exp
 	b.emit()
 }
 
@@ -329,8 +335,8 @@ func (b *Bus) Clock(now timing.Cycle, core int, read, write uint64) {
 	if b == nil {
 		return
 	}
-	b.ev = Event{Cycle: now, Kind: KindClock, Src: core, Dst: -1, Warp: -1,
-		Now: read, Ver: write}
+	e := b.next(now, KindClock, core, -1, -1, 0, "")
+	e.Now, e.Ver = read, write
 	b.emit()
 }
 
@@ -341,8 +347,7 @@ func (b *Bus) Rollover(now timing.Cycle, label string, node int, val uint64) {
 	if b == nil {
 		return
 	}
-	b.ev = Event{Cycle: now, Kind: KindRollover, Src: node, Dst: -1, Warp: -1,
-		Label: label, Val: val}
+	b.next(now, KindRollover, node, -1, -1, 0, label).Val = val
 	b.emit()
 }
 
@@ -352,8 +357,7 @@ func (b *Bus) StallBegin(now timing.Cycle, sm, warp int, blame stats.OpClass) {
 	if b == nil {
 		return
 	}
-	b.ev = Event{Cycle: now, Kind: KindStallBegin, Src: sm, Dst: -1, Warp: warp,
-		Label: blame.String()}
+	b.next(now, KindStallBegin, sm, -1, warp, 0, blame.String())
 	b.emit()
 }
 
@@ -362,8 +366,7 @@ func (b *Bus) StallEnd(now timing.Cycle, sm int, blame stats.OpClass, cycles uin
 	if b == nil {
 		return
 	}
-	b.ev = Event{Cycle: now, Kind: KindStallEnd, Src: sm, Dst: -1, Warp: -1,
-		Label: blame.String(), Val: cycles}
+	b.next(now, KindStallEnd, sm, -1, -1, 0, blame.String()).Val = cycles
 	b.emit()
 }
 
@@ -372,7 +375,6 @@ func (b *Bus) DRAMOp(now timing.Cycle, part int, line uint64, label string) {
 	if b == nil {
 		return
 	}
-	b.ev = Event{Cycle: now, Kind: KindDRAM, Src: part, Dst: -1, Warp: -1,
-		Line: line, Label: label}
+	b.next(now, KindDRAM, part, -1, -1, line, label)
 	b.emit()
 }

@@ -11,6 +11,7 @@ import (
 	"rccsim/internal/coherence"
 	"rccsim/internal/obs/span"
 	"rccsim/internal/stats"
+	"rccsim/internal/timing"
 )
 
 // TestKindStrings is the exhaustiveness check: every Kind must have a
@@ -107,27 +108,46 @@ func TestBusEmitAllocs(t *testing.T) {
 // TestBusReusedEventNotAliased checks that reusing one event per bus is
 // invisible to a sink that keeps events: each retained copy holds its own
 // field values, and no field of an earlier event leaks into a later one.
+// Every helper runs right after a send that sets every field.
 func TestBusReusedEventNotAliased(t *testing.T) {
 	buf := &BufferSink{}
 	b := NewBus(buf)
 	m := &coherence.Msg{Type: coherence.Data, Src: 1, Dst: 2, Warp: 3, Line: 4, Now: 5, Ver: 6, Exp: 7, Val: 8}
-	b.MsgSend(1, m, 9)
-	b.L1State(2, 3, 10, "I->IV")
-	b.Lease(3, LeaseRenew, 1, 11, 12, 13, 2)
-	b.StallEnd(4, 2, stats.OpLoad, 14)
-	want := []Event{
-		{Cycle: 1, Kind: KindSend, Src: 1, Dst: 2, Warp: 3, Line: 4, Label: coherence.Data.String(),
-			Now: 5, Ver: 6, Exp: 7, Val: 8, Flits: 9},
-		{Cycle: 2, Kind: KindL1State, Src: 3, Dst: -1, Warp: -1, Line: 10, Label: "I->IV"},
-		{Cycle: 3, Kind: KindLease, Src: 1, Dst: 2, Warp: -1, Line: 11, Label: LeaseRenew, Ver: 12, Exp: 13},
-		{Cycle: 4, Kind: KindStallEnd, Src: 2, Dst: -1, Warp: -1, Label: stats.OpLoad.String(), Val: 14},
-	}
-	if len(buf.Events) != len(want) {
-		t.Fatalf("buffered %d events, want %d", len(buf.Events), len(want))
-	}
-	for i := range want {
-		if buf.Events[i] != want[i] {
-			t.Errorf("event %d:\n got  %+v\n want %+v", i, buf.Events[i], want[i])
+	full := Event{Cycle: 1, Kind: KindSend, Src: 1, Dst: 2, Warp: 3, Line: 4, Label: coherence.Data.String(),
+		Now: 5, Ver: 6, Exp: 7, Val: 8, Flits: 9}
+	for _, c := range []struct {
+		emit func()
+		want Event
+	}{
+		{func() { b.MsgRecv(2, m) }, Event{Cycle: 2, Kind: KindRecv, Src: 1, Dst: 2, Warp: 3, Line: 4,
+			Label: coherence.Data.String(), Now: 5, Ver: 6, Exp: 7, Val: 8}},
+		{func() { b.L1State(2, 3, 10, "I->IV") }, Event{Cycle: 2, Kind: KindL1State, Src: 3, Dst: -1, Warp: -1, Line: 10, Label: "I->IV"}},
+		{func() { b.L2State(2, 1, 10, "fill", 11, 12) }, Event{Cycle: 2, Kind: KindL2State, Src: 1, Dst: -1, Warp: -1, Line: 10,
+			Label: "fill", Ver: 11, Exp: 12}},
+		{func() { b.Lease(3, LeaseRenew, 1, 11, 12, 13, 2) }, Event{Cycle: 3, Kind: KindLease, Src: 1, Dst: 2, Warp: -1, Line: 11,
+			Label: LeaseRenew, Ver: 12, Exp: 13}},
+		{func() { b.LeaseExpiredAt(3, 2, 11, 13, 14) }, Event{Cycle: 3, Kind: KindLease, Src: 2, Dst: -1, Warp: -1, Line: 11,
+			Label: LeaseExpired, Now: 14, Exp: 13}},
+		{func() { b.Clock(3, 2, 15, 16) }, Event{Cycle: 3, Kind: KindClock, Src: 2, Dst: -1, Warp: -1, Now: 15, Ver: 16}},
+		{func() { b.Rollover(3, RolloverDone, -1, 17) }, Event{Cycle: 3, Kind: KindRollover, Src: -1, Dst: -1, Warp: -1,
+			Label: RolloverDone, Val: 17}},
+		{func() { b.StallBegin(4, 2, 5, stats.OpLoad) }, Event{Cycle: 4, Kind: KindStallBegin, Src: 2, Dst: -1, Warp: 5,
+			Label: stats.OpLoad.String()}},
+		{func() { b.StallEnd(4, 2, stats.OpLoad, 14) }, Event{Cycle: 4, Kind: KindStallEnd, Src: 2, Dst: -1, Warp: -1,
+			Label: stats.OpLoad.String(), Val: 14}},
+		{func() { b.DRAMOp(4, 1, 18, "read-hit") }, Event{Cycle: 4, Kind: KindDRAM, Src: 1, Dst: -1, Warp: -1, Line: 18, Label: "read-hit"}},
+	} {
+		buf.Events = buf.Events[:0]
+		b.MsgSend(1, m, 9)
+		c.emit()
+		if len(buf.Events) != 2 {
+			t.Fatalf("buffered %d events, want 2", len(buf.Events))
+		}
+		if buf.Events[0] != full {
+			t.Errorf("send:\n got  %+v\n want %+v", buf.Events[0], full)
+		}
+		if buf.Events[1] != c.want {
+			t.Errorf("%s after a send:\n got  %+v\n want %+v", c.want.Kind, buf.Events[1], c.want)
 		}
 	}
 }
@@ -255,6 +275,37 @@ func TestInvariantSinkBrokenLease(t *testing.T) {
 	b.Lease(10, LeaseGrant, 0, 7, 40, 20, 1)
 	if cerr := b.Close(); cerr == nil || cerr.Error() != err.Error() {
 		t.Fatalf("Close = %v, want first violation", cerr)
+	}
+}
+
+// TestInvariantSinkTail checks the failure report: the violation, then
+// exactly the last 16 events up to and including the offending one,
+// oldest first, each rendered by Event.String.
+func TestInvariantSinkTail(t *testing.T) {
+	inv := NewInvariantSink(nil)
+	buf := &BufferSink{}
+	b := NewBus(inv, buf)
+	m := &coherence.Msg{Type: coherence.Data, Src: 1, Dst: 2, Warp: 3, Line: 4, Now: 5, Ver: 6, Exp: 7, Val: 8}
+	for i := uint64(0); i < 40; i++ {
+		switch i % 4 {
+		case 0:
+			b.MsgSend(timing.Cycle(i), m, 2)
+		case 1:
+			b.L2State(timing.Cycle(i), 1, 7, "write", i, i+1)
+		case 2:
+			b.Clock(timing.Cycle(i), int(i%3), i, i)
+		case 3:
+			b.StallEnd(timing.Cycle(i), 0, stats.OpStore, i)
+		}
+	}
+	b.L2State(41, 1, 7, "write", 3, 4) // version regressed from 37
+	want := "trace invariant violated at cycle 41: L2 partition 1 line 7 version regressed 37 -> 3 (l2 write)" +
+		"\n  trace tail (oldest first):"
+	for _, e := range buf.Events[len(buf.Events)-invariantTail:] {
+		want += "\n    " + e.String()
+	}
+	if err := inv.Err(); err == nil || err.Error() != want {
+		t.Fatalf("failure report:\n%v\nwant:\n%s", err, want)
 	}
 }
 
