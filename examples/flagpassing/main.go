@@ -39,17 +39,19 @@ func run(p rccsim.Protocol, seed uint64) (done, data uint64) {
 	cfg.NumSMs = 2
 	cfg.WarpsPerSM = 1
 
+	// Access builds each memory instruction's record.
+	prog := &workload.Program{}
 	producer := workload.Trace{
 		{Op: workload.OpCompute, Lat: uint32(seed % 700)},
-		{Op: workload.OpStore, Lines: []uint64{dataLine}, Val: 42},
-		{Op: workload.OpStore, Lines: []uint64{doneLine}, Val: 1},
+		prog.Access(workload.OpStore, 42, dataLine),
+		prog.Access(workload.OpStore, 1, doneLine),
 	}
 	consumer := workload.Trace{
 		{Op: workload.OpCompute, Lat: uint32((seed * 37) % 700)},
-		{Op: workload.OpLoad, Lines: []uint64{doneLine}},
-		{Op: workload.OpLoad, Lines: []uint64{dataLine}},
+		prog.Access(workload.OpLoad, 0, doneLine),
+		prog.Access(workload.OpLoad, 0, dataLine),
 	}
-	prog := &workload.Program{SMs: [][]workload.Trace{{producer}, {consumer}}}
+	prog.SMs = [][]workload.Trace{{producer}, {consumer}}
 
 	obs := &observer{}
 	if _, err := rccsim.RunProgram(cfg, prog, obs); err != nil {

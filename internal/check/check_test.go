@@ -553,6 +553,10 @@ func TestWellFormedRejections(t *testing.T) {
 		{"fence with lines", func(p *Prog) {
 			p.Threads[0].Ops = append(p.Threads[0].Ops, Op{Kind: workload.OpFence, Lines: []uint64{0}})
 		}},
+		{"barrier with lines", func(p *Prog) {
+			p.Threads[0].Ops = append([]Op{{Kind: workload.OpBarrier, Lines: []uint64{0}}}, p.Threads[0].Ops...)
+			p.Threads[1].Ops = append([]Op{{Kind: workload.OpBarrier}}, p.Threads[1].Ops...)
+		}},
 		{"atomic divergence", func(p *Prog) {
 			p.Threads[0].Ops[0] = Op{Kind: workload.OpAtomic, Lines: []uint64{0, 1}, Val: 9}
 		}},
@@ -570,6 +574,13 @@ func TestWellFormedRejections(t *testing.T) {
 	}
 	if err := base().WellFormed(); err != nil {
 		t.Fatalf("baseline MP program rejected: %v", err)
+	}
+	// Materializing refuses, rather than panics on, an op wider than a
+	// trace record encodes, even in a program WellFormed never saw.
+	wide := base()
+	wide.Threads[0].Ops[0].Lines = make([]uint64, workload.MaxLines+1)
+	if _, err := wide.WorkloadDelays(config.Small(), make([]uint32, len(wide.Threads))); err == nil {
+		t.Errorf("WorkloadDelays accepted an op of %d lines", workload.MaxLines+1)
 	}
 }
 

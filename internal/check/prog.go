@@ -131,7 +131,7 @@ func parseOpKind(s string) (workload.OpKind, error) {
 //     ordinals are release-aligned by construction, and no thread's trace
 //     ends on a barrier (a done warp is excluded from the release count,
 //     which would decouple the machine from the enumerator's model);
-//   - fences and computes carry no lines.
+//   - fences, barriers and computes carry no lines.
 func (p *Prog) WellFormed() error {
 	if len(p.Threads) == 0 {
 		return fmt.Errorf("check: program has no threads")
@@ -191,6 +191,9 @@ func (p *Prog) WellFormed() error {
 					return fmt.Errorf("check: thread %d op %d: %v carries lines", ti, oi, op.Kind)
 				}
 			case workload.OpBarrier:
+				if len(op.Lines) != 0 {
+					return fmt.Errorf("check: thread %d op %d: %v carries lines", ti, oi, op.Kind)
+				}
 				nbar++
 				if oi == len(th.Ops)-1 {
 					return fmt.Errorf("check: thread %d ends on a barrier", ti)
@@ -286,19 +289,26 @@ func (p *Prog) WorkloadDelays(cfg config.Config, delays []uint32) (*workload.Pro
 	for i := range prog.SMs {
 		prog.SMs[i] = make([]workload.Trace, cfg.WarpsPerSM)
 	}
+	var buf [4]uint64 // Access copies the lines: the divergence cap fits on the stack
+	lines := buf[:0]
 	for ti, th := range p.Threads {
 		if th.SM >= cfg.NumSMs || th.Warp >= cfg.WarpsPerSM {
 			return nil, fmt.Errorf("check: thread %d placed at SM %d warp %d, machine is %dx%d",
 				ti, th.SM, th.Warp, cfg.NumSMs, cfg.WarpsPerSM)
 		}
 		tr := workload.Trace{{Op: workload.OpCompute, Lat: max(delays[ti], 1)}}
-		for _, op := range th.Ops {
-			in := workload.Instr{Op: op.Kind, Val: op.Val, Lat: op.Lat}
+		for oi, op := range th.Ops {
+			if len(op.Lines) > workload.MaxLines {
+				return nil, fmt.Errorf("check: thread %d op %d: %d lines exceeds %d", ti, oi, len(op.Lines), workload.MaxLines)
+			}
+			lines = lines[:0]
+			for _, l := range op.Lines {
+				lines = append(lines, Base+l)
+			}
+			in := prog.Access(op.Kind, op.Val, lines...)
+			in.Lat = op.Lat
 			if op.Kind == workload.OpCompute && in.Lat == 0 {
 				in.Lat = 1
-			}
-			for _, l := range op.Lines {
-				in.Lines = append(in.Lines, Base+l)
 			}
 			tr = append(tr, in)
 		}

@@ -377,6 +377,7 @@ type L2 struct {
 
 	mpipe     timing.Pipe[*coherence.Msg] // directory maintenance (PutS, InvAck)
 	invs      map[uint64]*invWait
+	invFree   []*invWait                  // finished rounds, reused by newInv
 	zap       func(core int, line uint64) // SC-IDEAL instant invalidation
 	fillRetry timing.Pipe[uint64]         // pushed at now+8, so in ready-time order
 }
@@ -404,8 +405,32 @@ func (c *L2) Reset() {
 	c.tags.Reset()
 	c.mshrs.Reset()
 	c.mpipe.Reset()
+	for _, w := range c.invs {
+		c.freeInv(w)
+	}
 	clear(c.invs)
 	c.fillRetry.Reset()
+}
+
+// newInv starts an invalidation round on line, reusing a finished one.
+func (c *L2) newInv(line uint64) *invWait {
+	var w *invWait
+	if n := len(c.invFree); n > 0 {
+		w = c.invFree[n-1]
+		c.invFree = c.invFree[:n-1]
+	} else {
+		w = &invWait{}
+	}
+	c.invs[line] = w
+	return w
+}
+
+// freeInv recycles a round no longer in invs, keeping its queue's
+// capacity.
+func (c *L2) freeInv(w *invWait) {
+	clear(w.queued)
+	*w = invWait{queued: w.queued[:0]}
+	c.invFree = append(c.invFree, w)
 }
 
 // Deliver implements coherence.L2. Directory-maintenance messages (PutS,
@@ -522,8 +547,8 @@ func (c *L2) writeHit(m *coherence.Msg, e *mem.Entry[l2Line], now timing.Cycle) 
 	}
 	// Invalidate every sharer; the write completes when all ack.
 	c.Tr.L2State(now, c.Part, m.Line, "inv-round", 0, 0)
-	w := &invWait{write: m, started: now}
-	c.invs[m.Line] = w
+	w := c.newInv(m.Line)
+	w.write, w.started = m, now
 	for core := 0; core < c.Cfg.NumSMs; core++ {
 		if sharers&(1<<uint(core)) != 0 {
 			w.pending++
@@ -606,6 +631,9 @@ func (c *L2) ack(m *coherence.Msg, now timing.Cycle) {
 			c.Defer(q)
 		}
 	}
+	// Recycled only now: a queued write just handled may have started a
+	// new round, which must not take w while its queue is being walked.
+	c.freeInv(w)
 }
 
 func (c *L2) miss(m *coherence.Msg, now timing.Cycle) bool {
@@ -729,8 +757,7 @@ func (c *L2) recall(line, sharers uint64, now timing.Cycle) {
 		}
 		return
 	}
-	w := &invWait{}
-	c.invs[line] = w
+	w := c.newInv(line)
 	for core := 0; core < c.Cfg.NumSMs; core++ {
 		if sharers&(1<<uint(core)) != 0 {
 			w.pending++

@@ -31,11 +31,11 @@ func storeHeavyBench() workload.Benchmark {
 					// loaded line, so loads hit L1 after the warm-up miss.
 					loadLine := uint64(sm*cfg.WarpsPerSM + w)
 					storeLine := loadLine + 1<<20
-					tr := workload.Trace{{Op: workload.OpLoad, Lines: []uint64{loadLine}}}
+					tr := workload.Trace{prog.Access(workload.OpLoad, 0, loadLine)}
 					for i := 0; i < 40; i++ {
 						tr = append(tr,
-							workload.Instr{Op: workload.OpLoad, Lines: []uint64{loadLine}},
-							workload.Instr{Op: workload.OpStore, Lines: []uint64{storeLine}, Val: uint64(i)})
+							prog.Access(workload.OpLoad, 0, loadLine),
+							prog.Access(workload.OpStore, uint64(i), storeLine))
 					}
 					warps[w] = tr
 				}

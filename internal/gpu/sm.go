@@ -73,10 +73,11 @@ type warp struct {
 	// Partially-submitted memory instruction: line accesses rejected by a
 	// full L1 MSHR, retried on later cycles before the warp may proceed.
 	// subSlot is the instruction's tracker slot (-1 when none pending);
-	// subLines reslices the instruction's coalesced line list.
-	subSlot  int32
-	subLines []uint64
-	subVal   uint64
+	// subIn is a copy of the instruction, so a single-line access submits
+	// from the warp itself, and subNext indexes its next line to submit.
+	subSlot int32
+	subNext uint8
+	subIn   workload.Instr
 
 	atBarrier bool
 
@@ -111,7 +112,8 @@ type SM struct {
 	barrierDep   uint64
 
 	warps  []*warp
-	arena  []warp // backs warps
+	arena  []warp        // backs warps
+	pool   workload.Pool // the program's divergent-access lines
 	rr     int
 	gto    bool // greedy-then-oldest instead of loose round-robin
 	greedy int  // GTO: warp that issued last
@@ -254,8 +256,9 @@ func (s *SM) reclassify(w *warp) {
 		!bitSet(s.subWait, w.id) && !(w.fenceStalled && w.outstanding > 0))
 }
 
-// NewSM builds an SM running the given warp traces through l1.
-func NewSM(cfg config.Config, id int, l1 coherence.L1, st *stats.Run, traces []workload.Trace, obs Observer) *SM {
+// NewSM builds SM id running its warp traces of prog, prog.SMs[id],
+// through l1.
+func NewSM(cfg config.Config, id int, l1 coherence.L1, st *stats.Run, prog *workload.Program, obs Observer) *SM {
 	s := &SM{
 		cfg:      cfg,
 		id:       id,
@@ -268,16 +271,18 @@ func NewSM(cfg config.Config, id int, l1 coherence.L1, st *stats.Run, traces []w
 	if rp, ok := l1.(renewProber); ok {
 		s.renew = rp
 	}
-	s.Reset(traces, obs)
+	s.Reset(prog, obs)
 	return s
 }
 
-// Reset returns the SM to the state NewSM builds for traces and obs, with
+// Reset returns the SM to the state NewSM builds for prog and obs, with
 // the observers detached. It keeps the warp arena, the scan masks and the
 // tracker and request pools; every tracker slot is free again and is
 // handed out in the order a new SM would number it. The L1, counters and
 // environment probe stay bound.
-func (s *SM) Reset(traces []workload.Trace, obs Observer) {
+func (s *SM) Reset(prog *workload.Program, obs Observer) {
+	traces := prog.SMs[s.id]
+	s.pool = prog.Pool
 	s.obs = obs
 	s.Observers = trace.Observers{}
 	s.lastSpanDone, s.barrierDep = 0, 0
@@ -344,6 +349,54 @@ func resetMask(m []uint64, words int) []uint64 {
 // maintained incrementally, so this is O(1).
 func (s *SM) Done() bool {
 	return s.liveN == 0 && s.liveTrk == 0 && s.pendingSubs == 0
+}
+
+// Blocked names the instruction a stuck SM has waited on longest.
+type Blocked struct {
+	Warp, PC int
+	Op       workload.OpKind
+	Line     uint64 // the instruction's first line, when HasLine
+	HasLine  bool
+}
+
+// OldestBlocked returns what holds the SM back longest: the oldest memory
+// instruction in flight (earliest issue, then lowest tracker slot), or,
+// with none in flight, the unfinished warp furthest behind (lowest pc,
+// then lowest id) and the instruction it waits at. ok is false once every
+// warp is done.
+func (s *SM) OldestBlocked() (b Blocked, ok bool) {
+	var oldest *tracker
+	for _, tr := range s.trackers {
+		if tr.w != nil && (oldest == nil || tr.issue < oldest.issue) {
+			oldest = tr
+		}
+	}
+	switch {
+	case oldest != nil:
+		b.Warp, b.PC = oldest.w.id, oldest.pc
+	default:
+		best := -1
+		for i, w := range s.warps {
+			pc := w.pc
+			if w.atBarrier {
+				pc-- // waiting at the barrier it already passed
+			} else if w.done {
+				continue
+			}
+			if best < 0 || pc < b.PC {
+				best, b.Warp, b.PC = i, w.id, pc
+			}
+		}
+		if best < 0 {
+			return Blocked{}, false
+		}
+	}
+	in := &s.warps[b.Warp].trace[b.PC]
+	b.Op = in.Op
+	if in.Op.IsGlobal() && in.N > 0 {
+		b.Line, b.HasLine = s.pool.Line(in, 0), true
+	}
+	return b, true
 }
 
 // allocTracker takes a tracker from the pool (or grows it).
@@ -588,7 +641,7 @@ func (s *SM) unparkLine(line uint64, self int) {
 		for word != 0 {
 			i := wi<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
-			if i != self && s.warps[i].subLines[0] == line {
+			if w := s.warps[i]; i != self && s.pool.Line(&w.subIn, int(w.subNext)) == line {
 				setBit(s.subWait, i, false)
 				setBit(s.cand, i, true)
 			}
@@ -776,13 +829,13 @@ func (s *SM) issueMem(w *warp, in *workload.Instr, now timing.Cycle) {
 	tr.w = w
 	tr.class = class
 	tr.issue = now
-	tr.remaining = len(in.Lines)
+	tr.remaining = int(in.N)
 	tr.pc = w.pc
 	w.outstanding++
 	w.outClass[class]++
 	w.subSlot = slot
-	w.subLines = in.Lines
-	w.subVal = in.Val
+	w.subIn = *in
+	w.subNext = 0
 	s.pendingSubs++
 	w.pc++
 	s.drainSubmit(w, now)
@@ -793,15 +846,15 @@ func (s *SM) issueMem(w *warp, in *workload.Instr, now timing.Cycle) {
 func (s *SM) drainSubmit(w *warp, now timing.Cycle) bool {
 	tr := s.trackers[w.subSlot]
 	progress := false
-	for len(w.subLines) > 0 {
+	for w.subNext < w.subIn.N {
 		s.idSeq++
 		r := s.allocReq()
 		*r = coherence.Request{
 			ID:    (s.idSeq-1)*s.idStride + uint64(s.id) + 1,
 			Class: tr.class,
-			Line:  w.subLines[0],
+			Line:  s.pool.Line(&w.subIn, int(w.subNext)),
 			Warp:  w.id,
-			Val:   w.subVal,
+			Val:   w.subIn.Val,
 			Issue: tr.issue,
 			Slot:  w.subSlot,
 		}
@@ -826,12 +879,11 @@ func (s *SM) drainSubmit(w *warp, now timing.Cycle) bool {
 		if s.pendingSubs > 1 { // another warp has a submit pending, so may be parked
 			s.unparkLine(r.Line, w.id)
 		}
-		w.subLines = w.subLines[1:]
+		w.subNext++
 		progress = true
 	}
-	if len(w.subLines) == 0 {
+	if w.subNext == w.subIn.N {
 		w.subSlot = -1
-		w.subLines = nil
 		s.pendingSubs--
 		setBit(s.subWait, w.id, false)
 	} else {

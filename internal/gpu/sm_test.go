@@ -116,22 +116,26 @@ func runFrom(t *testing.T, sm *SM, l1 *fakeL1, now timing.Cycle, limit int) timi
 	return 0
 }
 
-func build(t *testing.T, cfg config.Config, traces []workload.Trace, obs Observer) (*SM, *fakeL1) {
+// build runs traces as SM 0 of p, the program their accesses were built
+// in.
+func build(t *testing.T, cfg config.Config, p *workload.Program, traces []workload.Trace, obs Observer) (*SM, *fakeL1) {
 	t.Helper()
+	p.SMs = [][]workload.Trace{traces}
 	l1 := &fakeL1{delay: 50}
 	st := stats.New()
-	sm := NewSM(cfg, 0, l1, st, traces, obs)
+	sm := NewSM(cfg, 0, l1, st, p, obs)
 	l1.SetSink(sm)
 	return sm, l1
 }
 
 func TestSCOneOutstandingPerWarp(t *testing.T) {
+	p := &workload.Program{}
 	tr := workload.Trace{
-		{Op: workload.OpStore, Lines: []uint64{1}, Val: 9},
-		{Op: workload.OpLoad, Lines: []uint64{2}},
-		{Op: workload.OpLoad, Lines: []uint64{3}},
+		p.Access(workload.OpStore, 9, 1),
+		p.Access(workload.OpLoad, 0, 2),
+		p.Access(workload.OpLoad, 0, 3),
 	}
-	sm, l1 := build(t, smConfig(config.RCC), []workload.Trace{tr, nil}, nil)
+	sm, l1 := build(t, smConfig(config.RCC), p, []workload.Trace{tr, nil}, nil)
 	st := sm.st
 
 	now := timing.Cycle(0)
@@ -166,11 +170,12 @@ func TestSCOneOutstandingPerWarp(t *testing.T) {
 }
 
 func TestWOManyOutstanding(t *testing.T) {
+	p := &workload.Program{}
 	var tr workload.Trace
 	for i := 0; i < 4; i++ {
-		tr = append(tr, workload.Instr{Op: workload.OpLoad, Lines: []uint64{uint64(i)}})
+		tr = append(tr, p.Access(workload.OpLoad, 0, uint64(i)))
 	}
-	sm, l1 := build(t, smConfig(config.TCW), []workload.Trace{tr, nil}, nil)
+	sm, l1 := build(t, smConfig(config.TCW), p, []workload.Trace{tr, nil}, nil)
 	for now := timing.Cycle(0); now < 10; now++ {
 		sm.Tick(now)
 	}
@@ -184,11 +189,12 @@ func TestWOManyOutstanding(t *testing.T) {
 }
 
 func TestLocalStallsBehindGlobalUnderSC(t *testing.T) {
+	p := &workload.Program{}
 	tr := workload.Trace{
-		{Op: workload.OpLoad, Lines: []uint64{1}},
+		p.Access(workload.OpLoad, 0, 1),
 		{Op: workload.OpLocal, Lat: 10},
 	}
-	sm, l1 := build(t, smConfig(config.RCC), []workload.Trace{tr, nil}, nil)
+	sm, l1 := build(t, smConfig(config.RCC), p, []workload.Trace{tr, nil}, nil)
 	end := run(t, sm, l1, 1000)
 	if end < 50 {
 		t.Fatalf("local op did not wait for global: done at %d", end)
@@ -199,11 +205,12 @@ func TestLocalStallsBehindGlobalUnderSC(t *testing.T) {
 }
 
 func TestFenceNoOpUnderSC(t *testing.T) {
+	p := &workload.Program{}
 	tr := workload.Trace{
-		{Op: workload.OpStore, Lines: []uint64{1}},
+		p.Access(workload.OpStore, 0, 1),
 		{Op: workload.OpFence},
 	}
-	sm, l1 := build(t, smConfig(config.RCC), []workload.Trace{tr, nil}, nil)
+	sm, l1 := build(t, smConfig(config.RCC), p, []workload.Trace{tr, nil}, nil)
 	run(t, sm, l1, 1000)
 	if l1.fences != 0 {
 		t.Fatal("SC fence must not reach the L1")
@@ -214,12 +221,13 @@ func TestFenceNoOpUnderSC(t *testing.T) {
 }
 
 func TestFenceWaitsUnderWO(t *testing.T) {
+	p := &workload.Program{}
 	tr := workload.Trace{
-		{Op: workload.OpStore, Lines: []uint64{1}},
+		p.Access(workload.OpStore, 0, 1),
 		{Op: workload.OpFence},
-		{Op: workload.OpLoad, Lines: []uint64{2}},
+		p.Access(workload.OpLoad, 0, 2),
 	}
-	sm, l1 := build(t, smConfig(config.TCW), []workload.Trace{tr, nil}, nil)
+	sm, l1 := build(t, smConfig(config.TCW), p, []workload.Trace{tr, nil}, nil)
 	l1.fenceAt = 200 // GWCT far in the future
 	end := run(t, sm, l1, 2000)
 	if end < 200 {
@@ -234,17 +242,18 @@ func TestFenceWaitsUnderWO(t *testing.T) {
 }
 
 func TestBarrierSynchronizesWarps(t *testing.T) {
+	p := &workload.Program{}
 	// Warp 0 is fast; warp 1 has a long compute before the barrier. Warp
 	// 0's post-barrier load must wait for warp 1.
 	fast := workload.Trace{
 		{Op: workload.OpBarrier},
-		{Op: workload.OpLoad, Lines: []uint64{7}},
+		p.Access(workload.OpLoad, 0, 7),
 	}
 	slow := workload.Trace{
 		{Op: workload.OpCompute, Lat: 300},
 		{Op: workload.OpBarrier},
 	}
-	sm, l1 := build(t, smConfig(config.RCC), []workload.Trace{fast, slow}, nil)
+	sm, l1 := build(t, smConfig(config.RCC), p, []workload.Trace{fast, slow}, nil)
 	run(t, sm, l1, 3000)
 	if len(l1.accesses) != 1 {
 		t.Fatalf("accesses = %d", len(l1.accesses))
@@ -257,10 +266,11 @@ func TestBarrierSynchronizesWarps(t *testing.T) {
 }
 
 func TestDivergentAccessCountsOnce(t *testing.T) {
+	p := &workload.Program{}
 	tr := workload.Trace{
-		{Op: workload.OpLoad, Lines: []uint64{1, 2, 3, 4}},
+		p.Access(workload.OpLoad, 0, 1, 2, 3, 4),
 	}
-	sm, l1 := build(t, smConfig(config.RCC), []workload.Trace{tr, nil}, nil)
+	sm, l1 := build(t, smConfig(config.RCC), p, []workload.Trace{tr, nil}, nil)
 	run(t, sm, l1, 1000)
 	if sm.st.MemOps != 1 {
 		t.Fatalf("divergent load counted %d times", sm.st.MemOps)
@@ -274,10 +284,11 @@ func TestDivergentAccessCountsOnce(t *testing.T) {
 }
 
 func TestMSHRFullRetries(t *testing.T) {
+	p := &workload.Program{}
 	tr := workload.Trace{
-		{Op: workload.OpLoad, Lines: []uint64{1, 2}},
+		p.Access(workload.OpLoad, 0, 1, 2),
 	}
-	sm, l1 := build(t, smConfig(config.RCC), []workload.Trace{tr, nil}, nil)
+	sm, l1 := build(t, smConfig(config.RCC), p, []workload.Trace{tr, nil}, nil)
 	l1.mshrs = 1 // line 2 is refused until line 1 completes
 	run(t, sm, l1, 1000)
 	if len(l1.accesses) != 2 {
@@ -289,11 +300,12 @@ func TestMSHRFullRetries(t *testing.T) {
 }
 
 func TestObserverSeesLoadValues(t *testing.T) {
+	p := &workload.Program{}
 	obs := &obsRec{}
 	tr := workload.Trace{
-		{Op: workload.OpLoad, Lines: []uint64{5}},
+		p.Access(workload.OpLoad, 0, 5),
 	}
-	sm, l1 := build(t, smConfig(config.RCC), []workload.Trace{tr, nil}, obs)
+	sm, l1 := build(t, smConfig(config.RCC), p, []workload.Trace{tr, nil}, obs)
 	run(t, sm, l1, 1000)
 	if len(obs.loads) != 1 || obs.loads[0] != 1005 {
 		t.Fatalf("observer got %v", obs.loads)
@@ -301,12 +313,13 @@ func TestObserverSeesLoadValues(t *testing.T) {
 }
 
 func TestLatencyAttribution(t *testing.T) {
+	p := &workload.Program{}
 	tr := workload.Trace{
-		{Op: workload.OpStore, Lines: []uint64{1}},
-		{Op: workload.OpLoad, Lines: []uint64{2}},
-		{Op: workload.OpAtomic, Lines: []uint64{3}, Val: 1},
+		p.Access(workload.OpStore, 0, 1),
+		p.Access(workload.OpLoad, 0, 2),
+		p.Access(workload.OpAtomic, 1, 3),
 	}
-	sm, l1 := build(t, smConfig(config.RCC), []workload.Trace{tr, nil}, nil)
+	sm, l1 := build(t, smConfig(config.RCC), p, []workload.Trace{tr, nil}, nil)
 	run(t, sm, l1, 2000)
 	for _, c := range []stats.OpClass{stats.OpLoad, stats.OpStore, stats.OpAtomic} {
 		acc := sm.st.Latency[c]
@@ -320,14 +333,15 @@ func TestLatencyAttribution(t *testing.T) {
 }
 
 func TestInstructionCount(t *testing.T) {
+	p := &workload.Program{}
 	tr := workload.Trace{
 		{Op: workload.OpCompute, Lat: 5},
 		{Op: workload.OpLocal, Lat: 5},
-		{Op: workload.OpLoad, Lines: []uint64{1}},
+		p.Access(workload.OpLoad, 0, 1),
 		{Op: workload.OpFence},
 		{Op: workload.OpBarrier},
 	}
-	sm, l1 := build(t, smConfig(config.RCC), []workload.Trace{tr, tr}, nil)
+	sm, l1 := build(t, smConfig(config.RCC), p, []workload.Trace{tr, tr}, nil)
 	run(t, sm, l1, 2000)
 	if sm.st.Instructions != 10 {
 		t.Fatalf("instructions = %d, want 10", sm.st.Instructions)
@@ -335,18 +349,20 @@ func TestInstructionCount(t *testing.T) {
 }
 
 func TestEmptyTraceDoneImmediately(t *testing.T) {
-	sm, _ := build(t, smConfig(config.RCC), []workload.Trace{nil, nil}, nil)
+	p := &workload.Program{}
+	sm, _ := build(t, smConfig(config.RCC), p, []workload.Trace{nil, nil}, nil)
 	if !sm.Done() {
 		t.Fatal("empty program should be done")
 	}
 }
 
 func TestNextEventComputeWake(t *testing.T) {
+	p := &workload.Program{}
 	tr := workload.Trace{
 		{Op: workload.OpCompute, Lat: 100},
 		{Op: workload.OpCompute, Lat: 1},
 	}
-	sm, _ := build(t, smConfig(config.RCC), []workload.Trace{tr, nil}, nil)
+	sm, _ := build(t, smConfig(config.RCC), p, []workload.Trace{tr, nil}, nil)
 	sm.Tick(0) // issue compute; busy until 100
 	if sm.Tick(1) {
 		t.Fatal("issued while busy")
@@ -357,6 +373,7 @@ func TestNextEventComputeWake(t *testing.T) {
 }
 
 func TestGTOSchedulerGreedy(t *testing.T) {
+	p := &workload.Program{}
 	cfg := smConfig(config.RCC)
 	cfg.Scheduler = config.GTO
 	// Two warps with pure compute: GTO should drain warp 0 before warp 1
@@ -365,11 +382,11 @@ func TestGTOSchedulerGreedy(t *testing.T) {
 		tr := workload.Trace{
 			{Op: workload.OpCompute, Lat: 1},
 			{Op: workload.OpCompute, Lat: 1},
-			{Op: workload.OpLoad, Lines: []uint64{1}},
+			p.Access(workload.OpLoad, 0, 1),
 		}
 		return []workload.Trace{tr, tr}
 	}
-	sm, l1 := build(t, cfg, mk(), nil)
+	sm, l1 := build(t, cfg, p, mk(), nil)
 	// With 1-cycle computes and greedy policy, warp 0 reaches its load
 	// (the first Access) before warp 1 issues its first load.
 	now := timing.Cycle(0)
@@ -388,18 +405,19 @@ func TestGTOSchedulerGreedy(t *testing.T) {
 }
 
 func TestGTOCompletesEverything(t *testing.T) {
+	p := &workload.Program{}
 	cfg := smConfig(config.RCC)
 	cfg.Scheduler = config.GTO
 	var traces []workload.Trace
 	for w := 0; w < 4; w++ {
 		traces = append(traces, workload.Trace{
-			{Op: workload.OpLoad, Lines: []uint64{uint64(w)}},
+			p.Access(workload.OpLoad, 0, uint64(w)),
 			{Op: workload.OpBarrier},
-			{Op: workload.OpStore, Lines: []uint64{uint64(w + 10)}},
+			p.Access(workload.OpStore, 0, uint64(w+10)),
 		})
 	}
 	cfg.WarpsPerSM = 4
-	sm, l1 := build(t, cfg, traces, nil)
+	sm, l1 := build(t, cfg, p, traces, nil)
 	run(t, sm, l1, 5000)
 	if sm.st.MemOps != 8 {
 		t.Fatalf("MemOps = %d, want 8", sm.st.MemOps)
@@ -423,10 +441,11 @@ func computeTrace(n int) workload.Trace {
 // computes keep the SM scanning throughout, with no L1 tick in between;
 // line 99 holds the L1's only MSHR.
 func TestRefusedSubmitParksUntilWake(t *testing.T) {
+	p := &workload.Program{}
 	for name, wake := range map[string]func(*SM){"Wake": (*SM).Wake, "ForceWake": (*SM).ForceWake} {
 		t.Run(name, func(t *testing.T) {
-			load := workload.Trace{{Op: workload.OpLoad, Lines: []uint64{1}}}
-			sm, l1 := build(t, smConfig(config.TCW), []workload.Trace{load, computeTrace(200)}, nil)
+			load := workload.Trace{p.Access(workload.OpLoad, 0, 1)}
+			sm, l1 := build(t, smConfig(config.TCW), p, []workload.Trace{load, computeTrace(200)}, nil)
 			l1.mshrs = 1
 			l1.out = map[uint64]int{99: 1}
 			now := timing.Cycle(0)
@@ -462,11 +481,12 @@ func parkedLoads(t *testing.T, lines ...uint64) (*SM, *fakeL1) {
 	t.Helper()
 	cfg := smConfig(config.TCW)
 	cfg.WarpsPerSM = len(lines)
+	p := &workload.Program{}
 	traces := make([]workload.Trace, len(lines))
 	for i, l := range lines {
-		traces[i] = workload.Trace{{Op: workload.OpLoad, Lines: []uint64{l}}}
+		traces[i] = workload.Trace{p.Access(workload.OpLoad, 0, l)}
 	}
-	sm, l1 := build(t, cfg, traces, nil)
+	sm, l1 := build(t, cfg, p, traces, nil)
 	l1.mshrs = 1
 	for now := timing.Cycle(0); now < timing.Cycle(len(lines)); now++ {
 		sm.Tick(now)
@@ -535,9 +555,10 @@ func TestParkedWarpMergesIntoSiblingMSHR(t *testing.T) {
 // still full afterwards; Wake alone would leave it parked until the table
 // drains.
 func TestFrozenParkRetriedAtForceWake(t *testing.T) {
+	p := &workload.Program{}
 	cfg := smConfig(config.TCW)
-	load := workload.Trace{{Op: workload.OpLoad, Lines: []uint64{5}}}
-	sm, l1 := build(t, cfg, []workload.Trace{load, load}, nil)
+	load := workload.Trace{p.Access(workload.OpLoad, 0, 5)}
+	sm, l1 := build(t, cfg, p, []workload.Trace{load, load}, nil)
 	l1.mshrs = 1
 	sm.Tick(0) // warp 0 takes the only MSHR for line 5
 	l1.frozen = true
@@ -567,12 +588,13 @@ func TestFrozenParkRetriedAtForceWake(t *testing.T) {
 // when the fence issues at 51, the cycle after the store completes, so
 // FenceStallCycles stays 49 as before parking existed.
 func TestFenceStallParksUntilMemDone(t *testing.T) {
+	p := &workload.Program{}
 	fenced := workload.Trace{
-		{Op: workload.OpStore, Lines: []uint64{1}},
+		p.Access(workload.OpStore, 0, 1),
 		{Op: workload.OpFence},
-		{Op: workload.OpLoad, Lines: []uint64{2}},
+		p.Access(workload.OpLoad, 0, 2),
 	}
-	sm, l1 := build(t, smConfig(config.TCW), []workload.Trace{fenced, computeTrace(100)}, nil)
+	sm, l1 := build(t, smConfig(config.TCW), p, []workload.Trace{fenced, computeTrace(100)}, nil)
 	w := sm.warps[0]
 	now := timing.Cycle(0)
 	for ; now < 10; now++ {
@@ -608,12 +630,13 @@ func TestFenceStallParksUntilMemDone(t *testing.T) {
 // barrier release carries a "barrier" dependency even when the L1 refuses
 // its first submit attempt and the retry reuses the request ID.
 func TestBarrierEdgeSurvivesRefusedSubmit(t *testing.T) {
+	p := &workload.Program{}
 	tr := workload.Trace{
-		{Op: workload.OpLoad, Lines: []uint64{1}},
+		p.Access(workload.OpLoad, 0, 1),
 		{Op: workload.OpBarrier},
-		{Op: workload.OpLoad, Lines: []uint64{2}},
+		p.Access(workload.OpLoad, 0, 2),
 	}
-	sm, l1 := build(t, smConfig(config.RCC), []workload.Trace{tr, nil}, nil)
+	sm, l1 := build(t, smConfig(config.RCC), p, []workload.Trace{tr, nil}, nil)
 	sp := span.NewRecorder(1)
 	sm.SetObservers(trace.Observers{Sp: sp})
 	now := timing.Cycle(0)

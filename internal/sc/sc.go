@@ -260,15 +260,15 @@ func formatOutcome(obs []uint64) Outcome {
 	return Outcome(strings.Join(parts, ","))
 }
 
-// Trace converts a litmus thread into a warp trace. base offsets the
+// Trace converts a litmus thread into a warp trace of p. base offsets the
 // litmus lines into the machine's address space.
-func Trace(ops []LitmusOp, base uint64) workload.Trace {
+func Trace(p *workload.Program, ops []LitmusOp, base uint64) workload.Trace {
 	var tr workload.Trace
 	for _, op := range ops {
 		if op.Store {
-			tr = append(tr, workload.Instr{Op: workload.OpStore, Lines: []uint64{base + op.Line}, Val: op.Val})
+			tr = append(tr, p.Access(workload.OpStore, op.Val, base+op.Line))
 		} else {
-			tr = append(tr, workload.Instr{Op: workload.OpLoad, Lines: []uint64{base + op.Line}})
+			tr = append(tr, p.Access(workload.OpLoad, 0, base+op.Line))
 		}
 	}
 	return tr
@@ -343,8 +343,8 @@ func RandomLitmus(rng *timing.RNG, threads, opsPerThread, lines int) Litmus {
 // FencedTrace converts a litmus thread into a warp trace with a FENCE
 // after every operation — the conservative fencing that restores SC on a
 // weakly ordered machine.
-func FencedTrace(ops []LitmusOp, base uint64) workload.Trace {
-	plain := Trace(ops, base)
+func FencedTrace(p *workload.Program, ops []LitmusOp, base uint64) workload.Trace {
+	plain := Trace(p, ops, base)
 	out := make(workload.Trace, 0, 2*len(plain))
 	for _, in := range plain {
 		out = append(out, in, workload.Instr{Op: workload.OpFence})

@@ -67,14 +67,15 @@ func TestIRIWOutcomes(t *testing.T) {
 }
 
 func TestTraceConversion(t *testing.T) {
-	tr := Trace(MessagePassing().Threads[0], 100)
+	var p workload.Program
+	tr := Trace(&p, MessagePassing().Threads[0], 100)
 	if len(tr) != 2 {
 		t.Fatalf("trace len = %d", len(tr))
 	}
-	if tr[0].Op != workload.OpStore || tr[0].Lines[0] != 100 || tr[0].Val != 1 {
+	if tr[0].Op != workload.OpStore || p.Pool.Line(&tr[0], 0) != 100 || tr[0].Val != 1 {
 		t.Fatalf("store mis-translated: %+v", tr[0])
 	}
-	if tr[1].Op != workload.OpStore || tr[1].Lines[0] != 101 {
+	if tr[1].Op != workload.OpStore || p.Pool.Line(&tr[1], 0) != 101 {
 		t.Fatalf("second store mis-translated: %+v", tr[1])
 	}
 }

@@ -8,13 +8,14 @@ import (
 	"rccsim/internal/workload"
 )
 
-// measureLoad runs a two-instruction program on an otherwise idle default
-// machine and returns the mean load latency.
-func measureLoad(t *testing.T, prep workload.Trace) float64 {
+// measureLoad runs prep, a trace of at most two instructions built in
+// prog, as the only warp of an otherwise idle default machine and returns
+// the mean load latency.
+func measureLoad(t *testing.T, prog *workload.Program, prep workload.Trace) float64 {
 	t.Helper()
 	cfg := config.Default()
 	cfg.Protocol = config.RCC
-	prog := &workload.Program{SMs: make([][]workload.Trace, cfg.NumSMs)}
+	prog.SMs = make([][]workload.Trace, cfg.NumSMs)
 	for i := range prog.SMs {
 		prog.SMs[i] = make([]workload.Trace, cfg.WarpsPerSM)
 	}
@@ -35,9 +36,10 @@ func measureLoad(t *testing.T, prep workload.Trace) float64 {
 func TestL2RoundTripCalibration(t *testing.T) {
 	// The store write-allocates the line into the L2 (write-no-allocate
 	// L1), so the following load is a pure L2 hit.
-	lat := measureLoad(t, workload.Trace{
-		{Op: workload.OpStore, Lines: []uint64{7}, Val: 1},
-		{Op: workload.OpLoad, Lines: []uint64{7}},
+	prog := &workload.Program{}
+	lat := measureLoad(t, prog, workload.Trace{
+		prog.Access(workload.OpStore, 1, 7),
+		prog.Access(workload.OpLoad, 0, 7),
 	})
 	if lat < 250 || lat > 450 {
 		t.Fatalf("unloaded L2 hit latency = %.0f, want ~340", lat)
@@ -47,8 +49,9 @@ func TestL2RoundTripCalibration(t *testing.T) {
 // TestDRAMRoundTripCalibration: an unloaded DRAM access must cost on the
 // order of the paper's 460-cycle minimum DRAM latency (Table III).
 func TestDRAMRoundTripCalibration(t *testing.T) {
-	lat := measureLoad(t, workload.Trace{
-		{Op: workload.OpLoad, Lines: []uint64{7}},
+	prog := &workload.Program{}
+	lat := measureLoad(t, prog, workload.Trace{
+		prog.Access(workload.OpLoad, 0, 7),
 	})
 	if lat < 380 || lat > 600 {
 		t.Fatalf("unloaded DRAM load latency = %.0f, want ~460", lat)
@@ -57,9 +60,10 @@ func TestDRAMRoundTripCalibration(t *testing.T) {
 
 // TestL1HitIsCheap: a repeated load must hit in the L1 at negligible cost.
 func TestL1HitIsCheap(t *testing.T) {
-	lat := measureLoad(t, workload.Trace{
-		{Op: workload.OpLoad, Lines: []uint64{7}},
-		{Op: workload.OpLoad, Lines: []uint64{7}},
+	prog := &workload.Program{}
+	lat := measureLoad(t, prog, workload.Trace{
+		prog.Access(workload.OpLoad, 0, 7),
+		prog.Access(workload.OpLoad, 0, 7),
 	})
 	// Mean over one miss (~460) and one hit (~1): must be well under the
 	// miss-only latency.

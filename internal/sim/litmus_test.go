@@ -39,7 +39,7 @@ func runLitmus(t *testing.T, cfg config.Config, l sc.Litmus, seed uint64, fenced
 	const base = 1 << 20 // keep litmus lines clear of anything else
 	for tid, ops := range l.Threads {
 		tr := workload.Trace{{Op: workload.OpCompute, Lat: uint32(rng.Intn(900) + 1)}}
-		body := sc.Trace(ops, base)
+		body := sc.Trace(prog, ops, base)
 		for _, in := range body {
 			tr = append(tr, in)
 			if fenced {

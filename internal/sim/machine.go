@@ -210,7 +210,7 @@ func New(cfg config.Config, prog *workload.Program, obs gpu.Observer) (*Machine,
 		m.l1s = append(m.l1s, l1)
 		m.l1Next = append(m.l1Next, next)
 		m.network.Register(s, l1)
-		sm := gpu.NewSM(cfg, s, l1, m.st, prog.SMs[s], obs)
+		sm := gpu.NewSM(cfg, s, l1, m.st, prog, obs)
 		sm.SetEnvProbe(m)
 		m.sms = append(m.sms, sm)
 		l1.SetSink(sm)
@@ -263,7 +263,7 @@ func (m *Machine) Reset(prog *workload.Program, obs gpu.Observer) error {
 	}
 	for i, l1 := range m.l1s {
 		l1.Reset()
-		m.sms[i].Reset(prog.SMs[i], obs)
+		m.sms[i].Reset(prog, obs)
 	}
 	m.reset()
 	return nil
@@ -576,9 +576,10 @@ const deadlockMsg = "sim: machine idle but not done (protocol deadlock)"
 
 // stuckError returns an abort error: msg, then a report of what still holds
 // the machine at m.now — messages in the NoC, each L2 partition's DRAM
-// backlog and drain state, and the SMs that have not finished. Partitions
-// past the 16th and SM IDs past the 8th are elided, so the report stays
-// well under 1 KB on any machine.
+// backlog and drain state, the SMs that have not finished and, for each
+// SM listed, the warp it has waited on longest: its id, pc, op and first
+// line (see gpu.SM.OldestBlocked). Partitions past the 16th and SMs past
+// the 8th are elided, so the report stays under 1 KB on any machine.
 func (m *Machine) stuckError(msg string) error {
 	const maxParts, maxIDs = 16, 8
 	var b strings.Builder
@@ -609,6 +610,25 @@ func (m *Machine) stuckError(msg string) error {
 	fmt.Fprintf(&b, "], %d SMs not done %v", n, stuck)
 	if n > maxIDs {
 		b.WriteString(" ...")
+	}
+	if len(stuck) > 0 {
+		b.WriteString(", oldest blocked [")
+		for k, i := range stuck {
+			if k > 0 {
+				b.WriteByte(' ')
+			}
+			fmt.Fprintf(&b, "sm%d", i)
+			if o, ok := m.sms[i].OldestBlocked(); ok {
+				fmt.Fprintf(&b, " w%d pc %d %v", o.Warp, o.PC, o.Op)
+				if o.HasLine {
+					fmt.Fprintf(&b, " line %#x", o.Line)
+				}
+			}
+			if k < len(stuck)-1 {
+				b.WriteByte(',')
+			}
+		}
+		b.WriteByte(']')
 	}
 	return errors.New(b.String())
 }

@@ -132,15 +132,16 @@ func TestValuesReachMemory(t *testing.T) {
 	cfg.L2Ways = 2
 	cfg.L2Partitions = 1
 
+	prog := &workload.Program{}
 	var tr workload.Trace
 	for i := uint64(0); i < 8; i++ {
-		tr = append(tr, workload.Instr{Op: workload.OpStore, Lines: []uint64{i}, Val: 100 + i})
+		tr = append(tr, prog.Access(workload.OpStore, 100+i, i))
 	}
 	// Touch more lines to force the early stores out of the tiny L2.
 	for i := uint64(100); i < 120; i++ {
-		tr = append(tr, workload.Instr{Op: workload.OpLoad, Lines: []uint64{i}})
+		tr = append(tr, prog.Access(workload.OpLoad, 0, i))
 	}
-	prog := &workload.Program{SMs: [][]workload.Trace{{tr}}}
+	prog.SMs = [][]workload.Trace{{tr}}
 	m, err := New(cfg, prog, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -172,12 +173,13 @@ func TestStallBlameClasses(t *testing.T) {
 	cfg.Protocol = config.RCC
 	cfg.NumSMs = 1
 	cfg.WarpsPerSM = 2
+	prog := &workload.Program{}
 	var tr workload.Trace
 	for i := 0; i < 20; i++ {
-		tr = append(tr, workload.Instr{Op: workload.OpStore, Lines: []uint64{uint64(i)}, Val: 1})
-		tr = append(tr, workload.Instr{Op: workload.OpLoad, Lines: []uint64{uint64(i)}})
+		tr = append(tr, prog.Access(workload.OpStore, 1, uint64(i)))
+		tr = append(tr, prog.Access(workload.OpLoad, 0, uint64(i)))
 	}
-	prog := &workload.Program{SMs: [][]workload.Trace{{tr, tr}}}
+	prog.SMs = [][]workload.Trace{{tr, tr}}
 	m, err := New(cfg, prog, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -218,5 +220,69 @@ func TestMaxCyclesGuard(t *testing.T) {
 	}
 	if len(msg) >= 1024 {
 		t.Errorf("error is %d bytes, want < 1 KB:\n%s", len(msg), msg)
+	}
+}
+
+// TestStuckReportNamesOldestBlocked: a MaxCycles abort names, for each
+// stuck SM, the warp it has waited on longest with its pc, op and first
+// line: a load in flight, a divergent load's first line, and a warp with
+// no memory in flight held at a long compute.
+func TestStuckReportNamesOldestBlocked(t *testing.T) {
+	cfg := config.Small()
+	cfg.Protocol = config.RCC
+	cfg.MaxCycles = 100 // the DRAM round trip alone takes longer
+	prog := &workload.Program{SMs: make([][]workload.Trace, cfg.NumSMs)}
+	prog.SMs[0] = []workload.Trace{{{Op: workload.OpCompute, Lat: 5}, prog.Access(workload.OpLoad, 0, 0x2a)}}
+	prog.SMs[1] = []workload.Trace{nil, {prog.Access(workload.OpLoad, 0, 0x30, 0x31)}}
+	prog.SMs[2] = []workload.Trace{nil, nil, {{Op: workload.OpLocal, Lat: 2}, {Op: workload.OpCompute, Lat: 1000}, {Op: workload.OpFence}}}
+	m, err := New(cfg, prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = m.Run()
+	if err == nil {
+		t.Fatal("MaxCycles did not trigger")
+	}
+	want := "3 SMs not done [0 1 2], oldest blocked [sm0 w0 pc 1 LD line 0x2a, sm1 w1 pc 0 LD line 0x30, sm2 w2 pc 2 FENCE]"
+	if msg := err.Error(); !strings.HasSuffix(msg, want) {
+		t.Errorf("report does not end with\n%s\n%s", want, msg)
+	}
+
+	// Every SM of a Table III machine stuck: still under 1 KB.
+	cfg = config.Default()
+	cfg.MaxCycles = 100
+	b, _ := workload.ByName("BH")
+	_, err = RunBenchmark(cfg, b, trace.Observers{})
+	if err == nil {
+		t.Fatal("MaxCycles did not trigger")
+	}
+	if msg := err.Error(); len(msg) >= 1024 || !strings.Contains(msg, ", oldest blocked [sm0 w") || !strings.HasSuffix(msg, "]") {
+		t.Errorf("report is %d bytes or lacks the oldest blocked warps:\n%s", len(msg), msg)
+	}
+}
+
+// TestNewRejectsMalformedRecords: each record shape the trace encoding can
+// hold but Validate rejects comes back from New as an error under every
+// protocol, never as a panic or a run.
+func TestNewRejectsMalformedRecords(t *testing.T) {
+	for _, in := range []workload.Instr{
+		{Op: workload.OpLoad},                  // no lines
+		{Op: workload.OpStore, Val: 1, N: 33},  // more lines than lanes
+		{Op: workload.OpLoad, Line: 9, N: 2},   // offset past the pool
+		{Op: workload.OpAtomic, Line: 3, N: 2}, // offset+N past the pool
+		{Op: workload.OpCompute, Lat: 1, N: 1}, // lines on compute
+		{Op: workload.OpLocal, N: 1},           // lines on local
+		{Op: workload.OpFence, N: 2},           // lines on fence
+		{Op: workload.OpBarrier, N: 1},         // lines on barrier
+	} {
+		for _, p := range config.Protocols() {
+			cfg := config.Small()
+			cfg.Protocol = p
+			prog := &workload.Program{SMs: make([][]workload.Trace, cfg.NumSMs), Pool: workload.Pool{1, 2, 3, 4}}
+			prog.SMs[0] = []workload.Trace{{in}}
+			if _, err := New(cfg, prog, nil); err == nil {
+				t.Errorf("%v: New accepted %+v", p, in)
+			}
+		}
 	}
 }

@@ -73,21 +73,21 @@ func runWarmedMP(t *testing.T, p config.Protocol, seed uint64, fenced bool) (don
 	cfg := litmusConfig(p)
 	cfg.TCLease = 5000 // long physical leases so the stale window is wide
 	const base = 1 << 20
+	prog := &workload.Program{SMs: make([][]workload.Trace, cfg.NumSMs)}
 	producer := workload.Trace{
 		{Op: workload.OpCompute, Lat: uint32(400 + seed%100)},
-		{Op: workload.OpStore, Lines: []uint64{base}, Val: 1}, // data
+		prog.Access(workload.OpStore, 1, base), // data
 	}
 	if fenced {
 		producer = append(producer, workload.Instr{Op: workload.OpFence})
 	}
-	producer = append(producer, workload.Instr{Op: workload.OpStore, Lines: []uint64{base + 1}, Val: 1}) // done
+	producer = append(producer, prog.Access(workload.OpStore, 1, base+1)) // done
 	consumer := workload.Trace{
-		{Op: workload.OpLoad, Lines: []uint64{base}}, // warm data
+		prog.Access(workload.OpLoad, 0, base), // warm data
 		{Op: workload.OpCompute, Lat: uint32(1500 + seed)},
-		{Op: workload.OpLoad, Lines: []uint64{base + 1}}, // poll done
-		{Op: workload.OpLoad, Lines: []uint64{base}},     // read data
+		prog.Access(workload.OpLoad, 0, base+1), // poll done
+		prog.Access(workload.OpLoad, 0, base),   // read data
 	}
-	prog := &workload.Program{SMs: make([][]workload.Trace, cfg.NumSMs)}
 	for i := range prog.SMs {
 		prog.SMs[i] = make([]workload.Trace, cfg.WarpsPerSM)
 	}

@@ -240,17 +240,18 @@ func TestResetMidRollover(t *testing.T) {
 func TestResetClearsFenceState(t *testing.T) {
 	cfg := resetConfig(config.TCW)
 	cfg.TCLease = 5000
-	prog := func(sm0, sm1 workload.Trace) *workload.Program {
-		p := &workload.Program{SMs: make([][]workload.Trace, cfg.NumSMs)}
+	prog := func(p *workload.Program, sm0, sm1 workload.Trace) *workload.Program {
+		p.SMs = make([][]workload.Trace, cfg.NumSMs)
 		p.SMs[0] = []workload.Trace{sm0}
 		p.SMs[1] = []workload.Trace{sm1}
 		return p
 	}
 	// SM 1 leases line 1; SM 0 stores to it once the lease is granted.
-	store := prog(
-		workload.Trace{{Op: workload.OpCompute, Lat: 1000}, {Op: workload.OpStore, Lines: []uint64{1}, Val: 1}},
-		workload.Trace{{Op: workload.OpLoad, Lines: []uint64{1}}})
-	fence := prog(workload.Trace{{Op: workload.OpFence}, {Op: workload.OpLoad, Lines: []uint64{2}}}, nil)
+	store, fence := &workload.Program{}, &workload.Program{}
+	prog(store,
+		workload.Trace{{Op: workload.OpCompute, Lat: 1000}, store.Access(workload.OpStore, 1, 1)},
+		workload.Trace{store.Access(workload.OpLoad, 0, 1)})
+	prog(fence, workload.Trace{{Op: workload.OpFence}, fence.Access(workload.OpLoad, 0, 2)}, nil)
 	m := newMachine(t, cfg, store)
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -353,7 +354,7 @@ func TestProgramWiderThanMachine(t *testing.T) {
 		wide := &workload.Program{SMs: make([][]workload.Trace, cfg.NumSMs)}
 		for w := 0; w <= cfg.WarpsPerSM; w++ {
 			wide.SMs[0] = append(wide.SMs[0], workload.Trace{
-				{Op: workload.OpStore, Lines: []uint64{uint64(w)}, Val: 1},
+				wide.Access(workload.OpStore, 1, uint64(w)),
 				{Op: workload.OpFence},
 			})
 		}

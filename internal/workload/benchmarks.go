@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"slices"
+
 	"rccsim/internal/config"
 	"rccsim/internal/timing"
 )
@@ -37,47 +39,44 @@ func scaled(cfg config.Config, n int) int {
 	return v
 }
 
-// tb builds one warp's trace.
+// tb builds one warp's trace into its program.
 type tb struct {
-	t     Trace
-	rng   *timing.RNG
-	arena []uint64 // backing for Lines slices, carved in bulk
+	t   Trace
+	p   *Program
+	rng *timing.RNG
 }
 
-// intern copies lines into the arena so the (usually stack-allocated)
-// variadic argument slices never escape to the heap.
-func (b *tb) intern(lines []uint64) []uint64 {
-	n := len(lines)
-	if len(b.arena) < n {
-		sz := 4096
-		if n > sz {
-			sz = n
-		}
-		b.arena = make([]uint64, sz)
-	}
-	s := b.arena[:n:n]
-	b.arena = b.arena[n:]
-	copy(s, lines)
-	return s
-}
-
-func (b *tb) compute(lat uint32) { b.t = append(b.t, Instr{Op: OpCompute, Lat: lat}) }
-func (b *tb) local(lat uint32)   { b.t = append(b.t, Instr{Op: OpLocal, Lat: lat}) }
-func (b *tb) fence()             { b.t = append(b.t, Instr{Op: OpFence}) }
-func (b *tb) barrier()           { b.t = append(b.t, Instr{Op: OpBarrier}) }
-func (b *tb) load(lines ...uint64) {
-	b.t = append(b.t, Instr{Op: OpLoad, Lines: b.intern(lines)})
-}
-func (b *tb) store(val uint64, lines ...uint64) {
-	b.t = append(b.t, Instr{Op: OpStore, Lines: b.intern(lines), Val: val})
-}
+func (b *tb) compute(lat uint32)                { b.busy(OpCompute, lat) }
+func (b *tb) local(lat uint32)                  { b.busy(OpLocal, lat) }
+func (b *tb) fence()                            { b.busy(OpFence, 0) }
+func (b *tb) barrier()                          { b.busy(OpBarrier, 0) }
+func (b *tb) load(lines ...uint64)              { b.access(OpLoad, 0, lines) }
+func (b *tb) store(val uint64, lines ...uint64) { b.access(OpStore, val, lines) }
 func (b *tb) atomic(line uint64, operand uint64) {
-	b.t = append(b.t, Instr{Op: OpAtomic, Lines: b.intern([]uint64{line}), Val: operand})
+	b.access(OpAtomic, operand, []uint64{line})
+}
+
+// busy appends a record without lines, filled in place (see
+// Program.access).
+func (b *tb) busy(op OpKind, lat uint32) {
+	b.t = append(b.t, Instr{})
+	in := &b.t[len(b.t)-1]
+	in.Op, in.Lat = op, lat
+}
+
+// access appends the record Program.Access builds, filled in place (see
+// Program.access).
+func (b *tb) access(op OpKind, val uint64, lines []uint64) {
+	b.t = append(b.t, Instr{})
+	in := &b.t[len(b.t)-1]
+	in.Val = val
+	b.p.access(in, op, lines)
 }
 
 // loadDiv emits a divergent load touching k distinct-ish lines of r.
 func (b *tb) loadDiv(r region, k int) {
-	lines := make([]uint64, 0, k)
+	var buf [8]uint64 // Access copies the lines, so this stays on the stack
+	lines := buf[:0]
 	for i := 0; i < k; i++ {
 		lines = append(lines, r.rand(b.rng))
 	}
@@ -88,12 +87,12 @@ func (b *tb) loadDiv(r region, k int) {
 // independent of generation order.
 func build(cfg config.Config, rng *timing.RNG, gen func(b *tb, sm, warp int)) *Program {
 	p := &Program{SMs: make([][]Trace, cfg.NumSMs)}
-	// One builder reused across warps: the arena carries over, the RNG is
-	// re-seeded per warp (same stream as Fork), and each trace is
-	// pre-sized to the previous warp's length (warps are homogeneous, so
-	// the hint is exact after the first).
+	// One builder reused across warps: the RNG is re-seeded per warp
+	// (same stream as Fork), and each trace is pre-sized to the previous
+	// warp's length (warps are homogeneous, so the hint is exact after
+	// the first).
 	var wrng timing.RNG
-	b := &tb{rng: &wrng}
+	b := &tb{p: p, rng: &wrng}
 	hint := 64
 	// Traces are carved from one arena per SM: each warp gets a window of
 	// cap hint; an append past the window reallocates (correct, just off
@@ -122,6 +121,11 @@ func build(cfg config.Config, rng *timing.RNG, gen func(b *tb, sm, warp int)) *P
 			}
 			if len(b.t) > hint {
 				hint = len(b.t)
+			}
+			if sm == 0 && w == 0 {
+				// Warps are homogeneous: size the pool for all of them
+				// from the first.
+				p.Pool = slices.Grow(p.Pool, len(p.Pool)*(cfg.NumSMs*cfg.WarpsPerSM-1))
 			}
 		}
 	}

@@ -10,34 +10,41 @@ import "fmt"
 //   - every warp of an SM contains the same number of barriers (otherwise
 //     barrier release deadlocks);
 //   - memory instructions carry at least one line and no more lines than
-//     a warp has lanes;
-//   - compute/local instructions carry no lines.
+//     a warp has lanes, and a divergent one's lines lie inside the pool;
+//   - compute, local, fence and barrier instructions carry no lines.
 //
 // It returns a descriptive error for the first violation found.
 func (p *Program) Validate(warpWidth int) error {
 	if warpWidth <= 0 {
 		warpWidth = 32
 	}
+	pool := uint64(len(p.Pool))
 	for sm, warps := range p.SMs {
 		barriers := -1
 		for w, tr := range warps {
 			n := 0
-			for i, in := range tr {
+			for i := range tr {
+				in := &tr[i]
 				switch in.Op {
 				case OpLoad, OpStore, OpAtomic:
-					if len(in.Lines) == 0 {
+					if in.N == 0 {
 						return fmt.Errorf("workload: SM %d warp %d instr %d: %v with no lines", sm, w, i, in.Op)
 					}
-					if len(in.Lines) > warpWidth {
+					if int(in.N) > warpWidth {
 						return fmt.Errorf("workload: SM %d warp %d instr %d: %v touches %d lines (> %d lanes)",
-							sm, w, i, in.Op, len(in.Lines), warpWidth)
+							sm, w, i, in.Op, in.N, warpWidth)
 					}
-				case OpCompute, OpLocal, OpFence:
-					if len(in.Lines) != 0 {
+					if in.N > 1 && (in.Line > pool || pool-in.Line < uint64(in.N)) {
+						return fmt.Errorf("workload: SM %d warp %d instr %d: %v lines [%d,+%d) past the pool's %d",
+							sm, w, i, in.Op, in.Line, in.N, pool)
+					}
+				case OpCompute, OpLocal, OpFence, OpBarrier:
+					if in.N != 0 {
 						return fmt.Errorf("workload: SM %d warp %d instr %d: %v carries lines", sm, w, i, in.Op)
 					}
-				case OpBarrier:
-					n++
+					if in.Op == OpBarrier {
+						n++
+					}
 				default:
 					return fmt.Errorf("workload: SM %d warp %d instr %d: unknown op %d", sm, w, i, in.Op)
 				}

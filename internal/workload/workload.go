@@ -7,10 +7,20 @@
 // Traces are post-coalescing: a memory instruction carries the set of
 // cache-line addresses the warp's 32 lanes touch after coalescing (one
 // line when fully coalesced, more under memory divergence).
+//
+// A trace is a slice of fixed-size Instr records that hold no pointers, so
+// the garbage collector never scans a trace and building one needs no
+// write barriers. A fully coalesced access keeps its line in the record
+// itself; a divergent access keeps its N lines in the Program's Pool, a
+// flat pointer-free slice shared by every warp of the program, and the
+// record holds their offset there. Nothing outside this package depends
+// on that layout: build memory records with Program.Access and read an
+// access's lines with Pool.Line.
 package workload
 
 import (
 	"fmt"
+	"math"
 
 	"rccsim/internal/config"
 	"rccsim/internal/timing"
@@ -63,20 +73,79 @@ func (k OpKind) String() string {
 // IsGlobal reports whether the op accesses global memory.
 func (k OpKind) IsGlobal() bool { return k == OpLoad || k == OpStore || k == OpAtomic }
 
-// Instr is one warp-level instruction.
+// Instr is one warp-level instruction: 24 bytes, no pointers.
+//
+// A global access (OpLoad, OpStore, OpAtomic) touches N ≥ 1 coalesced
+// lines: with N == 1, Line is the line itself; with N > 1, Line is the
+// offset of the lines in the program's Pool. Every other op has N == 0
+// and ignores Line. Build access records with Program.Access and read
+// their lines with Pool.Line rather than through Line and N.
 type Instr struct {
-	Op    OpKind
-	Lines []uint64 // coalesced line addresses (global ops)
-	Lat   uint32   // busy cycles (OpCompute / OpLocal)
-	Val   uint64   // store value / atomic operand
+	Line uint64 // the line (N == 1) or its Pool offset (N > 1)
+	Val  uint64 // store value / atomic operand
+	Lat  uint32 // busy cycles (OpCompute / OpLocal)
+	Op   OpKind
+	N    uint8 // coalesced lines touched (global ops)
 }
+
+// MaxLines is the most lines one access can touch (N is a byte).
+const MaxLines = math.MaxUint8
 
 // Trace is the instruction sequence of one warp.
 type Trace []Instr
 
+// Pool holds the lines of a program's divergent accesses back to back.
+type Pool []uint64
+
+// Line returns line i (0 ≤ i < in.N) of the access in, whose program's
+// pool is p.
+func (p Pool) Line(in *Instr, i int) uint64 {
+	if in.N == 1 {
+		return in.Line
+	}
+	return p[in.Line+uint64(i)]
+}
+
 // Program is a full kernel: one trace per warp per SM.
 type Program struct {
-	SMs [][]Trace // SMs[sm][warp]
+	SMs  [][]Trace // SMs[sm][warp]
+	Pool Pool      // lines of the divergent accesses
+}
+
+// Access returns the record of an op touching lines with value val,
+// appending the lines to p.Pool when there are more than one. Any op and
+// line count up to MaxLines is encoded as given, so Validate (not Access)
+// decides whether the record is well formed; more than MaxLines lines
+// cannot be encoded and panic.
+func (p *Program) Access(op OpKind, val uint64, lines ...uint64) Instr {
+	in := Instr{Val: val}
+	p.access(&in, op, lines)
+	return in
+}
+
+// access is Access encoding op and lines into *in, which holds only its
+// value. Filling a record in place matters on the generators' hot path: a
+// record assembled aside and copied in whole is read back before its
+// narrow field stores retire, which stalls store forwarding.
+func (p *Program) access(in *Instr, op OpKind, lines []uint64) {
+	in.Op = op
+	if len(lines) == 1 {
+		in.Line, in.N = lines[0], 1
+	} else {
+		p.pooled(in, lines)
+	}
+}
+
+// pooled is access for any line count but one.
+func (p *Program) pooled(in *Instr, lines []uint64) {
+	if len(lines) > MaxLines {
+		panic(fmt.Sprintf("workload: %v touches %d lines (> %d)", in.Op, len(lines), MaxLines))
+	}
+	in.N = uint8(len(lines))
+	if len(lines) > 1 {
+		in.Line = uint64(len(p.Pool))
+		p.Pool = append(p.Pool, lines...)
+	}
 }
 
 // Stats summarises a program (used by tests and tools).

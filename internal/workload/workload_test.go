@@ -55,11 +55,11 @@ func TestGenerationDeterministic(t *testing.T) {
 					t.Fatalf("%s: trace lengths differ", b.Name)
 				}
 				for i := range t1 {
-					if t1[i].Op != t2[i].Op || t1[i].Val != t2[i].Val || len(t1[i].Lines) != len(t2[i].Lines) {
+					if t1[i].Op != t2[i].Op || t1[i].Val != t2[i].Val || t1[i].N != t2[i].N {
 						t.Fatalf("%s: instr %d differs", b.Name, i)
 					}
-					for j := range t1[i].Lines {
-						if t1[i].Lines[j] != t2[i].Lines[j] {
+					for j := 0; j < int(t1[i].N); j++ {
+						if p1.Pool.Line(&t1[i], j) != p2.Pool.Line(&t2[i], j) {
 							t.Fatalf("%s: line address differs", b.Name)
 						}
 					}
@@ -84,7 +84,7 @@ func TestSeedChangesTraces(t *testing.T) {
 				continue
 			}
 			for i := range t1 {
-				if len(t1[i].Lines) > 0 && len(t2[i].Lines) > 0 && t1[i].Lines[0] != t2[i].Lines[0] {
+				if t1[i].N > 0 && t2[i].N > 0 && p1.Pool.Line(&t1[i], 0) != p2.Pool.Line(&t2[i], 0) {
 					same = false
 				}
 			}
@@ -146,8 +146,10 @@ func TestInterBenchmarksShareAcrossSMs(t *testing.T) {
 		writers := map[uint64]map[int]bool{}
 		for sm := range p.SMs {
 			for _, tr := range p.SMs[sm] {
-				for _, in := range tr {
-					for _, l := range in.Lines {
+				for i := range tr {
+					in := &tr[i]
+					for j := 0; j < int(in.N); j++ {
+						l := p.Pool.Line(in, j)
 						switch in.Op {
 						case OpLoad:
 							if readers[l] == nil {
@@ -217,17 +219,18 @@ func TestOpKindStrings(t *testing.T) {
 }
 
 func TestCountTallies(t *testing.T) {
-	p := &Program{SMs: [][]Trace{{
+	p := &Program{}
+	p.SMs = [][]Trace{{
 		{
-			{Op: OpLoad, Lines: []uint64{1}},
-			{Op: OpStore, Lines: []uint64{2}},
-			{Op: OpAtomic, Lines: []uint64{3}},
+			p.Access(OpLoad, 0, 1),
+			p.Access(OpStore, 0, 2),
+			p.Access(OpAtomic, 0, 3),
 			{Op: OpFence},
 			{Op: OpBarrier},
 			{Op: OpLocal},
 			{Op: OpCompute},
 		},
-	}}}
+	}}
 	c := p.Count()
 	if c.Instrs != 7 || c.Loads != 1 || c.Stores != 1 || c.Atomics != 1 ||
 		c.Fences != 1 || c.Barriers != 1 || c.Locals != 1 || c.Computes != 1 {

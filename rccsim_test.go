@@ -43,8 +43,8 @@ func TestPublicRunProgram(t *testing.T) {
 		prog.SMs[i] = make([]workload.Trace, cfg.WarpsPerSM)
 	}
 	prog.SMs[0][0] = workload.Trace{
-		{Op: workload.OpStore, Lines: []uint64{1}, Val: 5},
-		{Op: workload.OpLoad, Lines: []uint64{1}},
+		prog.Access(workload.OpStore, 5, 1),
+		prog.Access(workload.OpLoad, 0, 1),
 	}
 	st, err := rccsim.RunProgram(cfg, prog, nil)
 	if err != nil {
