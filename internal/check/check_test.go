@@ -584,6 +584,42 @@ func TestWellFormedRejections(t *testing.T) {
 	}
 }
 
+// TestWellFormedRejectsLongThread: a thread past opCap operations is
+// rejected, so the enumerator's one-byte pc never wraps (which recursed
+// until the stack overflowed), and enumeration returns the error.
+func TestWellFormedRejectsLongThread(t *testing.T) {
+	p := &Prog{Lines: 1, Threads: []Thread{{}, {SM: 1, Ops: []Op{{Kind: workload.OpLoad, Lines: []uint64{0}}}}}}
+	for v := 1; v <= opCap; v++ {
+		p.Threads[0].Ops = append(p.Threads[0].Ops, Op{Kind: workload.OpStore, Lines: []uint64{0}, Val: uint64(v)})
+	}
+	set, err := p.Enumerate(DefaultEnumLimits())
+	if err != nil || len(set.Outcomes) != opCap+1 {
+		t.Fatalf("%d ops: %v, %v", opCap, err, set)
+	}
+	p.Threads[0].Ops = append(p.Threads[0].Ops, Op{Kind: workload.OpFence})
+	want := fmt.Sprintf("check: thread 0 has %d ops, at most %d", opCap+1, opCap)
+	if _, err := p.Enumerate(DefaultEnumLimits()); err == nil || err.Error() != want {
+		t.Fatalf("%d ops: error %v, want %q", opCap+1, err, want)
+	}
+}
+
+// TestWellFormedAllocatesNothing: checking a well-formed program, as
+// EnumFamily does for every candidate, allocates nothing.
+func TestWellFormedAllocatesNothing(t *testing.T) {
+	for name, p := range map[string]*Prog{
+		"family member":  EnumFamily(FamilyShape{SMs: 2, WarpsPerSM: 1, OpsPerThread: 2, Lines: 2})[40],
+		"generator seed": Generate(7, DefaultGenConfig()),
+	} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := p.WellFormed(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: WellFormed allocates %v times per call, want 0", name, allocs)
+		}
+	}
+}
+
 func TestFailureError(t *testing.T) {
 	f := &Failure{Kind: FailFinalMem, Protocol: "TCS", RunSeed: 3, Detail: "x"}
 	if s := f.Error(); s == "" || fmt.Sprintf("%v", f) == "" {

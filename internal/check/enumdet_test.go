@@ -32,25 +32,7 @@ func flattenSet(s *SCSet) string {
 // below always fail — across repeated enumerations, which under Go's
 // randomized map iteration covers many orders.
 func TestEnumerateBoundaryDeterministic(t *testing.T) {
-	// Three SMs (three barrier groups in the map) with a mid-program
-	// barrier each, so group handling is actually on the explored path.
-	p := &Prog{Lines: 2, Threads: []Thread{
-		{SM: 0, Warp: 0, Ops: []Op{
-			{Kind: workload.OpStore, Lines: []uint64{0}, Val: 1},
-			{Kind: workload.OpBarrier},
-			{Kind: workload.OpLoad, Lines: []uint64{1}},
-		}},
-		{SM: 1, Warp: 0, Ops: []Op{
-			{Kind: workload.OpStore, Lines: []uint64{1}, Val: 2},
-			{Kind: workload.OpBarrier},
-			{Kind: workload.OpLoad, Lines: []uint64{0}},
-		}},
-		{SM: 2, Warp: 0, Ops: []Op{
-			{Kind: workload.OpLoad, Lines: []uint64{0}},
-			{Kind: workload.OpBarrier},
-			{Kind: workload.OpLoad, Lines: []uint64{1}},
-		}},
-	}}
+	p := boundaryProg()
 
 	set0, states, entries, err := p.EnumerateStats(DefaultEnumLimits())
 	if err != nil {
@@ -81,6 +63,75 @@ func TestEnumerateBoundaryDeterministic(t *testing.T) {
 		// One below the entry limit: must always error.
 		if _, _, _, err := p.EnumerateStats(EnumLimits{MaxStates: states, MaxEntries: entries - 1}); err == nil {
 			t.Fatalf("iter %d: enumeration under the entry limit unexpectedly succeeded", i)
+		}
+	}
+}
+
+// boundaryProg has three SMs (three barrier groups in the map) with a
+// mid-program barrier each, so group handling is actually on the
+// explored path.
+func boundaryProg() *Prog {
+	return &Prog{Lines: 2, Threads: []Thread{
+		{SM: 0, Warp: 0, Ops: []Op{
+			{Kind: workload.OpStore, Lines: []uint64{0}, Val: 1},
+			{Kind: workload.OpBarrier},
+			{Kind: workload.OpLoad, Lines: []uint64{1}},
+		}},
+		{SM: 1, Warp: 0, Ops: []Op{
+			{Kind: workload.OpStore, Lines: []uint64{1}, Val: 2},
+			{Kind: workload.OpBarrier},
+			{Kind: workload.OpLoad, Lines: []uint64{0}},
+		}},
+		{SM: 2, Warp: 0, Ops: []Op{
+			{Kind: workload.OpLoad, Lines: []uint64{0}},
+			{Kind: workload.OpBarrier},
+			{Kind: workload.OpLoad, Lines: []uint64{1}},
+		}},
+	}}
+}
+
+// TestEnumeratorDropsLargeStorage: an enumerator reused from the pool
+// keeps its storage for the next program only up to keepBytes, so one
+// program near the limits does not pin its slabs in every pooled
+// enumerator; and it keeps no reference into the last program it ran.
+func TestEnumeratorDropsLargeStorage(t *testing.T) {
+	e := new(enumerator)
+	big := boundaryProg()
+	if _, _, _, err := e.run(big, DefaultEnumLimits()); err != nil {
+		t.Fatal(err)
+	}
+	kept := cap(e.rows)
+	small := sb()
+	want, err := small.Enumerate(DefaultEnumLimits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, _, err := e.run(small, DefaultEnumLimits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flattenSet(got) != flattenSet(want) {
+		t.Fatalf("reused enumerator: %s, want %s", flattenSet(got), flattenSet(want))
+	}
+	if cap(e.rows) != kept {
+		t.Fatalf("rows below the bound were not reused: cap %d, was %d", cap(e.rows), kept)
+	}
+
+	// Stand in for a program near MaxEntries: slabs past the bound.
+	e.rows = make([]uint64, 0, keepBytes/8+1)
+	e.lists = make([]int32, 0, keepBytes/4+1)
+	if _, _, _, err := e.run(small, DefaultEnumLimits()); err != nil {
+		t.Fatal(err)
+	}
+	if cap(e.rows)*8 > keepBytes || cap(e.lists)*4 > keepBytes {
+		t.Fatalf("slabs past keepBytes survived a small program: rows cap %d, lists cap %d", cap(e.rows), cap(e.lists))
+	}
+
+	for ti, ops := range e.threads[:cap(e.threads)] {
+		for _, op := range ops[:cap(ops)] {
+			if op.lines != nil {
+				t.Fatalf("thread %d keeps the lines %v of the last program", ti, op.lines)
+			}
 		}
 	}
 }

@@ -146,7 +146,7 @@ func TestSerializeProgMatchesFormat(t *testing.T) {
 			sms, lines := symShape(p)
 			for _, sp := range permutations(sms) {
 				for _, lp := range permutations(lines) {
-					check(applySym(p, sp, lp))
+					check(refApplySym(p, sp, lp))
 				}
 			}
 		}

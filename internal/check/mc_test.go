@@ -2,6 +2,7 @@ package check
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -273,40 +274,133 @@ func TestMCDeterministicStateCounts(t *testing.T) {
 	}
 }
 
-// TestMCSymmetryEmpirical validates the symmetry reduction empirically:
-// store buffering is symmetric under swapping its two threads (with line
-// and value renaming), so the pruned exploration must reach the same
-// closed outcome set and verdict as the full one, in fewer or equal runs.
+// TestMCSymmetryEmpirical validates the symmetry reduction empirically
+// under RCC, on store buffering and on every program of the pinned
+// 72-program family with a nontrivial automorphism (thread swaps with
+// line and value renaming): the pruned exploration must reach the same
+// verdict as the full one in fewer or equal runs, and its closed outcome
+// set must equal the full one's. The machine is symmetric only up to
+// index-ordered arbitration ties, so on two family programs the closure
+// adds the image of a pair whose mirror the full exploration never
+// produced: each of those gains exactly one pair, which must be SC.
 func TestMCSymmetryEmpirical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive explorations in -short mode")
 	}
-	p := sb()
-	if len(progAutomorphisms(p)) < 2 {
+	if len(progAutomorphisms(sb())) < 2 {
 		t.Fatal("SB has no nontrivial automorphism; symmetry test is vacuous")
 	}
+	type symCase struct {
+		name string
+		p    *Prog
+	}
+	cases := []symCase{{"SB", sb()}}
+	for i, p := range EnumFamily(FamilyShape{SMs: 2, WarpsPerSM: 1, OpsPerThread: 2, Lines: 2}) {
+		if len(progAutomorphisms(p)) >= 2 {
+			cases = append(cases, symCase{fmt.Sprintf("family[%d]", i), p})
+		}
+	}
+	if len(cases) != 17 {
+		t.Fatalf("%d family programs have a nontrivial automorphism, want 16", len(cases)-1)
+	}
+	// The programs, by EnumFamily index, whose closed set holds one SC
+	// pair more than the full exploration reached.
+	wider := map[string]bool{"family[52]": true, "family[70]": true}
 	on := mcQuick(config.RCC)
 	off := mcQuick(config.RCC)
 	off.Symmetry = false
+	pruned, full := 0, 0
+	for _, c := range cases {
+		ra, err := ModelCheck(c.p, on)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := ModelCheck(c.p, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (ra.Failure == nil) != (rb.Failure == nil) {
+			t.Fatalf("%s: symmetry changed the verdict: %v vs %v\n%s", c.name, ra.Failure, rb.Failure, c.p)
+		}
+		if ra.Runs > rb.Runs {
+			t.Fatalf("%s: symmetry pruning ran MORE executions: %d vs %d\n%s", c.name, ra.Runs, rb.Runs, c.p)
+		}
+		pruned += ra.Runs
+		full += rb.Runs
+		if !wider[c.name] {
+			if !reflect.DeepEqual(ra.Outcomes, rb.Outcomes) {
+				t.Fatalf("%s: closed outcome set differs from the full one:\n pruned: %v\n full: %v\n%s", c.name, ra.Outcomes, rb.Outcomes, c.p)
+			}
+			continue
+		}
+		for out, mems := range rb.Outcomes {
+			for mem := range mems {
+				if !ra.Outcomes[out][mem] {
+					t.Fatalf("%s: symmetry closure lost {%s} [%s]:\n pruned: %v\n full: %v\n%s", c.name, out, mem, ra.Outcomes, rb.Outcomes, c.p)
+				}
+			}
+		}
+		set, err := c.p.Enumerate(DefaultEnumLimits())
+		if err != nil {
+			t.Fatal(err)
+		}
+		extra := 0
+		for out, mems := range ra.Outcomes {
+			for mem := range mems {
+				if rb.Outcomes[out][mem] {
+					continue
+				}
+				if !set.AllowsFinal(out, mem) {
+					t.Fatalf("%s: symmetry closure added the non-SC pair {%s} [%s]\n%s", c.name, out, mem, c.p)
+				}
+				extra++
+			}
+		}
+		if extra != 1 {
+			t.Fatalf("%s: closure added %d pairs, want 1\n%s", c.name, extra, c.p)
+		}
+	}
+	t.Logf("symmetry: %d programs, %d runs pruned vs %d full", len(cases), pruned, full)
+}
 
-	ra, err := ModelCheck(p, on)
-	if err != nil {
-		t.Fatal(err)
+// TestCloseOutcomesParses: closeOutcomes maps outcome and memory keys as
+// numbers, so a key it cannot parse panics instead of passing through
+// unmapped, and parsing inverts rendering.
+func TestCloseOutcomesParses(t *testing.T) {
+	for _, out := range []string{"", "T0#1@0=5", "T1#0@1=2;T1#1@0=0;T10#3@12=18446744073709551615"} {
+		o := parseOutcome(out)
+		keys := make([]string, len(o))
+		for i, e := range o {
+			keys[i] = ObsKey(int(e.ti), int(e.op), e.line, e.val)
+		}
+		if got := CanonOutcome(keys); got != out {
+			t.Fatalf("parseOutcome(%q) renders back as %q", out, got)
+		}
 	}
-	rb, err := ModelCheck(p, off)
-	if err != nil {
-		t.Fatal(err)
+	if got := memKey(parseMem("0,12,3")); got != "0,12,3" {
+		t.Fatalf("parseMem renders back as %q", got)
 	}
-	if (ra.Failure == nil) != (rb.Failure == nil) {
-		t.Fatalf("symmetry changed the verdict: %v vs %v", ra.Failure, rb.Failure)
+	swap := []symAction{{threadPerm: []int{1, 0}, linePerm: []int{1, 0}, valMap: map[uint64]uint64{1: 2, 2: 1}}}
+	set := map[string]map[string]bool{"T0#1@0=0;T1#1@1=1": {"1,2": true}}
+	closeOutcomes(set, swap)
+	if !set["T0#1@0=2;T1#1@1=0"]["1,2"] || len(set) != 2 {
+		t.Fatalf("closed set %v, want the swapped image added", set)
 	}
-	if !reflect.DeepEqual(ra.Outcomes, rb.Outcomes) {
-		t.Fatalf("symmetry closure lost outcomes:\n pruned: %v\n full: %v", ra.Outcomes, rb.Outcomes)
+	for _, bad := range []map[string]map[string]bool{
+		{"T0#1@0=x": {"0": true}},
+		{"T0@0=1": {"0": true}},
+		{"T0#1@0=1;": {"0": true}},
+		{"T0#1@0=1": {"0,": true}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("closeOutcomes(%v) did not panic", bad)
+				}
+			}()
+			closeOutcomes(bad, swap)
+		}()
 	}
-	if ra.Runs > rb.Runs {
-		t.Fatalf("symmetry pruning ran MORE executions: %d vs %d", ra.Runs, rb.Runs)
-	}
-	t.Logf("symmetry: %d runs pruned vs %d full, identical outcome sets", ra.Runs, rb.Runs)
 }
 
 // TestMCGraphExport checks the state-graph artifact: populated, valid

@@ -1,9 +1,11 @@
 package check
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -270,43 +272,76 @@ func (g *MCGraph) DOT() string {
 // store and an atomic of renumbered value n, "B", "F", or "C<lat>"; each
 // thread ends with '|'.
 func serializeProg(p *Prog) string {
-	idx := make([]int, len(p.Threads))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ta, tb := p.Threads[idx[a]], p.Threads[idx[b]]
-		if ta.SM != tb.SM {
-			return ta.SM < tb.SM
+	var c canonicaliser
+	return string(c.appendImage(nil, p, nil, nil))
+}
+
+// canonicaliser serialises the images of programs under SM and line
+// renamings (symmetric images) without building them, in reused buffers.
+// Its permutations are those of one shape (symShape).
+type canonicaliser struct {
+	smPerms, linePerms [][]int
+	self, img          []byte
+	order              []int    // image thread order: program thread indices
+	vals               []uint64 // store values in first-appearance order
+	lines              []uint64 // one op's image lines
+}
+
+func newCanonicaliser(sms, lines int) *canonicaliser {
+	return &canonicaliser{smPerms: permutations(sms), linePerms: permutations(lines)}
+}
+
+// appendImage appends serializeProg's text of p with SM s renamed to
+// sp[s] and line l to lp[l] (nil: unchanged) — the image's threads sorted
+// by their new placement, its lines sorted per op, its values renumbered
+// in the image's own first-appearance order.
+func (c *canonicaliser) appendImage(b []byte, p *Prog, sp, lp []int) []byte {
+	sm := func(s int) int {
+		if sp == nil {
+			return s
 		}
-		return ta.Warp < tb.Warp
-	})
-	ren := map[uint64]int{}
-	var lines []uint64
-	b := make([]byte, 0, 128)
-	for _, ti := range idx {
+		return sp[s]
+	}
+	c.order = c.order[:0]
+	for ti, th := range p.Threads {
+		c.order = append(c.order, ti)
+		for i := len(c.order) - 1; i > 0; i-- {
+			prev := p.Threads[c.order[i-1]]
+			if ps := sm(prev.SM); ps < sm(th.SM) || ps == sm(th.SM) && prev.Warp <= th.Warp {
+				break
+			}
+			c.order[i-1], c.order[i] = c.order[i], c.order[i-1]
+		}
+	}
+	c.vals = c.vals[:0]
+	for _, ti := range c.order {
 		th := p.Threads[ti]
-		b = append(b, 'T')
-		b = strconv.AppendInt(b, int64(th.SM), 10)
-		b = append(b, '.')
-		b = strconv.AppendInt(b, int64(th.Warp), 10)
-		b = append(b, ':')
+		b = append(strconv.AppendInt(append(b, 'T'), int64(sm(th.SM)), 10), '.')
+		b = append(strconv.AppendInt(b, int64(th.Warp), 10), ':')
 		for _, op := range th.Ops {
-			lines = append(lines[:0], op.Lines...)
-			slices.Sort(lines)
+			c.lines = c.lines[:0]
+			for _, l := range op.Lines {
+				if lp != nil {
+					l = uint64(lp[l])
+				}
+				c.lines = append(c.lines, l)
+			}
+			slices.Sort(c.lines)
 			switch op.Kind {
 			case workload.OpLoad:
-				b = appendLineList(append(b, 'L'), lines)
+				b = appendLineList(append(b, 'L'), c.lines)
 			case workload.OpStore, workload.OpAtomic:
-				if _, ok := ren[op.Val]; !ok {
-					ren[op.Val] = len(ren) + 1
+				n := slices.Index(c.vals, op.Val) + 1
+				if n == 0 {
+					c.vals = append(c.vals, op.Val)
+					n = len(c.vals)
 				}
 				k := byte('S')
 				if op.Kind == workload.OpAtomic {
 					k = 'A'
 				}
-				b = appendLineList(append(b, k), lines)
-				b = strconv.AppendInt(append(b, '='), int64(ren[op.Val]), 10)
+				b = appendLineList(append(b, k), c.lines)
+				b = strconv.AppendInt(append(b, '='), int64(n), 10)
 			case workload.OpBarrier:
 				b = append(b, 'B')
 			case workload.OpFence:
@@ -318,7 +353,22 @@ func serializeProg(p *Prog) string {
 		}
 		b = append(b, '|')
 	}
-	return string(b)
+	return b
+}
+
+// canonical reports whether no symmetric image of p serialises before p
+// itself (CanonicalProg).
+func (c *canonicaliser) canonical(p *Prog) bool {
+	c.self = c.appendImage(c.self[:0], p, nil, nil)
+	for _, sp := range c.smPerms {
+		for _, lp := range c.linePerms {
+			c.img = c.appendImage(c.img[:0], p, sp, lp)
+			if bytes.Compare(c.img, c.self) < 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // appendLineList appends lines as "[l0 l1 ...]".
@@ -331,27 +381,6 @@ func appendLineList(b []byte, lines []uint64) []byte {
 		b = strconv.AppendUint(b, l, 10)
 	}
 	return append(b, ']')
-}
-
-// applySym returns the program with SM indices permuted by smPerm and
-// line indices by linePerm, threads re-sorted by new placement.
-func applySym(p *Prog, smPerm, linePerm []int) *Prog {
-	q := p.Clone()
-	for ti := range q.Threads {
-		q.Threads[ti].SM = smPerm[q.Threads[ti].SM]
-		for oi := range q.Threads[ti].Ops {
-			for li, l := range q.Threads[ti].Ops[oi].Lines {
-				q.Threads[ti].Ops[oi].Lines[li] = uint64(linePerm[l])
-			}
-		}
-	}
-	sort.SliceStable(q.Threads, func(a, b int) bool {
-		if q.Threads[a].SM != q.Threads[b].SM {
-			return q.Threads[a].SM < q.Threads[b].SM
-		}
-		return q.Threads[a].Warp < q.Threads[b].Warp
-	})
-	return q
 }
 
 func permutations(n int) [][]int {
@@ -389,21 +418,13 @@ func symShape(p *Prog) (sms, lines int) {
 
 // CanonicalProg reports whether p is the canonical representative of its
 // orbit under SM renaming × line renaming (store values compared under
-// first-appearance renumbering). rcccheck enumerates whole program
-// families and checks only representatives; the machine is symmetric
-// under these renamings up to index-ordered arbitration ties, which
-// TestMCSymmetryEmpirical validates on the explored scale.
+// first-appearance renumbering): no image serialises before p.
+// rcccheck enumerates whole program families and checks only
+// representatives; the machine is symmetric under these renamings up to
+// index-ordered arbitration ties, which TestMCSymmetryEmpirical validates
+// on the explored scale.
 func CanonicalProg(p *Prog) bool {
-	self := serializeProg(p)
-	sms, lines := symShape(p)
-	for _, sp := range permutations(sms) {
-		for _, lp := range permutations(lines) {
-			if s := serializeProg(applySym(p, sp, lp)); s < self {
-				return false
-			}
-		}
-	}
-	return true
+	return newCanonicaliser(symShape(p)).canonical(p)
 }
 
 // symAction is one program automorphism — an (SM perm × line perm) pair
@@ -423,8 +444,8 @@ type symAction struct {
 // symmetry-pruned exploration is recovered by closing under these
 // actions (closeOutcomes).
 func progAutomorphisms(p *Prog) []symAction {
-	self := serializeProg(p)
-	sms, lines := symShape(p)
+	c := newCanonicaliser(symShape(p))
+	c.self = c.appendImage(nil, p, nil, nil)
 	// rankIdx[r] = index of the thread at placement rank r; pos inverts.
 	type slot struct{ sm, warp int }
 	pos := map[slot]int{}
@@ -448,9 +469,9 @@ func progAutomorphisms(p *Prog) []symAction {
 	}
 	seen := map[string]bool{}
 	var out []symAction
-	for _, sp := range permutations(sms) {
-		for _, lp := range permutations(lines) {
-			if serializeProg(applySym(p, sp, lp)) != self {
+	for _, sp := range c.smPerms {
+		for _, lp := range c.linePerms {
+			if c.img = c.appendImage(c.img[:0], p, sp, lp); !bytes.Equal(c.img, c.self) {
 				continue
 			}
 			perm := make([]int, len(p.Threads))
@@ -491,23 +512,38 @@ func progAutomorphisms(p *Prog) []symAction {
 // automorphism actions: an execution pruned by delay-vector symmetry
 // exists as the image of an explored one, so its (renamed) outcome and
 // final memory are added back here. The actions form a group, so one
-// pass over the recorded set yields the full orbit.
+// pass over the recorded set yields the full orbit. Each key is parsed
+// into numbers once, mapped as numbers and each image rendered once; a
+// key that does not parse is a bug in the runner and panics.
 func closeOutcomes(outcomes map[string]map[string]bool, autos []symAction) {
-	type pair struct{ out, mem string }
+	type pair struct {
+		obs []obs
+		mem []uint64
+	}
 	var base []pair
 	for out, mems := range outcomes {
+		o := parseOutcome(out)
 		for mem := range mems {
-			base = append(base, pair{out, mem})
+			base = append(base, pair{o, parseMem(mem)})
 		}
 	}
+	var keys []string
+	var mem []uint64
 	for _, a := range autos {
 		for _, pr := range base {
-			out := applySymOutcome(pr.out, a)
-			mem := applySymMem(pr.mem, a)
+			keys = keys[:0]
+			for _, o := range pr.obs {
+				keys = append(keys, ObsKey(a.threadPerm[o.ti], int(o.op), uint64(a.linePerm[o.line]), a.val(o.val)))
+			}
+			out := CanonOutcome(keys)
+			mem = slices.Grow(mem[:0], len(pr.mem))[:len(pr.mem)]
+			for l, v := range pr.mem {
+				mem[a.linePerm[l]] = a.val(v)
+			}
 			if outcomes[out] == nil {
 				outcomes[out] = make(map[string]bool)
 			}
-			outcomes[out][mem] = true
+			outcomes[out][memKey(mem)] = true
 		}
 	}
 }
@@ -522,36 +558,53 @@ func (a symAction) val(v uint64) uint64 {
 	return v
 }
 
-// applySymOutcome maps a canonical outcome key through an automorphism.
-func applySymOutcome(outcome string, a symAction) string {
+// parseOutcome inverts CanonOutcome over ObsKey texts: "" is the empty
+// outcome, else ';'-separated "T<ti>#<op>@<line>=<val>" entries.
+func parseOutcome(outcome string) []obs {
 	if outcome == "" {
-		return ""
+		return nil
 	}
-	entries := strings.Split(outcome, ";")
-	mapped := make([]string, 0, len(entries))
-	for _, e := range entries {
-		var ti, opIdx int
-		var line, val uint64
-		if _, err := fmt.Sscanf(e, "T%d#%d@%d=%d", &ti, &opIdx, &line, &val); err != nil {
-			return outcome // unparseable: leave untouched
+	var out []obs
+	for _, e := range strings.Split(outcome, ";") {
+		ti, rest, ok1 := cutNumber(e, "T", "#")
+		op, rest, ok2 := cutNumber(rest, "", "@")
+		line, rest, ok3 := cutNumber(rest, "", "=")
+		val, err := strconv.ParseUint(rest, 10, 64)
+		if !ok1 || !ok2 || !ok3 || err != nil || ti > math.MaxUint32 || op > math.MaxUint32 {
+			panic(fmt.Sprintf("check: malformed outcome key %q", outcome))
 		}
-		mapped = append(mapped, ObsKey(a.threadPerm[ti], opIdx, uint64(a.linePerm[line]), a.val(val)))
+		out = append(out, obs{ti: uint32(ti), op: uint32(op), line: line, val: val})
 	}
-	return CanonOutcome(mapped)
+	return out
 }
 
-// applySymMem maps a final-memory key through an automorphism.
-func applySymMem(mem string, a symAction) string {
+// cutNumber parses the decimal number between prefix pre and separator
+// sep at the start of s, and returns it with the text after sep.
+func cutNumber(s, pre, sep string) (uint64, string, bool) {
+	s, ok := strings.CutPrefix(s, pre)
+	if !ok {
+		return 0, "", false
+	}
+	num, rest, ok := strings.Cut(s, sep)
+	if !ok {
+		return 0, "", false
+	}
+	v, err := strconv.ParseUint(num, 10, 64)
+	return v, rest, err == nil
+}
+
+// parseMem inverts memKey: comma-separated decimal line values.
+func parseMem(mem string) []uint64 {
 	parts := strings.Split(mem, ",")
 	out := make([]uint64, len(parts))
 	for l, s := range parts {
-		var v uint64
-		if _, err := fmt.Sscanf(s, "%d", &v); err != nil {
-			return mem
+		v, err := strconv.ParseUint(s, 10, 64)
+		if err != nil {
+			panic(fmt.Sprintf("check: malformed memory key %q", mem))
 		}
-		out[a.linePerm[l]] = a.val(v)
+		out[l] = v
 	}
-	return memKey(out)
+	return out
 }
 
 // delayOrbitMinimal reports whether the per-thread delay index vector v
@@ -596,7 +649,8 @@ func (s FamilyShape) String() string {
 
 // EnumFamily generates the family, filtered to canonical representatives
 // under SM × line renaming. Store values are numbered 1..N in (thread,
-// op) order, so each structural choice yields exactly one program.
+// op) order, so each structural choice yields exactly one program. Every
+// candidate is built in one reused program; a kept one is cloned.
 func EnumFamily(s FamilyShape) []*Prog {
 	threads := s.SMs * s.WarpsPerSM
 	kinds := []workload.OpKind{workload.OpLoad, workload.OpStore}
@@ -615,26 +669,33 @@ func EnumFamily(s FamilyShape) []*Prog {
 		}
 	}
 	slots := threads * s.OpsPerThread
+	cand := &Prog{Lines: s.Lines, Threads: make([]Thread, threads)}
+	ops := make([]Op, slots)
+	lines := make([]uint64, slots)
+	for ti := range cand.Threads {
+		cand.Threads[ti] = Thread{SM: ti / s.WarpsPerSM, Warp: ti % s.WarpsPerSM,
+			Ops: ops[ti*s.OpsPerThread : (ti+1)*s.OpsPerThread : (ti+1)*s.OpsPerThread]}
+	}
+	var canon *canonicaliser
 	var out []*Prog
 	pick := make([]int, slots)
 	for {
-		p := &Prog{Lines: s.Lines}
 		val := uint64(0)
-		for ti := 0; ti < threads; ti++ {
-			th := Thread{SM: ti / s.WarpsPerSM, Warp: ti % s.WarpsPerSM}
-			for oi := 0; oi < s.OpsPerThread; oi++ {
-				c := menu[pick[ti*s.OpsPerThread+oi]]
-				op := Op{Kind: c.kind, Lines: []uint64{c.line}}
-				if c.kind != workload.OpLoad {
-					val++
-					op.Val = val
-				}
-				th.Ops = append(th.Ops, op)
+		for i, c := range pick {
+			lines[i] = menu[c].line
+			ops[i] = Op{Kind: menu[c].kind, Lines: lines[i : i+1 : i+1]}
+			if menu[c].kind != workload.OpLoad {
+				val++
+				ops[i].Val = val
 			}
-			p.Threads = append(p.Threads, th)
 		}
-		if p.WellFormed() == nil && CanonicalProg(p) {
-			out = append(out, p)
+		if cand.WellFormed() == nil {
+			if canon == nil {
+				canon = newCanonicaliser(symShape(cand))
+			}
+			if canon.canonical(cand) {
+				out = append(out, cand.Clone())
+			}
 		}
 		// Odometer increment.
 		i := slots - 1

@@ -30,6 +30,7 @@ package check
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"rccsim/internal/config"
 	"rccsim/internal/workload"
@@ -48,6 +49,10 @@ const (
 	placeCap = 64
 	lineCap  = 64
 )
+
+// opCap bounds a thread's operations: the SC enumerator keeps each
+// thread's pc in one byte of its state.
+const opCap = 255
 
 // Op is one operation of a fuzzed thread. Kind is restricted to OpLoad,
 // OpStore, OpAtomic, OpFence, OpBarrier and OpCompute; loads and stores
@@ -120,7 +125,7 @@ func parseOpKind(s string) (workload.OpKind, error) {
 // WellFormed verifies the structural properties the enumerator and the
 // machine rely on and returns a descriptive error for the first violation:
 //
-//   - at least one thread, each with at least one op;
+//   - at least one thread, each with 1..opCap ops;
 //   - 1..lineCap lines;
 //   - (SM, warp) placement unique, each index in [0, placeCap);
 //   - every line index in [0, Lines), distinct within one instruction;
@@ -139,20 +144,24 @@ func (p *Prog) WellFormed() error {
 	if p.Lines <= 0 || p.Lines > lineCap {
 		return fmt.Errorf("check: program declares %d lines, want 1..%d", p.Lines, lineCap)
 	}
-	placed := make(map[[2]int]bool)
-	vals := make(map[uint64]bool)
-	barriers := make(map[int]int) // SM -> barrier count (-1 sentinel unused)
+	var (
+		placed   [placeCap]uint64 // SM -> bitset of its occupied warps
+		barriers [placeCap]int    // SM -> barrier count + 1, 0 before its first thread
+		vals     valueSet
+	)
 	for ti, th := range p.Threads {
 		if th.SM < 0 || th.Warp < 0 || th.SM >= placeCap || th.Warp >= placeCap {
 			return fmt.Errorf("check: thread %d placement (%d,%d) outside [0,%d)", ti, th.SM, th.Warp, placeCap)
 		}
-		key := [2]int{th.SM, th.Warp}
-		if placed[key] {
+		if placed[th.SM]&(1<<th.Warp) != 0 {
 			return fmt.Errorf("check: threads share placement SM %d warp %d", th.SM, th.Warp)
 		}
-		placed[key] = true
+		placed[th.SM] |= 1 << th.Warp
 		if len(th.Ops) == 0 {
 			return fmt.Errorf("check: thread %d is empty", ti)
+		}
+		if len(th.Ops) > opCap {
+			return fmt.Errorf("check: thread %d has %d ops, at most %d", ti, len(th.Ops), opCap)
 		}
 		nbar := 0
 		for oi, op := range th.Ops {
@@ -167,24 +176,23 @@ func (p *Prog) WellFormed() error {
 				if op.Kind == workload.OpAtomic && len(op.Lines) != 1 {
 					return fmt.Errorf("check: thread %d op %d: atomic with %d lines", ti, oi, len(op.Lines))
 				}
-				seen := make(map[uint64]bool, len(op.Lines))
+				var seen uint64 // lines < p.Lines <= lineCap = 64
 				for _, l := range op.Lines {
 					if l >= uint64(p.Lines) {
 						return fmt.Errorf("check: thread %d op %d: line %d out of range [0,%d)", ti, oi, l, p.Lines)
 					}
-					if seen[l] {
+					if seen&(1<<l) != 0 {
 						return fmt.Errorf("check: thread %d op %d: duplicate line %d", ti, oi, l)
 					}
-					seen[l] = true
+					seen |= 1 << l
 				}
 				if op.Kind != workload.OpLoad {
 					if op.Val == 0 {
 						return fmt.Errorf("check: thread %d op %d: zero store value", ti, oi)
 					}
-					if vals[op.Val] {
+					if !vals.add(op.Val) {
 						return fmt.Errorf("check: thread %d op %d: duplicate store value %d", ti, oi, op.Val)
 					}
-					vals[op.Val] = true
 				}
 			case workload.OpFence, workload.OpCompute:
 				if len(op.Lines) != 0 {
@@ -202,12 +210,38 @@ func (p *Prog) WellFormed() error {
 				return fmt.Errorf("check: thread %d op %d: unsupported kind %v", ti, oi, op.Kind)
 			}
 		}
-		if prev, ok := barriers[th.SM]; ok && prev != nbar {
+		if prev := barriers[th.SM] - 1; prev >= 0 && prev != nbar {
 			return fmt.Errorf("check: SM %d threads disagree on barrier count (%d vs %d)", th.SM, prev, nbar)
 		}
-		barriers[th.SM] = nbar
+		barriers[th.SM] = nbar + 1
 	}
 	return nil
+}
+
+// valueSet is the set of store values WellFormed has seen: the first 64
+// in an array on the caller's stack, any past them in a map, so only a
+// program with more than 64 stores allocates.
+type valueSet struct {
+	vals  [64]uint64
+	n     int
+	spill map[uint64]bool
+}
+
+// add inserts v and reports whether it was absent.
+func (s *valueSet) add(v uint64) bool {
+	if slices.Contains(s.vals[:s.n], v) || s.spill[v] {
+		return false
+	}
+	if s.n < len(s.vals) {
+		s.vals[s.n] = v
+		s.n++
+		return true
+	}
+	if s.spill == nil {
+		s.spill = make(map[uint64]bool)
+	}
+	s.spill[v] = true
+	return true
 }
 
 // Shape returns the number of threads and total operations (shrink-quality
