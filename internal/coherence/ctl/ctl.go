@@ -150,8 +150,16 @@ type L2 struct {
 	DRAM    *mem.DRAM
 	Backing *mem.Backing
 
-	pipe     timing.Pipe[*coherence.Msg] // models the access pipeline
-	deferred []*coherence.Msg            // refused requests, retried head first
+	pipe timing.Pipe[*coherence.Msg] // models the access pipeline
+
+	// deferred[dHead:] are the refused requests, retried head first. The
+	// list is reused: it returns to deferred[:0] whenever it drains, and
+	// Defer compacts the live window to the front before growing it.
+	deferred []*coherence.Msg
+	dHead    int
+	// parked is set while the deferred head waits for an event: it was
+	// refused on its last try (see Serve).
+	parked bool
 }
 
 // NewL2 returns the shared state of partition part.
@@ -171,7 +179,7 @@ func (c *L2) Reset() {
 	c.Observers = trace.Observers{}
 	c.pipe.Reset()
 	clear(c.deferred)
-	c.deferred = c.deferred[:0]
+	c.deferred, c.dHead, c.parked = c.deferred[:0], 0, false
 }
 
 // Deliver implements coherence.L2: requests enter the access pipe at the
@@ -181,7 +189,14 @@ func (c *L2) Deliver(m *coherence.Msg, at timing.Cycle) {
 }
 
 // Defer queues m behind the requests already refused, for Serve to retry.
-func (c *L2) Defer(m *coherence.Msg) { c.deferred = append(c.deferred, m) }
+func (c *L2) Defer(m *coherence.Msg) {
+	if len(c.deferred) == cap(c.deferred) && c.dHead > 0 {
+		n := copy(c.deferred, c.deferred[c.dHead:])
+		clear(c.deferred[n:])
+		c.deferred, c.dHead = c.deferred[:n], 0
+	}
+	c.deferred = append(c.deferred, m)
+}
 
 // DrainDRAM starts a Tick: it ticks the DRAM channel and passes the line
 // of every completed fetch to fill; a completed write-back needs nothing.
@@ -204,12 +219,27 @@ func (c *L2) DrainDRAM(now timing.Cycle, fill func(line uint64, now timing.Cycle
 // wait, else the next pipe entry ready at now. handle reports whether it
 // took the request. A refused pipe entry is deferred and still counts as
 // work; a refused deferred head stays first and does not.
+//
+// A refusal parks the partition: NextEvent stops asking for the next cycle
+// and stops counting the pipe, which Serve cannot reach behind the head, so
+// the partition sleeps until a DRAM event, one of its protocol's own queues
+// or a rollover wakes it, and every Tick that reaches Serve retries the
+// head on that same cycle. This rests on handle's contract: whether it
+// refuses a request depends only on the request and on partition state
+// that changes inside the partition's own Tick (a DRAM fill freeing an
+// MSHR, raising mnow or installing a line) or at a rollover (Requeue,
+// then the thaw). The refusals today are a full MSHR table (every
+// protocol) and RCC's rollover guards; a retry on any other cycle would
+// be refused again and change nothing.
 func (c *L2) Serve(now timing.Cycle, handle func(*coherence.Msg, timing.Cycle) bool) bool {
 	if len(c.deferred) > 0 {
-		if !handle(c.deferred[0], now) {
+		if c.parked = !handle(c.deferred[c.dHead], now); c.parked {
 			return false
 		}
-		c.deferred = c.deferred[1:]
+		c.deferred[c.dHead] = nil
+		if c.dHead++; c.dHead == len(c.deferred) {
+			c.deferred, c.dHead = c.deferred[:0], 0
+		}
 		return true
 	}
 	m, ok := c.pipe.PopReady(now)
@@ -217,16 +247,23 @@ func (c *L2) Serve(now timing.Cycle, handle func(*coherence.Msg, timing.Cycle) b
 		return false
 	}
 	if !handle(m, now) {
-		c.deferred = append(c.deferred, m)
+		c.Defer(m)
+		c.parked = true
 	}
 	return true
 }
+
+// Parked reports whether a refused request waits at the head of the
+// deferred list for an event (see Serve).
+func (c *L2) Parked() bool { return c.parked }
 
 // Requeue applies fn to every queued request, deferred or in the pipe,
 // and makes every pipe entry ready at now, keeping their order. The RCC
 // timestamp rollover rewrites queued requests this way.
 func (c *L2) Requeue(now timing.Cycle, fn func(*coherence.Msg)) {
-	for _, m := range c.deferred {
+	// fn rewrites the deferred requests, so the head may now be taken.
+	c.parked = false
+	for _, m := range c.deferred[c.dHead:] {
 		fn(m)
 	}
 	queued := c.pipe
@@ -243,8 +280,12 @@ func (c *L2) Requeue(now timing.Cycle, fn func(*coherence.Msg)) {
 
 // NextEvent returns the earliest cycle at which DrainDRAM or Serve could do
 // work: a DRAM event, a ready pipe entry, or the next cycle while requests
-// are deferred.
+// are deferred; a parked partition waits for its DRAM channel alone (see
+// Serve).
 func (c *L2) NextEvent(now timing.Cycle) timing.Cycle {
+	if c.parked {
+		return c.DRAM.NextEvent()
+	}
 	next := timing.Min(c.DRAM.NextEvent(), c.pipe.NextReady())
 	if len(c.deferred) > 0 {
 		next = timing.Min(next, now+1)

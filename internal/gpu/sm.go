@@ -207,6 +207,10 @@ type SM struct {
 	// and ForceWake returns them all, since a warp parked while the L1 was
 	// frozen may have had an MSHR for its line.
 	subWait []uint64
+	// subLine[i] is the line warps[i] was refused for when it last
+	// parked, so unparkLine reads one word per parked warp; it is
+	// meaningful only while warps[i] is in subWait.
+	subLine []uint64
 	// scan is Tick's scratch mask, cand | subWait while the L1 is open.
 	scan []uint64
 }
@@ -327,6 +331,7 @@ func (s *SM) Reset(prog *workload.Program, obs Observer) {
 	s.cand = resetMask(s.cand, words)
 	s.scMask = resetMask(s.scMask, words)
 	s.subWait = resetMask(s.subWait, words)
+	s.subLine = resetMask(s.subLine, len(s.warps))
 	s.scan = resetMask(s.scan, words)
 	for _, w := range s.warps {
 		s.reclassify(w)
@@ -334,7 +339,8 @@ func (s *SM) Reset(prog *workload.Program, obs Observer) {
 	s.checkBarrier()
 }
 
-// resetMask returns a zeroed bit mask of words words, reusing m's storage.
+// resetMask returns a zeroed slice of words words (a bit mask, or
+// subLine), reusing m's storage.
 func resetMask(m []uint64, words int) []uint64 {
 	if cap(m) < words {
 		return make([]uint64, words)
@@ -641,7 +647,7 @@ func (s *SM) unparkLine(line uint64, self int) {
 		for word != 0 {
 			i := wi<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
-			if w := s.warps[i]; i != self && s.pool.Line(&w.subIn, int(w.subNext)) == line {
+			if i != self && s.subLine[i] == line {
 				setBit(s.subWait, i, false)
 				setBit(s.cand, i, true)
 			}
@@ -846,13 +852,15 @@ func (s *SM) issueMem(w *warp, in *workload.Instr, now timing.Cycle) {
 func (s *SM) drainSubmit(w *warp, now timing.Cycle) bool {
 	tr := s.trackers[w.subSlot]
 	progress := false
+	var line uint64
 	for w.subNext < w.subIn.N {
+		line = s.pool.Line(&w.subIn, int(w.subNext))
 		s.idSeq++
 		r := s.allocReq()
 		*r = coherence.Request{
 			ID:    (s.idSeq-1)*s.idStride + uint64(s.id) + 1,
 			Class: tr.class,
-			Line:  s.pool.Line(&w.subIn, int(w.subNext)),
+			Line:  line,
 			Warp:  w.id,
 			Val:   w.subIn.Val,
 			Issue: tr.issue,
@@ -889,6 +897,7 @@ func (s *SM) drainSubmit(w *warp, now timing.Cycle) bool {
 	} else {
 		// Refused: park until the L1 can take the line (see subWait).
 		setBit(s.subWait, w.id, true)
+		s.subLine[w.id] = line
 		s.reclassify(w)
 	}
 	return progress
@@ -1037,6 +1046,17 @@ func (s *SM) Wake() {
 
 // NextEvent reports the earliest future cycle at which the SM itself could
 // make progress without an external completion.
+//
+// The now+1 while a submit is pending is load-bearing, not a cheap
+// over-approximation: returning wakeAt instead moves the RCC and RCC-WO
+// runs of the MSHR, GTO and L2 pressure digests (instruction, memory-op
+// and L1 counters stay equal; the cycle account moves, and Cycles by one
+// on some runs). Likewise MemDone must mark the SM dirty on every line it
+// completes, not only on an op's last: marking only the last moves the
+// GTO pressure and observed-stream digests (the cycle account of SC runs,
+// and Cycles on some kernels). Which cycles an SM rescans therefore feeds
+// its cycle account, and a cheaper SM tick that skips these visits
+// changes simulated results.
 func (s *SM) NextEvent(now timing.Cycle) timing.Cycle {
 	if s.dirty {
 		return now

@@ -124,7 +124,8 @@ type Child struct {
 }
 
 // MarkRec is one recorded segment boundary, kept in arrival order so
-// Perfetto flow events can be emitted at true timestamps.
+// Perfetto flow events can be emitted at true timestamps. Consecutive
+// marks of one segment share a record, which holds the latest.
 type MarkRec struct {
 	Seg Seg
 	At  timing.Cycle
@@ -265,6 +266,13 @@ func (r *Recorder) mark(id uint64, seg Seg, at timing.Cycle) {
 	if at > o.last {
 		o.Segs[seg] += uint64(at - o.last)
 		o.last = at
+	}
+	// A repeated mark of the segment just marked (a deferred request
+	// retried at the L2) moves that boundary instead of adding one, so
+	// the flow steps do not depend on how often the caller retried.
+	if n := len(o.Marks); n > 0 && o.Marks[n-1].Seg == seg {
+		o.Marks[n-1].At = at
+		return
 	}
 	o.Marks = append(o.Marks, MarkRec{Seg: seg, At: at})
 }

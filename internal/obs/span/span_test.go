@@ -3,6 +3,7 @@ package span
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -337,6 +338,32 @@ func TestFlows(t *testing.T) {
 	}
 	if !strings.Contains(fl[0].Name, "atomic") {
 		t.Fatalf("flow name %q", fl[0].Name)
+	}
+}
+
+// TestRepeatedMarkOneStep: marking the segment just marked again (an L2
+// retrying a deferred request each cycle) moves that flow step instead of
+// adding one, and leaves the segment sums as they were.
+func TestRepeatedMarkOneStep(t *testing.T) {
+	r := NewRecorder(1)
+	r.Start(1, 0, 0, 0x40, Load, 0)
+	r.Mark(1, SegNoCReqWire, 4)
+	for at := timing.Cycle(10); at <= 14; at++ {
+		r.Mark(1, SegL2Pipe, at)
+	}
+	r.Mark(1, SegDRAM, 30)
+	r.Mark(1, SegL2Pipe, 31)
+	r.Finish(1, SegReply, 40)
+	o := r.Done()[0]
+	want := []MarkRec{{SegNoCReqWire, 4}, {SegL2Pipe, 14}, {SegDRAM, 30}, {SegL2Pipe, 31}, {SegReply, 40}}
+	if !reflect.DeepEqual(o.Marks, want) {
+		t.Fatalf("marks %+v, want %+v", o.Marks, want)
+	}
+	if o.Segs[SegNoCReqWire] != 4 || o.Segs[SegL2Pipe] != 11 || o.Segs[SegDRAM] != 16 || o.Segs[SegReply] != 9 {
+		t.Fatalf("segment sums %v", o.Segs)
+	}
+	if steps := r.Flows()[0].Steps; len(steps) != len(want)+1 {
+		t.Fatalf("%d flow steps, want %d: %+v", len(steps), len(want)+1, steps)
 	}
 }
 

@@ -288,8 +288,9 @@ func (m *Machine) reset() {
 
 // deliveryWake re-arms the wake time of a component that just received a
 // message. L1s tick before the network within a cycle, so a delivery at
-// now is seen at now+1; L2s tick after the network and must run this very
-// cycle (their pipeline entry may already be due).
+// now is seen at now+1; an L2 partition queues every delivered message in
+// a pipe of depth L2Latency, so it is woken when the entry is ready (the
+// same cycle when the depth is 0: L2s tick after the network).
 func (m *Machine) deliveryWake(dst int, now timing.Cycle) {
 	if dst < m.cfg.NumSMs {
 		if now+1 < m.l1Wake[dst] {
@@ -300,10 +301,11 @@ func (m *Machine) deliveryWake(dst int, now timing.Cycle) {
 		}
 		return
 	}
-	if p := dst - m.cfg.NumSMs; now < m.l2Wake[p] {
-		m.l2Wake[p] = now
-		if now < m.l2WakeMin {
-			m.l2WakeMin = now
+	at := now + timing.Cycle(m.cfg.L2Latency)
+	if p := dst - m.cfg.NumSMs; at < m.l2Wake[p] {
+		m.l2Wake[p] = at
+		if at < m.l2WakeMin {
+			m.l2WakeMin = at
 		}
 	}
 }
@@ -440,8 +442,14 @@ func (m *Machine) Done() bool {
 // whether any component did work. Only components whose wake time has
 // arrived are ticked; a skipped component's Tick is provably a no-op
 // returning false (its wake times are conservative), so the cycle-by-cycle
-// behaviour — including the sequence of visited cycles — is identical to
-// ticking everything.
+// behaviour is identical to ticking everything.
+//
+// A wake time may be moved later only with such a proof; ctl.L2.Serve
+// gives the one for a partition parked on a refused request. Not every SM
+// visit can be dropped: an SM's cycle account depends on which cycles it
+// rescans, so the visits that gpu.SM.NextEvent asks for while a submit is
+// pending, and the dirty mark of every MemDone, are part of the pinned
+// behaviour.
 func (m *Machine) Step() bool {
 	now := m.now
 	m.obsv.Tr.CycleReached(now)
