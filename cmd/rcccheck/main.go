@@ -47,7 +47,6 @@ func main() {
 		jitMenu   = flag.String("jitter-menu", "", "comma-separated per-message extra NoC delays (default from check.DefaultMCOptions)")
 		maxCycles = flag.Uint64("max-cycles", 2_000_000, "per-run cycle cap")
 		maxRuns   = flag.Int("max-runs", 1<<20, "per-exploration run cap (exceeding it reports truncation)")
-		symmetry  = flag.Bool("symmetry", true, "prune delay assignments equivalent under program automorphisms")
 		weaken    = flag.Uint64("weaken-lease", 0, "self-test: extend every L1 lease check by N cycles (plants an SC bug); adds the pinned witness program")
 		graphOut  = flag.String("graph-out", "", "write the explored state graph (counterexample program, else the first program) as JSON")
 		dotOut    = flag.String("dot-out", "", "write the same state graph as Graphviz DOT")
@@ -91,7 +90,6 @@ func main() {
 	base := check.DefaultMCOptions()
 	base.MaxCycles = *maxCycles
 	base.MaxRuns = *maxRuns
-	base.Symmetry = *symmetry
 	if *delayMenu != "" {
 		delays, err := parseMenu(*delayMenu, 32)
 		if err != nil {
@@ -118,6 +116,10 @@ func main() {
 	}
 	if *family {
 		shape := check.FamilyShape{SMs: *sms, WarpsPerSM: *warps, OpsPerThread: *ops, Lines: *lines, Atomics: *atomics}
+		if err := shape.Validate(); err != nil {
+			fmt.Fprintf(os.Stderr, "rcccheck: %v\n", err)
+			os.Exit(2)
+		}
 		fam := check.EnumFamily(shape)
 		fmt.Printf("rcccheck: family %v: %d canonical programs\n", shape, len(fam))
 		if *progCap > 0 && len(fam) > *progCap {

@@ -365,7 +365,11 @@ func refCanonicalProg(p *Prog) bool {
 
 // refEnumFamily is EnumFamily over refCanonicalProg and refWellFormed,
 // building every candidate afresh.
-func refEnumFamily(s FamilyShape) []*Prog {
+func refEnumFamily(s FamilyShape) []*Prog { return refEnumCandidates(s, refCanonicalProg) }
+
+// refEnumCandidates returns every well-formed candidate of the family
+// shape that keep accepts, in EnumFamily's order.
+func refEnumCandidates(s FamilyShape, keep func(*Prog) bool) []*Prog {
 	threads := s.SMs * s.WarpsPerSM
 	kinds := []workload.OpKind{workload.OpLoad, workload.OpStore}
 	if s.Atomics {
@@ -400,7 +404,7 @@ func refEnumFamily(s FamilyShape) []*Prog {
 			}
 			p.Threads = append(p.Threads, th)
 		}
-		if refWellFormed(p) == nil && refCanonicalProg(p) {
+		if refWellFormed(p) == nil && keep(p) {
 			out = append(out, p)
 		}
 		i := slots - 1

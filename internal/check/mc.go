@@ -20,8 +20,10 @@
 // make the search allocation-bound.
 // A visited-set over machine-state fingerprints (see fingerprintMachine)
 // merges converging branches — chiefly siblings whose delay difference
-// was absorbed by port-serialization backlog — and symmetry reduction
-// over program automorphisms prunes equivalent initial delay assignments.
+// was absorbed by port-serialization backlog. Every initial delay
+// assignment is explored: arbitration ties break by index, so the mirror
+// image of an execution under a program automorphism need not be an
+// execution of the machine.
 // Only a fresh decision (past the replayed prefix, before any prune) can
 // prune, so only those are fingerprinted, with a cheap 128-bit hash
 // (hash128); the state graph, when recorded, fingerprints every decision
@@ -64,7 +66,6 @@ type MCOptions struct {
 
 	MaxCycles uint64 // per-run cycle cap (0 = config default)
 	MaxRuns   int    // exploration cap; hitting it sets Truncated
-	Symmetry  bool   // prune delay vectors equivalent under program automorphisms
 	Graph     bool   // record the explored state graph
 	Limits    EnumLimits
 
@@ -85,7 +86,6 @@ func DefaultMCOptions() MCOptions {
 		JitterMenu: []uint64{0, 430},
 		MaxCycles:  2_000_000,
 		MaxRuns:    1 << 20,
-		Symmetry:   true,
 		Graph:      true,
 		Limits:     DefaultEnumLimits(),
 	}
@@ -208,28 +208,20 @@ func ModelCheck(p *Prog, opts MCOptions) (*MCResult, error) {
 
 // run performs the exploration newMCDriver set up.
 func (d *mcDriver) run() (*MCResult, error) {
-	p, opts := d.p, d.opts
-	var autos []symAction
-	if opts.Symmetry {
-		autos = progAutomorphisms(p)
-	}
-	// Root region: every per-thread delay-menu assignment, lex order,
-	// symmetry-pruned to orbit minima.
-	delayVec := make([]uint8, len(p.Threads))
+	// Root region: every per-thread delay-menu assignment, lex order.
+	delayVec := make([]uint8, len(d.p.Threads))
 	for {
-		if !opts.Symmetry || delayOrbitMinimal(delayVec, autos) {
-			if err := d.explore(delayVec); err != nil {
-				return nil, err
-			}
-			if d.res.Truncated {
-				break
-			}
+		if err := d.explore(delayVec); err != nil {
+			return nil, err
+		}
+		if d.res.Truncated {
+			break
 		}
 		i := len(delayVec) - 1
 		for ; i >= 0; i-- {
 			// Compare before incrementing: index 255 of a full menu
 			// would wrap to 0.
-			if int(delayVec[i])+1 < len(opts.DelayMenu) {
+			if int(delayVec[i])+1 < len(d.opts.DelayMenu) {
 				delayVec[i]++
 				break
 			}
@@ -238,11 +230,6 @@ func (d *mcDriver) run() (*MCResult, error) {
 		if i < 0 {
 			break
 		}
-	}
-	// Symmetry pruning skipped orbit-equivalent delay vectors; their
-	// executions' outcomes are the automorphism images of explored ones.
-	if opts.Symmetry && !d.res.Truncated {
-		closeOutcomes(d.res.Outcomes, autos)
 	}
 	d.res.States = len(d.visited)
 	if d.res.Graph != nil {

@@ -2,7 +2,6 @@ package check
 
 import (
 	"encoding/json"
-	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -274,135 +273,6 @@ func TestMCDeterministicStateCounts(t *testing.T) {
 	}
 }
 
-// TestMCSymmetryEmpirical validates the symmetry reduction empirically
-// under RCC, on store buffering and on every program of the pinned
-// 72-program family with a nontrivial automorphism (thread swaps with
-// line and value renaming): the pruned exploration must reach the same
-// verdict as the full one in fewer or equal runs, and its closed outcome
-// set must equal the full one's. The machine is symmetric only up to
-// index-ordered arbitration ties, so on two family programs the closure
-// adds the image of a pair whose mirror the full exploration never
-// produced: each of those gains exactly one pair, which must be SC.
-func TestMCSymmetryEmpirical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exhaustive explorations in -short mode")
-	}
-	if len(progAutomorphisms(sb())) < 2 {
-		t.Fatal("SB has no nontrivial automorphism; symmetry test is vacuous")
-	}
-	type symCase struct {
-		name string
-		p    *Prog
-	}
-	cases := []symCase{{"SB", sb()}}
-	for i, p := range EnumFamily(FamilyShape{SMs: 2, WarpsPerSM: 1, OpsPerThread: 2, Lines: 2}) {
-		if len(progAutomorphisms(p)) >= 2 {
-			cases = append(cases, symCase{fmt.Sprintf("family[%d]", i), p})
-		}
-	}
-	if len(cases) != 17 {
-		t.Fatalf("%d family programs have a nontrivial automorphism, want 16", len(cases)-1)
-	}
-	// The programs, by EnumFamily index, whose closed set holds one SC
-	// pair more than the full exploration reached.
-	wider := map[string]bool{"family[52]": true, "family[70]": true}
-	on := mcQuick(config.RCC)
-	off := mcQuick(config.RCC)
-	off.Symmetry = false
-	pruned, full := 0, 0
-	for _, c := range cases {
-		ra, err := ModelCheck(c.p, on)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := ModelCheck(c.p, off)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (ra.Failure == nil) != (rb.Failure == nil) {
-			t.Fatalf("%s: symmetry changed the verdict: %v vs %v\n%s", c.name, ra.Failure, rb.Failure, c.p)
-		}
-		if ra.Runs > rb.Runs {
-			t.Fatalf("%s: symmetry pruning ran MORE executions: %d vs %d\n%s", c.name, ra.Runs, rb.Runs, c.p)
-		}
-		pruned += ra.Runs
-		full += rb.Runs
-		if !wider[c.name] {
-			if !reflect.DeepEqual(ra.Outcomes, rb.Outcomes) {
-				t.Fatalf("%s: closed outcome set differs from the full one:\n pruned: %v\n full: %v\n%s", c.name, ra.Outcomes, rb.Outcomes, c.p)
-			}
-			continue
-		}
-		for out, mems := range rb.Outcomes {
-			for mem := range mems {
-				if !ra.Outcomes[out][mem] {
-					t.Fatalf("%s: symmetry closure lost {%s} [%s]:\n pruned: %v\n full: %v\n%s", c.name, out, mem, ra.Outcomes, rb.Outcomes, c.p)
-				}
-			}
-		}
-		set, err := c.p.Enumerate(DefaultEnumLimits())
-		if err != nil {
-			t.Fatal(err)
-		}
-		extra := 0
-		for out, mems := range ra.Outcomes {
-			for mem := range mems {
-				if rb.Outcomes[out][mem] {
-					continue
-				}
-				if !set.AllowsFinal(out, mem) {
-					t.Fatalf("%s: symmetry closure added the non-SC pair {%s} [%s]\n%s", c.name, out, mem, c.p)
-				}
-				extra++
-			}
-		}
-		if extra != 1 {
-			t.Fatalf("%s: closure added %d pairs, want 1\n%s", c.name, extra, c.p)
-		}
-	}
-	t.Logf("symmetry: %d programs, %d runs pruned vs %d full", len(cases), pruned, full)
-}
-
-// TestCloseOutcomesParses: closeOutcomes maps outcome and memory keys as
-// numbers, so a key it cannot parse panics instead of passing through
-// unmapped, and parsing inverts rendering.
-func TestCloseOutcomesParses(t *testing.T) {
-	for _, out := range []string{"", "T0#1@0=5", "T1#0@1=2;T1#1@0=0;T10#3@12=18446744073709551615"} {
-		o := parseOutcome(out)
-		keys := make([]string, len(o))
-		for i, e := range o {
-			keys[i] = ObsKey(int(e.ti), int(e.op), e.line, e.val)
-		}
-		if got := CanonOutcome(keys); got != out {
-			t.Fatalf("parseOutcome(%q) renders back as %q", out, got)
-		}
-	}
-	if got := memKey(parseMem("0,12,3")); got != "0,12,3" {
-		t.Fatalf("parseMem renders back as %q", got)
-	}
-	swap := []symAction{{threadPerm: []int{1, 0}, linePerm: []int{1, 0}, valMap: map[uint64]uint64{1: 2, 2: 1}}}
-	set := map[string]map[string]bool{"T0#1@0=0;T1#1@1=1": {"1,2": true}}
-	closeOutcomes(set, swap)
-	if !set["T0#1@0=2;T1#1@1=0"]["1,2"] || len(set) != 2 {
-		t.Fatalf("closed set %v, want the swapped image added", set)
-	}
-	for _, bad := range []map[string]map[string]bool{
-		{"T0#1@0=x": {"0": true}},
-		{"T0@0=1": {"0": true}},
-		{"T0#1@0=1;": {"0": true}},
-		{"T0#1@0=1": {"0,": true}},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("closeOutcomes(%v) did not panic", bad)
-				}
-			}()
-			closeOutcomes(bad, swap)
-		}()
-	}
-}
-
 // TestMCGraphExport checks the state-graph artifact: populated, valid
 // JSON, valid-looking DOT, and containing the node kinds a reader of the
 // artifact navigates by.
@@ -466,6 +336,51 @@ func TestMCFamilyEnumeration(t *testing.T) {
 	tiny := EnumFamily(FamilyShape{SMs: 2, WarpsPerSM: 1, OpsPerThread: 1, Lines: 1})
 	if len(tiny) == 0 {
 		t.Fatal("tiny family is empty")
+	}
+}
+
+// TestFamilyShapeValidate: a shape with a count below 1, one past the
+// caps WellFormed puts on every program, or too many candidates or
+// renamings to enumerate is rejected before EnumFamily would index an
+// empty menu, size a negative slice, tabulate 12! permutations or grind
+// through candidates of which none can be kept; EnumFamily returns no
+// programs for it.
+func TestFamilyShapeValidate(t *testing.T) {
+	ok := FamilyShape{SMs: 2, WarpsPerSM: 1, OpsPerThread: 2, Lines: 2}
+	for _, tc := range []struct {
+		name  string
+		edit  func(*FamilyShape)
+		valid bool
+	}{
+		{"default", func(*FamilyShape) {}, true},
+		{"3 SMs x 3 ops, atomics", func(s *FamilyShape) { s.SMs, s.OpsPerThread, s.Atomics = 3, 3, true }, true},
+		{"4 SMs, atomics", func(s *FamilyShape) { s.SMs, s.Atomics = 4, true }, true},
+		{"7 SMs x 2 lines", func(s *FamilyShape) { s.SMs, s.OpsPerThread = 7, 1 }, true},
+		{"no lines", func(s *FamilyShape) { s.Lines = 0 }, false},
+		{"past line cap", func(s *FamilyShape) { s.Lines = lineCap + 1 }, false},
+		{"70 lines", func(s *FamilyShape) { s.Lines = 70 }, false},
+		{"negative SMs", func(s *FamilyShape) { s.SMs = -1 }, false},
+		{"no SMs", func(s *FamilyShape) { s.SMs = 0 }, false},
+		{"past SM cap", func(s *FamilyShape) { s.SMs = placeCap + 1 }, false},
+		{"negative warps", func(s *FamilyShape) { s.WarpsPerSM = -1 }, false},
+		{"past warp cap", func(s *FamilyShape) { s.WarpsPerSM = placeCap + 1 }, false},
+		{"negative ops", func(s *FamilyShape) { s.OpsPerThread = -1 }, false},
+		{"past op cap", func(s *FamilyShape) { s.OpsPerThread = opCap + 1 }, false},
+		{"too many candidates", func(s *FamilyShape) { s.OpsPerThread = 7 }, false},
+		{"12 lines", func(s *FamilyShape) { s.SMs, s.OpsPerThread, s.Lines = 1, 1, 12 }, false},
+		{"8 SMs x 2 lines", func(s *FamilyShape) { s.SMs, s.OpsPerThread = 8, 1 }, false},
+	} {
+		s := ok
+		tc.edit(&s)
+		err := s.Validate()
+		if (err == nil) != tc.valid {
+			t.Errorf("%s: %v.Validate() = %v, want valid %v", tc.name, s, err, tc.valid)
+		}
+		if !tc.valid {
+			if fam := EnumFamily(s); fam != nil {
+				t.Errorf("%s: EnumFamily(%v) gave %d programs", tc.name, s, len(fam))
+			}
+		}
 	}
 }
 

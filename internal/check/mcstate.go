@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -260,7 +259,7 @@ func (g *MCGraph) DOT() string {
 }
 
 // ---------------------------------------------------------------------
-// Symmetry: canonical programs and automorphism-pruned delay vectors
+// Symmetry: canonical programs
 // ---------------------------------------------------------------------
 
 // serializeProg renders a program as a canonical comparison string:
@@ -420,210 +419,14 @@ func symShape(p *Prog) (sms, lines int) {
 // orbit under SM renaming × line renaming (store values compared under
 // first-appearance renumbering): no image serialises before p.
 // rcccheck enumerates whole program families and checks only
-// representatives; the machine is symmetric under these renamings up to
-// index-ordered arbitration ties, which TestMCSymmetryEmpirical validates
-// on the explored scale.
+// representatives. The machine is symmetric under these renamings only
+// up to index-ordered arbitration ties, so a representative's outcome set
+// can differ from a renamed image's: TestFamilyReductionLoss explores all
+// 256 raw programs of rcccheck's default family under MESI, TCS and RCC
+// and pins the loss per protocol: 2 pairs that raw programs reach and
+// their representatives lack, 8 the other way, and no verdict changed.
 func CanonicalProg(p *Prog) bool {
 	return newCanonicaliser(symShape(p)).canonical(p)
-}
-
-// symAction is one program automorphism — an (SM perm × line perm) pair
-// mapping p to itself up to store-value renumbering — expressed as its
-// action on executions: thread i's behaviour appears as thread
-// threadPerm[i]'s, line l's contents appear at linePerm[l], and store
-// value v appears as valMap[v].
-type symAction struct {
-	threadPerm []int
-	linePerm   []int
-	valMap     map[uint64]uint64
-}
-
-// progAutomorphisms returns every automorphism action of p. Delay
-// vectors related by a threadPerm explore equivalent executions (up to
-// index-ordered arbitration ties), and the outcome set of a
-// symmetry-pruned exploration is recovered by closing under these
-// actions (closeOutcomes).
-func progAutomorphisms(p *Prog) []symAction {
-	c := newCanonicaliser(symShape(p))
-	c.self = c.appendImage(nil, p, nil, nil)
-	// rankIdx[r] = index of the thread at placement rank r; pos inverts.
-	type slot struct{ sm, warp int }
-	pos := map[slot]int{}
-	rankIdx := make([]int, len(p.Threads))
-	{
-		idx := make([]int, len(p.Threads))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, b int) bool {
-			ta, tb := p.Threads[idx[a]], p.Threads[idx[b]]
-			if ta.SM != tb.SM {
-				return ta.SM < tb.SM
-			}
-			return ta.Warp < tb.Warp
-		})
-		for rank, ti := range idx {
-			pos[slot{p.Threads[ti].SM, p.Threads[ti].Warp}] = rank
-			rankIdx[rank] = ti
-		}
-	}
-	seen := map[string]bool{}
-	var out []symAction
-	for _, sp := range c.smPerms {
-		for _, lp := range c.linePerms {
-			if c.img = c.appendImage(c.img[:0], p, sp, lp); !bytes.Equal(c.img, c.self) {
-				continue
-			}
-			perm := make([]int, len(p.Threads))
-			for ti, th := range p.Threads {
-				perm[ti] = rankIdx[pos[slot{sp[th.SM], th.Warp}]]
-			}
-			key := fmt.Sprint(perm, lp)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			// The renumbering match guarantees thread perm[ti] carries the
-			// same op shapes as ti; its values are where ti's values appear
-			// after the renaming.
-			vm := map[uint64]uint64{}
-			ok := true
-			for ti, th := range p.Threads {
-				img := p.Threads[perm[ti]]
-				if len(img.Ops) != len(th.Ops) {
-					ok = false
-					break
-				}
-				for oi, op := range th.Ops {
-					if op.Val != 0 {
-						vm[op.Val] = img.Ops[oi].Val
-					}
-				}
-			}
-			if ok {
-				out = append(out, symAction{threadPerm: perm, linePerm: lp, valMap: vm})
-			}
-		}
-	}
-	return out
-}
-
-// closeOutcomes closes an explored outcome→memories set under the
-// automorphism actions: an execution pruned by delay-vector symmetry
-// exists as the image of an explored one, so its (renamed) outcome and
-// final memory are added back here. The actions form a group, so one
-// pass over the recorded set yields the full orbit. Each key is parsed
-// into numbers once, mapped as numbers and each image rendered once; a
-// key that does not parse is a bug in the runner and panics.
-func closeOutcomes(outcomes map[string]map[string]bool, autos []symAction) {
-	type pair struct {
-		obs []obs
-		mem []uint64
-	}
-	var base []pair
-	for out, mems := range outcomes {
-		o := parseOutcome(out)
-		for mem := range mems {
-			base = append(base, pair{o, parseMem(mem)})
-		}
-	}
-	var keys []string
-	var mem []uint64
-	for _, a := range autos {
-		for _, pr := range base {
-			keys = keys[:0]
-			for _, o := range pr.obs {
-				keys = append(keys, ObsKey(a.threadPerm[o.ti], int(o.op), uint64(a.linePerm[o.line]), a.val(o.val)))
-			}
-			out := CanonOutcome(keys)
-			mem = slices.Grow(mem[:0], len(pr.mem))[:len(pr.mem)]
-			for l, v := range pr.mem {
-				mem[a.linePerm[l]] = a.val(v)
-			}
-			if outcomes[out] == nil {
-				outcomes[out] = make(map[string]bool)
-			}
-			outcomes[out][memKey(mem)] = true
-		}
-	}
-}
-
-func (a symAction) val(v uint64) uint64 {
-	if v == 0 {
-		return 0
-	}
-	if w, ok := a.valMap[v]; ok {
-		return w
-	}
-	return v
-}
-
-// parseOutcome inverts CanonOutcome over ObsKey texts: "" is the empty
-// outcome, else ';'-separated "T<ti>#<op>@<line>=<val>" entries.
-func parseOutcome(outcome string) []obs {
-	if outcome == "" {
-		return nil
-	}
-	var out []obs
-	for _, e := range strings.Split(outcome, ";") {
-		ti, rest, ok1 := cutNumber(e, "T", "#")
-		op, rest, ok2 := cutNumber(rest, "", "@")
-		line, rest, ok3 := cutNumber(rest, "", "=")
-		val, err := strconv.ParseUint(rest, 10, 64)
-		if !ok1 || !ok2 || !ok3 || err != nil || ti > math.MaxUint32 || op > math.MaxUint32 {
-			panic(fmt.Sprintf("check: malformed outcome key %q", outcome))
-		}
-		out = append(out, obs{ti: uint32(ti), op: uint32(op), line: line, val: val})
-	}
-	return out
-}
-
-// cutNumber parses the decimal number between prefix pre and separator
-// sep at the start of s, and returns it with the text after sep.
-func cutNumber(s, pre, sep string) (uint64, string, bool) {
-	s, ok := strings.CutPrefix(s, pre)
-	if !ok {
-		return 0, "", false
-	}
-	num, rest, ok := strings.Cut(s, sep)
-	if !ok {
-		return 0, "", false
-	}
-	v, err := strconv.ParseUint(num, 10, 64)
-	return v, rest, err == nil
-}
-
-// parseMem inverts memKey: comma-separated decimal line values.
-func parseMem(mem string) []uint64 {
-	parts := strings.Split(mem, ",")
-	out := make([]uint64, len(parts))
-	for l, s := range parts {
-		v, err := strconv.ParseUint(s, 10, 64)
-		if err != nil {
-			panic(fmt.Sprintf("check: malformed memory key %q", mem))
-		}
-		out[l] = v
-	}
-	return out
-}
-
-// delayOrbitMinimal reports whether the per-thread delay index vector v
-// is the lexicographically minimal member of its orbit under the
-// automorphisms' thread permutations — the symmetry-reduction filter
-// over root delay assignments.
-func delayOrbitMinimal(v []uint8, autos []symAction) bool {
-	for _, a := range autos {
-		for i := range v {
-			pv := v[a.threadPerm[i]]
-			if pv < v[i] {
-				return false
-			}
-			if pv > v[i] {
-				break
-			}
-		}
-	}
-	return true
 }
 
 // ---------------------------------------------------------------------
@@ -647,11 +450,64 @@ func (s FamilyShape) String() string {
 	return fmt.Sprintf("%dsm x %dw x %dop, %d lines%s", s.SMs, s.WarpsPerSM, s.OpsPerThread, s.Lines, a)
 }
 
+// maxFamilyCandidates bounds the candidate programs EnumFamily builds,
+// and maxFamilyGroup the SM × line renamings (SMs! · Lines!) its
+// canonicaliser tabulates: past either, enumeration runs for hours or
+// exhausts memory (12 lines alone is 479M renamings). The families
+// rcccheck is run on (up to 4 SMs × 2 ops or 2 SMs × 3 ops, with
+// atomics) stay well below both.
+const (
+	maxFamilyCandidates = 1 << 24
+	maxFamilyGroup      = 40320 // 8!
+)
+
+// Validate reports why EnumFamily cannot enumerate s: a count below 1,
+// one past the cap WellFormed puts on every program (lines, SM and warp
+// indices, ops per thread), which would leave no program to keep, or a
+// family too large to enumerate.
+func (s FamilyShape) Validate() error {
+	for _, c := range []struct {
+		name     string
+		n, limit int
+	}{
+		{"SMs", s.SMs, placeCap},
+		{"warps per SM", s.WarpsPerSM, placeCap},
+		{"ops per thread", s.OpsPerThread, opCap},
+		{"lines", s.Lines, lineCap},
+	} {
+		if c.n < 1 || c.n > c.limit {
+			return fmt.Errorf("check: family of %d %s, want 1..%d", c.n, c.name, c.limit)
+		}
+	}
+	menu := 2 * s.Lines
+	if s.Atomics {
+		menu = 3 * s.Lines
+	}
+	for i, n := 0, 1; i < s.SMs*s.WarpsPerSM*s.OpsPerThread; i++ {
+		if n *= menu; n > maxFamilyCandidates {
+			return fmt.Errorf("check: family %v has over %d candidate programs", s, maxFamilyCandidates)
+		}
+	}
+	g := 1
+	for _, n := range []int{s.SMs, s.Lines} {
+		for i := 2; i <= n; i++ {
+			if g *= i; g > maxFamilyGroup {
+				return fmt.Errorf("check: family %v has over %d SM × line renamings", s, maxFamilyGroup)
+			}
+		}
+	}
+	return nil
+}
+
 // EnumFamily generates the family, filtered to canonical representatives
-// under SM × line renaming. Store values are numbered 1..N in (thread,
-// op) order, so each structural choice yields exactly one program. Every
-// candidate is built in one reused program; a kept one is cloned.
+// under SM × line renaming; a shape Validate rejects has none. Store
+// values are numbered 1..N in (thread, op) order, so each structural
+// choice yields exactly one program. Every candidate is built in one
+// reused program; a kept one is cloned.
 func EnumFamily(s FamilyShape) []*Prog {
+	if s.Validate() != nil {
+		return nil
+	}
 	threads := s.SMs * s.WarpsPerSM
 	kinds := []workload.OpKind{workload.OpLoad, workload.OpStore}
 	if s.Atomics {

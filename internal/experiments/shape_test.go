@@ -33,6 +33,20 @@ func TestPaperShape(t *testing.T) {
 	if inter[config.RCC] < 0.98 {
 		t.Errorf("inter-wg gmean: RCC %.3f clearly below MESI", inter[config.RCC])
 	}
+	// ... and on each inter-wg kernel, not only in the gmean.
+	nInter := 0
+	for _, row := range rows {
+		if !row.Inter {
+			continue
+		}
+		nInter++
+		if rcc, tcs := row.Speedup[config.RCC], row.Speedup[config.TCS]; rcc <= tcs {
+			t.Errorf("%s: RCC %.3f <= TCS %.3f", row.Bench, rcc, tcs)
+		}
+	}
+	if nInter != 6 {
+		t.Errorf("%d inter-wg kernels, want 6", nInter)
+	}
 	// Claim 3: TCW (non-SC) is fastest overall.
 	if inter[config.TCW] < inter[config.RCC] {
 		t.Errorf("inter-wg gmean: TCW %.3f < RCC %.3f", inter[config.TCW], inter[config.RCC])
@@ -43,6 +57,26 @@ func TestPaperShape(t *testing.T) {
 		if intra[p] < 0.85 || intra[p] > 1.2 {
 			t.Errorf("intra-wg gmean for %v = %.3f, want ~1.0", p, intra[p])
 		}
+	}
+
+	// Fig 10: over all 12 kernels, weak ordering speeds RCC up at least
+	// as much as TCW gains over RCC-SC, and TCW does gain. Per kernel the
+	// two are within a rounding error, so the ordering is pinned on the
+	// gmean only.
+	f10, err := r.Fig10()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wo, tcw []float64
+	for _, row := range f10 {
+		wo = append(wo, row.Speedup[config.RCCWO])
+		tcw = append(tcw, row.Speedup[config.TCW])
+	}
+	if len(f10) != 12 {
+		t.Errorf("Fig 10 has %d kernels, want 12", len(f10))
+	}
+	if gw, gt := GMean(wo), GMean(tcw); gw < gt || gt <= 1 {
+		t.Errorf("Fig 10 gmean: RCC-WO %.3f, TCW %.3f; want RCC-WO >= TCW > 1", gw, gt)
 	}
 
 	// Claim 6: renewal never increases traffic, and saves on at least
