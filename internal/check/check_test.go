@@ -5,28 +5,27 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"reflect"
+	"strings"
 	"testing"
 
 	"rccsim/internal/config"
 	"rccsim/internal/core"
-	"rccsim/internal/sc"
-	"rccsim/internal/timing"
 	"rccsim/internal/workload"
 )
 
 func TestGenerateWellFormedAndDeterministic(t *testing.T) {
-	gc := DefaultGenConfig()
-	for seed := uint64(0); seed < 500; seed++ {
-		p := Generate(seed, gc)
-		if err := p.WellFormed(); err != nil {
-			t.Fatalf("seed %d: %v\n%s", seed, err, p)
-		}
-		q := Generate(seed, gc)
-		a, _ := json.Marshal(p)
-		b, _ := json.Marshal(q)
-		if string(a) != string(b) {
-			t.Fatalf("seed %d: generator not deterministic", seed)
+	for _, gc := range []GenConfig{DefaultGenConfig(), litmusGen(4)} {
+		for seed := uint64(0); seed < 500; seed++ {
+			p := Generate(seed, gc)
+			if err := p.WellFormed(); err != nil {
+				t.Fatalf("seed %d: %v\n%s", seed, err, p)
+			}
+			q := Generate(seed, gc)
+			a, _ := json.Marshal(p)
+			b, _ := json.Marshal(q)
+			if string(a) != string(b) {
+				t.Fatalf("seed %d: generator not deterministic", seed)
+			}
 		}
 	}
 }
@@ -73,38 +72,56 @@ func TestGenerateCoversPlacements(t *testing.T) {
 	}
 }
 
-// mp is message passing with the producer and consumer on separate SMs.
-func mp() *Prog {
-	return &Prog{Lines: 2, Threads: []Thread{
-		{SM: 0, Warp: 0, Ops: []Op{
-			{Kind: workload.OpStore, Lines: []uint64{0}, Val: 1},
-			{Kind: workload.OpStore, Lines: []uint64{1}, Val: 2},
-		}},
-		{SM: 1, Warp: 0, Ops: []Op{
-			{Kind: workload.OpLoad, Lines: []uint64{1}},
-			{Kind: workload.OpLoad, Lines: []uint64{0}},
-		}},
-	}}
-}
-
+// TestEnumerateMessagePassing pins the SC sets of the eight litmus
+// shapes: the outcomes SC forbids, some it allows, and, for message
+// passing, the outcome count and the one final memory image.
 func TestEnumerateMessagePassing(t *testing.T) {
-	set, err := mp().Enumerate(DefaultEnumLimits())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Seeing done=2 then data=0 is the canonical SC violation.
-	bad := CanonOutcome([]string{ObsKey(1, 0, 1, 2), ObsKey(1, 1, 0, 0)})
-	if set.AllowsOutcome(bad) {
-		t.Fatalf("SC enumeration allows the forbidden MP outcome %q", bad)
-	}
-	good := CanonOutcome([]string{ObsKey(1, 0, 1, 2), ObsKey(1, 1, 0, 1)})
-	if !set.AllowsOutcome(good) {
-		t.Fatalf("SC enumeration rejects the legal MP outcome %q", good)
-	}
-	// Final memory is the same under every interleaving here.
-	for out, mems := range set.Outcomes {
-		if !mems["1,2"] || len(mems) != 1 {
-			t.Fatalf("outcome %q has final memories %v, want only 1,2", out, mems)
+	for _, tc := range []struct {
+		p        *Prog
+		forbid   [][]uint64 // load values in thread-major program order
+		allow    [][]uint64
+		never0   bool   // no load reads the initial value
+		outcomes int    // exact outcome count, when pinned
+		mem      string // the only final memory, when pinned
+	}{
+		// Seeing done=2 then data=0 is the canonical SC violation.
+		{p: mp(), forbid: [][]uint64{{2, 0}}, allow: [][]uint64{{0, 0}, {0, 1}, {2, 1}}, outcomes: 3, mem: "1,2"},
+		{p: sb(), forbid: [][]uint64{{0, 0}}, allow: [][]uint64{{2, 0}, {0, 1}, {2, 1}}},
+		{p: shape("load-buffering"), forbid: [][]uint64{{2, 1}}},
+		// Coherence forbids reading the new value, then the old one.
+		{p: shape("coherence-rr"), forbid: [][]uint64{{1, 0}}, allow: [][]uint64{{0, 0}, {0, 1}, {1, 1}}},
+		// The reader just wrote 1: it sees 1 or the remote 2.
+		{p: shape("coherence-wr"), allow: [][]uint64{{1}, {2}}, never0: true},
+		// The readers must agree on the order of the two writes.
+		{p: shape("iriw"), forbid: [][]uint64{{1, 0, 2, 0}}, allow: [][]uint64{{1, 2, 2, 1}, {0, 0, 0, 0}}},
+		{p: shape("wrc"), forbid: [][]uint64{{1, 2, 0}}, allow: [][]uint64{{0, 0, 0}, {1, 2, 1}, {1, 0, 0}}},
+		// Each trailing read sees some write to its line.
+		{p: shape("2+2w"), never0: true},
+	} {
+		set, err := tc.p.Enumerate(DefaultEnumLimits())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(set.Outcomes) == 0 || tc.outcomes > 0 && len(set.Outcomes) != tc.outcomes {
+			t.Fatalf("%d outcomes %v, want %d\n%s", len(set.Outcomes), set.Outcomes, tc.outcomes, tc.p)
+		}
+		for _, vals := range tc.forbid {
+			if out := loadOutcome(tc.p, vals...); set.AllowsOutcome(out) {
+				t.Fatalf("SC enumeration allows the forbidden outcome %q\n%s", out, tc.p)
+			}
+		}
+		for _, vals := range tc.allow {
+			if out := loadOutcome(tc.p, vals...); !set.AllowsOutcome(out) {
+				t.Fatalf("SC enumeration rejects the legal outcome %q\n%s", out, tc.p)
+			}
+		}
+		for out, mems := range set.Outcomes {
+			if tc.never0 && strings.Contains(out+";", "=0;") {
+				t.Fatalf("outcome %q reads the initial value\n%s", out, tc.p)
+			}
+			if tc.mem != "" && (!mems[tc.mem] || len(mems) != 1) {
+				t.Fatalf("outcome %q has final memories %v, want only %s", out, mems, tc.mem)
+			}
 		}
 	}
 }
@@ -177,98 +194,6 @@ func TestEnumerateBarrier(t *testing.T) {
 	}
 }
 
-// litmusToProg converts an sc litmus test, one thread per SM.
-func litmusToProg(l sc.Litmus, lines int) *Prog {
-	p := &Prog{Lines: lines}
-	for ti, ops := range l.Threads {
-		th := Thread{SM: ti, Warp: 0}
-		for _, op := range ops {
-			if op.Store {
-				th.Ops = append(th.Ops, Op{Kind: workload.OpStore, Lines: []uint64{op.Line}, Val: op.Val})
-			} else {
-				th.Ops = append(th.Ops, Op{Kind: workload.OpLoad, Lines: []uint64{op.Line}})
-			}
-		}
-		p.Threads = append(p.Threads, th)
-	}
-	return p
-}
-
-// TestEnumerateAgreesWithSCOutcomes cross-validates the new enumerator
-// against the independent sc.SCOutcomes implementation on random litmus
-// programs (single-line ops, no atomics/fences/barriers — the shared
-// subset of the two models).
-func TestEnumerateAgreesWithSCOutcomes(t *testing.T) {
-	rng := timing.NewRNG(77)
-	const lines = 2
-	for trial := 0; trial < 25; trial++ {
-		l := sc.RandomLitmus(rng, 3, 3, lines)
-		want := sc.SCOutcomes(l)
-		p := litmusToProg(l, lines)
-		set, err := p.Enumerate(DefaultEnumLimits())
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-
-		// Map each sc outcome (slot-ordered values) to this package's
-		// canonical keyed form.
-		type slot struct {
-			tid, idx int
-			line     uint64
-		}
-		var slots []slot
-		for tid, ops := range l.Threads {
-			for i, op := range ops {
-				if !op.Store {
-					slots = append(slots, slot{tid, i, op.Line})
-				}
-			}
-		}
-		wantKeys := make(map[string]bool, len(want))
-		for out := range want {
-			var vals []uint64
-			if len(out) > 0 {
-				for _, part := range splitOutcome(string(out)) {
-					vals = append(vals, part)
-				}
-			}
-			if len(vals) != len(slots) {
-				t.Fatalf("trial %d: outcome %q has %d values, want %d", trial, out, len(vals), len(slots))
-			}
-			entries := make([]string, len(slots))
-			for k, s := range slots {
-				entries[k] = ObsKey(s.tid, s.idx, s.line, vals[k])
-			}
-			wantKeys[CanonOutcome(entries)] = true
-		}
-		gotKeys := make(map[string]bool, len(set.Outcomes))
-		for out := range set.Outcomes {
-			gotKeys[out] = true
-		}
-		if !reflect.DeepEqual(wantKeys, gotKeys) {
-			t.Fatalf("trial %d: enumerators disagree\n litmus: %v\n sc: %v\n check: %v",
-				trial, l.Threads, wantKeys, gotKeys)
-		}
-	}
-}
-
-func splitOutcome(s string) []uint64 {
-	var vals []uint64
-	cur, have := uint64(0), false
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if have {
-				vals = append(vals, cur)
-			}
-			cur, have = 0, false
-			continue
-		}
-		cur = cur*10 + uint64(s[i]-'0')
-		have = true
-	}
-	return vals
-}
-
 // quickOpts keeps differential runs cheap in unit tests.
 func quickOpts() Options {
 	opts := DefaultOptions()
@@ -276,35 +201,17 @@ func quickOpts() Options {
 	return opts
 }
 
-// uniquifyVals renumbers store values so the classic litmus tests (which
-// reuse value 1 across lines) satisfy Prog's global-uniqueness rule.
-func uniquifyVals(l sc.Litmus) sc.Litmus {
-	val := uint64(0)
-	for ti := range l.Threads {
-		ops := append([]sc.LitmusOp(nil), l.Threads[ti]...)
-		for oi := range ops {
-			if ops[oi].Store {
-				val++
-				ops[oi].Val = val
-			}
-		}
-		l.Threads[ti] = ops
-	}
-	return l
-}
-
 func TestCheckProgCleanOnLitmus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential runs in -short mode")
 	}
-	for _, l := range []sc.Litmus{sc.MessagePassing(), sc.StoreBuffering(), sc.IRIW()} {
-		p := litmusToProg(uniquifyVals(l), 2)
+	for _, p := range []*Prog{mp(), sb(), shape("iriw")} {
 		fail, err := CheckProg(p, quickOpts())
 		if err != nil {
-			t.Fatalf("%s: %v", l.Name, err)
+			t.Fatal(err)
 		}
 		if fail != nil {
-			t.Fatalf("%s: unexpected failure: %v\n%s", l.Name, fail, p)
+			t.Fatalf("unexpected failure: %v\n%s", fail, p)
 		}
 	}
 }

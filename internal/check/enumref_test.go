@@ -13,7 +13,6 @@ import (
 	"sort"
 	"testing"
 
-	"rccsim/internal/sc"
 	"rccsim/internal/timing"
 	"rccsim/internal/workload"
 )
@@ -534,16 +533,12 @@ func TestEnumerateMatchesReference(t *testing.T) {
 	for seed := uint64(0); seed < seeds; seed++ {
 		enumCompareLimits(t, fmt.Sprintf("seed %d", seed), Generate(seed, gen))
 	}
-	litmus := map[string]*Prog{"mp": mp(), "sb": sb(), "lease-witness": LeaseWitnessProg()}
-	for i, l := range sc.AllLitmus() {
-		litmus[fmt.Sprintf("litmus %d", i)] = litmusToProg(l, 3)
+	for _, s := range litmusShapes() {
+		enumCompareLimits(t, s.Name, s.Prog)
 	}
-	rng := timing.NewRNG(77)
-	for i := 0; i < 25; i++ {
-		litmus[fmt.Sprintf("random litmus %d", i)] = litmusToProg(sc.RandomLitmus(rng, 3, 3, 2), 2)
-	}
-	for name, p := range litmus {
-		enumCompareLimits(t, name, p)
+	enumCompareLimits(t, "lease-witness", LeaseWitnessProg())
+	for seed := uint64(0); seed < 25; seed++ {
+		enumCompareLimits(t, fmt.Sprintf("load/store seed %d", seed), Generate(seed, litmusGen(3)))
 	}
 	p := boundaryProg()
 	states, entries := enumCompare(t, "boundary", p, DefaultEnumLimits())

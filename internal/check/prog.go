@@ -1,11 +1,11 @@
-// Package check is the differential fuzzing subsystem: it generates
-// random well-formed concurrent programs (generalizing the sc litmus
-// machinery with atomics, fences, barriers, memory-divergent accesses and
-// cross-SM warp placement), runs each program on the full machine under
-// every SC-claiming protocol with the trace invariant checker armed and
-// seeded issue delays and NoC delays widening the explored interleavings,
-// and validates three oracles against an exact enumeration of the
-// program's sequentially consistent executions:
+// Package check is the repo's one SC oracle and the differential fuzzing
+// subsystem around it: it generates random well-formed concurrent
+// programs (loads and stores, atomics, fences, barriers, memory-divergent
+// accesses and cross-SM warp placement), runs each program on the full
+// machine under every SC-claiming protocol with the trace invariant
+// checker armed and seeded issue delays and NoC delays widening the
+// explored interleavings, and validates three oracles against an exact
+// enumeration of the program's sequentially consistent executions:
 //
 //  1. every observed load (and atomic) outcome lies inside the enumerated
 //     SC outcome set;

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"rccsim/internal/config"
-	"rccsim/internal/sc"
 	"rccsim/internal/stats"
 	"rccsim/internal/trace"
 	"rccsim/internal/workload"
@@ -102,20 +101,6 @@ func TestRolloverForced(t *testing.T) {
 	}
 	if res.Stats.RolloverStall == 0 {
 		t.Fatal("rollover must cost stall cycles")
-	}
-}
-
-// TestRolloverPreservesSC runs litmus tests under forced rollovers.
-func TestRolloverPreservesSC(t *testing.T) {
-	l := sc.MessagePassing()
-	allowed := sc.SCOutcomes(l)
-	for seed := uint64(1); seed <= 15; seed++ {
-		cfg := litmusConfig(config.RCC)
-		cfg.RCCTSMax = 9000 // rollover likely mid-test
-		out := runLitmus(t, cfg, l, seed, false)
-		if !allowed[out] {
-			t.Fatalf("seed %d: rollover broke SC: outcome %q", seed, out)
-		}
 	}
 }
 
