@@ -120,11 +120,17 @@ func main() {
 			fmt.Fprintf(os.Stderr, "rcccheck: %v\n", err)
 			os.Exit(2)
 		}
-		fam := check.EnumFamily(shape)
-		fmt.Printf("rcccheck: family %v: %d canonical programs\n", shape, len(fam))
-		if *progCap > 0 && len(fam) > *progCap {
-			fam = fam[:*progCap]
-			fmt.Printf("rcccheck: capped at %d programs\n", *progCap)
+		// With -progs the enumeration stops at the cap, so a family too
+		// large to enumerate whole still yields its first programs.
+		var fam []*check.Prog
+		check.EachFamily(shape, func(p *check.Prog) bool {
+			fam = append(fam, p.Clone())
+			return *progCap <= 0 || len(fam) < *progCap
+		})
+		if *progCap > 0 && len(fam) == *progCap {
+			fmt.Printf("rcccheck: family %v: first %d canonical programs (-progs)\n", shape, len(fam))
+		} else {
+			fmt.Printf("rcccheck: family %v: %d canonical programs\n", shape, len(fam))
 		}
 		progs = append(progs, fam...)
 	}

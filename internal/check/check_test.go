@@ -201,21 +201,6 @@ func quickOpts() Options {
 	return opts
 }
 
-func TestCheckProgCleanOnLitmus(t *testing.T) {
-	if testing.Short() {
-		t.Skip("differential runs in -short mode")
-	}
-	for _, p := range []*Prog{mp(), sb(), shape("iriw")} {
-		fail, err := CheckProg(p, quickOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fail != nil {
-			t.Fatalf("unexpected failure: %v\n%s", fail, p)
-		}
-	}
-}
-
 func TestFuzzSeedsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential runs in -short mode")

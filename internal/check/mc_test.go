@@ -267,6 +267,33 @@ func TestMCFamilyEnumeration(t *testing.T) {
 	}
 }
 
+// TestEachFamilyStopsAtYield: EachFamily yields EnumFamily's programs in
+// its order and calls yield no more once it returns false, so a capped
+// walk of a family too large to enumerate whole ends at the cap.
+func TestEachFamilyStopsAtYield(t *testing.T) {
+	shape := FamilyShape{SMs: 2, WarpsPerSM: 1, OpsPerThread: 2, Lines: 2}
+	fam := EnumFamily(shape)
+	var got []*Prog
+	EachFamily(shape, func(p *Prog) bool {
+		got = append(got, p.Clone())
+		return len(got) < 5
+	})
+	if len(got) != 5 {
+		t.Fatalf("yield called %d times after returning false at 5", len(got))
+	}
+	for i, p := range got {
+		if p.String() != fam[i].String() {
+			t.Fatalf("program %d differs from EnumFamily's:\n%s\nvs\n%s", i, p, fam[i])
+		}
+	}
+	// 3 SMs × 3 ops with atomics: 6^9, about 10 million, candidates.
+	big, n := FamilyShape{SMs: 3, WarpsPerSM: 1, OpsPerThread: 3, Lines: 2, Atomics: true}, 0
+	EachFamily(big, func(*Prog) bool { n++; return false })
+	if n != 1 {
+		t.Fatalf("capped walk of %v yielded %d programs, want 1", big, n)
+	}
+}
+
 // TestFamilyShapeValidate: a shape with a count below 1, one past the
 // caps WellFormed puts on every program, or too many candidates or
 // renamings to enumerate is rejected before EnumFamily would index an

@@ -500,13 +500,26 @@ func (s FamilyShape) Validate() error {
 }
 
 // EnumFamily generates the family, filtered to canonical representatives
-// under SM × line renaming; a shape Validate rejects has none. Store
-// values are numbered 1..N in (thread, op) order, so each structural
-// choice yields exactly one program. Every candidate is built in one
-// reused program; a kept one is cloned.
+// under SM × line renaming; a shape Validate rejects has none. It
+// collects what EachFamily yields.
 func EnumFamily(s FamilyShape) []*Prog {
+	var out []*Prog
+	EachFamily(s, func(p *Prog) bool {
+		out = append(out, p.Clone())
+		return true
+	})
+	return out
+}
+
+// EachFamily calls yield with each canonical representative of the
+// family, in EnumFamily's order, until yield returns false; a shape
+// Validate rejects has none. Store values are numbered 1..N in (thread,
+// op) order, so each structural choice yields exactly one program. Every
+// candidate is built in one reused program: yield must Clone p to keep
+// it past the call.
+func EachFamily(s FamilyShape, yield func(p *Prog) bool) {
 	if s.Validate() != nil {
-		return nil
+		return
 	}
 	threads := s.SMs * s.WarpsPerSM
 	kinds := []workload.OpKind{workload.OpLoad, workload.OpStore}
@@ -533,7 +546,6 @@ func EnumFamily(s FamilyShape) []*Prog {
 			Ops: ops[ti*s.OpsPerThread : (ti+1)*s.OpsPerThread : (ti+1)*s.OpsPerThread]}
 	}
 	var canon *canonicaliser
-	var out []*Prog
 	pick := make([]int, slots)
 	for {
 		val := uint64(0)
@@ -549,8 +561,8 @@ func EnumFamily(s FamilyShape) []*Prog {
 			if canon == nil {
 				canon = newCanonicaliser(symShape(cand))
 			}
-			if canon.canonical(cand) {
-				out = append(out, cand.Clone())
+			if canon.canonical(cand) && !yield(cand) {
+				return
 			}
 		}
 		// Odometer increment.
@@ -563,7 +575,7 @@ func EnumFamily(s FamilyShape) []*Prog {
 			pick[i] = 0
 		}
 		if i < 0 {
-			return out
+			return
 		}
 	}
 }

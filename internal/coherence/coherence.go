@@ -56,33 +56,16 @@ const (
 	WBAck
 )
 
+var msgNames = [...]string{
+	GetS: "GETS", Write: "WRITE", AtomicReq: "ATOMIC", Data: "DATA",
+	Renew: "RENEW", Ack: "ACK", Inv: "INV", InvAck: "INVACK",
+	FlushReq: "FLUSH", FlushAck: "FLUSHACK", PutS: "PUTS", WBAck: "WBACK",
+}
+
 // String returns the protocol-literature name of the message type.
 func (t MsgType) String() string {
-	switch t {
-	case GetS:
-		return "GETS"
-	case Write:
-		return "WRITE"
-	case AtomicReq:
-		return "ATOMIC"
-	case Data:
-		return "DATA"
-	case Renew:
-		return "RENEW"
-	case Ack:
-		return "ACK"
-	case Inv:
-		return "INV"
-	case InvAck:
-		return "INVACK"
-	case FlushReq:
-		return "FLUSH"
-	case FlushAck:
-		return "FLUSHACK"
-	case PutS:
-		return "PUTS"
-	case WBAck:
-		return "WBACK"
+	if int(t) < len(msgNames) {
+		return msgNames[t]
 	}
 	return fmt.Sprintf("MsgType(%d)", int(t))
 }
@@ -182,10 +165,18 @@ type Request struct {
 	ID    uint64
 	Class stats.OpClass
 	Line  uint64
-	Warp  int
 	Val   uint64 // store value / atomic operand
 	Issue timing.Cycle
 
+	// Span is the causal-span ID: ID when the span recorder's Start
+	// tracked the op, else 0. The SM sets it; controllers test it
+	// instead of asking the recorder, so an untracked op costs no
+	// recorder call at any hop.
+	Span uint64
+
+	// Warp is the originating warp, core-local. It and Slot take 32 bits
+	// each, so a Request fills one 64-byte cache line.
+	Warp int32
 	// Slot is an issuer-private token echoed back at completion (the SM
 	// uses it to find the warp-instruction tracker without a map lookup).
 	// Controllers must preserve it and never interpret it.

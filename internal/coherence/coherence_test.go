@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"testing"
+	"unsafe"
 
 	"rccsim/internal/config"
 	"rccsim/internal/stats"
@@ -95,5 +96,14 @@ func TestAddressMapping(t *testing.T) {
 	}
 	if L2NodeID(3, 16) != 19 {
 		t.Fatal("L2NodeID broken")
+	}
+}
+
+// TestRequestFitsACacheLine: SMs pool Requests in arrays and every L1
+// reads them per access, so a Request must not straddle two 64-byte
+// lines.
+func TestRequestFitsACacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(Request{}); n > 64 {
+		t.Errorf("Request is %d bytes, want <= 64", n)
 	}
 }

@@ -100,22 +100,22 @@ func (c *L1) load(r *coherence.Request, now timing.Cycle) bool {
 	if m := c.mshrs.Get(r.Line); m != nil {
 		if c.readable(e, now) {
 			c.St.L1LoadHits++
-			if c.Sp != nil {
-				c.Sp.Mark(r.ID, span.SegL1, now)
+			if r.Span != 0 {
+				c.Sp.Mark(r.Span, span.SegL1, now)
 			}
 			c.Complete(r, e.Meta.Val, now)
 			return true
 		}
 		m.loads = append(m.loads, r)
 		if !m.getsOut {
-			if c.Sp.Tracked(r.ID) {
-				m.span = r.ID
-				c.Sp.Mark(r.ID, span.SegL1, now)
+			if r.Span != 0 {
+				m.span = r.Span
+				c.Sp.Mark(r.Span, span.SegL1, now)
 			}
 			c.sendGets(r.Line, m.span, now)
 			m.getsOut = true
-		} else if c.Sp.Tracked(r.ID) {
-			c.Sp.Edge(r.ID, m.span, "coalesce")
+		} else if r.Span != 0 {
+			c.Sp.Edge(r.Span, m.span, "coalesce")
 		}
 		return true
 	}
@@ -123,8 +123,8 @@ func (c *L1) load(r *coherence.Request, now timing.Cycle) bool {
 	if c.readable(e, now) {
 		c.St.L1LoadHits++
 		c.tags.Touch(e)
-		if c.Sp != nil {
-			c.Sp.Mark(r.ID, span.SegL1, now)
+		if r.Span != 0 {
+			c.Sp.Mark(r.Span, span.SegL1, now)
 		}
 		c.Complete(r, e.Meta.Val, now)
 		return true
@@ -151,9 +151,9 @@ func (c *L1) load(r *coherence.Request, now timing.Cycle) bool {
 	}
 	m.getsOut = true
 	m.loads = append(m.loads, r)
-	if c.Sp.Tracked(r.ID) {
-		m.span = r.ID
-		c.Sp.Mark(r.ID, span.SegL1, now)
+	if r.Span != 0 {
+		m.span = r.Span
+		c.Sp.Mark(r.Span, span.SegL1, now)
 	}
 	c.sendGets(r.Line, m.span, now)
 	return true
@@ -190,10 +190,8 @@ func (c *L1) write(r *coherence.Request, now timing.Cycle) bool {
 		typ = coherence.AtomicReq
 		atomic = true
 	}
-	var sp uint64
-	if c.Sp.Tracked(r.ID) {
-		sp = r.ID
-		c.Sp.Mark(r.ID, span.SegL1, now)
+	if r.Span != 0 {
+		c.Sp.Mark(r.Span, span.SegL1, now)
 	}
 	msg := c.Pool.Get()
 	*msg = coherence.Msg{
@@ -202,11 +200,11 @@ func (c *L1) write(r *coherence.Request, now timing.Cycle) bool {
 		Src:    c.ID,
 		Dst:    c.L2Node(r.Line),
 		ReqID:  r.ID,
-		Warp:   r.Warp,
+		Warp:   int(r.Warp),
 		Now:    uint64(now),
 		Val:    r.Val,
 		Atomic: atomic,
-		Span:   sp,
+		Span:   r.Span,
 	}
 	c.Port.Send(msg, now)
 	return true
@@ -248,8 +246,8 @@ func (c *L1) handleData(m *coherence.Msg, now timing.Cycle) {
 	mshr.getsOut = false
 	mshr.span = 0
 	for _, r := range mshr.loads {
-		if c.Sp != nil && r.ID != m.Span {
-			c.Sp.Mark(r.ID, span.SegCoalesce, now)
+		if r.Span != 0 && r.Span != m.Span {
+			c.Sp.Mark(r.Span, span.SegCoalesce, now)
 		}
 		c.Complete(r, m.Val, now)
 	}

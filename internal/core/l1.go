@@ -153,17 +153,17 @@ func (c *L1) load(r *coherence.Request, now timing.Cycle) bool {
 		// VI: the pre-write copy remains readable by other warps.
 		if m.state == stateVI && c.readable(e) {
 			c.St.L1LoadHits++
-			if c.Sp != nil {
-				c.Sp.Mark(r.ID, span.SegL1, now)
+			if r.Span != 0 {
+				c.Sp.Mark(r.Span, span.SegL1, now)
 			}
 			c.Complete(r, e.Meta.Val, now)
 			return true
 		}
 		m.loads = append(m.loads, r)
 		if !m.getsOut {
-			if c.Sp.Tracked(r.ID) {
-				m.span = r.ID
-				c.Sp.Mark(r.ID, span.SegL1, now)
+			if r.Span != 0 {
+				m.span = r.Span
+				c.Sp.Mark(r.Span, span.SegL1, now)
 			}
 			c.sendGets(r.Line, e, m.span, now)
 			m.getsOut = true
@@ -171,10 +171,10 @@ func (c *L1) load(r *coherence.Request, now timing.Cycle) bool {
 				m.renewing = true
 				c.renewsPending++
 			}
-		} else if c.Sp.Tracked(r.ID) {
+		} else if r.Span != 0 {
 			// Joined an in-flight GETS: the whole wait is coalesce
 			// time, causally blocked on the carrier op.
-			c.Sp.Edge(r.ID, m.span, "coalesce")
+			c.Sp.Edge(r.Span, m.span, "coalesce")
 		}
 		return true
 	}
@@ -183,8 +183,8 @@ func (c *L1) load(r *coherence.Request, now timing.Cycle) bool {
 		if c.readable(e) {
 			c.St.L1LoadHits++
 			c.tags.Touch(e)
-			if c.Sp != nil {
-				c.Sp.Mark(r.ID, span.SegL1, now)
+			if r.Span != 0 {
+				c.Sp.Mark(r.Span, span.SegL1, now)
 			}
 			c.Complete(r, e.Meta.Val, now)
 			return true
@@ -217,9 +217,9 @@ func (c *L1) load(r *coherence.Request, now timing.Cycle) bool {
 	m.state = stateIV
 	m.getsOut = true
 	m.loads = append(m.loads, r)
-	if c.Sp.Tracked(r.ID) {
-		m.span = r.ID
-		c.Sp.Mark(r.ID, span.SegL1, now)
+	if r.Span != 0 {
+		m.span = r.Span
+		c.Sp.Mark(r.Span, span.SegL1, now)
 	}
 	c.sendGets(r.Line, e, m.span, now)
 	return true
@@ -267,10 +267,8 @@ func (c *L1) store(r *coherence.Request, now timing.Cycle) bool {
 		c.Tr.L1State(now, c.ID, r.Line, "IV->II")
 	}
 	m.stores = append(m.stores, r)
-	var sp uint64
-	if c.Sp.Tracked(r.ID) {
-		sp = r.ID
-		c.Sp.Mark(r.ID, span.SegL1, now)
+	if r.Span != 0 {
+		c.Sp.Mark(r.Span, span.SegL1, now)
 	}
 	msg := c.Pool.Get()
 	*msg = coherence.Msg{
@@ -279,10 +277,10 @@ func (c *L1) store(r *coherence.Request, now timing.Cycle) bool {
 		Src:   c.ID,
 		Dst:   c.L2Node(r.Line),
 		ReqID: r.ID,
-		Warp:  r.Warp,
+		Warp:  int(r.Warp),
 		Now:   c.clk.WriteNow(),
 		Val:   r.Val,
-		Span:  sp,
+		Span:  r.Span,
 	}
 	c.Port.Send(msg, now)
 	return true
@@ -307,10 +305,8 @@ func (c *L1) atomic(r *coherence.Request, now timing.Cycle) bool {
 		c.Tr.L1State(now, c.ID, r.Line, "IV->II")
 	}
 	m.stores = append(m.stores, r)
-	var sp uint64
-	if c.Sp.Tracked(r.ID) {
-		sp = r.ID
-		c.Sp.Mark(r.ID, span.SegL1, now)
+	if r.Span != 0 {
+		c.Sp.Mark(r.Span, span.SegL1, now)
 	}
 	msg := c.Pool.Get()
 	*msg = coherence.Msg{
@@ -319,11 +315,11 @@ func (c *L1) atomic(r *coherence.Request, now timing.Cycle) bool {
 		Src:    c.ID,
 		Dst:    c.L2Node(r.Line),
 		ReqID:  r.ID,
-		Warp:   r.Warp,
+		Warp:   int(r.Warp),
 		Now:    c.clk.WriteNow(),
 		Val:    r.Val,
 		Atomic: true,
-		Span:   sp,
+		Span:   r.Span,
 	}
 	c.Port.Send(msg, now)
 	return true
@@ -390,8 +386,8 @@ func (c *L1) handleData(m *coherence.Msg, now timing.Cycle) {
 		c.renewsPending--
 	}
 	for _, r := range mshr.loads {
-		if c.Sp != nil && r.ID != m.Span {
-			c.Sp.Mark(r.ID, span.SegCoalesce, now)
+		if r.Span != 0 && r.Span != m.Span {
+			c.Sp.Mark(r.Span, span.SegCoalesce, now)
 		}
 		c.Complete(r, m.Val, now)
 	}
@@ -429,8 +425,8 @@ func (c *L1) handleRenew(m *coherence.Msg, now timing.Cycle) {
 	if e != nil {
 		for _, r := range mshr.loads {
 			c.St.L1Renewed++
-			if c.Sp != nil && r.ID != m.Span {
-				c.Sp.Mark(r.ID, span.SegCoalesce, now)
+			if r.Span != 0 && r.Span != m.Span {
+				c.Sp.Mark(r.Span, span.SegCoalesce, now)
 			}
 			c.Complete(r, e.Meta.Val, now)
 		}

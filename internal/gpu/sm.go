@@ -861,27 +861,29 @@ func (s *SM) drainSubmit(w *warp, now timing.Cycle) bool {
 			ID:    (s.idSeq-1)*s.idStride + uint64(s.id) + 1,
 			Class: tr.class,
 			Line:  line,
-			Warp:  w.id,
+			Warp:  int32(w.id),
 			Val:   w.subIn.Val,
 			Issue: tr.issue,
 			Slot:  w.subSlot,
 		}
-		tracked := s.Sp != nil && s.Sp.Start(r.ID, s.id, w.id, r.Line, spanKind(tr.class), tr.issue)
-		if tracked {
+		if s.Sp != nil && s.Sp.Start(r.ID, s.id, w.id, r.Line, spanKind(tr.class), tr.issue) {
 			// The span opens at warp-instruction issue; the gap to the
 			// submit cycle (MSHR-full retries) telescopes into SegIssue.
-			s.Sp.Mark(r.ID, span.SegIssue, now)
-			s.Sp.Edge(r.ID, s.barrierDep, "barrier")
+			r.Span = r.ID
+			s.Sp.Mark(r.Span, span.SegIssue, now)
+			s.Sp.Edge(r.Span, s.barrierDep, "barrier")
 		}
 		if !s.l1.Access(r, now) {
 			// The abort drops the edge with the op; barrierDep stays set
 			// so the retry (same ID) records it again.
-			s.Sp.Abort(r.ID)
+			if r.Span != 0 {
+				s.Sp.Abort(r.Span)
+			}
 			s.freeReqs = append(s.freeReqs, r)
 			s.idSeq--
 			break
 		}
-		if tracked {
+		if r.Span != 0 {
 			s.barrierDep = 0
 		}
 		if s.pendingSubs > 1 { // another warp has a submit pending, so may be parked
@@ -1004,8 +1006,8 @@ func (s *SM) MemDone(r *coherence.Request, now timing.Cycle) {
 		return
 	}
 	tr := s.trackers[slot]
-	if s.Sp != nil && s.Sp.Finish(r.ID, span.SegReply, now) {
-		s.lastSpanDone = r.ID
+	if r.Span != 0 && s.Sp.Finish(r.Span, span.SegReply, now) {
+		s.lastSpanDone = r.Span
 	}
 	s.freeReqs = append(s.freeReqs, r)
 	s.dirty = true

@@ -28,7 +28,8 @@ type fakeL1 struct {
 	frozen   bool
 	calls    int // Access calls, refused ones included
 	accesses []uint64
-	fenceAt  timing.Cycle // FenceReadyAt result
+	accepted []coherence.Request // copies, as submitted
+	fenceAt  timing.Cycle        // FenceReadyAt result
 	fences   int
 }
 
@@ -44,6 +45,7 @@ func (f *fakeL1) Access(r *coherence.Request, now timing.Cycle) bool {
 	}
 	f.out[r.Line]++
 	f.accesses = append(f.accesses, r.Line)
+	f.accepted = append(f.accepted, *r)
 	f.pending.Push(now+f.delay, r)
 	return true
 }
@@ -680,4 +682,44 @@ func TestBarrierEdgeSurvivesRefusedSubmit(t *testing.T) {
 		}
 	}
 	t.Fatalf("post-barrier load deps = %+v, want a barrier edge on op %d", second.Deps, first.ID)
+}
+
+// TestRequestSpanMarksTrackedOps: Request.Span is the request's ID
+// exactly for the ops the recorder's Start tracked, and 0 for every
+// other op, also when the L1 refuses a submit and the SM aborts the span
+// and retries under the same ID.
+func TestRequestSpanMarksTrackedOps(t *testing.T) {
+	p := &workload.Program{}
+	var tr workload.Trace
+	for i := uint64(0); i < 64; i++ {
+		tr = append(tr, p.Access(workload.OpLoad, 0, 1+2*i, 2+2*i))
+		tr = append(tr, p.Access(workload.OpStore, i, 300+i))
+	}
+	sm, l1 := build(t, smConfig(config.RCC), p, []workload.Trace{tr, tr}, nil)
+	l1.mshrs = 1 // most second lines are refused at first
+	sp := span.NewRecorder(4)
+	sm.SetObservers(trace.Observers{Sp: sp})
+	run(t, sm, l1, 100000)
+	if l1.calls <= len(l1.accepted) {
+		t.Fatalf("%d Access calls for %d accepted: no submit was refused", l1.calls, len(l1.accepted))
+	}
+	tracked := map[uint64]bool{}
+	for _, o := range sp.Done() {
+		tracked[o.ID] = true
+	}
+	if len(tracked) == 0 || len(tracked) == len(l1.accepted) {
+		t.Fatalf("%d of %d ops tracked, want a strict nonempty subset", len(tracked), len(l1.accepted))
+	}
+	for _, r := range l1.accepted {
+		want := uint64(0)
+		if tracked[r.ID] {
+			want = r.ID
+		}
+		if r.Span != want {
+			t.Errorf("op %d (line %d): Span = %d, want %d", r.ID, r.Line, r.Span, want)
+		}
+	}
+	if n := sp.LiveCount(); n != 0 {
+		t.Errorf("%d spans left open", n)
+	}
 }

@@ -96,6 +96,9 @@ type Heat struct {
 	k       int
 	entries []HeatEntry
 	index   map[uint64]int // line → slot in entries
+	// weight mirrors each entry's eviction key, Total()+Err, so evictMin
+	// scans one packed slice instead of summing every entry's counters.
+	weight []uint64
 
 	// cold-line admission sampling (only once the sketch is full).
 	sampleEvery uint64
@@ -118,6 +121,7 @@ func NewHeat(k int) *Heat {
 		k:           k,
 		entries:     make([]HeatEntry, 0, k),
 		index:       make(map[uint64]int, k),
+		weight:      make([]uint64, 0, k),
 		sampleEvery: defaultSampleEvery,
 	}
 }
@@ -146,16 +150,20 @@ func (h *Heat) add(line uint64, m HeatMetric, sm int) {
 			i = h.evictMin()
 		} else {
 			h.entries = append(h.entries, HeatEntry{})
+			h.weight = append(h.weight, 0)
 			i = len(h.entries) - 1
 		}
 		h.entries[i] = HeatEntry{Line: line, Err: h.entries[i].Err, lastSM: -1}
+		h.weight[i] = h.entries[i].Err
 		h.index[line] = i
 	}
 	e := &h.entries[i]
 	e.Counts[m]++
+	h.weight[i]++
 	if sm >= 0 {
 		if e.lastSM >= 0 && e.lastSM != int32(sm) {
 			e.Counts[HeatPingPong]++
+			h.weight[i]++
 		}
 		e.lastSM = int32(sm)
 	}
@@ -165,9 +173,9 @@ func (h *Heat) add(line uint64, m HeatMetric, sm int) {
 // and returns its slot; the slot's Err is pre-loaded with the evicted
 // total so the newcomer inherits it (space-saving invariant).
 func (h *Heat) evictMin() int {
-	min, at := h.entries[0].Total()+h.entries[0].Err, 0
-	for i := 1; i < len(h.entries); i++ {
-		if t := h.entries[i].Total() + h.entries[i].Err; t < min {
+	min, at := h.weight[0], 0
+	for i, t := range h.weight {
+		if t < min {
 			min, at = t, i
 		}
 	}
@@ -213,6 +221,7 @@ func (h *Heat) Merge(other *Heat) {
 			// Adopt the line; write-adjacency (lastSM) does not survive a
 			// merge, so ping-pong counting stays per-machine.
 			h.entries = append(h.entries, HeatEntry{Line: oe.Line, lastSM: -1})
+			h.weight = append(h.weight, 0)
 			i = len(h.entries) - 1
 			h.index[oe.Line] = i
 		}
@@ -221,6 +230,7 @@ func (h *Heat) Merge(other *Heat) {
 			e.Counts[m] += oe.Counts[m]
 		}
 		e.Err += oe.Err
+		h.weight[i] += other.weight[oi]
 	}
 }
 

@@ -176,3 +176,30 @@ func TestHeatMergeOrderIndependent(t *testing.T) {
 		}
 	}
 }
+
+// TestHeatEvictionWeights checks the packed eviction keys evictMin scans
+// stay equal to each entry's Total()+Err through admissions, evictions,
+// ping-pong counts and merges, and then keep evicting by that key.
+func TestHeatEvictionWeights(t *testing.T) {
+	check := func(h *Heat, when string) {
+		t.Helper()
+		for i := range h.entries {
+			if e := &h.entries[i]; h.weight[i] != e.Total()+e.Err {
+				t.Fatalf("%s: line %#x weight %d, want Total+Err %d", when, e.Line, h.weight[i], e.Total()+e.Err)
+			}
+		}
+	}
+	a, b := NewHeat(4), NewHeat(4)
+	for i := 0; i < 400; i++ {
+		a.Add(uint64(i%13)*64, HeatMetric(i%int(numHeatMetrics)), i%3-1)
+		b.Add(uint64(i%7+5)*64, HeatWrites, i%2)
+	}
+	check(a, "after adds")
+	check(b, "after adds")
+	a.Merge(b)
+	check(a, "after merge")
+	for i := 0; i < 400; i++ {
+		a.Add(uint64(i%29+40)*64, HeatReads, -1)
+	}
+	check(a, "after adds past a merge")
+}

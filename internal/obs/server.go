@@ -25,8 +25,8 @@ type Mounts struct {
 	// Spans serves /spans: the causal-span recorder's summary as JSON —
 	// percentile waterfalls per segment, aggregate blame, the critical
 	// path, and the top-N slowest sampled ops (?top=N, default 10). The
-	// recorder is internally locked, so scraping mid-run observes a
-	// consistent snapshot of finished spans.
+	// recorder publishes each finished span under its lock, so scraping
+	// mid-run observes a consistent snapshot of finished spans.
 	Spans *span.Recorder
 	// Ledger serves /ledger, the run archive (pass ledger.Handler(l)). It
 	// is an opaque http.Handler rather than a *ledger.Ledger because the

@@ -1,10 +1,11 @@
 package span
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 )
 
 // Quantiles summarizes a latency distribution in cycles.
@@ -19,7 +20,7 @@ func quantiles(v []uint64) Quantiles {
 	if len(v) == 0 {
 		return Quantiles{}
 	}
-	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
+	slices.Sort(v)
 	at := func(p float64) uint64 {
 		i := int(p * float64(len(v)-1))
 		return v[i]
@@ -110,40 +111,48 @@ func (r *Recorder) Summarize(topN int) Summary {
 	if len(ops) == 0 {
 		return s
 	}
-	totals := make([]uint64, len(ops))
-	perSeg := make([][]uint64, numSegs)
+	// One backing array holds the totals, then each segment's column.
+	cols := make([]uint64, (1+int(numSegs))*len(ops))
+	totals := cols[:len(ops)]
+	var segSum [numSegs]uint64
 	for i, o := range ops {
 		totals[i] = o.Total()
-		for g, n := range o.Segs {
-			s.SegSum[Seg(g).Name()] += n
-			perSeg[g] = append(perSeg[g], n)
+		for g, n := range &o.Segs {
+			segSum[g] += n
+			cols[(1+g)*len(ops)+i] = n
 		}
 	}
 	s.Total = quantiles(totals)
 	for g := Seg(0); g < numSegs; g++ {
-		if s.SegSum[g.Name()] != 0 {
-			s.Segments[g.Name()] = quantiles(perSeg[g])
-		} else {
-			delete(s.SegSum, g.Name())
+		if segSum[g] != 0 {
+			s.SegSum[g.Name()] = segSum[g]
+			s.Segments[g.Name()] = quantiles(cols[(1+int(g))*len(ops) : (2+int(g))*len(ops)])
 		}
 	}
 	s.Critical = criticalPath(ops)
-
-	bySlow := make([]*Op, len(ops))
-	copy(bySlow, ops)
-	sort.Slice(bySlow, func(i, j int) bool {
-		if bySlow[i].Total() != bySlow[j].Total() {
-			return bySlow[i].Total() > bySlow[j].Total()
-		}
-		return bySlow[i].ID < bySlow[j].ID
-	})
-	if topN > len(bySlow) {
-		topN = len(bySlow)
-	}
-	for _, o := range bySlow[:topN] {
+	for _, o := range slowest(ops, topN) {
 		s.Slowest = append(s.Slowest, opJSON(o))
 	}
 	return s
+}
+
+// slower orders ops slowest first, ties by ID.
+func slower(a, b *Op) int {
+	if c := cmp.Compare(b.Total(), a.Total()); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
+// slowest returns the n slowest ops in slower order.
+func slowest(ops []*Op, n int) []*Op {
+	n = min(n, len(ops))
+	if n <= 0 {
+		return nil
+	}
+	all := slices.Clone(ops)
+	slices.SortFunc(all, slower)
+	return all[:n]
 }
 
 // criticalPath runs the DP
@@ -153,70 +162,93 @@ func (r *Recorder) Summarize(topN int) Summary {
 //
 // over the finished-span DAG (edges restricted to non-increasing
 // finish times, so the walk is acyclic up to same-cycle ties, which a
-// visiting set breaks). By induction cp(s) <= s.Finish - minIssue, so
+// visiting mark breaks). By induction cp(s) <= s.Finish - minIssue, so
 // the extracted length never exceeds the run span; and cp(s) >= dur(s)
 // bounds it below by the slowest single op — the two invariants the
-// acceptance test pins.
+// acceptance test pins. Per-op state lives in slices indexed like ops;
+// a dependency's index is found by binary search over the IDs.
 func criticalPath(ops []*Op) Critical {
-	byID := make(map[uint64]*Op, len(ops))
-	for _, o := range ops {
-		byID[o.ID] = o
+	type idAt struct {
+		id uint64
+		at int32 // index in ops
 	}
-	memo := make(map[uint64]uint64, len(ops))
-	best := make(map[uint64]Dep) // argmax predecessor per op
-	visiting := make(map[uint64]bool)
+	byID := make([]idAt, len(ops))
+	for i, o := range ops {
+		byID[i] = idAt{o.ID, int32(i)}
+	}
+	slices.SortFunc(byID, func(a, b idAt) int { return cmp.Compare(a.id, b.id) })
+	find := func(id uint64) int {
+		j, ok := slices.BinarySearchFunc(byID, id, func(e idAt, id uint64) int { return cmp.Compare(e.id, id) })
+		if !ok {
+			return -1
+		}
+		return int(byID[j].at)
+	}
 
-	var cp func(o *Op) uint64
-	cp = func(o *Op) uint64 {
-		if v, ok := memo[o.ID]; ok {
-			return v
+	const (
+		unseen uint8 = iota
+		visiting
+		known
+	)
+	state := make([]uint8, len(ops))
+	memo := make([]uint64, len(ops))
+	// best is the argmax predecessor per op: its index in ops and the
+	// index of the winning edge in Deps, or -1.
+	bestOp := make([]int32, len(ops))
+	bestDep := make([]int32, len(ops))
+
+	var cp func(i int) uint64
+	cp = func(i int) uint64 {
+		switch state[i] {
+		case known:
+			return memo[i]
+		case visiting:
+			return ops[i].Total() // same-cycle tie loop: cut here
 		}
-		if visiting[o.ID] {
-			return o.Total() // same-cycle tie loop: cut here
-		}
-		visiting[o.ID] = true
+		state[i] = visiting
+		o := ops[i]
 		v := o.Total()
-		for _, d := range o.Deps {
-			p := byID[d.On]
-			if p == nil || p.Finish > o.Finish {
+		bestDep[i] = -1
+		for k, d := range o.Deps {
+			j := find(d.On)
+			if j < 0 || ops[j].Finish > o.Finish {
 				continue
 			}
-			c := cp(p) + uint64(o.Finish-p.Finish)
+			c := cp(j) + uint64(o.Finish-ops[j].Finish)
 			if c > v {
 				v = c
-				best[o.ID] = d
+				bestOp[i], bestDep[i] = int32(j), int32(k)
 			}
 		}
-		delete(visiting, o.ID)
-		memo[o.ID] = v
+		state[i] = known
+		memo[i] = v
 		return v
 	}
 
 	var out Critical
-	var tail *Op
-	for _, o := range ops {
-		if v := cp(o); v > out.Cycles {
+	tail := -1
+	for i := range ops {
+		if v := cp(i); v > out.Cycles {
 			out.Cycles = v
-			tail = o
+			tail = i
 		}
 	}
-	for o := tail; o != nil; {
+	for i := tail; i >= 0; {
+		o := ops[i]
 		step := PathStep{ID: o.ID, Kind: o.Kind.String(), Total: o.Total()}
-		d, ok := best[o.ID]
-		if ok {
-			step.Why = d.Why
+		k := bestDep[i]
+		if k >= 0 {
+			step.Why = o.Deps[k].Why
 		}
 		out.Path = append(out.Path, step)
 		out.Ops++
-		if !ok || len(out.Path) > len(ops) {
+		if k < 0 || len(out.Path) > len(ops) {
 			break
 		}
-		o = byID[d.On]
+		i = int(bestOp[i])
 	}
 	// Reverse to oldest-first.
-	for i, j := 0, len(out.Path)-1; i < j; i, j = i+1, j-1 {
-		out.Path[i], out.Path[j] = out.Path[j], out.Path[i]
-	}
+	slices.Reverse(out.Path)
 	return out
 }
 
@@ -244,7 +276,7 @@ func (r *Recorder) WriteFolded(w io.Writer, proto string) error {
 	for k := range agg {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	for _, k := range keys {
 		if _, err := fmt.Fprintf(w, "%s %d\n", k, agg[k]); err != nil {
 			return err

@@ -8,10 +8,12 @@
 //
 // The layer follows the repo's nil-receiver contract: a nil *Recorder
 // is valid everywhere, every method no-ops, and the hot path pays one
-// predictable branch (`m.Span != 0`) when tracing is off. Span IDs are
-// request IDs (already unique and nonzero), so no extra identity is
-// threaded through the machine; messages carry the ID in Msg.Span and
-// components mark segment boundaries as the message moves.
+// predictable branch (`r.Span != 0`, `m.Span != 0`) per hop for an op
+// it does not track. Span IDs are request IDs (already unique and
+// nonzero), so no extra identity is threaded through the machine: the
+// SM asks Start once per op and stores the ID in Request.Span when the
+// op is tracked, messages carry it in Msg.Span, and components mark
+// segment boundaries as the message moves.
 //
 // Segment accounting telescopes: Mark(id, seg, at) charges seg with
 // max(0, at-last) and advances last. By construction the segment sum
@@ -22,6 +24,7 @@ package span
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"rccsim/internal/timing"
 )
@@ -154,23 +157,43 @@ type Op struct {
 // of Segs by construction.
 func (o *Op) Total() uint64 { return uint64(o.Finish - o.Issue) }
 
-// Recorder collects spans for one run. Methods are nil-safe and
-// internally locked: the simulator marks from its (sequential) run
-// loop while the -serve introspection server snapshots concurrently.
-// Per-ID calls (Abort, Tracked, Mark, Finish, Edge, AddChild, EdgeLease)
-// for an ID that sampling skips return before taking the lock, since
-// such an ID is never live; the mutex is taken only for sampled IDs and
-// for NoteLease and the snapshots (Done, LiveCount, Summarize).
+// Recorder collects spans for one run. Methods are nil-safe.
+//
+// The per-op state (live, lease, the slabs) belongs to the goroutine
+// running the machine, so Start, Abort, Mark, Finish, Edge, AddChild,
+// NoteLease and EdgeLease take no lock. Finish publishes the closed op
+// to done under mu, and from then on the op is immutable, so the -serve
+// introspection server may snapshot (Done, Summarize, LiveCount) while
+// the run goes on.
+//
+// Sampling is decided once per op, by Start. The per-ID calls expect the
+// ID of an op Start tracked (the machine passes Request.Span or Msg.Span,
+// which are zero for every other op); any other ID is ignored.
 type Recorder struct {
-	mu    sync.Mutex
 	every uint64
 	live  map[uint64]*Op
-	done  []*Op
 	// lease remembers, per line, the last tracked span that was
 	// granted or renewed a read lease — the blocker a later store's
 	// expiry wait depends on.
 	lease map[uint64]uint64
+	// ops and marks are slabs that Start carves new ops and their
+	// mark capacity from.
+	ops   []Op
+	marks []MarkRec
+	// liveN mirrors len(live) for LiveCount.
+	liveN atomic.Int64
+
+	mu   sync.Mutex
+	done []*Op
 }
+
+const (
+	// slabOps is how many ops one slab allocation holds.
+	slabOps = 64
+	// opMarks is the mark capacity each op starts with: a load that
+	// misses to DRAM records about ten.
+	opMarks = 12
+)
 
 // NewRecorder returns a recorder tracking every Nth operation
 // (deterministically by request ID; every<=0 disables, 1 tracks all).
@@ -210,59 +233,57 @@ func (r *Recorder) sampled(id uint64) bool {
 
 // Start begins a span for request id at its SM issue cycle. Returns
 // whether the op is tracked (false on a nil recorder or when sampling
-// skips it). The caller must Abort if the access is then rejected.
+// skips it); the SM records the answer in Request.Span, which every
+// later hop tests instead of asking again. The caller must Abort if the
+// access is then rejected.
 func (r *Recorder) Start(id uint64, sm, warp int, line uint64, kind Kind, at timing.Cycle) bool {
 	if r == nil || !r.sampled(id) {
 		return false
 	}
-	r.mu.Lock()
-	r.live[id] = &Op{
-		ID: id, SM: sm, Warp: warp, Line: line, Kind: kind,
-		Issue: at, last: at,
-	}
-	r.mu.Unlock()
+	o := r.newOp()
+	o.ID, o.SM, o.Warp, o.Line, o.Kind = id, sm, warp, line, kind
+	o.Issue, o.last = at, at
+	r.live[id] = o
+	r.liveN.Add(1)
 	return true
+}
+
+// newOp returns the slab's next op, zeroed, with mark capacity.
+func (r *Recorder) newOp() *Op {
+	if len(r.ops) == 0 {
+		r.ops = make([]Op, slabOps)
+		r.marks = make([]MarkRec, slabOps*opMarks)
+	}
+	o := &r.ops[0]
+	o.Marks = r.marks[:0:opMarks]
+	r.ops, r.marks = r.ops[1:], r.marks[opMarks:]
+	return o
 }
 
 // Abort discards a live span (the SM rolled back the issue).
 func (r *Recorder) Abort(id uint64) {
-	if r == nil || !r.sampled(id) {
+	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	delete(r.live, id)
-	r.mu.Unlock()
-}
-
-// Tracked reports whether id has a live span. L1 controllers use it to
-// decide whether to stamp Msg.Span for requests that carry a ReqID.
-func (r *Recorder) Tracked(id uint64) bool {
-	if r == nil || !r.sampled(id) {
-		return false
+	if _, ok := r.live[id]; ok {
+		delete(r.live, id)
+		r.liveN.Add(-1)
 	}
-	r.mu.Lock()
-	_, ok := r.live[id]
-	r.mu.Unlock()
-	return ok
 }
 
 // Mark records a segment boundary: seg absorbs the cycles since the
 // previous mark (clamped at zero so an out-of-order mark can never
 // drive the telescoping sum away from the end-to-end latency).
 func (r *Recorder) Mark(id uint64, seg Seg, at timing.Cycle) {
-	if r == nil || !r.sampled(id) {
+	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	r.mark(id, seg, at)
-	r.mu.Unlock()
+	if o := r.live[id]; o != nil {
+		o.mark(seg, at)
+	}
 }
 
-func (r *Recorder) mark(id uint64, seg Seg, at timing.Cycle) {
-	o := r.live[id]
-	if o == nil {
-		return
-	}
+func (o *Op) mark(seg Seg, at timing.Cycle) {
 	if at > o.last {
 		o.Segs[seg] += uint64(at - o.last)
 		o.last = at
@@ -277,23 +298,23 @@ func (r *Recorder) mark(id uint64, seg Seg, at timing.Cycle) {
 	o.Marks = append(o.Marks, MarkRec{Seg: seg, At: at})
 }
 
-// Finish marks the final segment and closes the span. Returns whether
-// the id was tracked, so the SM can maintain its barrier-join anchor
-// without a second map probe.
+// Finish marks the final segment, closes the span and publishes it to
+// the snapshots. Returns whether the id was live, so the SM can maintain
+// its barrier-join anchor.
 func (r *Recorder) Finish(id uint64, seg Seg, at timing.Cycle) bool {
-	if r == nil || !r.sampled(id) {
+	if r == nil {
 		return false
 	}
-	r.mu.Lock()
 	o := r.live[id]
 	if o == nil {
-		r.mu.Unlock()
 		return false
 	}
-	r.mark(id, seg, at)
+	o.mark(seg, at)
 	o.Finish = o.last
 	o.done = true
 	delete(r.live, id)
+	r.liveN.Add(-1)
+	r.mu.Lock()
 	r.done = append(r.done, o)
 	r.mu.Unlock()
 	return true
@@ -302,26 +323,22 @@ func (r *Recorder) Finish(id uint64, seg Seg, at timing.Cycle) bool {
 // Edge records that op id was blocked on op dep. Self-edges and
 // edges to 0 are ignored.
 func (r *Recorder) Edge(id, dep uint64, why string) {
-	if r == nil || dep == 0 || dep == id || !r.sampled(id) {
+	if r == nil || dep == 0 || dep == id {
 		return
 	}
-	r.mu.Lock()
 	if o := r.live[id]; o != nil {
 		o.Deps = append(o.Deps, Dep{On: dep, Why: why})
 	}
-	r.mu.Unlock()
 }
 
 // AddChild attaches a protocol sub-span to a live op.
 func (r *Recorder) AddChild(id uint64, why string, start, end timing.Cycle) {
-	if r == nil || !r.sampled(id) {
+	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	if o := r.live[id]; o != nil {
 		o.Children = append(o.Children, Child{Why: why, Start: start, End: end})
 	}
-	r.mu.Unlock()
 }
 
 // NoteLease remembers that tracked span id holds a read lease on line;
@@ -330,24 +347,20 @@ func (r *Recorder) NoteLease(line, id uint64) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	r.lease[line] = id
-	r.mu.Unlock()
 }
 
 // EdgeLease adds a "lease-wait" dependency from id to the last tracked
 // lease holder of line, if any.
 func (r *Recorder) EdgeLease(id, line uint64) {
-	if r == nil || !r.sampled(id) {
+	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	if dep, ok := r.lease[line]; ok && dep != id {
 		if o := r.live[id]; o != nil {
 			o.Deps = append(o.Deps, Dep{On: dep, Why: "lease-wait"})
 		}
 	}
-	r.mu.Unlock()
 }
 
 // Done returns a snapshot of the finished spans (the slice is copied;
@@ -368,8 +381,5 @@ func (r *Recorder) LiveCount() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	n := len(r.live)
-	r.mu.Unlock()
-	return n
+	return int(r.liveN.Load())
 }

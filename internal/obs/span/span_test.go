@@ -3,6 +3,7 @@ package span
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -64,7 +65,7 @@ func TestNilRecorder(t *testing.T) {
 	r.AddChild(1, "lease", 0, 9)
 	r.NoteLease(0x40, 1)
 	r.EdgeLease(1, 0x40)
-	if r.Tracked(1) || r.Every() != 0 || r.Done() != nil || r.LiveCount() != 0 {
+	if r.Every() != 0 || r.Done() != nil || r.LiveCount() != 0 {
 		t.Fatal("nil recorder leaked state")
 	}
 	if NewRecorder(0) != nil {
@@ -129,21 +130,22 @@ func TestAbortAndUntracked(t *testing.T) {
 	}
 }
 
-// TestUnsampledIDsAreLockFreeNoOps pins the sampling gate of the per-ID
-// methods: on a strided recorder, calls for IDs that sampling skips leave
-// every snapshot unchanged, and they return without taking the
-// recorder's mutex (the test holds it while they run).
-func TestUnsampledIDsAreLockFreeNoOps(t *testing.T) {
+// TestPerIDCallsTakeNoLock pins the recorder's locking contract: every
+// per-ID call but Finish runs on the machine's goroutine without the
+// mutex the snapshots take, so each returns while the test holds it,
+// for tracked IDs as well as for IDs that sampling skips. Calls for
+// skipped IDs change nothing; calls for tracked IDs land on their op.
+func TestPerIDCallsTakeNoLock(t *testing.T) {
 	r := NewRecorder(16)
 	var in, out []uint64
-	for id := uint64(1); len(in) < 3 || len(out) < 8; id++ {
+	for id := uint64(1); len(in) < 4 || len(out) < 8; id++ {
 		if r.sampled(id) {
 			in = append(in, id)
 		} else {
 			out = append(out, id)
 		}
 	}
-	for i, id := range in {
+	for i, id := range in[:3] {
 		r.Start(id, i, 0, 0x40, Load, timing.Cycle(10*i))
 		r.NoteLease(0x40, id)
 		r.Mark(id, SegL1, timing.Cycle(10*i+3))
@@ -157,37 +159,48 @@ func TestUnsampledIDsAreLockFreeNoOps(t *testing.T) {
 		}
 		return string(b)
 	}
-	wantSum, wantDone, wantLive := snapshot(), len(r.Done()), r.LiveCount()
+	wantSum, wantDone := snapshot(), len(r.Done())
 
-	if r.Start(out[0], 0, 0, 0x40, Load, 60) {
-		t.Fatalf("Start tracked unsampled id %d", out[0])
-	}
 	r.mu.Lock()
 	finished := make(chan string)
 	go func() {
 		var got []string
 		for _, id := range out {
+			if r.Start(id, 0, 0, 0x40, Load, 60) {
+				got = append(got, "Start")
+			}
 			r.Mark(id, SegL1, 70)
 			r.Edge(id, in[1], "coalesce")
 			r.AddChild(id, "lease-grant", 70, 80)
 			r.EdgeLease(id, 0x40)
-			if r.Tracked(id) {
-				got = append(got, "Tracked")
-			}
 			if r.Finish(id, SegReply, 90) {
 				got = append(got, "Finish")
 			}
 			r.Abort(id)
+		}
+		// A tracked op that the L1 refuses: started, marked, aborted.
+		if !r.Start(in[3], 0, 0, 0x80, Store, 60) {
+			got = append(got, "Start refused a sampled id")
+		}
+		r.Mark(in[3], SegIssue, 61)
+		r.Abort(in[3])
+		// The live tracked op gathers the calls the hops make.
+		r.Mark(in[1], SegNoCReqWire, 70)
+		r.AddChild(in[1], "lease-grant", 70, 80)
+		r.NoteLease(0x80, in[1])
+		r.EdgeLease(in[2], 0x80)
+		if n := r.LiveCount(); n != 2 {
+			got = append(got, fmt.Sprintf("LiveCount %d, want 2", n))
 		}
 		finished <- strings.Join(got, ",")
 	}()
 	select {
 	case got := <-finished:
 		if got != "" {
-			t.Errorf("unsampled ids reported true from: %s", got)
+			t.Errorf("per-ID calls: %s", got)
 		}
 	case <-time.After(10 * time.Second):
-		t.Error("a per-ID call on an unsampled id waited for the recorder's mutex")
+		t.Error("a per-ID call waited for the recorder's mutex")
 		r.mu.Unlock()
 		<-finished
 		r.mu.Lock()
@@ -195,10 +208,17 @@ func TestUnsampledIDsAreLockFreeNoOps(t *testing.T) {
 	r.mu.Unlock()
 
 	if got := snapshot(); got != wantSum {
-		t.Errorf("Summarize changed:\n got  %s\n want %s", got, wantSum)
+		t.Errorf("Summarize changed before any Finish:\n got  %s\n want %s", got, wantSum)
 	}
-	if len(r.Done()) != wantDone || r.LiveCount() != wantLive {
-		t.Errorf("done/live = %d/%d, want %d/%d", len(r.Done()), r.LiveCount(), wantDone, wantLive)
+	if len(r.Done()) != wantDone {
+		t.Errorf("done = %d, want %d", len(r.Done()), wantDone)
+	}
+	r.Finish(in[1], SegReply, 90)
+	r.Finish(in[2], SegReply, 90)
+	ops := r.Done()
+	o1, o2 := ops[len(ops)-2], ops[len(ops)-1]
+	if o1.Segs[SegNoCReqWire] == 0 || len(o1.Children) != 1 || len(o2.Deps) != 1 || o2.Deps[0] != (Dep{On: in[1], Why: "lease-wait"}) {
+		t.Errorf("tracked calls lost: op %d segs %v children %v, op %d deps %v", o1.ID, o1.Segs, o1.Children, o2.ID, o2.Deps)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -115,5 +116,66 @@ func TestSpanSampling(t *testing.T) {
 	}
 	if some >= all || some < all/32 || some > all/2 {
 		t.Fatalf("every=8 tracked %d of %d ops, outside plausible 1/8 band", some, all)
+	}
+}
+
+// TestSpanSnapshotsDuringRun reads the recorder's snapshots (Summarize,
+// Done, LiveCount) in a loop from another goroutine while a machine
+// records into it, as the -serve endpoint does. Under -race it checks that
+// the unlocked per-op path publishes finished ops safely; the final
+// summary must equal that of a run nobody read during.
+func TestSpanSnapshotsDuringRun(t *testing.T) {
+	b, ok := workload.ByName("DLB")
+	if !ok {
+		t.Fatal("benchmark DLB not found")
+	}
+	cfg := config.Small()
+	cfg.Protocol = config.RCC
+	cfg.Scale = 0.25
+	summary := func(rec *span.Recorder) string {
+		var buf bytes.Buffer
+		if err := rec.WriteJSON(&buf, 5); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	quiet := span.NewRecorder(4)
+	if _, err := RunBenchmark(cfg, b, trace.Observers{Sp: quiet}); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := span.NewRecorder(4)
+	started, stop := make(chan struct{}), make(chan struct{})
+	reads := make(chan int)
+	go func() {
+		n, last := 0, 0
+		for {
+			s := rec.Summarize(3)
+			done := len(rec.Done())
+			if s.Tracked < last || done < s.Tracked || rec.LiveCount() < 0 {
+				t.Errorf("snapshot went back: tracked %d after %d, done %d", s.Tracked, last, done)
+			}
+			last = done
+			if n++; n == 1 {
+				close(started)
+			}
+			select {
+			case <-stop:
+				reads <- n
+				return
+			default:
+			}
+		}
+	}()
+	<-started
+	_, err := RunBenchmark(cfg, b, trace.Observers{Sp: rec})
+	close(stop)
+	n := <-reads
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d snapshots read while the machine ran", n)
+	if got, want := summary(rec), summary(quiet); got != want {
+		t.Errorf("summary after %d concurrent reads differs:\n got  %s\n want %s", n, got, want)
 	}
 }

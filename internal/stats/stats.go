@@ -26,14 +26,11 @@ const (
 	numOpClasses
 )
 
+var opClassNames = [numOpClasses]string{OpLoad: "load", OpStore: "store", OpAtomic: "atomic"}
+
 func (o OpClass) String() string {
-	switch o {
-	case OpLoad:
-		return "load"
-	case OpStore:
-		return "store"
-	case OpAtomic:
-		return "atomic"
+	if uint(o) < uint(numOpClasses) {
+		return opClassNames[o]
 	}
 	return fmt.Sprintf("OpClass(%d)", int(o))
 }

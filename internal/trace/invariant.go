@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -29,8 +30,8 @@ type InvariantSink struct {
 	onFail func(error) // optional: invoked once, at violation time
 	err    error
 
-	l2ver  map[[2]uint64]uint64 // (partition, line) -> max version seen
-	clocks [][2]uint64          // core -> (read, write) views, zero until seen
+	l2ver  []verTable  // partition -> (line -> max version seen)
+	clocks [][2]uint64 // core -> (read, write) views, zero until seen
 
 	tail [invariantTail]Event
 	n    int // events seen (ring write cursor = n % invariantTail)
@@ -40,13 +41,13 @@ type InvariantSink struct {
 // with the violation (letting tests and CLIs fail fast); Err returns the
 // same error afterwards.
 func NewInvariantSink(onFail func(error)) *InvariantSink {
-	return &InvariantSink{onFail: onFail, l2ver: make(map[[2]uint64]uint64)}
+	return &InvariantSink{onFail: onFail}
 }
 
 // Reset clears the sink for a new run, keeping its storage.
 func (s *InvariantSink) Reset() {
 	s.err = nil
-	clear(s.l2ver)
+	s.clearL2Ver()
 	clear(s.clocks)
 	s.n = 0
 }
@@ -97,7 +98,7 @@ func (s *InvariantSink) Event(e *Event) {
 		switch e.Label {
 		case RolloverReset:
 			// L2 timestamps across the machine restart from zero.
-			clear(s.l2ver)
+			s.clearL2Ver()
 		case RolloverFlush:
 			// This core zeroed its clock along with its tags.
 			if e.Src >= 0 && e.Src < len(s.clocks) {
@@ -108,13 +109,80 @@ func (s *InvariantSink) Event(e *Event) {
 }
 
 func (s *InvariantSink) checkL2Ver(e *Event) {
-	key := [2]uint64{uint64(e.Src), e.Line}
-	if prev, ok := s.l2ver[key]; ok && e.Ver < prev {
+	// L2 events carry their partition in Src, numbered from 0.
+	for e.Src >= len(s.l2ver) {
+		s.l2ver = append(s.l2ver, verTable{})
+	}
+	v := s.l2ver[e.Src].slot(e.Line)
+	if e.Ver < v.ver {
 		s.fail(e, "L2 partition %d line %d version regressed %d -> %d (%s %s)",
-			e.Src, e.Line, prev, e.Ver, e.Kind, e.Label)
+			e.Src, e.Line, v.ver, e.Ver, e.Kind, e.Label)
 		return
 	}
-	s.l2ver[key] = e.Ver
+	v.ver = e.Ver
+}
+
+func (s *InvariantSink) clearL2Ver() {
+	for i := range s.l2ver {
+		s.l2ver[i].clear()
+	}
+}
+
+// verTable is one partition's line -> max version table: open addressing
+// with linear probing over a power-of-two array of 16-byte slots kept at
+// most half full, so an event costs one multiply and, almost always, one
+// probe. A slot holds line+1, so a zero key marks it empty; line 2^64-1,
+// whose key would be zero, has a slot of its own.
+type verTable struct {
+	slots []verSlot
+	shift uint // 64 - log2(len(slots))
+	n     int  // used slots
+	top   verSlot
+}
+
+type verSlot struct{ key, ver uint64 }
+
+// slot returns line's slot, claiming one (version 0) if line is new.
+func (t *verTable) slot(line uint64) *verSlot {
+	key := line + 1
+	if key == 0 {
+		return &t.top
+	}
+	if 2*(t.n+1) > len(t.slots) {
+		t.grow()
+	}
+	mask := len(t.slots) - 1
+	for i := int((line * 0x9e3779b97f4a7c15) >> t.shift); ; i = (i + 1) & mask {
+		v := &t.slots[i]
+		if v.key == key {
+			return v
+		}
+		if v.key == 0 {
+			v.key = key
+			t.n++
+			return v
+		}
+	}
+}
+
+func (t *verTable) grow() {
+	old := t.slots
+	size := max(2*len(old), 8)
+	t.slots = make([]verSlot, size)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	t.n = 0
+	for _, v := range old {
+		if v.key != 0 {
+			t.slot(v.key - 1).ver = v.ver
+		}
+	}
+}
+
+// clear empties the table, keeping its storage.
+func (t *verTable) clear() {
+	clear(t.slots)
+	t.n = 0
+	t.top = verSlot{}
 }
 
 func (s *InvariantSink) fail(e *Event, format string, args ...any) {

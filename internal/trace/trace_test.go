@@ -332,6 +332,45 @@ func TestInvariantSinkVersionRegression(t *testing.T) {
 	}
 }
 
+// TestInvariantSinkVersionTable drives the per-partition version tables
+// through growth, rollover resets and the all-ones line, and checks that
+// the first regression they report is the one a map keyed by (partition,
+// line) finds.
+func TestInvariantSinkVersionTable(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := timing.NewRNG(seed)
+		inv := NewInvariantSink(nil)
+		b := NewBus(inv)
+		ref := map[[2]uint64]uint64{}
+		want := -1
+		for i := 0; i < 4000 && want < 0; i++ {
+			part, line := rng.Intn(4), uint64(rng.Intn(600))*4+uint64(rng.Intn(4))
+			if rng.Intn(50) == 0 {
+				line = ^uint64(0)
+			}
+			if rng.Intn(1500) == 0 {
+				b.Rollover(timing.Cycle(i), RolloverReset, -1, 0)
+				clear(ref)
+				continue
+			}
+			key := [2]uint64{uint64(part), line}
+			ver := ref[key] + uint64(rng.Intn(3))
+			if seed%2 == 0 && i >= 1000+100*int(seed) && ref[key] > 0 {
+				ver = ref[key] - 1 // a regression
+				want = i
+			}
+			ref[key] = ver
+			b.L2State(timing.Cycle(i), part, line, "write", ver, ver+1)
+			if err := b.Err(); (err != nil) != (want >= 0) {
+				t.Fatalf("seed %d event %d: err %v, want a failure at %d", seed, i, err, want)
+			}
+		}
+		if seed%2 == 0 && want < 0 {
+			t.Fatalf("seed %d planted no regression", seed)
+		}
+	}
+}
+
 // TestInvariantSinkClockRegression checks core logical clocks may never
 // move backwards, except across an L1 rollover flush.
 func TestInvariantSinkClockRegression(t *testing.T) {
